@@ -387,6 +387,28 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _profile_name(text: str) -> str:
+    """argparse type: a name ``get_profile`` resolves (kept as given)."""
+    from repro.cluster import get_profile
+
+    try:
+        get_profile(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 EXPERIMENT_NAMES = [
     "fig5", "fig6", "fig7", "fig8", "headline",
     "ablation", "skew", "extensions", "overlap", "tuned", "sensitivity",
@@ -404,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("profiles", help="list calibrated hardware profiles")
 
     run_parser = sub.add_parser("run", help="run one barrier experiment")
-    run_parser.add_argument("--profile", default="lanai_xp_xeon2400")
+    run_parser.add_argument("--profile", type=_profile_name,
+                            default="lanai_xp_xeon2400")
     run_parser.add_argument(
         "--barrier",
         default="nic-collective",
@@ -431,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser = sub.add_parser("experiment", help="run one experiment harness")
     exp_parser.add_argument("name", choices=EXPERIMENT_NAMES)
     exp_parser.add_argument("--quick", action="store_true")
-    exp_parser.add_argument("--jobs", type=int, default=1,
+    exp_parser.add_argument("--jobs", type=_positive_int, default=1,
                             help="worker processes for sweep points (1 = serial)")
     exp_parser.add_argument("--cache", **cache_flag)
 
@@ -441,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("--network", default="quadrics",
                               choices=["quadrics", "myrinet"])
-    trace_parser.add_argument("--profile", default=None,
+    trace_parser.add_argument("--profile", type=_profile_name, default=None,
                               help="hardware profile (default: per network)")
     trace_parser.add_argument(
         "--barrier", default=None,
@@ -511,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
     report_parser.add_argument("--quick", action="store_true")
     report_parser.add_argument("--out", default="EXPERIMENTS.md")
-    report_parser.add_argument("--jobs", type=int, default=1,
+    report_parser.add_argument("--jobs", type=_positive_int, default=1,
                                help="worker processes for sweep points (1 = serial)")
     report_parser.add_argument("--cache", **cache_flag)
 
@@ -523,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="decision-table output path")
     tune_parser.add_argument("--quick", action="store_true",
                              help="small grid (2 sizes, 2 payloads)")
-    tune_parser.add_argument("--jobs", type=int, default=1,
+    tune_parser.add_argument("--jobs", type=_positive_int, default=1,
                              help="worker processes for grid points (1 = serial)")
     tune_parser.add_argument("--repeats", type=int, default=None,
                              help="operations per grid point")

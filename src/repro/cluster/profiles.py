@@ -25,7 +25,7 @@ paper's observation that a faster host/bus shrinks the offload win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.host import HostParams
@@ -250,3 +250,19 @@ def get_profile(name: str) -> HardwareProfile:
     raise ValueError(
         f"unknown profile {name!r}; choose from {sorted(PROFILES)}"
     )
+
+
+def recovery_profile(profile: HardwareProfile) -> HardwareProfile:
+    """``profile`` with the retry budgets a kill-and-repair run needs.
+
+    Dying-epoch operations must resolve within the recovery window even
+    when revocation loses the race with the retry machinery, so the GM
+    ACK and NACK budgets shrink.  Elan3 has no such budgets: Quadrics
+    profiles come back unchanged.
+    """
+    if profile.gm is None:
+        return profile
+    return replace(profile, gm=replace(
+        profile.gm, ack_timeout_us=200.0, max_retries=3,
+        nack_timeout_us=300.0, nack_max_rounds=4,
+    ))

@@ -73,8 +73,6 @@ from repro.collectives.myrinet_engines import (
     NicCollectiveBarrierEngine,
     NicDirectBarrierEngine,
     nic_barrier,
-    nic_barrier_teardown,
-    nic_group_revoke,
 )
 from repro.collectives.host_barrier import host_barrier
 from repro.collectives.quadrics_barrier import (
@@ -151,8 +149,6 @@ __all__ = [
     "NicCollectiveBarrierEngine",
     "NicDirectBarrierEngine",
     "nic_barrier",
-    "nic_barrier_teardown",
-    "nic_group_revoke",
     "host_barrier",
     "FailureReason",
     "Revoked",

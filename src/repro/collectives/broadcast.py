@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.collectives.data_engine import CollectiveFailure, DataCollFailed
 from repro.collectives.failures import FailureReason, Revoked
 from repro.collectives.group import ProcessGroup
-from repro.network import Packet, PacketKind
+from repro.network import Packet
 
 #: Typed failure reason when a child exhausts its NACK retry budget
 #: (back-compat alias into the registry).
@@ -174,8 +174,6 @@ class NicBroadcastEngine:
             yield from self._on_nack_timeout(command[1])
         elif kind == "epoch":
             yield from self.on_epoch_change()
-        elif kind == "teardown":
-            yield from self.on_teardown()
         else:
             raise ValueError(f"unknown broadcast command {command!r}")
 
@@ -192,17 +190,6 @@ class NicBroadcastEngine:
                 state.cancel_timer()
                 del self.states[seq]
                 nic.tracer.count("bcast.epoch_state_dropped")
-
-    def on_teardown(self):
-        """Silent close (dead node's own NIC at repair)."""
-        nic = self.nic
-        self.closed = True
-        for seq in sorted(self.states):
-            state = self.states.pop(seq)
-            state.cancel_timer()
-            nic.tracer.count("bcast.teardown_state_dropped")
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def _on_root_start(self, message: BcastMsg):
         if self.rank != message.root:

@@ -38,7 +38,7 @@ from repro.collectives.failures import FailureReason, Revoked
 from repro.collectives.group import ProcessGroup
 from repro.collectives.messages import BarrierFailure
 from repro.collectives.schedule_ir import CollectiveSchedule, ScheduleOp
-from repro.network import Packet, PacketKind
+from repro.network import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.myrinet.nic import LanaiNic
@@ -277,8 +277,6 @@ class DisseminationDataEngine:
             yield from self._on_nack_timeout(command[1])
         elif kind == "epoch":
             yield from self.on_epoch_change()
-        elif kind == "teardown":
-            yield from self.on_teardown()
         else:
             raise ValueError(f"unknown {self.counter_prefix} command {command!r}")
 
@@ -342,7 +340,7 @@ class DisseminationDataEngine:
     def on_barrier_packet(self, packet: Packet):  # pragma: no cover - guard
         raise TypeError(f"{self.counter_prefix} engine received a barrier packet")
 
-    # -- epoch repair / teardown -------------------------------------------
+    # -- epoch repair ------------------------------------------------------
     def on_epoch_change(self):
         """The group's epoch died: abort every in-flight sequence.
 
@@ -363,18 +361,6 @@ class DisseminationDataEngine:
                 state.cancel_timer()
                 del self.states[seq]
                 nic.tracer.count(f"{self.counter_prefix}.epoch_state_dropped")
-
-    def on_teardown(self):
-        """Silent close (dead node's own NIC at repair): drop every
-        state without host notifications."""
-        nic = self.nic
-        self.closed = True
-        for seq in sorted(self.states):
-            state = self.states.pop(seq)
-            state.cancel_timer()
-            nic.tracer.count(f"{self.counter_prefix}.teardown_state_dropped")
-        return
-        yield  # pragma: no cover - makes this a generator
 
     # -- schedule replay ---------------------------------------------------
     def _payload_for(self, state: _DataState, phase: int) -> tuple[Any, int]:

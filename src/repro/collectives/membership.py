@@ -1,4 +1,4 @@
-"""Per-node membership views fed by the NIC failure detector.
+"""Per-node membership views and the failure detector that feeds them.
 
 Each NIC carries a :class:`MembershipView`.  Liveness evidence arrives
 two ways:
@@ -6,21 +6,28 @@ two ways:
 * **Piggybacked** — every received wire packet refreshes the sender's
   ``last_heard`` timestamp for free (``observe_alive``), so explicit
   heartbeats are only needed across otherwise-silent links.
-* **Active probing** — when the failure detector is enabled (it is off
-  by default; see ``GmParams.heartbeat_period_us`` /
-  ``ElanParams.heartbeat_period_us``) the NIC control program runs a
-  bounded heartbeat loop: each period it sends a tiny HEARTBEAT packet
-  to every watched peer it has not heard from within one period, and
-  declares dead any peer silent for longer than the suspicion timeout.
-  The loop exits at ``horizon_us`` so the event heap always drains and
-  quiescence stays clean.
+* **Active probing** — when :func:`enable_failure_detector` starts the
+  detector on a NIC (it is off by default; see
+  ``GmParams.heartbeat_period_us`` / ``ElanParams.heartbeat_period_us``)
+  a bounded heartbeat loop runs there: each period it sends a tiny
+  HEARTBEAT packet to every watched peer it has not *transmitted*
+  anything to within one period, and declares dead any peer it has not
+  heard from for longer than the suspicion timeout.  The loop exits at
+  ``horizon_us`` so the event heap always drains and quiescence stays
+  clean.
+
+The detector is the same on both networks.  Its one NIC hook is the
+probe cost, ``nic.heartbeat_probe_cost``: the LANai injects a probe
+like any packet and pays a CPU task for it, while Elan3 probes are
+out-of-band link-level packets that cost nothing (``None``).
 
 Death verdicts are typed :class:`PeerDead` records.  They unify the
 scattered retry-exhaustion escalations: the Myrinet timeout loop and the
 NIC engines report exhaustion through ``declare_dead`` with
 ``origin="retry-exhaustion"`` alongside the detector's
 ``origin="heartbeat-timeout"``, so a repair controller has one place to
-look regardless of how the failure was noticed.
+look regardless of how the failure was noticed —
+:func:`wait_for_conviction` polls it.
 
 Determinism: the detector's only randomness is the initial phase offset
 of each node's heartbeat loop, drawn from a named
@@ -29,10 +36,18 @@ for a fixed seed and invariant under tie-break permutations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-__all__ = ["PeerDead", "MembershipView"]
+from repro.network import Packet, PacketKind
+
+__all__ = [
+    "PeerDead",
+    "MembershipView",
+    "enable_failure_detector",
+    "wait_for_conviction",
+]
 
 
 @dataclass(frozen=True)
@@ -119,3 +134,115 @@ class MembershipView:
         (detector start time) so a node dead from t=0 is still caught.
         """
         return now - self.last_heard.get(node, since_default)
+
+
+def enable_failure_detector(
+    nic,
+    peers,
+    rng=None,
+    period_us: float = 0.0,
+    timeout_us: float = 0.0,
+    horizon_us: float = 0.0,
+) -> None:
+    """Start the heartbeat/suspicion loop on ``nic`` watching ``peers``.
+
+    Parameters default to the NIC's params; a zero period refuses to
+    start.  ``rng`` (a ``DeterministicRng``) seeds the phase offset;
+    without one it is zero.
+    """
+    params = nic.params
+    period = period_us or params.heartbeat_period_us
+    if period <= 0:
+        raise ValueError("failure detector needs a positive heartbeat period")
+    timeout = timeout_us or params.heartbeat_timeout_us or 3.0 * period
+    horizon = horizon_us or params.heartbeat_horizon_us or 64.0 * period
+    offset = 0.0
+    if rng is not None:
+        offset = rng.substream(f"hb/{nic.node_id}").uniform(0.0, period)
+    watched = tuple(sorted(p for p in peers if p != nic.node_id))
+    nic.fabric.observe_tx(nic.node_id, nic.membership.observe_sent)
+    # The ".hb" suffix matters: LANai CPU arbitration ranks the
+    # detector below every protocol loop by it.
+    nic.sim.process(
+        _heartbeat_loop(nic, watched, period, timeout, horizon, offset),
+        name=f"{nic.name}.hb",
+    )
+
+
+def _heartbeat_loop(nic, peers, period_us, timeout_us, horizon_us, offset_us):
+    """Each period: convict every watched peer silent past the timeout,
+    probe every peer not *transmitted* to within one period.
+
+    Outgoing protocol traffic suppresses probes (every packet is a free
+    heartbeat at the peer's receive path), so a busy link never carries
+    one.  Keying the send decision on receive evidence instead would let
+    one side's beats silence the other's, and the silent but healthy
+    side would be convicted.
+    """
+    sim = nic.sim
+    membership = nic.membership
+    probe_cost = nic.heartbeat_probe_cost
+    dead_counter = f"{nic.counter_prefix}.peer_dead_hb"
+    tx_counter = f"{nic.counter_prefix}.heartbeat_tx"
+    start = sim.now
+    if offset_us > 0:
+        yield offset_us
+    while sim.now < horizon_us:
+        if nic.crashed:
+            yield period_us
+            continue
+        for peer in peers:
+            if membership.is_dead(peer):
+                continue
+            silent = membership.silent_for(peer, sim.now, start)
+            if silent > timeout_us:
+                verdict = membership.declare_dead(
+                    peer,
+                    sim.now,
+                    "heartbeat-timeout",
+                    detail=f"silent {silent:.1f}us > {timeout_us:.1f}us",
+                )
+                if verdict is not None:
+                    nic.tracer.count(dead_counter)
+                continue
+            if sim.now - membership.last_sent.get(peer, start) >= period_us:
+                if probe_cost is not None:
+                    yield from probe_cost()
+                nic.fabric.transmit(Packet(
+                    src=nic.node_id, dst=peer, kind=PacketKind.HEARTBEAT,
+                    size_bytes=nic.params.heartbeat_bytes, payload=None,
+                ))
+                nic.tracer.count(tx_counter)
+        yield period_us
+
+
+def wait_for_conviction(
+    cluster,
+    victim: int,
+    at_us: float,
+    poll_us: float,
+    within_us: float = math.inf,
+):
+    """The recovery controller's detect step: sleep until the kill at
+    ``at_us``, then poll every ``poll_us`` until every live survivor has
+    convicted ``victim``.  Returns ``True``, or ``False`` at the first
+    poll past ``at_us + within_us``.
+
+    The survivor set re-evaluates every poll: a node that crashes
+    during the detection window stops owing a conviction — its own
+    detector went down with it.
+    """
+    sim = cluster.sim
+    nics = cluster.nics
+    if sim.now < at_us:
+        yield at_us - sim.now
+    deadline = at_us + within_us
+    while not all(
+        nics[s].membership.is_dead(victim)
+        for s in range(cluster.n)
+        if s != victim and not nics[s].crashed
+    ):
+        if sim.now > deadline:
+            return False
+        yield poll_us
+    return True

@@ -70,8 +70,8 @@ class _NicBarrierEngineBase:
         self.retired_recent: dict[int, None] = {}
         self.done_floor = -1
         # Escalation state: failed barriers (seq -> reason), armed
-        # receiver-side watchdogs (direct scheme), and the teardown
-        # latch a host sets after catching a BarrierFailure.
+        # receiver-side watchdogs (direct scheme), and the latch an
+        # epoch revocation sets.
         self.failed: dict[int, str] = {}
         self._deadlines: dict[int, Any] = {}
         self.closed = False
@@ -112,8 +112,6 @@ class _NicBarrierEngineBase:
             yield from self._on_nack_timeout(command[1])
         elif kind in ("deadline", "peer-dead"):
             yield from self._on_failure_signal(command[1], kind)
-        elif kind == "teardown":
-            yield from self._on_teardown()
         elif kind == "epoch":
             yield from self.on_epoch_change()
         else:
@@ -255,21 +253,6 @@ class _NicBarrierEngineBase:
             self.nic.tracer.count("coll.peer_dead_escalation")
             reason = FailureReason.PEER_DEAD.value
         yield from self._fail(seq, reason)
-
-    def _on_teardown(self):
-        """Host closed the group after catching a failure: drop every
-        remaining state (passive early arrivals included) and discard
-        all future traffic for the group."""
-        nic = self.nic
-        self.closed = True
-        for seq in sorted(self.states):
-            state = self.states.pop(seq)
-            state.cancel_nack_timer()
-            nic.tracer.count("coll.teardown_state_dropped")
-        for seq in sorted(self._deadlines):
-            self._deadlines.pop(seq).cancel()
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def on_epoch_change(self):
         """The group's epoch died (a peer was declared dead and the
@@ -526,25 +509,3 @@ def nic_barrier(port: "GmPort", group: ProcessGroup, seq: int):
     yield from post_barrier(port, group, seq)
     done = yield from wait_barrier(port, group, seq)
     return done
-
-
-def nic_barrier_teardown(port: "GmPort", group: ProcessGroup):
-    """Host side of closing a group's engine after a failure.
-
-    One PIO; the engine drops all remaining per-barrier state and
-    discards late traffic for the group, so an application that caught
-    a :class:`BarrierFailure` and stopped using the group leaves a
-    quiescent NIC behind.
-    """
-    yield from port.pci.pio_write()
-    port.nic.post_engine_command((group.group_id, "teardown", -1))
-
-
-def nic_group_revoke(port: "GmPort", group: ProcessGroup):
-    """Host side of revoking a group's engine on an epoch change.
-
-    One PIO; the engine aborts every started sequence with the typed
-    ``group-revoked`` reason (resolving any parked waiter) and closes.
-    """
-    yield from port.pci.pio_write()
-    port.nic.post_engine_command((group.group_id, "epoch", -1))

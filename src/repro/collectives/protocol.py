@@ -134,12 +134,19 @@ class CollectiveGroupState:
 
     # ------------------------------------------------------------------
     def mark_arrived(self, sender: int) -> bool:
-        """Record an arrival; returns False for unexpected senders
-        (stray/duplicate traffic — counted, not fatal)."""
+        """Record an arrival; returns True only for a new one.
+
+        False means the packet carries no news: an unexpected sender, or
+        an expected one whose bit is already set (a duplicate).  Either
+        is counted and discarded by the caller, never fatal.
+        """
         bit = self._bit_of.get(sender)
         if bit is None:
             return False
-        self.arrived_bits |= 1 << bit
+        mask = 1 << bit
+        if self.arrived_bits & mask:
+            return False
+        self.arrived_bits |= mask
         return True
 
     def has_arrived(self, sender: int) -> bool:

@@ -28,12 +28,12 @@ from repro.mpi.communicator import (
     MyrinetRankComm,
     QuadricsRankComm,
     create_communicators,
-    repair_quadrics,
+    repair_communicators,
 )
 
 __all__ = [
     "create_communicators",
     "MyrinetRankComm",
     "QuadricsRankComm",
-    "repair_quadrics",
+    "repair_communicators",
 ]

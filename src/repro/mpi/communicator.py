@@ -14,12 +14,14 @@ MPI semantics reproduced:
   built lazily — a persistent-collective setup cost, not a per-call
   one);
 - results are returned from the generator (``value = yield from
-  comm.bcast(...)``).
+  comm.bcast(...)``);
+- ULFM-style recovery: :func:`repair_communicators` revokes the dying
+  epoch and shrinks the communicator onto the survivors, on either
+  network; rank handles resync on their next collective call.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, Sequence, Union
 
 from repro.cluster.builder import MyrinetCluster, QuadricsCluster
@@ -40,46 +42,89 @@ from repro.collectives.broadcast import (
 )
 from repro.collectives.nonblocking import nic_ibarrier
 
-_counter = itertools.count()
 
+class _Contexts:
+    """Shared collective state of one communicator, on either network.
 
-class _MyrinetContexts:
-    """Shared collective state for one Myrinet communicator."""
+    ``groups`` maps each offered collective to its process group (the
+    engines demultiplex NIC traffic by group id).  :meth:`repair` is the
+    one recovery path; a network supplies only ``revoke_epoch`` and
+    ``_build`` (its per-node NIC state for the current groups).
+    """
 
-    def __init__(self, cluster: MyrinetCluster, nodes: Sequence[int], algorithm: str):
+    def __init__(self, cluster, nodes: Sequence[int], algorithm: str,
+                 collectives: Sequence[str]):
         self.cluster = cluster
         self.nodes = tuple(nodes)
-        self.algorithm = algorithm
         #: Repair generation — bumped by :meth:`repair`; rank handles
         #: lazily resync (rank re-index + sequence reset) when it moves.
         self.epoch = 0
-        alloc = getattr(cluster, "group_ids", None)
-        self._id_allocator = alloc
-        self.barrier_group = ProcessGroup(
-            nodes, algorithm=algorithm, id_allocator=alloc
-        )
-        self.allgather_group = ProcessGroup(nodes, id_allocator=alloc)
-        self.alltoall_group = ProcessGroup(nodes, id_allocator=alloc)
-        self.allreduce_group = ProcessGroup(nodes, id_allocator=alloc)
-        self._bcast_groups: dict[int, ProcessGroup] = {}
-        self._register_engines()
+        self._id_allocator = getattr(cluster, "group_ids", None)
+        # ``algorithm`` picks the barrier's schedule; the data
+        # collectives choose their own ("auto").
+        self.groups = {
+            name: ProcessGroup(
+                nodes, algorithm=algorithm if name == "barrier" else "auto",
+                id_allocator=self._id_allocator,
+            )
+            for name in collectives
+        }
+        self._build()
 
-    def _register_engines(self) -> None:
-        cluster = self.cluster
-        for rank, node in enumerate(self.nodes):
-            NicCollectiveBarrierEngine(cluster.nics[node], self.barrier_group, rank)
-            NicAllgatherEngine(cluster.nics[node], self.allgather_group, rank)
-            NicAlltoallEngine(cluster.nics[node], self.alltoall_group, rank)
-            NicAllreduceEngine(cluster.nics[node], self.allreduce_group, rank)
+    @property
+    def barrier_group(self) -> ProcessGroup:
+        return self.groups["barrier"]
 
     def _groups(self) -> list[ProcessGroup]:
-        return [
-            self.barrier_group,
-            self.allgather_group,
-            self.alltoall_group,
-            self.allreduce_group,
-            *self._bcast_groups.values(),
-        ]
+        return list(self.groups.values())
+
+    def repair(self, dead_nodes: Sequence[int]) -> None:
+        """Shrink every collective context onto the survivors.
+
+        ULFM-style: revoke the dying epoch (every in-flight sequence
+        resolves to :class:`Revoked`), build survivor groups one epoch
+        later, IR-verify the recompiled schedules (SL201–SL208), and
+        rebuild the NIC state.  Rank handles resync on their next
+        collective call; handles on dead nodes raise :class:`Revoked`.
+        """
+        dead = set(dead_nodes)
+        unknown = dead - set(self.nodes)
+        if unknown:
+            raise ValueError(f"nodes {sorted(unknown)} not in communicator")
+        self.revoke_epoch()
+        self.groups = {
+            name: group.repair(dead, collectives=(name,))
+            for name, group in self.groups.items()
+        }
+        self.nodes = tuple(n for n in self.nodes if n not in dead)
+        self._build()
+        self.epoch += 1
+
+
+_MYRINET_ENGINES = {
+    "barrier": NicCollectiveBarrierEngine,
+    "allgather": NicAllgatherEngine,
+    "alltoall": NicAlltoallEngine,
+    "allreduce": NicAllreduceEngine,
+}
+
+
+class _MyrinetContexts(_Contexts):
+    """Shared collective state for one Myrinet communicator."""
+
+    def __init__(self, cluster: MyrinetCluster, nodes: Sequence[int], algorithm: str):
+        super().__init__(cluster, nodes, algorithm, tuple(_MYRINET_ENGINES))
+
+    def _build(self) -> None:
+        # Broadcast contexts are root-relative: rebuilt lazily by
+        # bcast_group() over the current node order.
+        self._bcast_groups: dict[int, ProcessGroup] = {}
+        for rank, node in enumerate(self.nodes):
+            for name, engine in _MYRINET_ENGINES.items():
+                engine(self.cluster.nics[node], self.groups[name], rank)
+
+    def _groups(self) -> list[ProcessGroup]:
+        return [*self.groups.values(), *self._bcast_groups.values()]
 
     def revoke_epoch(self) -> None:
         """Post the epoch-teardown command to every engine of every
@@ -95,41 +140,6 @@ class _MyrinetContexts:
                 self.cluster.nics[node].post_engine_command(
                     (group.group_id, "epoch", -1)
                 )
-
-    def repair(
-        self, dead_nodes: Sequence[int], payload_bytes: int = 0
-    ) -> None:
-        """Shrink every collective context onto the survivors.
-
-        ULFM-style: revoke the dying epoch (every in-flight sequence
-        resolves to :class:`Revoked`), build survivor groups one epoch
-        later, IR-verify the recompiled schedules (SL201–SL208), and
-        register fresh engines.  Rank handles resync on their next
-        collective call; handles on dead nodes raise :class:`Revoked`.
-        """
-        dead = set(dead_nodes)
-        unknown = dead - set(self.nodes)
-        if unknown:
-            raise ValueError(f"nodes {sorted(unknown)} not in communicator")
-        self.revoke_epoch()
-        self.barrier_group = self.barrier_group.repair(
-            dead, collectives=("barrier",)
-        )
-        self.allgather_group = self.allgather_group.repair(
-            dead, collectives=("allgather",), payload_bytes=payload_bytes
-        )
-        self.alltoall_group = self.alltoall_group.repair(
-            dead, collectives=("alltoall",), payload_bytes=payload_bytes
-        )
-        self.allreduce_group = self.allreduce_group.repair(
-            dead, collectives=("allreduce",), payload_bytes=payload_bytes
-        )
-        # Broadcast contexts are root-relative; drop them and let the
-        # next bcast() rebuild lazily over the survivor order.
-        self._bcast_groups = {}
-        self.nodes = tuple(n for n in self.nodes if n not in dead)
-        self._register_engines()
-        self.epoch += 1
 
     def bcast_group(self, root: int) -> ProcessGroup:
         """The broadcast context rooted at ``root`` (rank), built lazily.
@@ -147,20 +157,38 @@ class _MyrinetContexts:
         return group
 
 
-class MyrinetRankComm:
-    """One rank's communicator handle on a Myrinet cluster."""
+class _QuadricsContexts(_Contexts):
+    """Shared collective state for one Quadrics communicator: the
+    barrier group and one chained-RDMA driver per member node."""
 
-    def __init__(self, ctx: _MyrinetContexts, rank: int):
+    def __init__(self, cluster: QuadricsCluster, nodes: Sequence[int], algorithm: str):
+        super().__init__(cluster, nodes, algorithm, ("barrier",))
+
+    def _build(self) -> None:
+        self.drivers = {
+            node: QuadricsChainedBarrier(self.cluster.ports[node], self.barrier_group)
+            for node in self.nodes
+        }
+
+    def revoke_epoch(self) -> None:
+        """Disarm every member's driver — dead nodes included, so their
+        blocked host processes resolve to :class:`Revoked` and their
+        NICs' event queues drain (see
+        :meth:`QuadricsChainedBarrier.revoke`)."""
+        for node in self.nodes:
+            self.drivers[node].revoke()
+
+
+class _RankComm:
+    """One rank's communicator handle: epoch resync and sequencing."""
+
+    def __init__(self, ctx: _Contexts, rank: int):
         self._ctx = ctx
         self.rank = rank
         self.node = ctx.nodes[rank]
         self._port = ctx.cluster.ports[self.node]
         self._epoch = ctx.epoch
-        self._barrier_seq = 0
-        self._bcast_seq = 0
-        self._allgather_seq = 0
-        self._alltoall_seq = 0
-        self._allreduce_seq = 0
+        self._seqs: dict[str, int] = {}
 
     @property
     def size(self) -> int:
@@ -182,30 +210,30 @@ class MyrinetRankComm:
             raise Revoked(ctx.barrier_group.group_id, -1, node=self.node)
         self.rank = ctx.nodes.index(self.node)
         self._epoch = ctx.epoch
-        self._barrier_seq = 0
-        self._bcast_seq = 0
-        self._allgather_seq = 0
-        self._alltoall_seq = 0
-        self._allreduce_seq = 0
+        self._seqs = {}
+
+    def _next_seq(self, collective: str) -> int:
+        """This rank's next sequence number for ``collective``."""
+        self._sync_epoch()
+        seq = self._seqs.get(collective, 0)
+        self._seqs[collective] = seq + 1
+        return seq
+
+
+class MyrinetRankComm(_RankComm):
+    """One rank's communicator handle on a Myrinet cluster."""
 
     def barrier(self):
         """MPI_Barrier over the NIC-based collective protocol."""
-        self._sync_epoch()
-        seq = self._barrier_seq
-        self._barrier_seq += 1
+        seq = self._next_seq("barrier")
         yield from nic_barrier(self._port, self._ctx.barrier_group, seq)
 
     def ibarrier(self):
         """MPI_Ibarrier: post the barrier, return a
         :class:`~repro.collectives.nonblocking.CollectiveRequest` with
         generator ``test()``/``wait()`` methods."""
-        self._sync_epoch()
-        seq = self._barrier_seq
-        self._barrier_seq += 1
-        request = yield from nic_ibarrier(
-            self._port, self._ctx.barrier_group, seq
-        )
-        return request
+        seq = self._next_seq("barrier")
+        return (yield from nic_ibarrier(self._port, self._ctx.barrier_group, seq))
 
     def bcast(self, value: Any = None, size_bytes: int = 4, root: int = 0):
         """MPI_Bcast over the NIC-based broadcast tree.
@@ -215,8 +243,7 @@ class MyrinetRankComm:
         self._sync_epoch()
         if not 0 <= root < self.size:
             raise ValueError(f"root {root} out of range")
-        seq = self._bcast_seq
-        self._bcast_seq += 1
+        seq = self._next_seq("bcast")
         group = self._ctx.bcast_group(root)
         if self.rank == root:
             done = yield from nic_broadcast_root(
@@ -226,122 +253,76 @@ class MyrinetRankComm:
             done = yield from nic_broadcast_recv(self._port, group, seq)
         return done.payload
 
-    def allgather(self, value: Any):
-        """MPI_Allgather of one value per rank.
+    def _data_collective(self, name: str, run, *args):
+        seq = self._next_seq(name)
+        return (yield from run(self._port, self._ctx.groups[name], seq, *args))
 
-        Returns ``{rank: value}`` for all ranks.
-        """
-        self._sync_epoch()
-        seq = self._allgather_seq
-        self._allgather_seq += 1
-        gathered = yield from nic_allgather(
-            self._port, self._ctx.allgather_group, seq, value
-        )
-        return gathered
+    def allgather(self, value: Any):
+        """MPI_Allgather of one value per rank; returns ``{rank: value}``."""
+        return (yield from self._data_collective("allgather", nic_allgather, value))
 
     def alltoall(self, blocks: dict):
         """MPI_Alltoall: ``blocks[dst_rank]`` is this rank's block for
         ``dst_rank``.  Returns ``{origin_rank: block}``."""
-        self._sync_epoch()
-        seq = self._alltoall_seq
-        self._alltoall_seq += 1
-        received = yield from nic_alltoall(
-            self._port, self._ctx.alltoall_group, seq, blocks
-        )
-        return received
+        return (yield from self._data_collective("alltoall", nic_alltoall, blocks))
 
     def allreduce(self, value: Any, op: str = "sum"):
         """MPI_Allreduce with a named operator (sum/prod/min/max)."""
-        self._sync_epoch()
-        seq = self._allreduce_seq
-        self._allreduce_seq += 1
-        result = yield from nic_allreduce(
-            self._port, self._ctx.allreduce_group, seq, value, op
-        )
-        return result
+        return (yield from self._data_collective(
+            "allreduce", nic_allreduce, value, op
+        ))
 
 
-class QuadricsRankComm:
+class QuadricsRankComm(_RankComm):
     """One rank's communicator handle on a Quadrics cluster.
 
-    ``barrier()`` uses the chained-RDMA NIC barrier (§7);
-    ``allgather``/``bcast`` are not offered on this transport (the
-    paper's Quadrics contribution is the barrier).
+    ``barrier()`` uses the chained-RDMA NIC barrier (§7); ``bcast`` is
+    QsNet's hardware broadcast from rank 0.  The data collectives are
+    not offered on this transport (the paper's Quadrics contribution is
+    the barrier).
     """
 
-    def __init__(self, cluster: QuadricsCluster, group: ProcessGroup, rank: int):
-        self.rank = rank
-        self.node = group.node_of(rank)
-        self._port = cluster.ports[self.node]
-        self._driver = QuadricsChainedBarrier(self._port, group)
-        self._barrier_seq = 0
-        self._bcast_seq = 0
-        self._group = group
-
-    @property
-    def size(self) -> int:
-        return self._group.size
+    def _driver(self) -> QuadricsChainedBarrier:
+        return self._ctx.drivers[self.node]
 
     def barrier(self):
-        seq = self._barrier_seq
-        self._barrier_seq += 1
-        yield from self._driver.barrier(seq)
+        seq = self._next_seq("barrier")
+        yield from self._driver().barrier(seq)
 
     def ibarrier(self):
         """MPI_Ibarrier: returns a
         :class:`~repro.collectives.quadrics_barrier.QuadricsBarrierRequest`
         with generator ``test()``/``wait()`` methods."""
-        seq = self._barrier_seq
-        self._barrier_seq += 1
-        request = yield from self._driver.ibarrier(seq)
-        return request
+        seq = self._next_seq("barrier")
+        return (yield from self._driver().ibarrier(seq))
 
     def bcast(self, value: Any = None, size_bytes: int = 4):
         """MPI_Bcast from rank 0 via QsNet's hardware broadcast."""
         from repro.quadrics import elan_hw_broadcast
 
-        seq = self._bcast_seq
-        self._bcast_seq += 1
-        result = yield from elan_hw_broadcast(
-            self._port,
-            self._group.node_ids,
-            seq,
-            size_bytes,
-            value,
-            event_prefix=f"hbcast.g{self._group.group_id}",
-        )
-        return result
-
-    def revoke(self):
-        """Tear down this rank's chained-barrier driver (see
-        :meth:`QuadricsChainedBarrier.revoke`)."""
-        self._driver.revoke()
+        seq = self._next_seq("bcast")
+        group = self._ctx.barrier_group
+        return (yield from elan_hw_broadcast(
+            self._port, group.node_ids, seq, size_bytes, value,
+            event_prefix=f"hbcast.g{group.group_id}",
+        ))
 
 
-def repair_quadrics(
-    cluster: QuadricsCluster,
-    comms: Sequence[QuadricsRankComm],
-    dead_nodes: Sequence[int],
-) -> list[QuadricsRankComm]:
-    """Revoke a Quadrics communicator's epoch and rebuild on survivors.
+def repair_communicators(
+    comms: Sequence[_RankComm], dead_nodes: Sequence[int]
+) -> None:
+    """Revoke a communicator's epoch and shrink it onto the survivors.
 
-    Every rank's driver is revoked — dead ranks included, so their
-    blocked host processes resolve to :class:`Revoked` and their NICs'
-    event queues drain — then the group shrinks one epoch (schedule
-    recompiled over the survivor set and IR-verified) and fresh
-    chained-RDMA drivers are built for the survivors.  Returns the new
-    per-rank handles, in survivor order.
+    Works on the handles :func:`create_communicators` returned, on
+    either network.  Each network keeps its own revoke step (an engine
+    epoch command per NIC on Myrinet, a driver disarm per rank on
+    Quadrics); the survivor groups are recompiled and IR-verified.  The
+    same handles stay valid: survivors resync on their next collective
+    call, and handles on ``dead_nodes`` raise :class:`Revoked`.
     """
     if not comms:
         raise ValueError("no communicators to repair")
-    old_group = comms[0]._group
-    for comm in comms:
-        comm.revoke()
-    new_group = old_group.repair(dead_nodes, collectives=("barrier",))
-    return [
-        QuadricsRankComm(cluster, new_group, rank)
-        for rank in range(new_group.size)
-    ]
+    comms[0]._ctx.repair(dead_nodes)
 
 
 def create_communicators(
@@ -354,19 +335,12 @@ def create_communicators(
     ``nodes`` selects/permutes the participating nodes (default: all,
     in order).
     """
-    if not isinstance(cluster, (MyrinetCluster, QuadricsCluster)):
+    if isinstance(cluster, MyrinetCluster):
+        contexts, handle = _MyrinetContexts, MyrinetRankComm
+    elif isinstance(cluster, QuadricsCluster):
+        contexts, handle = _QuadricsContexts, QuadricsRankComm
+    else:
         raise TypeError(f"not a cluster: {cluster!r}")
     node_list = list(range(cluster.n)) if nodes is None else list(nodes)
-    if isinstance(cluster, MyrinetCluster):
-        ctx = _MyrinetContexts(cluster, node_list, algorithm)
-        return [MyrinetRankComm(ctx, rank) for rank in range(len(node_list))]
-    if isinstance(cluster, QuadricsCluster):
-        group = ProcessGroup(
-            node_list,
-            algorithm=algorithm,
-            id_allocator=getattr(cluster, "group_ids", None),
-        )
-        return [
-            QuadricsRankComm(cluster, group, rank) for rank in range(len(node_list))
-        ]
-    raise TypeError(f"not a cluster: {cluster!r}")
+    ctx = contexts(cluster, node_list, algorithm)
+    return [handle(ctx, rank) for rank in range(len(node_list))]

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.host import HostCpu
+from repro.host.demux import EventDemux
 from repro.myrinet.nic import LanaiNic
 from repro.myrinet.structures import SendToken
 from repro.network import PacketKind
 from repro.pci import PciBus
-from repro.sim import ArbitratedResource, SimEvent, Simulator
+from repro.sim import SimEvent, Simulator
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,13 @@ class GmPort:
         self.nic = nic
         self.cpu = cpu
         self.pci = pci
-        self._pending: list[Any] = []  # events popped but not yet matched
-        # Poller seat: at most one waiter sits on the NIC event queue;
-        # co-waiters queue here.  Arbitrated, so which of two
-        # same-instant waiters polls (and pays the poll-lag and poll
-        # costs) is canonical, not event-heap order (SL101).
-        self._poll_seat = ArbitratedResource(
-            sim, 1, name=f"gm{node_id}.poll.seat"
+        self._events = EventDemux(
+            sim,
+            cpu,
+            nic.recv_event_queue,
+            f"gm{node_id}.poll.seat",
+            on_pop=_fire_send_completion,
+            on_consume=self._repost_buffer,
         )
         # Prepost the configured number of receive buffers.
         nic.provide_recv_tokens(nic.params.recv_token_count)
@@ -106,110 +107,20 @@ class GmPort:
         yield from self.pci.pio_write()
         self.nic.provide_recv_tokens(1)
 
-    def _next_event(self):
-        """Pop the next host-visible event, modeling the polling loop.
-
-        If an event is already queued the poll finds it immediately;
-        otherwise the host blocks and discovers the event half a poll
-        interval (the mean phase lag) after the NIC posts it.  An event
-        posted at the very instant polling begins is caught by the first
-        poll — charging the lag there would make the cost depend on
-        put-vs-get scheduling order (simlint SL101).
-        """
-        params = self.cpu.params
-        queue = self.nic.recv_event_queue
-        if len(queue) > 0 and queue.getters_waiting == 0:
-            event = queue.try_get()
-        else:
-            blocked_at = self.sim.now
-            event = yield queue.get()
-            if self.sim.now > blocked_at:
-                yield params.poll_interval_us / 2.0
-        yield from self.cpu.compute(params.poll_us, "poll")
-        return event
-
-    def _consume(self, event):
-        """Pay the host costs of consuming one matched event."""
-        yield from self.cpu.compute(
-            self.cpu.params.recv_overhead_us, "recv_overhead"
-        )
+    def _repost_buffer(self, event):
+        """Consuming a data receive event reposts its receive buffer."""
         if isinstance(event, GmRecvEvent):
             yield from self.provide_receive_buffer()
 
     def recv_matching(self, matches: Callable[[Any], bool]):
-        """Block until an event satisfying ``matches`` arrives.
-
-        Non-matching events are buffered and re-offered on later calls
-        (barrier messages from a future iteration can arrive early).
-        Consuming a data receive event pays the host receive overhead
-        and reposts the receive buffer.
-
-        Multiple waiters may block on one port concurrently (two jobs
-        sharing a node each park a collective wait here).  Only the
-        *seat holder* sits on the NIC event queue; co-waiters queue on
-        the seat.  Whenever the holder pops an event it does not want,
-        it buffers the event and releases the seat, so the next waiter
-        (in canonical order) re-scans the buffer and takes over
-        polling.  Without this hand-off the queue's FIFO getter order
-        can deliver waiter B's event to waiter A, which buffers it
-        while B stays blocked forever.  The seat is arbitrated: which
-        of two same-instant waiters polls — and therefore pays the
-        poll-lag and poll costs — must not depend on event-heap pop
-        order (simlint SL101).
-        """
-        while True:
-            for i, ev in enumerate(self._pending):
-                if matches(ev):
-                    self._pending.pop(i)
-                    yield from self._consume(ev)
-                    return ev
-            yield self._poll_seat.request()
-            # The buffer may have grown while we queued for the seat.
-            matched = None
-            for i, ev in enumerate(self._pending):
-                if matches(ev):
-                    matched = self._pending.pop(i)
-                    break
-            if matched is not None:
-                self._poll_seat.release()
-                yield from self._consume(matched)
-                return matched
-            event = yield from self._next_event()
-            self._poll_seat.release()
-            if isinstance(event, SendToken) and event.completion is not None:
-                if not event.completion.triggered:
-                    event.completion.succeed(event)
-            if matches(event):
-                yield from self._consume(event)
-                return event
-            self._pending.append(event)
+        """Block until an event satisfying ``matches`` arrives; events
+        nobody wants yet are buffered for later calls (see
+        :class:`~repro.host.demux.EventDemux`)."""
+        return self._events.recv(matches)
 
     def poll_matching(self, matches: Callable[[Any], bool]):
-        """One non-blocking poll for an event satisfying ``matches``.
-
-        Drains whatever the NIC has already posted (paying the poll
-        cost once), then returns the matching event or ``None`` —
-        never blocks.  Non-matching events are buffered exactly as in
-        :meth:`recv_matching`; this is the ``test`` half of the
-        non-blocking collective requests.
-        """
-        params = self.cpu.params
-        queue = self.nic.recv_event_queue
-        yield from self.cpu.compute(params.poll_us, "poll")
-        while len(queue) > 0 and queue.getters_waiting == 0:
-            ev = queue.try_get()
-            if isinstance(ev, SendToken) and ev.completion is not None:
-                if not ev.completion.triggered:
-                    ev.completion.succeed(ev)
-            self._pending.append(ev)
-        for i, ev in enumerate(self._pending):
-            if matches(ev):
-                self._pending.pop(i)
-                yield from self.cpu.compute(params.recv_overhead_us, "recv_overhead")
-                if isinstance(ev, GmRecvEvent):
-                    yield from self.provide_receive_buffer()
-                return ev
-        return None
+        """One non-blocking poll: the matching event or ``None``."""
+        return self._events.poll(matches)
 
     def recv_from(self, src: int):
         """Receive the next data message from ``src``."""
@@ -219,4 +130,11 @@ class GmPort:
         return event
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<GmPort node={self.node_id} pending={len(self._pending)}>"
+        return f"<GmPort node={self.node_id} pending={len(self._events.pending)}>"
+
+
+def _fire_send_completion(event) -> None:
+    """A popped send token completes its sender's wait, matched or not."""
+    if isinstance(event, SendToken) and event.completion is not None:
+        if not event.completion.triggered:
+            event.completion.succeed(event)

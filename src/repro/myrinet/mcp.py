@@ -318,65 +318,6 @@ class ControlProgram:
             )
 
     # ------------------------------------------------------------------
-    # Failure detector (started by nic.enable_failure_detector)
-    # ------------------------------------------------------------------
-    def heartbeat_loop(self, peers, period_us, timeout_us, horizon_us, offset_us):
-        """The heartbeat/suspicion loop (bounded: exits at the horizon).
-
-        Each period: any watched peer silent for longer than the
-        suspicion timeout is declared dead (a typed ``PeerDead`` verdict
-        in ``nic.membership``); any peer this NIC has not *transmitted*
-        to within one period gets a probe.  Outgoing protocol traffic
-        suppresses probes — every packet this NIC sends is a free
-        heartbeat from the peer's point of view (their receive loop's
-        ``observe_alive``) — so a busy link never carries one.  The
-        send decision must key on the TX gap, not on receive evidence:
-        suppressing my beat because I recently *heard* the peer would
-        let their regular beats silence mine, and they would then
-        convict me for the silence.  The loop's only randomness is the
-        seeded phase ``offset_us``.
-        """
-        nic = self.nic
-        sim = nic.sim
-        p = nic.params
-        membership = nic.membership
-        start = sim.now
-        if offset_us > 0:
-            yield offset_us
-        while sim.now < horizon_us:
-            if getattr(nic, "crashed", False):
-                yield period_us
-                continue
-            for peer in peers:
-                if membership.is_dead(peer):
-                    continue
-                silent = membership.silent_for(peer, sim.now, start)
-                if silent > timeout_us:
-                    verdict = membership.declare_dead(
-                        peer,
-                        sim.now,
-                        "heartbeat-timeout",
-                        detail=f"silent {silent:.1f}us > {timeout_us:.1f}us",
-                    )
-                    if verdict is not None:
-                        nic.tracer.count("gm.peer_dead_hb")
-                    continue
-                sent_gap = sim.now - membership.last_sent.get(peer, start)
-                if sent_gap >= period_us:
-                    yield from nic.cpu_task(p.t_inject, "hb_inject")
-                    nic.fabric.transmit(
-                        Packet(
-                            src=nic.node_id,
-                            dst=peer,
-                            kind=PacketKind.HEARTBEAT,
-                            size_bytes=p.heartbeat_bytes,
-                            payload=None,
-                        )
-                    )
-                    nic.tracer.count("gm.heartbeat_tx")
-            yield period_us
-
-    # ------------------------------------------------------------------
     # Collective engines
     # ------------------------------------------------------------------
     def _engine_cmd_loop(self):

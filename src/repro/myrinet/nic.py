@@ -49,6 +49,9 @@ def _cpu_arbitration_key(process_name: str) -> tuple:
 class LanaiNic:
     """One Myrinet NIC: LANai processor + SRAM-resident protocol state."""
 
+    #: Tracer counter namespace of the NIC-level protocol.
+    counter_prefix = "gm"
+
     def __init__(
         self,
         sim: Simulator,
@@ -109,7 +112,7 @@ class LanaiNic:
 
         # Failure detection: every received packet refreshes the
         # sender's liveness for free; the active heartbeat loop is
-        # opt-in via enable_failure_detector.
+        # opt-in via repro.collectives.membership.enable_failure_detector.
         from repro.collectives.membership import MembershipView
 
         self.membership = MembershipView(node_id)
@@ -176,41 +179,11 @@ class LanaiNic:
         return engine
 
     # ------------------------------------------------------------------
-    # Failure detector
+    # Failure detector hook (repro.collectives.membership)
     # ------------------------------------------------------------------
-    def enable_failure_detector(
-        self,
-        peers,
-        rng=None,
-        period_us: float = 0.0,
-        timeout_us: float = 0.0,
-        horizon_us: float = 0.0,
-    ) -> None:
-        """Start the heartbeat/suspicion loop watching ``peers``.
-
-        Off by default — parameters fall back to ``GmParams`` and the
-        loop refuses to start with a zero period, so clean runs carry no
-        probe traffic.  ``rng`` (a ``DeterministicRng``) seeds the
-        per-node phase offset; without one the offset is zero.  The loop
-        exits at the horizon so the event heap always drains.
-        """
-        params = self.params
-        period = period_us or params.heartbeat_period_us
-        if period <= 0:
-            raise ValueError("failure detector needs a positive heartbeat period")
-        timeout = timeout_us or params.heartbeat_timeout_us or 3.0 * period
-        horizon = horizon_us or params.heartbeat_horizon_us or 64.0 * period
-        offset = 0.0
-        if rng is not None:
-            offset = rng.substream(f"hb/{self.node_id}").uniform(0.0, period)
-        watched = tuple(sorted(p for p in peers if p != self.node_id))
-        # Every outgoing packet (any kind) proves this node's liveness
-        # to its destination, so the beat decision keys on the TX gap.
-        self.fabric.observe_tx(self.node_id, self.membership.observe_sent)
-        self.sim.process(
-            self.mcp.heartbeat_loop(watched, period, timeout, horizon, offset),
-            name=f"{self.name}.hb",
-        )
+    def heartbeat_probe_cost(self):
+        """A heartbeat probe is injected by the LANai like any packet."""
+        return self.cpu_task(self.params.t_inject, "hb_inject")
 
     # ------------------------------------------------------------------
     # Wire-facing

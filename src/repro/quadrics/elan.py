@@ -65,6 +65,14 @@ class TportMessage:
 class Elan3Nic:
     """One Elan3 NIC and its SRAM-resident event/descriptor state."""
 
+    #: Tracer counter namespace of the NIC-level protocol.
+    counter_prefix = "elan"
+    #: Failure-detector hook (repro.collectives.membership): heartbeat
+    #: probes are out-of-band link-level packets.  They touch neither the
+    #: event unit nor the DMA engine, so detector traffic cannot perturb
+    #: the calibrated barrier pipeline.
+    heartbeat_probe_cost = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -107,7 +115,8 @@ class Elan3Nic:
         self.tport_queue = Store(sim, name=f"{self.name}.tport")
 
         # Failure detection: every clean received packet refreshes the
-        # sender's liveness; the heartbeat loop is opt-in.
+        # sender's liveness; the heartbeat loop is opt-in via
+        # repro.collectives.membership.enable_failure_detector.
         from repro.collectives.membership import MembershipView
 
         self.membership = MembershipView(node_id)
@@ -329,83 +338,6 @@ class Elan3Nic:
             yield from self.pci.dma(packet.size_bytes, DmaDirection.NIC_TO_HOST)
             self.tport_queue.put(packet.payload)
         self._rx_next()
-
-    # ------------------------------------------------------------------
-    # Failure detector
-    # ------------------------------------------------------------------
-    def enable_failure_detector(
-        self,
-        peers,
-        rng=None,
-        period_us: float = 0.0,
-        timeout_us: float = 0.0,
-        horizon_us: float = 0.0,
-    ) -> None:
-        """Start the heartbeat/suspicion loop watching ``peers``.
-
-        Mirrors the Myrinet detector: off by default (zero period
-        refuses to start), probes suppressed by piggybacked liveness,
-        bounded by the horizon so the event heap drains.  Probes are
-        modeled as out-of-band link-level packets — they touch neither
-        the event unit nor the DMA engine, so detector traffic cannot
-        perturb the calibrated barrier pipeline.
-        """
-        params = self.params
-        period = period_us or params.heartbeat_period_us
-        if period <= 0:
-            raise ValueError("failure detector needs a positive heartbeat period")
-        timeout = timeout_us or params.heartbeat_timeout_us or 3.0 * period
-        horizon = horizon_us or params.heartbeat_horizon_us or 64.0 * period
-        offset = 0.0
-        if rng is not None:
-            offset = rng.substream(f"hb/{self.node_id}").uniform(0.0, period)
-        watched = tuple(sorted(p for p in peers if p != self.node_id))
-        # Beat decisions key on the TX gap (see the Myrinet loop): every
-        # outgoing packet proves this node's liveness to its destination.
-        self.fabric.observe_tx(self.node_id, self.membership.observe_sent)
-        self.sim.process(
-            self._heartbeat_loop(watched, period, timeout, horizon, offset),
-            name=f"{self.name}.hb",
-        )
-
-    def _heartbeat_loop(self, peers, period_us, timeout_us, horizon_us, offset_us):
-        sim = self.sim
-        p = self.params
-        membership = self.membership
-        start = sim.now
-        if offset_us > 0:
-            yield offset_us
-        while sim.now < horizon_us:
-            if self.crashed:
-                yield period_us
-                continue
-            for peer in peers:
-                if membership.is_dead(peer):
-                    continue
-                silent = membership.silent_for(peer, sim.now, start)
-                if silent > timeout_us:
-                    verdict = membership.declare_dead(
-                        peer,
-                        sim.now,
-                        "heartbeat-timeout",
-                        detail=f"silent {silent:.1f}us > {timeout_us:.1f}us",
-                    )
-                    if verdict is not None:
-                        self.tracer.count("elan.peer_dead_hb")
-                    continue
-                sent_gap = sim.now - membership.last_sent.get(peer, start)
-                if sent_gap >= period_us:
-                    self.fabric.transmit(
-                        Packet(
-                            src=self.node_id,
-                            dst=peer,
-                            kind=PacketKind.HEARTBEAT,
-                            size_bytes=p.heartbeat_bytes,
-                            payload=None,
-                        )
-                    )
-                    self.tracer.count("elan.heartbeat_tx")
-            yield period_us
 
     # ------------------------------------------------------------------
     # Epoch repair support

@@ -17,10 +17,11 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from repro.host import HostCpu
+from repro.host.demux import EventDemux
 from repro.pci import PciBus
 from repro.quadrics.elan import Elan3Nic, RdmaDescriptor, TportMessage
 from repro.quadrics.elite import HardwareBarrier
-from repro.sim import ArbitratedResource, Simulator
+from repro.sim import Simulator
 
 
 
@@ -40,17 +41,11 @@ class ElanPort:
         self.nic = nic
         self.cpu = cpu
         self.pci = pci
-        self._tport_pending: list[TportMessage] = []
-        self._host_event_pending: list[Any] = []
-        # Poller seats: at most one waiter per queue sits on the NIC
-        # store; the rest queue here.  Arbitrated, so which of two
-        # same-instant waiters polls (and therefore pays the poll-lag
-        # and poll costs) is canonical, not event-heap order (SL101).
-        self._tport_seat = ArbitratedResource(
-            sim, 1, name=f"elan{node_id}.tport.seat"
+        self._tport = EventDemux(
+            sim, cpu, nic.tport_queue, f"elan{node_id}.tport.seat"
         )
-        self._host_event_seat = ArbitratedResource(
-            sim, 1, name=f"elan{node_id}.hostev.seat"
+        self._host_events = EventDemux(
+            sim, cpu, nic.host_events, f"elan{node_id}.hostev.seat"
         )
 
     # ------------------------------------------------------------------
@@ -82,103 +77,23 @@ class ElanPort:
         message = TportMessage(src=self.node_id, tag=tag, payload=payload)
         yield from self.nic.tport_inject(dst, message, size_bytes)
 
-    def _demux_recv(self, queue, pending: list, seat, matches):
-        """Blocking receive with out-of-order buffering, safe for
-        multiple concurrent waiters on one port.
-
-        Only the *seat holder* sits on the NIC queue; co-waiters queue
-        on the seat.  Whenever the holder pops an item it does not
-        want, it buffers the item and releases the seat, so the next
-        waiter (in canonical order) re-scans the buffer and takes over
-        polling.  Without this hand-off the queue's FIFO getter order
-        can deliver waiter B's item to waiter A, which buffers it
-        while B stays blocked forever (two jobs sharing a node each
-        park a collective wait here).  The seat is arbitrated: which
-        of two same-instant waiters polls — and therefore pays the
-        poll-lag and poll costs — must not depend on event-heap pop
-        order (simlint SL101).
-        """
-        params = self.cpu.params
-        while True:
-            for i, item in enumerate(pending):
-                if matches(item):
-                    pending.pop(i)
-                    yield from self.cpu.compute(
-                        params.recv_overhead_us, "recv_overhead"
-                    )
-                    return item
-            yield seat.request()
-            # The buffer may have grown while we queued for the seat.
-            matched = None
-            for i, item in enumerate(pending):
-                if matches(item):
-                    matched = pending.pop(i)
-                    break
-            if matched is not None:
-                seat.release()
-                yield from self.cpu.compute(params.recv_overhead_us, "recv_overhead")
-                return matched
-            if len(queue) > 0:
-                item = queue.try_get()
-            else:
-                blocked_at = self.sim.now
-                item = yield queue.get()
-                # An item landing at the very instant polling begins is
-                # caught by the first poll; only a later arrival pays the
-                # mean phase lag.  (Same-instant cost must not depend on
-                # put-vs-get scheduling order — simlint SL101.)
-                if self.sim.now > blocked_at:
-                    yield params.poll_interval_us / 2.0
-            yield from self.cpu.compute(params.poll_us, "poll")
-            seat.release()
-            if matches(item):
-                yield from self.cpu.compute(params.recv_overhead_us, "recv_overhead")
-                return item
-            pending.append(item)
-
     def tport_recv(self, matches: Callable[[TportMessage], bool]):
         """Blocking tagged receive with out-of-order buffering."""
-        msg = yield from self._demux_recv(
-            self.nic.tport_queue, self._tport_pending, self._tport_seat, matches
-        )
-        return msg
+        return self._tport.recv(matches)
 
     def tport_recv_tag(self, tag: Any):
-        msg = yield from self.tport_recv(lambda m: m.tag == tag)
-        return msg
+        return self.tport_recv(lambda m: m.tag == tag)
 
     # ------------------------------------------------------------------
     # Host events (completion notifications from the NIC)
     # ------------------------------------------------------------------
     def wait_host_event(self, matches: Callable[[Any], bool]):
-        ev = yield from self._demux_recv(
-            self.nic.host_events,
-            self._host_event_pending,
-            self._host_event_seat,
-            matches,
-        )
-        return ev
+        return self._host_events.recv(matches)
 
     def poll_host_event(self, matches: Callable[[Any], bool]):
-        """One non-blocking poll for a host event.
-
-        Drains whatever the NIC has already posted (one poll cost),
-        then returns the matching event or ``None`` — never blocks.
-        Non-matching events are buffered exactly as in
-        :meth:`wait_host_event`; this is the ``test`` half of a
-        non-blocking chained barrier.
-        """
-        params = self.cpu.params
-        queue = self.nic.host_events
-        yield from self.cpu.compute(params.poll_us, "poll")
-        while len(queue) > 0 and queue.getters_waiting == 0:
-            self._host_event_pending.append(queue.try_get())
-        for i, ev in enumerate(self._host_event_pending):
-            if matches(ev):
-                self._host_event_pending.pop(i)
-                yield from self.cpu.compute(params.recv_overhead_us, "recv_overhead")
-                return ev
-        return None
+        """One non-blocking poll for a host event: the matching event or
+        ``None`` (the ``test`` half of a non-blocking chained barrier)."""
+        return self._host_events.poll(matches)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import HardwareProfile, get_profile
+from repro.cluster.profiles import HardwareProfile, get_profile, recovery_profile
 from repro.cluster.runner import (
     MYRINET_BARRIERS,
     QUADRICS_BARRIERS,
@@ -51,6 +51,10 @@ from repro.collectives import (
     nic_broadcast_recv,
     nic_broadcast_root,
     nic_ibarrier,
+)
+from repro.collectives.membership import (
+    enable_failure_detector,
+    wait_for_conviction,
 )
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
@@ -265,6 +269,33 @@ def _decode_chaos_result(payload: dict) -> ChaosRunResult:
     )
 
 
+def audit_fault_counters(counters: dict, stats: dict) -> list[str]:
+    """Counter consistency: the wire's fault counters must agree with
+    the injector's, and every delivered corruption must be accounted
+    for by a receiver CRC drop (a corrupted packet that was also
+    duplicated may be dropped twice).  Returns the violations.
+    """
+    violations = []
+    for cls in ("dropped", "corrupted", "duplicated", "delayed"):
+        wire = counters.get(f"wire.{cls}", 0)
+        if wire != stats[cls]:
+            violations.append(
+                f"wire.{cls}={wire} disagrees with injector {cls}={stats[cls]}"
+            )
+    if stats["corrupted"]:
+        crc_drops = counters.get("gm.rx_crc_drop", 0) + counters.get(
+            "elan.rx_crc_drop", 0
+        )
+        ceiling = stats["corrupted"] + stats["duplicated"]
+        if not stats["corrupted"] <= crc_drops <= ceiling:
+            violations.append(
+                f"CRC accounting broken: {crc_drops} receiver drops for "
+                f"{stats['corrupted']} corrupted (+{stats['duplicated']} "
+                "duplicated) packets"
+            )
+    return violations
+
+
 def run_chaos_scenario(
     scenario: ChaosScenario,
     barrier: str,
@@ -401,23 +432,7 @@ def run_chaos_scenario(
             )
 
     stats = faults.stats()
-    for cls in ("dropped", "corrupted", "duplicated", "delayed"):
-        wire = counters.get(f"wire.{cls}", 0)
-        if wire != stats[cls]:
-            violations.append(
-                f"wire.{cls}={wire} disagrees with injector {cls}={stats[cls]}"
-            )
-    if stats["corrupted"]:
-        crc_drops = counters.get("gm.rx_crc_drop", 0) + counters.get(
-            "elan.rx_crc_drop", 0
-        )
-        ceiling = stats["corrupted"] + stats["duplicated"]
-        if not stats["corrupted"] <= crc_drops <= ceiling:
-            violations.append(
-                f"CRC accounting broken: {crc_drops} receiver drops for "
-                f"{stats['corrupted']} corrupted (+{stats['duplicated']} "
-                "duplicated) packets"
-            )
+    violations.extend(audit_fault_counters(counters, stats))
 
     report = check_quiescent(cluster, must_complete=[p.name for p in procs])
     run_result = ChaosRunResult(
@@ -896,14 +911,15 @@ class FuzzResult:
         )
 
 
-def _fuzz_myrinet_op(cluster, ctx, comm, op):
-    """Run one op on a Myrinet rank handle, verifying data results.
+def _fuzz_op(comm, op):
+    """Run one op on a rank handle, verifying data results.
 
     Expected values are derived from node ids (``comm.rank`` is stale
     until the collective call itself resyncs the epoch) with no yield
     between derivation and call, so they always describe the epoch the
     op actually runs on.
     """
+    ctx = comm._ctx
     if op == "barrier":
         yield from comm.barrier()
         return "ok:barrier"
@@ -916,21 +932,11 @@ def _fuzz_myrinet_op(cluster, ctx, comm, op):
     if op == "bcast":
         token = ("fz", ctx.epoch)
         value = token if comm.node == ctx.nodes[0] else None
-        result = yield from comm.bcast(value=value, size_bytes=64, root=0)
+        result = yield from comm.bcast(value=value, size_bytes=64)
         if result != token:
             return f"wrong:bcast:{result!r}"
         return "ok:bcast"
     # ibarrier: request-handle form, a few non-blocking polls.
-    request = yield from comm.ibarrier()
-    while not (yield from request.test()):
-        pass
-    return "ok:ibarrier"
-
-
-def _fuzz_quadrics_op(comm, op):
-    if op == "barrier":
-        yield from comm.barrier()
-        return "ok:barrier"
     request = yield from comm.ibarrier()
     while not (yield from request.test()):
         pass
@@ -946,17 +952,9 @@ def run_fuzz_case(
     post-repair epoch completes its tail with correct data; the cluster
     quiesces clean.
     """
-    from repro.mpi import create_communicators, repair_quadrics
+    from repro.mpi import create_communicators, repair_communicators
 
-    profile = get_profile(_DEFAULT_PROFILE[plan.network])
-    if plan.network == "myrinet":
-        # Shrunk retry budgets: dying-epoch ops must resolve within the
-        # recovery window even when revocation loses the race with the
-        # retry machinery.
-        profile = replace(profile, gm=replace(
-            profile.gm, ack_timeout_us=200.0, max_retries=3,
-            nack_timeout_us=300.0, nack_max_rounds=4,
-        ))
+    profile = recovery_profile(get_profile(_DEFAULT_PROFILE[plan.network]))
     rng = DeterministicRng(plan.seed, f"chaos-fuzz/run/{plan.network}")
     probabilistic = (
         plan.corrupt_probability
@@ -979,14 +977,13 @@ def run_fuzz_case(
         faults.kill_node(victim, at_us=at_us)
     hb_rng = rng.substream("hb")
     for node in range(plan.nodes):
-        cluster.nics[node].enable_failure_detector(
-            range(plan.nodes), rng=hb_rng, period_us=plan.hb_period_us,
-            timeout_us=plan.hb_timeout_us, horizon_us=plan.horizon_us,
+        enable_failure_detector(
+            cluster.nics[node], range(plan.nodes), rng=hb_rng,
+            period_us=plan.hb_period_us, timeout_us=plan.hb_timeout_us,
+            horizon_us=plan.horizon_us,
         )
 
     comms = create_communicators(cluster)
-    ctx = comms[0]._ctx if plan.network == "myrinet" else None
-    comm_box = {"comms": comms}
     n_segments = len(plan.segments)
     state = {"phase": 0}
     outcomes = [
@@ -1002,36 +999,21 @@ def run_fuzz_case(
 
     def controller():
         for k, (victim, at_us) in enumerate(plan.kills):
-            if sim_obj.now < at_us:
-                yield at_us - sim_obj.now
-            deadline = at_us + plan.detect_deadline_us
-            # The survivor predicate re-evaluates every poll: a node
-            # that crashes *during* this detection window (a
-            # mid-recovery kill) stops owing a conviction — its own
-            # detector went down with it.
-            while not all(
-                cluster.nics[s].membership.is_dead(victim)
-                for s in range(plan.nodes)
-                if s != victim and not cluster.nics[s].crashed
-            ):
-                if sim_obj.now > deadline:
-                    violations.append(
-                        f"kill {k}: victim n{victim} not convicted by every "
-                        f"survivor within {plan.detect_deadline_us:.0f}us"
-                    )
-                    break
-                yield _FUZZ_POLL_US
+            convicted = yield from wait_for_conviction(
+                cluster, victim, at_us, _FUZZ_POLL_US,
+                within_us=plan.detect_deadline_us,
+            )
+            if not convicted:
+                violations.append(
+                    f"kill {k}: victim n{victim} not convicted by every "
+                    f"survivor within {plan.detect_deadline_us:.0f}us"
+                )
             detected_at.append(round(sim_obj.now, 3))
             # Repair and open the next phase with no yield in between:
             # a survivor must never start an op on the new epoch before
             # the gate moves, or its sequence numbering would split.
             try:
-                if plan.network == "myrinet":
-                    ctx.repair([victim])
-                else:
-                    comm_box["comms"] = repair_quadrics(
-                        cluster, comm_box["comms"], [victim]
-                    )
+                repair_communicators(comms, [victim])
             except Exception as exc:  # noqa: BLE001 - audited, not raised
                 violations.append(f"kill {k}: repair failed: {exc!r}")
                 state["phase"] = n_segments
@@ -1058,20 +1040,8 @@ def run_fuzz_case(
                     if cluster.nics[node].crashed:
                         record.append("dead")
                         return
-                    if plan.network == "myrinet":
-                        comm = comm_box["comms"][node]
-                        runner = _fuzz_myrinet_op(cluster, ctx, comm, op)
-                    else:
-                        comm = next(
-                            (c for c in comm_box["comms"] if c.node == node),
-                            None,
-                        )
-                        if comm is None:
-                            record.append("dead")
-                            return
-                        runner = _fuzz_quadrics_op(comm, op)
                     try:
-                        verdict = yield from runner
+                        verdict = yield from _fuzz_op(comms[node], op)
                         record.append(verdict)
                     except Revoked:
                         record.append(f"revoked:{op}")
@@ -1133,23 +1103,7 @@ def run_fuzz_case(
 
     counters = dict(cluster.tracer.counters)
     stats = faults.stats()
-    for cls in ("corrupted", "duplicated", "delayed"):
-        wire = counters.get(f"wire.{cls}", 0)
-        if wire != stats[cls]:
-            violations.append(
-                f"wire.{cls}={wire} disagrees with injector {cls}={stats[cls]}"
-            )
-    if stats["corrupted"]:
-        crc_drops = counters.get("gm.rx_crc_drop", 0) + counters.get(
-            "elan.rx_crc_drop", 0
-        )
-        ceiling = stats["corrupted"] + stats["duplicated"]
-        if not stats["corrupted"] <= crc_drops <= ceiling:
-            violations.append(
-                f"CRC accounting broken: {crc_drops} receiver drops for "
-                f"{stats['corrupted']} corrupted (+{stats['duplicated']} "
-                "duplicated) packets"
-            )
+    violations.extend(audit_fault_counters(counters, stats))
 
     report = check_quiescent(cluster, must_complete=[p.name for p in procs])
     return FuzzResult(

@@ -233,11 +233,12 @@ def _check_ports(cluster, report: QuiescenceReport) -> None:
     for port in getattr(cluster, "ports", ()):
         unit = f"port{port.node_id}"
         for attr, what in (
-            ("_pending", "unmatched GM receive events"),
-            ("_tport_pending", "unmatched tport messages"),
-            ("_host_event_pending", "unconsumed host event words"),
+            ("_events", "unmatched GM receive events"),
+            ("_tport", "unmatched tport messages"),
+            ("_host_events", "unconsumed host event words"),
         ):
-            pending = getattr(port, attr, None)
+            demux = getattr(port, attr, None)
+            pending = demux.pending if demux is not None else None
             if pending:
                 report.findings.append(Finding(
                     "SL105", _where(cluster, unit), 0,

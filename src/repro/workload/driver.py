@@ -26,10 +26,14 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import get_profile
+from repro.cluster.profiles import get_profile, recovery_profile
 from repro.collectives import BarrierFailure, Revoked
 from repro.collectives.data_engine import CollectiveFailure
-from repro.mpi import create_communicators, repair_quadrics
+from repro.collectives.membership import (
+    enable_failure_detector,
+    wait_for_conviction,
+)
+from repro.mpi import create_communicators, repair_communicators
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
 from repro.tools.runcache import (
@@ -140,30 +144,9 @@ class _JobTracker:
         return out
 
 
-def _run_myrinet_op(comm, op: str, payload_bytes: int, token):
-    if op == "barrier":
-        yield from comm.barrier()
-        return None
-    if op == "bcast":
-        value = token if comm.rank == 0 else None
-        result = yield from comm.bcast(
-            value=value, size_bytes=max(4, payload_bytes), root=0
-        )
-        return ("bcast", result)
-    if op == "allreduce":
-        result = yield from comm.allreduce(comm.rank + 1)
-        return ("allreduce", result)
-    if op == "allgather":
-        result = yield from comm.allgather(comm.rank)
-        return ("allgather", result)
-    if op == "alltoall":
-        blocks = {dst: (comm.rank, dst) for dst in range(comm.size)}
-        result = yield from comm.alltoall(blocks)
-        return ("alltoall", result)
-    raise ValueError(f"unsupported Myrinet collective {op!r}")
-
-
-def _run_quadrics_op(comm, op: str, payload_bytes: int, token):
+def _run_op(comm, op: str, payload_bytes: int, token):
+    """One collective on a rank handle; returns ``(op, result)`` for a
+    result-bearing collective, ``None`` for a barrier."""
     if op == "barrier":
         yield from comm.barrier()
         return None
@@ -172,8 +155,16 @@ def _run_quadrics_op(comm, op: str, payload_bytes: int, token):
         result = yield from comm.bcast(
             value=value, size_bytes=max(4, payload_bytes)
         )
-        return ("bcast", result)
-    raise ValueError(f"unsupported Quadrics collective {op!r}")
+    elif op == "allreduce":
+        result = yield from comm.allreduce(comm.rank + 1)
+    elif op == "allgather":
+        result = yield from comm.allgather(comm.rank)
+    elif op == "alltoall":
+        blocks = {dst: (comm.rank, dst) for dst in range(comm.size)}
+        result = yield from comm.alltoall(blocks)
+    else:
+        raise ValueError(f"unsupported collective {op!r}")
+    return (op, result)
 
 
 class _JobRun:
@@ -191,21 +182,12 @@ class _JobRun:
         self.tail_ok = 0
         self.status = "completed"
         self.comms = create_communicators(cluster, nodes=list(job.nodes))
-        if network == "myrinet":
-            self.ctx = self.comms[0]._ctx
+        self.ctx = self.comms[0]._ctx
+        if network == "myrinet" and "bcast" in ops:
             # Pre-warm the root-0 broadcast context so group creation
             # order is a setup-time property, never a race between
             # jobs' first bcast calls.
-            if any(op == "bcast" for op in ops):
-                self.ctx.bcast_group(0)
-        else:
-            self.ctx = None
-
-    def comm_for_node(self, node: int):
-        for comm in self.comms:
-            if comm.node == node:
-                return comm
-        return None
+            self.ctx.bcast_group(0)
 
     def audit_specs(self) -> list[tuple]:
         """(group, collective, count[, payload]) specs for the per-group
@@ -215,12 +197,6 @@ class _JobRun:
             counts[op] = counts.get(op, 0) + 1
         specs = []
         if self.network == "myrinet":
-            by_op = {
-                "barrier": self.ctx.barrier_group,
-                "allreduce": self.ctx.allreduce_group,
-                "allgather": self.ctx.allgather_group,
-                "alltoall": self.ctx.alltoall_group,
-            }
             for op, count in sorted(counts.items()):
                 if op == "bcast":
                     specs.append(
@@ -231,22 +207,19 @@ class _JobRun:
                     payload = (
                         0 if op == "barrier" else self.job.payload_bytes
                     )
-                    specs.append((by_op[op], op, count, payload))
+                    specs.append((self.ctx.groups[op], op, count, payload))
         else:
             # Quadrics bcast is the hardware broadcast (replicated in
             # the switches, not per-flow accounted); audit the chained
             # barrier's RDMA flow only.
             if counts.get("barrier"):
                 specs.append(
-                    (self.comms[0]._group, "barrier", counts["barrier"])
+                    (self.ctx.barrier_group, "barrier", counts["barrier"])
                 )
         return specs
 
     def program(self, rank: int):
         job = self.job
-        run_op = (
-            _run_myrinet_op if self.network == "myrinet" else _run_quadrics_op
-        )
         if job.arrival_us > 0:
             yield job.arrival_us
         node = job.nodes[rank]
@@ -260,13 +233,10 @@ class _JobRun:
                 self.tracker.rank_dead(it)
                 self.status = "repaired"
                 return
-            comm = (
-                self.comm_for_node(node)
-                if self.network == "quadrics"
-                else self.comms[rank]
-            )
             try:
-                result = yield from run_op(comm, op, job.payload_bytes, token)
+                result = yield from _run_op(
+                    self.comms[rank], op, job.payload_bytes, token
+                )
             except (Revoked, BarrierFailure, CollectiveFailure):
                 abandoned_at = it
                 break
@@ -283,13 +253,10 @@ class _JobRun:
             yield _POLL_US
         if self.cluster.nics[node].crashed:
             return
-        comm = self.comm_for_node(node)
-        if comm is None:
-            return
         kill = self.gate.get("kill")
         tail = kill.tail_iterations if kill is not None else 0
         for _ in range(tail):
-            yield from comm.barrier()
+            yield from self.comms[rank].barrier()
         self.tail_ok += 1
 
     def _check(self, rank: int, op: str, result, token) -> None:
@@ -310,12 +277,13 @@ class _JobRun:
             )
 
 
-def _launch_chaos(cluster, network: str, runs, kill: KillSpec, rng):
+def _launch_chaos(cluster, runs, kill: KillSpec, rng):
     """Killer + controller processes (the ``repro chaos`` idiom)."""
     n = cluster.n
     hb_rng = rng.substream("hb")
     for node in range(n):
-        cluster.nics[node].enable_failure_detector(
+        enable_failure_detector(
+            cluster.nics[node],
             range(n),
             rng=hb_rng,
             period_us=kill.hb_period_us,
@@ -328,35 +296,25 @@ def _launch_chaos(cluster, network: str, runs, kill: KillSpec, rng):
         cluster.nics[kill.node].crashed = True
 
     def controller():
-        if cluster.sim.now < kill.at_us:
-            yield kill.at_us - cluster.sim.now
-        deadline = kill.at_us + kill.detect_deadline_us
-        while not all(
-            cluster.nics[s].membership.is_dead(kill.node)
-            for s in range(n)
-            if s != kill.node and not cluster.nics[s].crashed
-        ):
-            if cluster.sim.now > deadline:
-                for run in runs:
-                    if run.affected:
-                        run.violations.append(
-                            f"victim n{kill.node} not convicted within "
-                            f"{kill.detect_deadline_us:.0f}us"
-                        )
-                return
-            yield _POLL_US
+        convicted = yield from wait_for_conviction(
+            cluster, kill.node, kill.at_us, _POLL_US,
+            within_us=kill.detect_deadline_us,
+        )
+        if not convicted:
+            for run in runs:
+                if run.affected:
+                    run.violations.append(
+                        f"victim n{kill.node} not convicted within "
+                        f"{kill.detect_deadline_us:.0f}us"
+                    )
+            return
         # Repair every affected job and open its gate in one event: no
         # survivor may start a new-epoch op before the gate moves.
         for run in runs:
             if not run.affected:
                 continue
             try:
-                if network == "myrinet":
-                    run.ctx.repair([kill.node])
-                else:
-                    run.comms = repair_quadrics(
-                        cluster, run.comms, [kill.node]
-                    )
+                repair_communicators(run.comms, [kill.node])
             except Exception as exc:  # noqa: BLE001 - audited, not raised
                 run.violations.append(f"repair failed: {exc!r}")
             run.gate["kill"] = kill
@@ -384,13 +342,7 @@ def _execute(
     resolved = get_profile(profile or DEFAULT_PROFILE[network])
     faults = None
     if kill is not None:
-        if network == "myrinet":
-            # Shrunk retry budgets: dying-epoch ops must resolve within
-            # the recovery window (the repro chaos fuzzer's settings).
-            resolved = replace(resolved, gm=replace(
-                resolved.gm, ack_timeout_us=200.0, max_retries=3,
-                nack_timeout_us=300.0, nack_max_rounds=4,
-            ))
+        resolved = recovery_profile(resolved)
         faults = FaultInjector()
         faults.kill_node(kill.node, at_us=kill.at_us)
     sim_obj = sim if sim is not None else Simulator()
@@ -424,7 +376,7 @@ def _execute(
             )
     chaos_rng = DeterministicRng(seed, f"workload/chaos/{network}")
     if kill is not None:
-        procs.extend(_launch_chaos(cluster, network, runs, kill, chaos_rng))
+        procs.extend(_launch_chaos(cluster, runs, kill, chaos_rng))
 
     sim_obj.run()
 

@@ -19,7 +19,11 @@ from repro.cluster.profiles import get_profile
 from repro.collectives import BarrierFailure, Revoked
 from repro.collectives.failures import ScheduleVerificationError, classify_reason
 from repro.collectives.group import ProcessGroup
-from repro.mpi import create_communicators, repair_quadrics
+from repro.collectives.membership import (
+    enable_failure_detector,
+    wait_for_conviction,
+)
+from repro.mpi import create_communicators, repair_communicators
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
 from repro.tools.simlint import check_quiescent
@@ -110,34 +114,28 @@ def _run_repair_campaign(network: str, sim=None):
     cluster = build_cluster(profile, n, faults=faults, sim=sim)
     rng = DeterministicRng(23, f"epoch-repair/{network}")
     for node in range(n):
-        cluster.nics[node].enable_failure_detector(
-            range(n), rng=rng, period_us=50.0, timeout_us=150.0,
-            horizon_us=3000.0)
+        enable_failure_detector(
+            cluster.nics[node], range(n), rng=rng, period_us=50.0,
+            timeout_us=150.0, horizon_us=3000.0)
     faults.kill_node(victim, at_us=kill_at)
-    comm_box = {"comms": create_communicators(cluster)}
+    comms = create_communicators(cluster)
     state = {"phase": 0, "detected": 0.0, "repaired": 0.0}
 
     def controller():
         yield kill_at
         cluster.nics[victim].crashed = True
-        survivors = [node for node in range(n) if node != victim]
-        while not all(
-            cluster.nics[s].membership.is_dead(victim) for s in survivors
-        ):
-            yield _POLL_US
+        yield from wait_for_conviction(cluster, victim, kill_at, _POLL_US)
         state["detected"] = sim.now
-        if network == "myrinet":
-            comm_box["comms"][0]._ctx.repair([victim])
-        else:
-            comm_box["comms"] = repair_quadrics(
-                cluster, comm_box["comms"], [victim])
+        repair_communicators(comms, [victim])
         state["phase"] = 1
         state["repaired"] = sim.now
 
     outcomes = {node: [] for node in range(n)}
 
     def program(node):
-        comm = {c.node: c for c in comm_box["comms"]}[node]
+        # Rank handles survive the repair: the survivors' handles
+        # resync onto the new epoch on their next collective call.
+        comm = comms[node]
         while state["phase"] == 0:
             try:
                 yield from comm.barrier()
@@ -149,7 +147,6 @@ def _run_repair_campaign(network: str, sim=None):
         if cluster.nics[node].crashed:
             outcomes[node].append("dead")
             return
-        comm = {c.node: c for c in comm_box["comms"]}[node]
         yield from comm.barrier()
         outcomes[node].append("ok:barrier")
         if network == "myrinet":

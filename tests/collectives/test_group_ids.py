@@ -36,8 +36,7 @@ def test_back_to_back_myrinet_builds_hand_out_identical_ids():
 def test_back_to_back_quadrics_builds_hand_out_identical_ids():
     def ids():
         cluster = build_cluster("elan3_piii700", 4)
-        comms = create_communicators(cluster)
-        return [comms[0]._group.group_id]
+        return _context_ids(create_communicators(cluster))
 
     assert ids() == ids()
 

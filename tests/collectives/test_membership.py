@@ -19,7 +19,11 @@ from repro.cluster.builder import build_cluster
 from repro.cluster.profiles import get_profile
 from repro.collectives import BarrierFailure
 from repro.collectives.failures import classify_reason
-from repro.collectives.membership import MembershipView, PeerDead
+from repro.collectives.membership import (
+    MembershipView,
+    PeerDead,
+    enable_failure_detector,
+)
 from repro.mpi import create_communicators
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
@@ -82,9 +86,9 @@ def _detector_cluster(profile_name, n, seed):
     cluster = build_cluster(profile, n, faults=faults, sim=sim)
     rng = DeterministicRng(seed, "membership-test")
     for node in range(n):
-        cluster.nics[node].enable_failure_detector(
-            range(n), rng=rng, period_us=50.0, timeout_us=150.0,
-            horizon_us=2000.0)
+        enable_failure_detector(
+            cluster.nics[node], range(n), rng=rng, period_us=50.0,
+            timeout_us=150.0, horizon_us=2000.0)
     return sim, faults, cluster
 
 
@@ -137,6 +141,68 @@ class TestHeartbeatDetection:
         assert sim.now <= 2000.0 + 50.0
         report = check_quiescent(cluster)
         assert not report.findings
+
+
+@pytest.mark.parametrize(
+    "profile_name", ["lanai_xp_xeon2400", "elan3_piii700"],
+    ids=["myrinet", "quadrics"],
+)
+def test_shared_detector_convicts_and_never_probes_busy_links(profile_name):
+    """One detector on both NICs, N=8, one node killed at t=100.
+
+    The survivors run back-to-back barriers among themselves, so every
+    schedule link carries protocol traffic far more often than once a
+    period: none of them may carry a probe while that traffic flows.
+    Every survivor convicts the victim within timeout + one period.
+    """
+    n, victim, kill_at = 8, 6, 100.0
+    period, timeout = 50.0, 150.0
+    sim, faults, cluster = _detector_cluster(profile_name, n, seed=17)
+    faults.kill_node(victim, at_us=kill_at)
+    survivors = [node for node in range(n) if node != victim]
+    comms = create_communicators(cluster, nodes=survivors)
+    sent = []
+    transmit = cluster.fabric.transmit
+
+    def recording_transmit(packet):
+        sent.append((sim.now, packet.src, packet.dst, packet.kind))
+        transmit(packet)
+
+    cluster.fabric.transmit = recording_transmit
+    window = {}
+
+    def killer():
+        yield kill_at
+        cluster.nics[victim].crashed = True
+
+    def program(comm):
+        for _ in range(60):
+            yield from comm.barrier()
+            window.setdefault("start", sim.now)
+        window["end"] = min(window.get("end", sim.now), sim.now)
+
+    sim.process(killer(), name="killer")
+    for comm in comms:
+        sim.process(program(comm), name=f"rank@{comm.node}")
+    sim.run()
+
+    for s in survivors:
+        verdict = cluster.nics[s].membership.dead[victim]
+        assert verdict.origin == "heartbeat-timeout"
+        assert kill_at < verdict.detected_at <= kill_at + timeout + period
+    schedule = comms[0]._ctx.barrier_group.schedule
+    busy = {
+        (survivors[rank], survivors[dst])
+        for rank in range(len(survivors))
+        for phase in schedule.phases(rank)
+        for dst in phase.sends
+    }
+    probes = [(t, src, dst) for t, src, dst, kind in sent if kind == "heartbeat"]
+    assert probes, "the detector never probed an idle link"
+    start, end = window["start"] + period, window["end"]
+    assert end - start > 4 * period
+    on_busy = [p for p in probes if (p[1], p[2]) in busy and start <= p[0] <= end]
+    assert on_busy == []
 
 
 class TestPiggybackedLiveness:

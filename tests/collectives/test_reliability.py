@@ -130,3 +130,44 @@ class TestDirectSchemeReliability:
         install_engines(cluster, group, NicDirectBarrierEngine)
         run_barriers(cluster, group, iterations=10)
         assert cluster.tracer.counters["coll.barrier_complete"] == 8 * 10
+
+
+class TestDuplicateArrival:
+    @staticmethod
+    def _skewed_barrier(duplicate: bool):
+        """N=4 dissemination, node 3 entering 20us late.  With
+        ``duplicate``, node 1 gets node 0's phase-0 message twice at
+        the same instant — while its barrier is still live, waiting on
+        the late node."""
+        cluster = MyrinetTestCluster(n=4)
+        group = make_group(cluster, "dissemination")
+        install_engines(cluster, group, NicCollectiveBarrierEngine)
+        if duplicate:
+            deliver = cluster.fabric._handlers[1]
+            sent = []
+
+            def deliver_twice(packet):
+                deliver(packet)
+                if packet.kind == PacketKind.BARRIER and not sent:
+                    sent.append(packet)
+                    deliver(packet.clone())
+
+            cluster.fabric._handlers[1] = deliver_twice
+        exits = {}
+
+        def prog(node):
+            if node == 3:
+                yield 20.0
+            yield from nic_barrier(cluster.ports[node], group, 0)
+            exits[node] = cluster.sim.now
+
+        run_all(cluster, [prog(node) for node in group.node_ids])
+        return cluster.tracer.counters, exits
+
+    def test_duplicate_on_live_sequence_is_counted_and_harmless(self):
+        clean_counters, clean_exits = self._skewed_barrier(duplicate=False)
+        counters, exits = self._skewed_barrier(duplicate=True)
+        assert clean_counters.get("coll.rx_duplicate", 0) == 0
+        assert counters["coll.rx_duplicate"] == 1
+        assert counters["coll.barrier_complete"] == 4
+        assert exits == clean_exits

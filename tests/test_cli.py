@@ -203,3 +203,34 @@ def test_workload_chaos_disables_xtraffic(capsys):
     assert code == 0
     assert "cross-traffic disabled" in captured.err
     assert "repaired" in captured.out
+
+
+@pytest.mark.parametrize("command", ["experiment", "report", "tune"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_must_be_positive(command, jobs, capsys):
+    argv = [command, "--jobs", jobs]
+    if command == "experiment":
+        argv.insert(1, "fig7")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_unknown_profile_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--profile", "no_such_nic"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --profile: unknown profile 'no_such_nic'" in err
+    assert "Traceback" not in err
+
+
+def test_profile_name_variants_still_accepted(capsys):
+    code = main([
+        "run", "--profile", "Elan3-PIII700", "--barrier", "nic-chained",
+        "--nodes", "4", "--iterations", "3", "--warmup", "1",
+    ])
+    assert code == 0
+    assert "nic-chained" in capsys.readouterr().out
