@@ -84,12 +84,8 @@ class HostCpu:
         timeline (e.g. ``barrier_call``, ``poll``); it costs nothing
         when tracing is disabled.
         """
-        if us < 0:
-            raise ValueError(f"negative compute time {us}")
         us = us * self.slowdown
-        yield self._cpu.request()
-        yield us
-        self._cpu.release()
+        yield from self._cpu.hold(us)
         self.busy_us += us
         tracer = self.tracer
         if tracer.enabled:

@@ -134,9 +134,7 @@ class LanaiNic:
         ``label`` names the protocol step on the NIC lane of a span
         timeline; it costs nothing when tracing is disabled.
         """
-        yield self.cpu.request()
-        yield cost
-        self.cpu.release()
+        yield from self.cpu.hold(cost)
         self.busy_us += cost
         tracer = self.tracer
         if tracer.enabled:

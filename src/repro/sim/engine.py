@@ -169,7 +169,12 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total calls scheduled so far (the perfbench throughput metric)."""
+        """Total calls scheduled so far.
+
+        Exact and deterministic for a given model and seed: the
+        benchmark's ``sim.events_total`` sums it over a repeat's
+        simulators, and the tier-1 event ceilings gate on it.
+        """
         return self._seq
 
     @property

@@ -5,7 +5,10 @@ A process is a Python generator driven by the simulator.  It may yield:
 - a ``float``/``int`` — sleep that many microseconds;
 - a :class:`~repro.sim.events.SimEvent` — wait for it (the event's value
   is sent back into the generator; a failed event is *thrown* in);
-- another :class:`Process` — join it (waits on its ``completion`` event).
+- another :class:`Process` — join it (waits on its ``completion`` event);
+- :data:`PARKED` — only from inside a primitive that has taken over the
+  resume (:meth:`~repro.sim.resources.ArbitratedResource.hold`): the
+  process waits, unscheduled, until that primitive resumes it.
 
 The NIC control programs, host programs, DMA engines and switches in this
 reproduction are all written as processes.
@@ -18,6 +21,10 @@ from typing import Any, Generator, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import SimEvent, Timeout
+
+
+#: Yielded by a primitive that parks the process and resumes it itself.
+PARKED = object()
 
 
 class Interrupt(Exception):
@@ -43,7 +50,7 @@ class Process:
 
     __slots__ = (
         "sim", "name", "_gen", "completion", "_waiting_on", "_resume_handle",
-        "_step_cb", "_wake_cb", "__weakref__",
+        "_parked_in", "_step_cb", "_wake_cb", "__weakref__",
     )
 
     def __init__(self, sim: Simulator, gen: Generator, name: Optional[str] = None):
@@ -54,6 +61,8 @@ class Process:
         self._gen = gen
         self.completion = SimEvent(sim, name=f"{self.name}.completion")
         self._waiting_on: Optional[SimEvent] = None
+        # The resource whose hold owns this process's resume, if any.
+        self._parked_in = None
         # Every resume and every event wait passes one of these two
         # bound methods to the scheduler; binding them once here turns
         # millions of per-yield bound-method allocations into attribute
@@ -73,7 +82,12 @@ class Process:
     @property
     def waiting_on(self) -> Optional[SimEvent]:
         """The event this process is currently blocked on (None when it
-        is scheduled to resume, e.g. mid-sleep, or finished)."""
+        is scheduled to resume, e.g. mid-sleep, or finished).
+
+        A process queued in a hold reports a stand-in named
+        ``<resource>.request``, as if it waited on a request; once the
+        hold is granted it is mid-sleep (None).
+        """
         return self._waiting_on
 
     def interrupt(self, cause: Any = None) -> None:
@@ -82,9 +96,19 @@ class Process:
         Interrupting a finished process is a no-op (it can no longer
         observe anything).  The event it was waiting on keeps running;
         the process may re-wait on it after handling the interrupt.
+
+        A process parked in a hold (queued or granted) cannot be
+        interrupted: the resource owns both its resume and the unit it
+        holds, so an interrupt would leak the unit and resume the
+        process twice.  That raises :class:`RuntimeError`.
         """
         if not self.alive:
             return
+        if self._parked_in is not None:
+            raise RuntimeError(
+                f"cannot interrupt process {self.name!r}: it is parked in a "
+                f"hold on {self._parked_in.name!r}"
+            )
         if self._waiting_on is not None:
             self._waiting_on.remove_callback(self._wake_cb)
             self._waiting_on = None
@@ -130,6 +154,8 @@ class Process:
                 self.completion.fail(err)
                 return
 
+            if target is PARKED:
+                return
             value, exc = None, None
             cls = type(target)
             if cls is float or cls is int:

@@ -6,7 +6,9 @@
   grants are *arbitrated* one delta phase later in canonical key order,
   not first-come-first-served on the event heap.  Models serialized
   hardware with a defined service priority among concurrent clients —
-  the LANai processor polled by five control-program loops.
+  the LANai processor polled by five control-program loops.  Its
+  :meth:`~ArbitratedResource.hold` runs a whole acquire → work →
+  release task as one pass plus one completion call.
 - :class:`Store` — FIFO item queue with blocking ``get`` (and blocking
   ``put`` when capacity-bounded).  Models token queues, event queues and
   packet FIFOs.
@@ -22,6 +24,7 @@ from typing import Any, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import SimEvent
+from repro.sim.process import PARKED
 
 
 class Resource:
@@ -68,8 +71,9 @@ class Resource:
     def try_acquire(self) -> bool:
         """Claim a unit synchronously if one is free (no event, no wait).
 
-        The fabric's uncontended-delivery fast path uses this; pair every
-        successful call with :meth:`release`.
+        The Elan event and DMA units and the PCI bus use this to skip the
+        request event when uncontended; pair every successful call with
+        :meth:`release`.
         """
         if self._in_use < self.capacity:
             self._in_use += 1
@@ -113,14 +117,23 @@ class ArbitratedResource:
 
     ``key_fn`` maps the requesting process's name to an orderable key
     (default: the name itself); it defines the hardware's service
-    priority among same-instant contenders.  Requests made outside any
-    process must pass an explicit ``key``.
+    priority among same-instant contenders.  It is called once per
+    process name and memoized.  Requests made outside any process must
+    pass an explicit ``key``.
 
-    The interface matches :class:`Resource` (``request``/``release``/
-    ``cancel_request``/``in_use``), so the quiescence auditor and
-    ``yield resource.request()`` call sites work unchanged — but note a
-    granted request resolves one delta phase after it is made, never
-    synchronously.
+    Two ways to use a unit, arbitrated alike in one queue:
+
+    - ``yield res.request()`` … ``res.release()`` — the interface of
+      :class:`Resource` (``request``/``release``/``cancel_request``/
+      ``in_use``), for a unit held across arbitrary yields (the host
+      poller seat).  A granted request resolves one delta phase after
+      it is made, never synchronously.
+    - ``yield from res.hold(cost)`` — one processor task: acquire, work
+      ``cost`` µs, release.  The process parks without an event; when
+      the decision pass grants it, one detached call ``cost`` µs later
+      releases the unit and resumes the process.  Same grant order and
+      timing as request → sleep → release, two kernel events instead of
+      three, and a hold cannot be cancelled or interrupted.
     """
 
     def __init__(
@@ -137,13 +150,21 @@ class ArbitratedResource:
         self.name = name or "resource"
         self._req_name = self.name + ".request"
         self._key_fn = key_fn
+        self._keys: Optional[dict[str, Any]] = {} if key_fn is not None else None
+        # What a process queued in a hold reports as ``waiting_on``: a
+        # stand-in that never triggers and only names the wait, so the
+        # quiescence auditor diagnoses a starved hold as it does a
+        # starved request.  Made by the first hold: most resources
+        # (every poller seat) never hold.
+        self._hold_wait: Optional[SimEvent] = None
         self._in_use = 0
-        # Heap of [birth_phase, key, n, event]; ``n`` separates requests
-        # with identical keys and keeps the comparison off the event.
-        # Entries are lists so a withdrawn request is cancelled in place
-        # (event slot set to None) in O(1) — the same lazy-cancellation
-        # scheme as the event kernel's calendar queue — instead of the
-        # old remove-and-reheapify O(n) scan.
+        # Heap of [birth_phase, key, n, waiter, cost]; ``n`` separates
+        # requests with identical keys and keeps the comparison off the
+        # waiter.  A request's waiter is its event and its cost None; a
+        # hold's waiter is the parked process.  Entries are lists so a
+        # withdrawn request is cancelled in place (waiter slot set to
+        # None) in O(1) — the same lazy-cancellation scheme as the event
+        # kernel's calendar queue.
         self._pending: list[list] = []
         self._entry_of: dict[SimEvent, list] = {}
         self._abandoned = 0
@@ -158,6 +179,23 @@ class ArbitratedResource:
     def queue_length(self) -> int:
         return len(self._pending) - self._abandoned
 
+    def _process_key(self, proc) -> Any:
+        keys = self._keys
+        if keys is None:
+            return proc.name
+        key = keys.get(proc.name)
+        if key is None:
+            key = keys[proc.name] = self._key_fn(proc.name)
+        return key
+
+    def _enqueue(self, waiter: Any, key: Any, cost: Optional[float]) -> list:
+        birth = self.sim.current_phase
+        self._n += 1
+        entry = [birth, key, self._n, waiter, cost]
+        heapq.heappush(self._pending, entry)
+        self._ensure_pass(birth + 1)
+        return entry
+
     def request(self, key: Any = None) -> SimEvent:
         if key is None:
             proc = self.sim.active_process
@@ -166,15 +204,35 @@ class ArbitratedResource:
                     f"{self.name}: request outside a process needs an "
                     "explicit arbitration key"
                 )
-            key = proc.name if self._key_fn is None else self._key_fn(proc.name)
+            key = self._process_key(proc)
         ev = SimEvent(self.sim, name=self._req_name)
-        birth = self.sim.current_phase
-        self._n += 1
-        entry = [birth, key, self._n, ev]
-        heapq.heappush(self._pending, entry)
-        self._entry_of[ev] = entry
-        self._ensure_pass(birth + 1)
+        self._entry_of[ev] = self._enqueue(ev, key, None)
         return ev
+
+    def hold(self, cost: float):
+        """Occupy one unit for ``cost`` µs (``yield from`` a process).
+
+        Queues in the same arbitration as :meth:`request`; no event, no
+        cancellable timer.  Until the unit is released the process can
+        be neither interrupted nor resumed by anyone but this resource.
+        """
+        if cost < 0:
+            raise ValueError(f"{self.name}: negative hold time {cost!r}")
+        proc = self.sim.active_process
+        if proc is None:
+            raise RuntimeError(f"{self.name}: hold outside a process")
+        wait = self._hold_wait
+        if wait is None:
+            wait = self._hold_wait = SimEvent(self.sim, name=self._req_name)
+        proc._parked_in = self
+        proc._waiting_on = wait
+        self._enqueue(proc, self._process_key(proc), cost)
+        yield PARKED
+
+    def _finish_hold(self, proc) -> None:
+        self.release()
+        proc._parked_in = None
+        proc._step(None, None)
 
     def cancel_request(self, ev: SimEvent) -> bool:
         """Withdraw a still-pending request.  Returns True if it was
@@ -211,11 +269,14 @@ class ArbitratedResource:
                 continue
             if not (self._in_use < self.capacity and pending[0][0] < phase):
                 break
-            entry = heapq.heappop(pending)
-            ev = entry[3]
-            del self._entry_of[ev]
+            _, _, _, waiter, cost = heapq.heappop(pending)
             self._in_use += 1
-            ev.succeed(self)
+            if cost is None:
+                del self._entry_of[waiter]
+                waiter.succeed(self)
+            else:
+                waiter._waiting_on = None
+                self.sim.schedule_detached(cost, self._finish_hold, waiter)
         if pending and self._in_use < self.capacity:
             # Only same-phase births remain; decide them next phase so
             # no same-instant contender is missed.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Process, SimEvent, Simulator, Timeout
+from repro.sim import ArbitratedResource, Interrupt, Process, SimEvent, Simulator, Timeout
 
 
 def test_process_runs_and_returns():
@@ -195,6 +195,29 @@ def test_interrupted_process_can_rewait():
     sim.run()
     assert seen == ["interrupted", "fired"]
     assert sim.now == 50.0
+
+
+def test_interrupt_process_parked_in_hold_raises():
+    # The resource owns a held process's resume and its unit: an
+    # interrupt would leak the unit and resume the process twice.
+    sim = Simulator()
+    cpu = ArbitratedResource(sim, name="nic.cpu")
+
+    def task():
+        yield from cpu.hold(5.0)
+
+    granted = sim.process(task(), name="a")
+    queued = sim.process(task(), name="b")
+    sim.run(until=1.0)
+    assert granted.waiting_on is None  # mid-hold
+    assert queued.waiting_on.name == "nic.cpu.request"
+    for proc in (granted, queued):
+        with pytest.raises(RuntimeError, match="nic.cpu"):
+            proc.interrupt("link down")
+    sim.run()
+    assert sim.now == 10.0
+    assert not granted.alive and not queued.alive
+    assert cpu.in_use == 0
 
 
 def test_alive_property():

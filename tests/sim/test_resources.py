@@ -1,6 +1,8 @@
-"""Unit tests for Resource, Store and PriorityStore."""
+"""Unit tests for Resource, ArbitratedResource, Store and PriorityStore."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import ArbitratedResource, PriorityStore, Resource, Simulator, Store
 
@@ -409,3 +411,186 @@ class TestArbitratedResource:
         assert not b.triggered
         assert c.triggered
         assert res.queue_length == 0
+
+
+class TestArbitratedHold:
+    def test_hold_outside_a_process_raises(self):
+        sim = Simulator()
+        res = ArbitratedResource(sim, name="cpu")
+        with pytest.raises(RuntimeError, match="cpu"):
+            next(res.hold(1.0))
+
+    def test_negative_hold_fails_the_process(self):
+        sim = Simulator()
+        res = ArbitratedResource(sim)
+
+        def task():
+            yield from res.hold(-1.0)
+
+        proc = sim.process(task(), name="t")
+        proc.completion.defuse()
+        sim.run()
+        assert isinstance(proc.completion.value, ValueError)
+        assert res.in_use == 0
+
+    def test_hold_occupies_the_unit_for_its_cost(self):
+        sim = Simulator()
+        res = ArbitratedResource(sim)
+        seen = []
+
+        def task(cost):
+            yield from res.hold(cost)
+            seen.append((sim.now, res.in_use))
+
+        sim.process(task(3.0), name="a")
+        sim.process(task(2.0), name="b")
+        sim.run()
+        assert seen == [(3.0, 0), (5.0, 0)]
+
+    def test_hold_is_two_kernel_events(self):
+        # Pass + completion, where request → sleep → release takes the
+        # pass, the grant event and the sleep.  Start and finish of the
+        # process cost two more either way.
+        def events(body):
+            sim = Simulator()
+            res = ArbitratedResource(sim)
+            sim.process(body(res), name="a")
+            sim.run()
+            assert sim.now == 1.0
+            return sim.events_scheduled - 2
+
+        def hold(res):
+            yield from res.hold(1.0)
+
+        def request_sleep_release(res):
+            yield res.request()
+            yield 1.0
+            res.release()
+
+        assert events(hold) == 2
+        assert events(request_sleep_release) == 3
+
+    def test_key_fn_is_called_once_per_process_name(self):
+        sim = Simulator()
+        calls = []
+
+        def key_fn(name):
+            calls.append(name)
+            return name
+
+        res = ArbitratedResource(sim, key_fn=key_fn)
+
+        def task():
+            for _ in range(3):
+                yield from res.hold(1.0)
+            yield res.request()
+            res.release()
+
+        sim.process(task(), name="loop")
+        sim.run()
+        assert calls == ["loop"]
+
+
+class _TracedResource(ArbitratedResource):
+    """Records ``(now, in_use)`` at every change of the unit count."""
+
+    def __init__(self, *args, **kwargs):
+        self.in_use_trace = []
+        super().__init__(*args, **kwargs)
+
+    @property
+    def _in_use(self):
+        return self._count
+
+    @_in_use.setter
+    def _in_use(self, value):
+        self._count = value
+        self.in_use_trace.append((self.sim.now, value))
+
+
+class _GrantLog(Simulator):
+    """Logs each hold grant: the pass schedules its completion call."""
+
+    watched = None
+
+    def __init__(self):
+        super().__init__()
+        self.grants = []
+
+    def schedule_detached(self, delay, fn, *args):
+        if self.watched is not None and fn == self.watched._finish_hold:
+            self.grants.append((self.now, args[0].name))
+        super().schedule_detached(delay, fn, *args)
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0])
+_COSTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_TASKS = st.lists(st.tuples(_DELAYS, _COSTS), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    workers=st.lists(
+        st.tuples(st.sampled_from("abc"), _TASKS), min_size=1, max_size=6
+    ),
+    seat=st.none() | st.tuples(_DELAYS, _COSTS),
+    capacity=st.sampled_from([1, 2]),
+    keyed=st.booleans(),
+)
+def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed):
+    """``hold(cost)`` is request → sleep ``cost`` → release, fused.
+
+    Same grant order, completion times and unit-count trace, with
+    same-instant contenders, zero costs, duplicate keys (``key_fn``
+    maps every worker to its letter) and a request-holding seat
+    sharing the queue.  With holds only, each worker also sees the
+    same ``in_use`` at its completion.  A seat's sleep draws its ``seq``
+    when the seat resumes, after the pass drew the hold completion's,
+    so when both end at one instant the two may run in either order
+    (the same-instant tie-break SL101 covers): what a worker sees then
+    is not compared.
+    """
+
+    def run(use_hold):
+        sim = _GrantLog()
+        res = _TracedResource(
+            sim, capacity=capacity, name="cpu",
+            key_fn=(lambda name: name[0]) if keyed else None,
+        )
+        sim.watched = res
+        done = []
+
+        def worker(tasks):
+            name = sim.active_process.name
+            for delay, cost in tasks:
+                yield delay
+                if use_hold:
+                    yield from res.hold(cost)
+                else:
+                    yield res.request()
+                    sim.grants.append((sim.now, name))
+                    yield cost
+                    res.release()
+                done.append((sim.now, name, res.in_use))
+
+        def seat_holder(delay, span):
+            yield delay
+            yield res.request()
+            yield span
+            res.release()
+
+        for i, (letter, tasks) in enumerate(workers):
+            sim.process(worker(tasks), name=f"{letter}.{i}")
+        if seat is not None:
+            sim.process(seat_holder(*seat), name="b.seat")
+        sim.run()
+        assert res.in_use == 0 and res.queue_length == 0
+        return sim.grants, done, res.in_use_trace
+
+    held, reference = run(use_hold=True), run(use_hold=False)
+    if seat is not None:
+        held, reference = (
+            (grants, [entry[:2] for entry in done], trace)
+            for grants, done, trace in (held, reference)
+        )
+    assert held == reference

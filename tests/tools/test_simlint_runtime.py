@@ -206,6 +206,32 @@ def test_quiescence_catches_leaked_send_packet():
     cluster.nics[0].packet_pool.release()
 
 
+def test_quiescence_names_the_exhausted_cpu_behind_a_starved_task():
+    # A LANai task queued behind a CPU unit nobody releases must still
+    # read as a blocked acquire, not as a process that lost its resume.
+    from tests.myrinet.conftest import MyrinetTestCluster
+
+    sim = Simulator()
+    sim.track_processes()
+    cluster = MyrinetTestCluster(n=2, sim=sim)
+    cluster.profile = _FakeProfile()
+    nic = cluster.nics[0]
+    nic.cpu.request(key=(-1, "intruder"))  # granted, never released
+
+    def task():
+        yield from nic.cpu_task(1.0, "stuck")
+
+    sim.process(task(), name="stuck-task")
+    sim.run()
+    report = check_quiescent(cluster)
+    stuck = [f for f in report.findings if "stuck-task" in f.message]
+    assert [f.code for f in stuck] == ["SL102"]
+    assert (
+        "blocked acquiring exhausted resource 'lanai0.cpu'" in stuck[0].message
+    )
+    assert "SL103" in [f.code for f in report.findings]
+
+
 def test_retry_exhaustion_releases_pool_and_records():
     # Regression for the fault-path leak: a black-holed peer must not
     # retain pool units, send records, or armed timers once the retry
