@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 def _steps(n: int) -> int:
     """Dissemination steps for N ranks: ``ceil(log2 N)``."""
@@ -90,6 +88,12 @@ def fit_barrier_model(
         Optional known ``T_init`` (conventionally the N=2 latency) used
         to split the fitted intercept into ``T_init`` and ``T_adj``.
     """
+    # Imported here, not at module level: every simulation command
+    # imports :mod:`repro.model`, and numpy would cost each of them
+    # megabytes of memory and tens of milliseconds of start-up for a
+    # least-squares solve only this function needs.
+    import numpy as np
+
     n_arr = list(n_values)
     y = np.asarray(latencies_us, dtype=float)
     if len(n_arr) != len(y):

@@ -34,6 +34,7 @@ from repro.network.faults import FaultInjector
 from repro.network.packet import Packet, canonical_packet_key
 from repro.sim import Simulator, Tracer
 from repro.topology.base import Topology
+from repro.topology.fat_tree import QuaternaryFatTree
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ class ArbitrationDomain:
     and runs them under a single kernel event.  Processing order within
     a pass is observationally irrelevant: a phase-``p`` pass only grants
     requests born in earlier phases, any request a grant causes is born
-    in phase ``p`` and so decided at ``p+1`` regardless of which arbiter
-    ran first, and releases only arrive from timed (phase-0) events — no
+    in phase ``p`` or later (``p + skip`` past an elided climb) and so
+    decided at ``p+1`` at the earliest regardless of which arbiter ran
+    first, and releases only arrive from timed (phase-0) events — no
     arbiter's decision can observe another arbiter's position in the
     list.  The queues never leak across instants because every
     scheduled call at a timestamp drains before the clock advances.
@@ -112,6 +114,13 @@ class LinkArbiter:
     a pass is deciding (a packet granted an earlier hop in that same
     pass) wait for the next phase — a structural, schedule-independent
     property of the route.
+
+    A pass is armed only where it can grant: at ``max(now phase, head
+    birth) + 1`` and only while a unit is free.  A request on a full
+    link arms nothing (the release that frees a unit does), and a head
+    left over from an earlier instant is decided at its birth phase + 1,
+    the first phase that can grant it.  The grants and their phases are
+    those of a pass at every phase.
     """
 
     __slots__ = (
@@ -130,48 +139,60 @@ class LinkArbiter:
         # Heap of (birth_phase, canonical_key, n, grant_fn, grant_args);
         # ``n`` only separates requests identical in every protocol
         # coordinate (interchangeable packets) and keeps the comparison
-        # off the callback.  Storing (fn, args) instead of a bound
-        # closure saves one closure allocation per link per packet —
-        # the single hottest allocation site at 1024+ nodes.
+        # off the callback.  A fabric worm's entry has ``grant_fn``
+        # None and its traversal record as ``grant_args``: the pass
+        # advances it to its next link itself, with no callback.
         self._pending: list[tuple] = []
         self._n = 0
-        self._pass_phase = -1  # armed pass's phase; -1 when unarmed
+        # Phase of the live armed pass; -1 when unarmed.  Arming an
+        # earlier pass supersedes a later one, which then finds the
+        # phase changed and returns without deciding.
+        self._pass_phase = -1
 
     def request(self, key: tuple, fn: Callable, *args) -> None:
-        birth = self.sim._phase
+        """Queue ``fn(*args)`` for the grant of one unit."""
+        self._push(self.sim._phase, key, fn, args)
+
+    def _push(self, birth: int, key: tuple, fn: Optional[Callable], args) -> None:
         self._n += 1
         heappush(self._pending, (birth, key, self._n, fn, args))
-        if self._pass_phase <= birth:
+        if self.in_use < self.capacity:
             phase = birth + 1
-            self._pass_phase = phase
-            # Inlined ``domain.mark`` — this is the hottest arbitration
-            # call site (one per link per packet).
-            domain = self.domain
-            q = domain._queues.get(phase)
-            if q is None:
-                domain._queues[phase] = [self]
-                domain.sim.schedule_phase(phase, domain._run, phase)
-            else:
-                q.append(self)
+            armed = self._pass_phase
+            if armed < 0 or armed > phase:
+                self._pass_phase = phase
+                # Inlined ``domain.mark`` — this is the hottest
+                # arbitration call site (one per link per packet).
+                domain = self.domain
+                q = domain._queues.get(phase)
+                if q is None:
+                    domain._queues[phase] = [self]
+                    domain.sim.schedule_phase(phase, domain._run, phase)
+                else:
+                    q.append(self)
 
     def release(self) -> None:
         self.in_use -= 1
-        if self._pending:
-            self._ensure_pass(self.sim._phase + 1)
+        pending = self._pending
+        if pending:
+            self._ensure_pass(max(self.sim._phase, pending[0][0]) + 1)
 
     def _ensure_pass(self, phase: int) -> None:
-        # A pass already armed at this phase or later will see the
-        # triggering state change; otherwise arm one.  An armed pass
+        # A live pass at this phase or earlier decides first and re-arms
+        # for whatever it leaves; otherwise arm one.  An armed pass
         # always fires at the instant it was armed (the domain's event
         # lands at the current timestamp, and every same-time call
         # drains before time advances), so the guard needs no time
         # component.
-        if self._pass_phase >= phase:
+        armed = self._pass_phase
+        if 0 <= armed <= phase:
             return
         self._pass_phase = phase
         self.domain.mark(self, phase)
 
     def _pass(self, phase: int) -> None:
+        if phase != self._pass_phase:
+            return  # superseded by an earlier pass
         self._pass_phase = -1
         pending = self._pending
         capacity = self.capacity
@@ -180,13 +201,29 @@ class LinkArbiter:
         # links; releases arrive solely from timed events later).
         in_use = self.in_use
         while in_use < capacity and pending and pending[0][0] < phase:
-            _birth, _key, _n, fn, args = heappop(pending)
+            _birth, key, _n, fn, args = heappop(pending)
             in_use += 1
             self.in_use = in_use
-            fn(*args)
+            if fn is not None:
+                fn(*args)
+                continue
+            # A fabric worm ``[packet, links, latency, idx, skip,
+            # complete]``: claim its next link or, holding them all, let
+            # it drain.  Past an elided route's injection hop the claim
+            # is born ``skip`` phases on: the phase at which it would
+            # reach that link after crossing the free up-edges one
+            # phase each.
+            links = args[1]
+            idx = args[3] + 1
+            if idx == len(links):
+                self.sim.schedule_detached(args[2], args[5], args[0], links)
+            else:
+                args[3] = idx
+                links[idx]._push(
+                    phase + args[4] if idx == 1 else phase, key, None, args
+                )
         if pending and in_use < capacity:
-            # Only same-phase births remain; decide them next phase.
-            self._ensure_pass(phase + 1)
+            self._ensure_pass(max(phase, pending[0][0]) + 1)
 
 
 class Fabric:
@@ -215,6 +252,11 @@ class Fabric:
         # head latency, and the elided delta-phase count are memoized
         # per (src, dst) pair.
         self._route_cache: dict[tuple[int, int], tuple] = {}
+        # Fat tree: each port's (climb, descent) link chains, built on
+        # first use; a route is a slice of its source's climb and its
+        # destination's descent, cut at the lca level.
+        self._fat_tree = isinstance(topology, QuaternaryFatTree)
+        self._chains: dict[int, tuple[list, list]] = {}
         # Contention-free up-edge elision (fat tree only): a worm holds
         # its capacity-1 injection link for its whole lifetime, so a
         # level-l stage group's up-edge sees at most its 4**l sources
@@ -225,11 +267,7 @@ class Fabric:
         # source; delay decouples the claim from the injection hold), so
         # any fault injection disables the fast path, as does reference
         # mode (the equivalence tests' unbatched baseline).
-        self._elide_up_edges = (
-            faults is None
-            and not reference
-            and hasattr(topology, "broadcast_hops")  # quaternary fat tree
-        )
+        self._elide_up_edges = faults is None and not reference and self._fat_tree
         # Per-kind counter labels, interned once: building
         # f"wire.{kind}" per packet shows up at millions of packets.
         self._kind_labels: dict[str, str] = {}
@@ -312,34 +350,51 @@ class Fabric:
             self._links[key] = res
         return res
 
-    def _path_links(self, route) -> list[LinkArbiter]:
-        nodes = [f"nic{route.src}", *route.hops, f"nic{route.dst}"]
-        return [self._link(a, b) for a, b in zip(nodes, nodes[1:])]
+    def _port_chains(self, port: int) -> tuple[list, list]:
+        """A fat-tree port's ``(climb, descent)`` links, level by level.
+
+        ``climb[l]`` leaves level ``l`` upward (``climb[0]`` is the
+        injection link) and ``descent[l]`` enters level ``l`` from above
+        (``descent[0]`` is the ejection link).
+        """
+        chains = self._chains.get(port)
+        if chains is None:
+            nodes = self.topology.climb(port)
+            pairs = list(zip(nodes, nodes[1:]))
+            chains = self._chains[port] = (
+                [self._link(a, b) for a, b in pairs],
+                [self._link(b, a) for a, b in pairs],
+            )
+        return chains
 
     def _route_entry(self, src: int, dst: int) -> tuple:
         """Memoized ``(arbitrated links, head latency, elided phases)``.
 
         With up-edge elision on, the links between the ascent's switch
-        stages (indices ``1..top-1``; the fat-tree route climbs ``top``
-        switches before descending) are dropped from the arbitrated
-        list: they can never block, and their delta-phase cost is
-        re-added wholesale as ``skip`` so every surviving link sees the
-        packet at exactly the phase it would have without elision.  The
-        injection link (index 0) is always arbitrated — holding it is
-        what makes the proof go through — as are the descent and
-        ejection links, which genuinely contend.
+        stages (the fat-tree route climbs ``top`` stages before
+        descending) are dropped from the arbitrated list: they can never
+        block, and their delta-phase cost is re-added wholesale as
+        ``skip`` so every surviving link sees the packet at exactly the
+        phase it would have without elision.  The injection link is
+        always arbitrated — holding it is what makes the proof go
+        through — as are the descent and ejection links, which genuinely
+        contend.
         """
         entry = self._route_cache.get((src, dst))
         if entry is None:
-            route = self.topology.route(src, dst)
-            links = self._path_links(route)
-            head = self.params.head_latency(route.switch_count, route.link_count)
-            skip = 0
-            if self._elide_up_edges and len(route.hops) > 1:
-                top = (len(route.hops) + 1) // 2  # route climbs `top` stages
-                skip = top - 1
-                if skip:
-                    links = [links[0], *links[1 + skip:]]
+            if self._fat_tree and src != dst:
+                top = self.topology.lca_level(src, dst)
+                climb = self._port_chains(src)[0]
+                descent = self._port_chains(dst)[1]
+                head = self.params.head_latency(2 * top - 1, 2 * top)
+                skip = top - 1 if self._elide_up_edges else 0
+                links = [*climb[: top - skip], *descent[top - 1 :: -1]]
+            else:
+                route = self.topology.route(src, dst)
+                nodes = [f"nic{src}", *route.hops, f"nic{dst}"]
+                links = [self._link(a, b) for a, b in zip(nodes, nodes[1:])]
+                head = self.params.head_latency(route.switch_count, route.link_count)
+                skip = 0
             entry = (links, head, skip)
             self._route_cache[(src, dst)] = entry
         return entry
@@ -371,18 +426,19 @@ class Fabric:
             flow = self._flow_counters[flow_label] = [0, 0, 0]
         flow[0] += 1
         flow[1] += packet.size_bytes
-        # Wormhole path: claim each directional link in order (a
-        # callback chain through the per-link arbiters — no per-packet
-        # Process), then let the whole worm drain.  Head latency accrues
-        # after the claims, exactly as a worm stalled mid-path holds its
-        # upstream channels.  The canonical arbitration key is hoisted
-        # here: it is invariant along the path, and recomputing it per
-        # link was ~700k redundant tuple builds per 1024-node point.
-        # The worm's traversal state lives in one mutable record,
-        # ``[packet, links, head, next_idx, key, skip]``, allocated once
-        # per packet — rebuilding a six-element argument tuple per hop
-        # was the next-hottest allocation site after the closures.
+        # Wormhole path: claim each directional link in order (the link
+        # arbiters' passes hand the worm from one link to the next — no
+        # per-packet Process, no per-hop callback), then let the whole
+        # worm drain.  Head latency accrues after the claims, exactly as
+        # a worm stalled mid-path holds its upstream channels.  The
+        # canonical arbitration key is hoisted here: it is invariant
+        # along the path, and recomputing it per link was ~700k
+        # redundant tuple builds per 1024-node point.  The worm's
+        # traversal state lives in one mutable record, ``[packet, links,
+        # latency, next_idx, skip, complete]``, allocated once per
+        # packet.
         links, head, skip = self._route_entry(packet.src, packet.dst)
+        latency = head + packet.size_bytes / self._bandwidth
         key = canonical_packet_key(packet)
         if self.faults is not None:
             decision = self.faults.inspect(packet)
@@ -403,39 +459,21 @@ class Fabric:
                 # protocol packet travels the same path independently.
                 tracer.count("wire.duplicated")
                 clone = packet.clone()
-                self._claim([clone, links, head, 0, canonical_packet_key(clone), skip])
+                self._inject(
+                    canonical_packet_key(clone),
+                    [clone, links, latency, 0, skip, self._complete],
+                )
             if decision.delay_us > 0.0:
                 tracer.count("wire.delayed")
                 self.sim.schedule_detached(
-                    decision.delay_us, self._claim,
-                    [packet, links, head, 0, key, skip],
+                    decision.delay_us, self._inject, key,
+                    [packet, links, latency, 0, skip, self._complete],
                 )
                 return
-        self._claim([packet, links, head, 0, key, skip])
+        self._inject(key, [packet, links, latency, 0, skip, self._complete])
 
-    def _claim(self, worm: list) -> None:
-        links = worm[1]
-        idx = worm[3]
-        if idx == len(links):
-            packet = worm[0]
-            latency = worm[2] + packet.size_bytes / self._bandwidth
-            self.sim.schedule_detached(latency, self._complete, packet, links)
-            return
-        links[idx].request(worm[4], self._hop_granted, worm)
-
-    def _hop_granted(self, worm: list) -> None:
-        skip = worm[5]
-        if skip and worm[3] == 0:
-            # The elided up-edges are free by construction; burn their
-            # delta phases in a single event so downstream links see the
-            # packet at exactly the unelided phase.
-            worm[3] = 1
-            worm[5] = 0
-            sim = self.sim
-            sim.schedule_phase(sim.current_phase + skip, self._claim, worm)
-            return
-        worm[3] += 1
-        self._claim(worm)
+    def _inject(self, key: tuple, worm: list) -> None:
+        worm[1][0]._push(self.sim._phase, key, None, worm)
 
     def _complete(self, packet: Packet, links: list) -> None:
         """Tail of a delivery: free the path, hand over."""
@@ -483,10 +521,9 @@ class Fabric:
         deliveries occur simultaneously.  Myrinet has no hardware
         broadcast; callers must not use this on a Clos fabric.
         """
-        from repro.topology.fat_tree import QuaternaryFatTree
-
-        if not isinstance(self.topology, QuaternaryFatTree):
+        if not self._fat_tree:
             raise TypeError("hardware broadcast requires a fat-tree topology")
+        targets = tuple(targets)  # any iterable, read once
         packet.sent_at = self.sim.now
         hops = self.topology.broadcast_hops()
         latency = self.params.head_latency(hops, hops + 1) + self.params.serialization(
@@ -502,7 +539,7 @@ class Fabric:
                 for observer in observers:
                     for port in targets:
                         observer(port, self.sim.now)
-        self.sim.schedule(latency, self._deliver_broadcast, packet, tuple(targets))
+        self.sim.schedule(latency, self._deliver_broadcast, packet, targets)
 
     def _deliver_broadcast(self, packet: Packet, targets: tuple[int, ...]) -> None:
         packet.delivered_at = self.sim.now

@@ -43,24 +43,15 @@ class QuaternaryFatTree(Topology):
         self.dimension = dimension
 
     # ------------------------------------------------------------------
-    def _digits(self, port: int) -> list[int]:
-        """Base-4 digits of a port index, most significant first."""
-        digits = []
-        for level in reversed(range(self.dimension)):
-            digits.append((port // self.ARITY**level) % self.ARITY)
-        return digits
-
     def lca_level(self, src: int, dst: int) -> int:
-        """Level (1 = leaf) of the lowest common ancestor switch stage."""
-        if src == dst:
-            return 0
-        sd, dd = self._digits(src), self._digits(dst)
-        # Number of trailing base-4 digits that differ determines how
-        # high the packet must climb.
-        for i in range(self.dimension):
-            if sd[: self.dimension - i] == dd[: self.dimension - i]:
-                return i
-        return self.dimension
+        """Level (1 = leaf) of the lowest common ancestor switch stage.
+
+        Ports meet at level ``l`` when their highest differing base-4
+        digit is the ``l``-th from the bottom.  A base-4 digit is two
+        bits, so ``l`` is the bit length of ``src ^ dst`` rounded up to
+        whole digits (0 when ``src == dst``).
+        """
+        return ((src ^ dst).bit_length() + 1) // 2
 
     def switches(self) -> list[str]:
         out = []
@@ -70,9 +61,17 @@ class QuaternaryFatTree(Topology):
                 out.append(f"elite_l{level}_{idx}")
         return out
 
-    def _switch_at(self, level: int, port: int) -> str:
-        group = port // self.ARITY**level
-        return f"elite_l{level}_{group}"
+    def climb(self, port: int) -> list[str]:
+        """``port``'s NIC then the stage group above it at every level.
+
+        A route from ``src`` climbs ``climb(src)`` to the lca level and
+        descends ``climb(dst)`` back down from it.
+        """
+        self._check_port(port)
+        return [f"nic{port}"] + [
+            f"elite_l{level}_{port // self.ARITY**level}"
+            for level in range(1, self.dimension + 1)
+        ]
 
     def route(self, src: int, dst: int) -> Route:
         self._check_port(src)
@@ -80,8 +79,8 @@ class QuaternaryFatTree(Topology):
         if src == dst:
             return Route(src, dst, ())
         top = self.lca_level(src, dst)
-        up = [self._switch_at(level, src) for level in range(1, top + 1)]
-        down = [self._switch_at(level, dst) for level in range(top - 1, 0, -1)]
+        up = self.climb(src)[1 : top + 1]
+        down = self.climb(dst)[top - 1 : 0 : -1]
         return Route(src, dst, tuple(up + down))
 
     def broadcast_hops(self) -> int:

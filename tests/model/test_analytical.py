@@ -1,5 +1,9 @@
 """Unit + property tests for the analytical model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +86,18 @@ class TestFitting:
         fitted = fit_barrier_model(ns, noisy)
         assert fitted.t_trig == pytest.approx(truth.t_trig, abs=0.3)
 
+    def test_fit_values_pinned(self):
+        ns = [2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32]
+        noisy = [
+            PAPER_MYRINET_XP.predict(n) + 0.1 * ((n * 7919) % 5 - 2) for n in ns
+        ]
+        assert fit_barrier_model(ns, noisy) == BarrierModel(
+            7.458604651162789, 3.508139534883721, 0.0, name="fitted"
+        )
+        assert fit_barrier_model(ns, noisy, t_init=3.5) == BarrierModel(
+            3.5, 3.508139534883721, 3.958604651162789, name="fitted"
+        )
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_barrier_model([2, 4], [1.0])
@@ -114,3 +130,21 @@ def test_fit_roundtrip_property(t_init, t_trig, t_adj):
 def test_model_monotone_in_n(n):
     m = PAPER_MYRINET_XP
     assert m.predict(n + 1) >= m.predict(n)
+
+
+def test_simulation_imports_do_not_load_numpy():
+    """Only :func:`fit_barrier_model` needs numpy; every simulation
+    command imports the model, so numpy must stay off that path."""
+    code = (
+        "import sys\n"
+        "import repro.cluster, repro.model, repro.tools.chaos, repro.workload\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", code], check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )

@@ -267,3 +267,114 @@ def test_flow_counters_attribute_by_group_and_flow_label():
     assert flows["group:7"]["bytes"] == 16
     assert flows["flow:xtraffic"]["packets"] == 1
     assert flows["kind:ack"]["packets"] == 1
+
+
+def test_broadcast_reads_a_generator_of_targets_once():
+    sim, fabric, inboxes = make_fabric(n=16, topo_cls=QuaternaryFatTree)
+    fabric.broadcast(Packet(0, 0, PacketKind.BCAST, 8), (p for p in range(16)))
+    sim.run()
+    assert all(len(inboxes[i]) == 1 for i in range(16))
+
+
+def test_elided_route_schedules_one_event_per_link_decision():
+    """A lone worm 0 -> 63 on a 64-node fat tree climbs three stages:
+    its injection link, two elided up-edges (two delta phases, no
+    event), three arbitrated descent links, then the drain — five
+    kernel events, at the unelided latency."""
+    sim, fabric, inboxes = make_fabric(n=64, topo_cls=QuaternaryFatTree)
+    pkt = Packet(0, 63, PacketKind.RDMA, 25)
+    base = sim.events_scheduled
+    fabric.transmit(pkt)
+    sim.run()
+    assert sim.events_scheduled - base == 5
+    assert pkt.latency == PARAMS.head_latency(5, 6) + PARAMS.serialization(25)
+    assert inboxes[63] == [pkt]
+
+
+def _link(capacity=1):
+    from repro.network.fabric import ArbitrationDomain, LinkArbiter
+
+    sim = Simulator()
+    return sim, LinkArbiter(sim, ArbitrationDomain(sim), capacity, "l")
+
+
+def test_request_on_full_link_schedules_nothing_until_release():
+    sim, link = _link()
+    grants = []
+
+    def grant(tag):
+        grants.append((tag, sim.now, sim.current_phase))
+
+    link.request(("a",), grant, "a")
+    sim.schedule(0.5, link.request, ("b",), grant, "b")
+    base = sim.events_scheduled
+    sim.run(until=0.75)
+    assert sim.events_scheduled == base  # the link is full: no pass
+    sim.schedule(0.25, link.release)
+    sim.run()
+    assert grants == [("a", 0.0, 1), ("b", 1.0, 1)]
+    assert sim.events_scheduled == base + 2  # the release and one pass
+
+
+def test_leftover_request_is_decided_at_its_birth_phase_without_walking():
+    """A request born at phase 5 of an earlier instant on a full link is
+    granted after the release at phase 6, by the one pass that can
+    grant it (a pass at every phase 1..6 used to walk up to it)."""
+    sim, link = _link()
+    grants = []
+
+    def grant(tag):
+        grants.append((tag, sim.now, sim.current_phase, sim.events_scheduled))
+
+    link.request(("a",), grant, "a")
+    sim.schedule_phase(5, link.request, ("b",), grant, "b")
+    sim.run()
+    assert grants == [("a", 0.0, 1, 2)]
+    sim.schedule(1.0, link.release)
+    released = sim.events_scheduled
+    sim.run()
+    assert grants[1][:3] == ("b", 1.0, 6)
+    assert grants[1][3] - released == 1
+
+
+def test_cross_instant_births_compare_as_bare_phases():
+    """Today's rule, pinned: births are phase numbers compared across
+    instants, so a worm waiting since t=1 (born at phase 5, smaller
+    key) loses the freed link at t=2 to a newcomer born at phase 2.
+    Changing this moves simulated results; see DESIGN.md section 12."""
+    sim, link = _link()
+    grants = []
+
+    def grant(tag):
+        grants.append((tag, sim.now, sim.current_phase))
+
+    link.request(("holder",), grant, "holder")
+    sim.schedule(1.0, sim.schedule_phase, 5, link.request, ("a",), grant, "waiter")
+
+    def at_two():
+        link.release()
+        sim.schedule_phase(2, link.request, ("b",), grant, "newcomer")
+
+    sim.schedule(2.0, at_two)
+    sim.run()
+    assert grants == [("holder", 0.0, 1), ("newcomer", 2.0, 3)]
+    assert link._pending[0][:2] == (5, ("a",))
+
+
+@pytest.mark.parametrize("reference", [True, False])
+def test_fat_tree_route_entries_follow_the_topology_route(reference):
+    """Routes sliced from the per-port link chains are the topology's
+    switch route, link for link; elision drops exactly the up-edges
+    between switch stages and re-adds one delta phase per edge."""
+    topo = QuaternaryFatTree(64)
+    fabric = Fabric(Simulator(), topo, PARAMS, reference=reference)
+    for src in range(64):
+        for dst in range(64):
+            route = topo.route(src, dst)
+            nodes = [f"nic{src}", *route.hops, f"nic{dst}"]
+            want = [fabric._link(a, b) for a, b in zip(nodes, nodes[1:])]
+            links, head, skip = fabric._route_entry(src, dst)
+            top = topo.lca_level(src, dst)
+            assert skip == (0 if reference else max(top - 1, 0))
+            assert links == [want[0], *want[1 + skip:]]
+            assert head == PARAMS.head_latency(route.switch_count, route.link_count)
