@@ -5,26 +5,23 @@ Layout:
 - :mod:`~repro.collectives.algorithms` — the three barrier message
   schedules of §5: gather-broadcast, pairwise-exchange, dissemination.
 - :mod:`~repro.collectives.group` — process groups (rank ↔ node maps).
-- :mod:`~repro.collectives.messages` — barrier wire messages and host
-  notifications.
-- :mod:`~repro.collectives.protocol` — the collective protocol state:
-  the single send record with a bit vector, and the receiver-driven
-  retransmission bookkeeping (§3, §6.3).
-- :mod:`~repro.collectives.myrinet_engines` — the two NIC-resident
-  barrier engines for Myrinet: the **direct scheme** (prior work: NIC
-  triggers messages through the p2p protocol) and the **collective
-  protocol scheme** (this paper: dedicated queue, static packet, bit
-  vector, NACKs).
+- :mod:`~repro.collectives.messages` — wire messages and host
+  notifications of the NIC collectives.
+- :mod:`~repro.collectives.engine` — the one NIC sequence engine every
+  Myrinet collective runs on: the per-sequence record (the single send
+  record with a bit vector, §6.3), the lifecycle automaton, and the
+  public engines — the **direct scheme** barrier (prior work: NIC
+  triggers messages through the p2p protocol), the **collective
+  protocol scheme** barrier (this paper: dedicated queue, static
+  packet, bit vector, NACKs), the binomial broadcast, and the data
+  collectives' base.
 - :mod:`~repro.collectives.host_barrier` — host-based barrier over GM
   send/recv (the baseline of Figs. 5-6).
 - :mod:`~repro.collectives.quadrics_barrier` — NIC-based barrier over
   chained RDMA descriptors on Elan3 (§7).
 - :mod:`~repro.collectives.schedule_ir` — the compiled collective
-  schedule IR (ordered send/recv/reduce/dma ops per rank) the data
-  engines replay; cached process-wide and per group.
-- :mod:`~repro.collectives.nonblocking` — non-blocking host APIs
-  (``nic_ibarrier`` & friends) returning request handles with
-  ``test``/``wait``.
+  schedule IR (ordered send/recv/reduce/dma ops per rank) the engine
+  replays; cached process-wide and per group.
 - :mod:`~repro.collectives.tuning` — persisted algorithm decision
   tables the auto-tuner emits and ``ProcessGroup`` consults.
 """
@@ -58,50 +55,52 @@ from repro.collectives.messages import (
     BarrierFailure,
     BarrierMsg,
     BarrierNack,
-)
-from repro.collectives.protocol import (
-    CollectiveGroupState,
-    CollectiveScheduleLayout,
-    CollectiveSendRecord,
-)
-from repro.collectives.data_engine import (
+    BcastDone,
+    BcastMsg,
     CollectiveFailure,
     DataCollDone,
     DataCollFailed,
 )
-from repro.collectives.myrinet_engines import (
+from repro.collectives.engine import (
+    SEQUENCE_AUTOMATON,
+    CollectiveRequest,
+    NicBroadcastEngine,
     NicCollectiveBarrierEngine,
     NicDirectBarrierEngine,
+    NicSequenceEngine,
+    SequenceLayout,
+    SequenceState,
     nic_barrier,
+    nic_broadcast_recv,
+    nic_broadcast_root,
+    nic_ibarrier,
+    nic_ibcast,
 )
 from repro.collectives.host_barrier import host_barrier
 from repro.collectives.quadrics_barrier import (
     QuadricsChainedBarrier,
     prearm_chained_group,
 )
-from repro.collectives.broadcast import (
-    BcastDone,
-    BcastMsg,
-    NicBroadcastEngine,
-    nic_broadcast_recv,
-    nic_broadcast_root,
-)
 from repro.collectives.allgather import (
     AllgatherDone,
     NicAllgatherEngine,
     nic_allgather,
+    nic_iallgather,
 )
 from repro.collectives.alltoall import (
     AlltoallDone,
     NicAlltoallEngine,
     nic_alltoall,
+    nic_ialltoall,
 )
 from repro.collectives.allreduce import (
     NicAllreduceEngine,
     nic_allreduce,
+    nic_iallreduce,
 )
 from repro.collectives.reduce import (
     NicReduceEngine,
+    nic_ireduce,
     nic_reduce,
 )
 from repro.collectives.schedule_ir import (
@@ -109,15 +108,6 @@ from repro.collectives.schedule_ir import (
     ScheduleOp,
     compile_schedule,
     reduce_safe,
-)
-from repro.collectives.nonblocking import (
-    CollectiveRequest,
-    nic_iallgather,
-    nic_iallreduce,
-    nic_ialltoall,
-    nic_ibarrier,
-    nic_ibcast,
-    nic_ireduce,
 )
 from repro.collectives.tuning import (
     DecisionTable,
@@ -140,9 +130,10 @@ __all__ = [
     "BarrierDone",
     "BarrierFailed",
     "BarrierFailure",
-    "CollectiveGroupState",
-    "CollectiveScheduleLayout",
-    "CollectiveSendRecord",
+    "SEQUENCE_AUTOMATON",
+    "NicSequenceEngine",
+    "SequenceLayout",
+    "SequenceState",
     "CollectiveFailure",
     "DataCollDone",
     "DataCollFailed",

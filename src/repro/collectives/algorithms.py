@@ -209,10 +209,53 @@ def gather_broadcast(n: int, degree: int = 2) -> BarrierSchedule:
     return BarrierSchedule("gather-broadcast", n, tuple(per_rank))
 
 
+def binomial_children(rank: int, size: int) -> list[int]:
+    """Children of ``rank`` in a binomial broadcast tree rooted at 0.
+
+    Round ``m``: every rank below ``2**m`` forwards to ``rank + 2**m``.
+    """
+    children = []
+    gap = 1
+    while gap < size:
+        if rank < gap and rank + gap < size:
+            children.append(rank + gap)
+        gap <<= 1
+    return children
+
+
+def binomial_parent(rank: int, size: int) -> Optional[int]:
+    if rank == 0:
+        return None
+    # The parent cleared the highest set bit of the rank.
+    return rank - (1 << (rank.bit_length() - 1))
+
+
+def binomial(n: int) -> BarrierSchedule:
+    """The NIC broadcast's one-way tree (not a barrier): one phase per
+    round ``m``, in which every rank below ``2**m`` sends to
+    ``rank + 2**m`` — so both ends of a hop tag it with the same
+    phase, and a rank hears from its parent before it forwards."""
+    if n < 1:
+        raise ValueError("group size must be >= 1")
+    steps = math.ceil(math.log2(n)) if n > 1 else 0
+    per_rank = []
+    for i in range(n):
+        phases = []
+        for m in range(steps):
+            gap = 1 << m
+            phases.append(Phase(
+                sends=(i + gap,) if i < gap and i + gap < n else (),
+                recvs=(i - gap,) if gap <= i < 2 * gap else (),
+            ))
+        per_rank.append(tuple(phases))
+    return BarrierSchedule("binomial", n, tuple(per_rank))
+
+
 _BUILDERS: dict[str, Callable[[int], BarrierSchedule]] = {
     "dissemination": dissemination,
     "pairwise-exchange": pairwise_exchange,
     "gather-broadcast": gather_broadcast,
+    "binomial": binomial,
 }
 
 

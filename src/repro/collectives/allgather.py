@@ -15,7 +15,7 @@ NIC-level implementations."  This answers it for Allgather:
 
 The host contributes one 4-byte value with a single command, then is
 uninvolved until the NIC DMAs the gathered vector back.  All mechanics
-live in :class:`repro.collectives.data_engine.DisseminationDataEngine`;
+live in :class:`repro.collectives.engine.NicSequenceEngine`;
 this module supplies the Allgather-specific state hooks.
 """
 
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.collectives.data_engine import (
-    DataCollDone,
+from repro.collectives.engine import (
     DisseminationDataEngine,
-    _DataState,
-    host_start_data_collective,
+    SequenceState,
+    post_data_collective,
 )
 from repro.collectives.group import ProcessGroup
+from repro.collectives.messages import DataCollDone
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.myrinet.gm_api import GmPort
@@ -53,18 +53,18 @@ class NicAllgatherEngine(DisseminationDataEngine):
     collective_name = "allgather"
     bytes_per_value = BYTES_PER_VALUE
 
-    def _init_data(self, state: _DataState, args: tuple) -> None:
+    def _init_data(self, state: SequenceState, args: tuple) -> None:
         (value,) = args
         state.data = {self.rank: value}
 
-    def _phase_payload(self, state: _DataState, phase: int) -> tuple[Any, int]:
+    def _phase_payload(self, state: SequenceState, phase: int) -> tuple[Any, int]:
         payload = tuple(sorted(state.data.items()))
         return payload, self.bytes_per_value * len(payload)
 
-    def _merge(self, state: _DataState, payload: Any, phase: int) -> None:
+    def _merge(self, state: SequenceState, payload: Any, phase: int) -> None:
         state.data.update(dict(payload))
 
-    def _finish(self, state: _DataState) -> tuple[Any, int]:
+    def _finish(self, state: SequenceState) -> tuple[Any, int]:
         assert len(state.data) == self.group.size
         return (
             tuple(sorted(state.data.items())),
@@ -72,9 +72,14 @@ class NicAllgatherEngine(DisseminationDataEngine):
         )
 
 
+def nic_iallgather(port: "GmPort", group: ProcessGroup, seq: int, value: Any):
+    """Post an allgather; the request's result is ``{rank: value}``."""
+    return (yield from post_data_collective(
+        port, "allgather", group, seq, (value,), BYTES_PER_VALUE, dict
+    ))
+
+
 def nic_allgather(port: "GmPort", group: ProcessGroup, seq: int, value: Any):
     """Host side: contribute ``value``; returns ``{rank: value}``."""
-    result = yield from host_start_data_collective(
-        port, group, seq, (value,), contribute_bytes=BYTES_PER_VALUE
-    )
-    return dict(result)
+    request = yield from nic_iallgather(port, group, seq, value)
+    return (yield from request.wait())

@@ -15,7 +15,7 @@ two:
   exchange's post-step and gather-broadcast's release deliver the full
   result to ranks that already hold a piece of it);
 - anything else is a protocol violation and fails the sequence with a
-  typed :class:`~repro.collectives.data_engine.DataCollFailed`.
+  typed :class:`~repro.collectives.messages.DataCollFailed`.
 
 Those rules only hold on *reduce-safe* message patterns, so the
 schedule compiler normalizes the algorithm (see
@@ -37,13 +37,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.collectives.allgather import BYTES_PER_VALUE
-from repro.collectives.data_engine import (
-    DataCollMsg,
+from repro.collectives.engine import (
     DisseminationDataEngine,
-    _DataState,
-    host_start_data_collective,
+    SequenceLayout,
+    SequenceState,
+    post_data_collective,
 )
 from repro.collectives.group import ProcessGroup
+from repro.collectives.messages import DataCollMsg
 from repro.collectives.schedule_ir import bitmap_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,14 +58,14 @@ OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-class _ReduceState(_DataState):
+class _ReduceState(SequenceState):
     """Partial-reduction state: the folded value (``data``), the
     contributor bitmap, and the operator this rank was given."""
 
     __slots__ = ("op_name", "contrib")
 
-    def __init__(self, seq: int):
-        super().__init__(seq)
+    def __init__(self, seq: int, layout: SequenceLayout):
+        super().__init__(seq, layout)
         self.op_name: Optional[str] = None
         self.contrib = 0  # bitmap of ranks folded into ``data``
 
@@ -131,11 +132,18 @@ class NicAllreduceEngine(DisseminationDataEngine):
         return state.data, self.bytes_per_value
 
 
+def nic_iallreduce(
+    port: "GmPort", group: ProcessGroup, seq: int, value: Any, op: str = "sum"
+):
+    """Post an allreduce; the request's result is the reduced value."""
+    return (yield from post_data_collective(
+        port, "allreduce", group, seq, (value, op), BYTES_PER_VALUE
+    ))
+
+
 def nic_allreduce(
     port: "GmPort", group: ProcessGroup, seq: int, value: Any, op: str = "sum"
 ):
     """Host side: contribute ``value``; returns the reduced result."""
-    result = yield from host_start_data_collective(
-        port, group, seq, (value, op), contribute_bytes=BYTES_PER_VALUE
-    )
-    return result
+    request = yield from nic_iallreduce(port, group, seq, value, op)
+    return (yield from request.wait())

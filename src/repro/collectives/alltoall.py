@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.collectives.data_engine import (
-    DataCollDone,
+from repro.collectives.engine import (
     DisseminationDataEngine,
-    _DataState,
-    host_start_data_collective,
+    SequenceState,
+    post_data_collective,
 )
 from repro.collectives.group import ProcessGroup
+from repro.collectives.messages import DataCollDone
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.myrinet.gm_api import GmPort
@@ -52,7 +52,7 @@ class NicAlltoallEngine(DisseminationDataEngine):
     forced_algorithm = "dissemination"
     bytes_per_value = BYTES_PER_BLOCK
 
-    def _init_data(self, state: _DataState, args: tuple) -> None:
+    def _init_data(self, state: SequenceState, args: tuple) -> None:
         (blocks,) = args
         if set(blocks) != set(range(self.group.size)):
             raise ValueError(
@@ -68,7 +68,7 @@ class NicAlltoallEngine(DisseminationDataEngine):
                 buckets.setdefault(distance, {})[self.rank] = value
         state.data = {"buckets": buckets, "arrived": arrived}
 
-    def _phase_payload(self, state: _DataState, phase: int) -> tuple[Any, int]:
+    def _phase_payload(self, state: SequenceState, phase: int) -> tuple[Any, int]:
         buckets = state.data["buckets"]
         moving = []
         for distance in sorted(buckets):
@@ -82,7 +82,7 @@ class NicAlltoallEngine(DisseminationDataEngine):
                 del buckets[distance]
         return tuple(moving), self.bytes_per_value * len(moving)
 
-    def _merge(self, state: _DataState, payload: Any, phase: int) -> None:
+    def _merge(self, state: SequenceState, payload: Any, phase: int) -> None:
         buckets = state.data["buckets"]
         arrived = state.data["arrived"]
         step = 1 << phase
@@ -93,7 +93,7 @@ class NicAlltoallEngine(DisseminationDataEngine):
             else:
                 buckets.setdefault(remaining, {})[origin] = value
 
-    def _finish(self, state: _DataState) -> tuple[Any, int]:
+    def _finish(self, state: SequenceState) -> tuple[Any, int]:
         arrived = state.data["arrived"]
         assert not state.data["buckets"], "blocks left in flight"
         assert len(arrived) == self.group.size
@@ -103,23 +103,25 @@ class NicAlltoallEngine(DisseminationDataEngine):
         )
 
 
-def nic_alltoall(
+def nic_ialltoall(
     port: "GmPort", group: ProcessGroup, seq: int, blocks: Mapping[int, Any]
 ):
-    """Host side: contribute one block per destination rank.
-
-    Returns ``{origin_rank: block}`` — the blocks every other rank
-    addressed to this one.
-    """
+    """Post an alltoall: one block per destination rank.  The request's
+    result is ``{origin_rank: block}`` — the blocks every other rank
+    addressed to this one."""
     if set(blocks) != set(range(group.size)):
         raise ValueError(
             f"alltoall needs one block per destination rank; got {sorted(blocks)}"
         )
-    result = yield from host_start_data_collective(
-        port,
-        group,
-        seq,
-        (dict(blocks),),
-        contribute_bytes=BYTES_PER_BLOCK * group.size,
-    )
-    return dict(result)
+    return (yield from post_data_collective(
+        port, "alltoall", group, seq, (dict(blocks),),
+        BYTES_PER_BLOCK * group.size, dict,
+    ))
+
+
+def nic_alltoall(
+    port: "GmPort", group: ProcessGroup, seq: int, blocks: Mapping[int, Any]
+):
+    """Host side of :func:`nic_ialltoall`: returns ``{origin_rank: block}``."""
+    request = yield from nic_ialltoall(port, group, seq, blocks)
+    return (yield from request.wait())

@@ -179,7 +179,6 @@ class ProcessGroup:
         same automaton point on every epoch turn would dominate it).
         """
         # Lazy import: collectives -> tools would otherwise be cyclic.
-        from repro.collectives.schedule_ir import compile_schedule
         from repro.tools.simlint.ir_verify import (
             model_check_schedule,
             verify_schedule,

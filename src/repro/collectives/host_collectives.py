@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.collectives.broadcast import binomial_children, binomial_parent
+from repro.collectives.algorithms import binomial_children, binomial_parent
 from repro.collectives.group import ProcessGroup
 from repro.myrinet.gm_api import GmRecvEvent
 

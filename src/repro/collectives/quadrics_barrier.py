@@ -384,7 +384,7 @@ class QuadricsChainedBarrier:
     def ibarrier(self, seq: int):
         """Post a barrier; returns a request handle with generator
         ``wait()``/``test()`` methods (the Quadrics counterpart of
-        :class:`repro.collectives.nonblocking.CollectiveRequest`)."""
+        :class:`repro.collectives.engine.CollectiveRequest`)."""
         yield from self.start_barrier(seq)
         return QuadricsBarrierRequest(self, seq)
 

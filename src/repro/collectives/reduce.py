@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.collectives.allreduce import BYTES_PER_VALUE, NicAllreduceEngine, _ReduceState
-from repro.collectives.data_engine import host_start_data_collective
+from repro.collectives.engine import post_data_collective
 from repro.collectives.group import ProcessGroup
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,6 +38,21 @@ class NicReduceEngine(NicAllreduceEngine):
         return None, 0
 
 
+def nic_ireduce(
+    port: "GmPort",
+    group: ProcessGroup,
+    seq: int,
+    value: Any,
+    op: str = "sum",
+    root: int = 0,
+):
+    """Post a rooted reduce; the root's result is the reduced value,
+    every other rank's is ``None``."""
+    return (yield from post_data_collective(
+        port, "reduce", group, seq, (value, op), BYTES_PER_VALUE
+    ))
+
+
 def nic_reduce(
     port: "GmPort",
     group: ProcessGroup,
@@ -48,9 +63,6 @@ def nic_reduce(
 ):
     """Host side: contribute ``value``; the root's call returns the
     reduced result, every other rank's returns ``None``."""
-    result = yield from host_start_data_collective(
-        port, group, seq, (value, op), contribute_bytes=BYTES_PER_VALUE
-    )
-    if group.rank_of(port.node_id) == root:
-        return result
-    return None
+    request = yield from nic_ireduce(port, group, seq, value, op, root)
+    result = yield from request.wait()
+    return result if group.rank_of(port.node_id) == root else None

@@ -24,10 +24,15 @@ from __future__ import annotations
 from functools import partial
 
 from repro.cluster import build_myrinet_cluster
-from repro.collectives import ProcessGroup
-from repro.collectives.allreduce import NicAllreduceEngine, nic_allreduce
-from repro.collectives.myrinet_engines import NicCollectiveBarrierEngine, nic_barrier
-from repro.collectives.nonblocking import nic_iallreduce, nic_ibarrier
+from repro.collectives import (
+    NicAllreduceEngine,
+    NicCollectiveBarrierEngine,
+    ProcessGroup,
+    nic_allreduce,
+    nic_barrier,
+    nic_iallreduce,
+    nic_ibarrier,
+)
 from repro.experiments.common import (
     ExperimentResult,
     Series,

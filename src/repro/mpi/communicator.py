@@ -26,21 +26,22 @@ from typing import Any, Optional, Sequence, Union
 
 from repro.cluster.builder import MyrinetCluster, QuadricsCluster
 from repro.collectives import (
+    NicAllgatherEngine,
+    NicAllreduceEngine,
+    NicAlltoallEngine,
+    NicBroadcastEngine,
     NicCollectiveBarrierEngine,
     ProcessGroup,
     QuadricsChainedBarrier,
+    Revoked,
+    nic_allgather,
+    nic_allreduce,
+    nic_alltoall,
     nic_barrier,
-)
-from repro.collectives.failures import Revoked
-from repro.collectives.allgather import NicAllgatherEngine, nic_allgather
-from repro.collectives.allreduce import NicAllreduceEngine, nic_allreduce
-from repro.collectives.alltoall import NicAlltoallEngine, nic_alltoall
-from repro.collectives.broadcast import (
-    NicBroadcastEngine,
     nic_broadcast_recv,
     nic_broadcast_root,
+    nic_ibarrier,
 )
-from repro.collectives.nonblocking import nic_ibarrier
 
 
 class _Contexts:
@@ -230,7 +231,7 @@ class MyrinetRankComm(_RankComm):
 
     def ibarrier(self):
         """MPI_Ibarrier: post the barrier, return a
-        :class:`~repro.collectives.nonblocking.CollectiveRequest` with
+        :class:`~repro.collectives.engine.CollectiveRequest` with
         generator ``test()``/``wait()`` methods."""
         seq = self._next_seq("barrier")
         return (yield from nic_ibarrier(self._port, self._ctx.barrier_group, seq))

@@ -143,20 +143,15 @@ class ControlProgram:
                 yield from self._handle_data(packet)
             elif packet.kind == PacketKind.ACK:
                 yield from self._handle_ack(packet)
-            elif packet.kind == PacketKind.BARRIER:
-                if packet.seq is not None:
-                    # Direct scheme: the barrier message travelled the
-                    # p2p path, so it gets the full reliability
-                    # treatment (sequence check + ACK) before the
-                    # engine sees it.
-                    yield from self._handle_p2p_barrier(packet)
-                else:
-                    # Collective protocol: straight to the engine.
-                    engine = nic.engine_for(packet.payload.group_id)
-                    yield from engine.on_barrier_packet(packet)
-            elif packet.kind == PacketKind.BCAST:
+            elif packet.kind == PacketKind.BARRIER and packet.seq is not None:
+                # Direct scheme: the barrier message travelled the p2p
+                # path, so it gets the full reliability treatment
+                # (sequence check + ACK) before the engine sees it.
+                yield from self._handle_p2p_barrier(packet)
+            elif packet.kind in (PacketKind.BARRIER, PacketKind.BCAST):
+                # Collective protocol: straight to the engine.
                 engine = nic.engine_for(packet.payload.group_id)
-                yield from engine.on_bcast_packet(packet)
+                yield from engine.on_packet(packet)
             elif packet.kind == PacketKind.NACK:
                 engine = nic.engine_for(packet.payload.group_id)
                 yield from engine.on_nack(packet)
@@ -217,7 +212,7 @@ class ControlProgram:
         nic.expect_seq[packet.src] = expected + 1
         yield from self._send_ack(packet)
         engine = nic.engine_for(packet.payload.group_id)
-        yield from engine.on_barrier_packet(packet)
+        yield from engine.on_packet(packet)
 
     def _send_ack(self, packet: Packet):
         nic = self.nic

@@ -309,8 +309,8 @@ class LanaiNic:
         NIC side modeled here is the *volatile state loss*: at restart
         the LANai's SRAM-resident send records and collective engine
         states are gone, so every in-flight operation is abandoned (its
-        resources released) and in-flight barriers are failed up to the
-        host.  Host-memory-backed queues (send events, receive tokens)
+        resources released) and every in-flight NIC collective fails up
+        to the host.  Host-memory-backed queues (send events, receive tokens)
         survive: the driver re-hands them to the restarted firmware.
         """
         if restart_delay_us <= 0:
@@ -334,11 +334,10 @@ class LanaiNic:
             record.token.packets_outstanding -= 1
             self.tracer.count("gm.crash_record_lost")
         for group_id in sorted(self.engines):
-            handler = getattr(self.engines[group_id], "on_nic_restart", None)
-            if handler is not None:
-                self.sim.process(
-                    handler(), name=f"{self.name}.engine_restart"
-                )
+            self.sim.process(
+                self.engines[group_id].on_nic_restart(),
+                name=f"{self.name}.engine_restart",
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LanaiNic {self.name} busy={self.busy_us:.1f}us>"

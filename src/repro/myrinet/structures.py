@@ -47,7 +47,7 @@ class SendRecord:
     timestamp, and the pending retransmission timer.  The collective
     protocol replaces *all* of these for a barrier with a single record
     holding a bit vector (see
-    :class:`repro.collectives.protocol.CollectiveSendRecord`).
+    :class:`repro.collectives.engine.SequenceState`).
     """
 
     dst: int

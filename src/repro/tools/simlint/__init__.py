@@ -14,8 +14,8 @@ Two halves share one finding vocabulary (stable ``SLxxx`` codes):
 - **schedule-IR verification** (SL201-SL208) — static proofs over every
   compiled ``CollectiveSchedule`` in the tuner grid (wire matching,
   deadlock-freedom, reduction completeness, byte conservation, archive
-  bounds, NACK resolvability) plus a bounded model checker of the
-  data-engine sequence automaton under message loss/duplication.
+  bounds, NACK resolvability) plus a bounded model checker of the NIC
+  sequence engine's automaton under message loss/duplication.
 
 Entry point: ``python -m repro lint [--perturb] [--ir [--grid ...]]``.
 """

@@ -1,5 +1,5 @@
 """Schedule-IR verifier: static proofs over compiled collective
-schedules plus a bounded model checker for the data-engine sequence
+schedules plus a bounded model checker for the NIC sequence engine's
 lifecycle (simlint rules SL201-SL208).
 
 Since every collective is "replay a compiled
@@ -42,9 +42,11 @@ Static rules, checked per compiled schedule:
 
 The bounded model checker (**SL207**/**SL208**) explores the
 per-sequence engine automaton — exported as data from
-:data:`repro.collectives.data_engine.SEQUENCE_AUTOMATON`, the same
-table the engine dispatches through — with explicit-state enumeration
-under message loss and duplication at small N.  It asserts every
+:data:`repro.collectives.engine.SEQUENCE_AUTOMATON`, the same table
+the one NIC sequence engine dispatches through for every collective —
+with explicit-state enumeration under message loss and duplication at
+small N, sending the NACKs each collective's reliability scheme
+actually sends.  It asserts every
 maximal path terminates with every rank in exactly one of
 ``_complete``/``_fail``: a reachable live state with no enabled
 transition (the silent-``return`` absorbing state) is SL207, and any
@@ -67,7 +69,12 @@ from repro.collectives.algorithms import (
     closed_form_message_count,
     configure_schedule_cache,
 )
-from repro.collectives.data_engine import SEQUENCE_AUTOMATON
+from repro.collectives.engine import (
+    SEQUENCE_AUTOMATON,
+    DisseminationDataEngine,
+    NicBroadcastEngine,
+    NicCollectiveBarrierEngine,
+)
 from repro.collectives.schedule_ir import (
     REDUCING_COLLECTIVES,
     CollectiveSchedule,
@@ -596,19 +603,19 @@ def verify_schedule(schedule: CollectiveSchedule) -> list[Finding]:
 # ----------------------------------------------------------------------
 _RUNNING, _COMPLETE, _FAILED = 0, 1, 2
 
-#: Every (state, event) the lifecycle can see; a missing entry is an
-#: automaton hole (SL208) — an event the engine absorbs by accident.
-REQUIRED_TRANSITIONS = (
-    ("idle", "start"),
-    ("running", "arrival"),
-    ("running", "stale_arrival"),
-    ("running", "timeout"),
-    ("running", "timeout_exhausted"),
-    ("running", "invalid"),
-    ("running", "ops_done"),
-    ("retired", "arrival"),
-    ("retired", "nack"),
-)
+#: Every (state, event) the lifecycle can see — the keys of the table
+#: as the engine ships it; a missing entry is an automaton hole (SL208),
+#: an event the engine absorbs by accident.
+REQUIRED_TRANSITIONS = tuple(SEQUENCE_AUTOMATON)
+
+
+def engine_class(collective: str) -> type:
+    """The engine class whose reliability scheme runs ``collective``
+    (the barrier's NACK-driven scheme, not the ACK-based direct one)."""
+    return {
+        "barrier": NicCollectiveBarrierEngine,
+        "bcast": NicBroadcastEngine,
+    }.get(collective, DisseminationDataEngine)
 
 
 @dataclass(frozen=True)
@@ -640,10 +647,12 @@ def _freeze_flight(flight: dict) -> tuple:
     return tuple(sorted((k, c) for k, c in flight.items() if c > 0))
 
 
-def _advance_rank(opslist, ranks: list, flight: dict, r: int) -> None:
+def _advance_rank(opslist, ranks: list, flight: dict, r: int,
+                  late_join: bool = False) -> None:
     """Replay rank ``r``'s ops until it stalls at a recv or retires —
     the model counterpart of ``_progress`` (sends are non-blocking, so
-    advancing one rank never needs another's state)."""
+    advancing one rank never needs another's state).  A late-join
+    collective's NACK timer stops once its payload is consumed."""
     status, idx, rounds, pending, timer = ranks[r]
     if status != _RUNNING:
         return
@@ -661,6 +670,7 @@ def _advance_rank(opslist, ranks: list, flight: dict, r: int) -> None:
                 break
             pend.discard(k)
             idx += 1
+            timer = timer and not late_join
         elif op.kind == "reduce":
             idx += 1
         else:  # dma: the sequence retires (archives its sends)
@@ -669,6 +679,21 @@ def _advance_rank(opslist, ranks: list, flight: dict, r: int) -> None:
             timer = False
             break
     ranks[r] = (status, idx, rounds, frozenset(pend), timer)
+
+
+def _nack_targets(ops, idx: int, pending, static: bool) -> list:
+    """The recv ops a stalled rank NACKs: every unarrived one of the
+    current phase (static scheme) or just the one it is stalled on."""
+    if idx >= len(ops) or ops[idx].kind != "recv":
+        return []
+    if not static:
+        return [ops[idx]]
+    phase = ops[idx].phase
+    return [
+        op for op in ops[idx:]
+        if op.kind == "recv" and op.phase <= phase
+        and (op.peer, op.peer_phase) not in pending
+    ]
 
 
 def model_check_schedule(
@@ -685,10 +710,16 @@ def model_check_schedule(
     budget; exhaustion consults the exported transition table — exactly
     what ``_on_nack_timeout`` dispatches through — so shimming the
     table to the PR 7 silent ``return`` is *caught here* (SL207), not
-    merely asserted against.
+    merely asserted against.  NACKs follow the collective's engine: the
+    static scheme NACKs every missing sender of the phase and a failed
+    peer answers none; the archive scheme NACKs the stalled receive and
+    a retired peer answers from its archive either way.
     """
     bounds = bounds or ModelBounds()
     table = SEQUENCE_AUTOMATON if table is None else table
+    engine = engine_class(schedule.collective)
+    static = engine.reliability == "static"
+    late_join = engine.late_join
     findings: list[Finding] = []
     locus = _locus(schedule)
     for key in REQUIRED_TRANSITIONS:
@@ -702,6 +733,7 @@ def model_check_schedule(
             ))
     retired_arrival = table.get(("retired", "arrival"))
     exhausted_action = table.get(("running", "timeout_exhausted"))
+    rearms = table.get(("running", "timeout")) == "nack_rearm"
 
     n = schedule.size
     opslist = [schedule.ops(r) for r in range(n)]
@@ -714,7 +746,7 @@ def model_check_schedule(
     ranks = [(_RUNNING, 0, 0, frozenset(), True) for _ in range(n)]
     flight: dict = {}
     for r in range(n):
-        _advance_rank(opslist, ranks, flight, r)
+        _advance_rank(opslist, ranks, flight, r, late_join)
     start = (tuple(ranks), _freeze_flight(flight),
              bounds.loss_budget, bounds.dup_budget)
 
@@ -749,7 +781,7 @@ def model_check_schedule(
             return (ranks_t, _freeze_flight(fdict), loss, dup)
         nranks = list(ranks_t)
         nranks[dst] = (st[0], st[1], st[2], st[3] | {(src, phase)}, st[4])
-        _advance_rank(opslist, nranks, fdict, dst)
+        _advance_rank(opslist, nranks, fdict, dst, late_join)
         return (tuple(nranks), _freeze_flight(fdict), loss, dup)
 
     def successors(state):
@@ -776,8 +808,7 @@ def model_check_schedule(
             nranks = list(ranks_t)
             if rounds + 1 > bounds.max_retries:
                 if exhausted_action == "fail":
-                    # Typed teardown: the sequence retires as failed
-                    # (archived, so stale NACKs stay answerable).
+                    # Typed teardown: the sequence retires as failed.
                     nranks[r] = (_FAILED, idx, rounds + 1, pending, False)
                 else:
                     # The PR 7 silent return: live state, dead timer.
@@ -789,19 +820,23 @@ def model_check_schedule(
                 ))
                 continue
             fdict = dict(flight_t)
-            op = opslist[r][idx] if idx < len(opslist[r]) else None
-            if op is not None and op.kind == "recv":
+            for op in _nack_targets(opslist[r], idx, pending, static):
                 sidx = send_at.get((op.peer, op.peer_phase, r))
                 peer = ranks_t[op.peer]
+                if sidx is None:
+                    continue
                 # The NACK resolves if the peer already built the
-                # payload: its send op executed, or it retired (the
-                # archive answers stale NACKs).
-                if sidx is not None and (
-                    peer[0] != _RUNNING or peer[1] > sidx
-                ):
+                # payload: its send op executed, or it retired with the
+                # record kept (completed, or failed under the archive
+                # scheme).
+                if peer[0] == _RUNNING:
+                    answered = peer[1] > sidx
+                else:
+                    answered = peer[0] == _COMPLETE or not static
+                if answered:
                     key = (op.peer, op.peer_phase, r)
                     fdict[key] = fdict.get(key, 0) + 1
-            nranks[r] = (_RUNNING, idx, rounds + 1, pending, True)
+            nranks[r] = (_RUNNING, idx, rounds + 1, pending, rearms)
             out.append((
                 f"timeout rank {r} (NACK round {rounds + 1})",
                 (tuple(nranks), _freeze_flight(fdict), loss, dup),
@@ -850,7 +885,7 @@ def model_check_schedule(
                     fixit="every budget-exhaustion path must tear the "
                           "sequence down: ('running', "
                           "'timeout_exhausted') -> 'fail' (typed "
-                          "DataCollFailed), never a silent return",
+                          "BarrierFailed), never a silent return",
                 ))
             continue
         for label, ns in succ:
@@ -903,17 +938,23 @@ def ir_grid(grid: str = "tuner") -> list[IrPoint]:
                     points.append(
                         IrPoint("reduce", algorithm, n, payload, n - 1)
                     )
-        # Bruck Alltoall is pinned to dissemination (forced_algorithm).
+        # Bruck Alltoall and the broadcast tree pin their patterns
+        # (forced_algorithm).
         points.append(IrPoint("alltoall", "dissemination", n, payloads[0], 0))
+        points.append(IrPoint("bcast", "binomial", n, 0, 0))
     return points
 
 
-#: Shapes the bounded model checker explores (the automaton is
-#: schedule-shape-generic, so small N with the richest op lists —
-#: allreduce carries send+recv+reduce+dma — covers every transition).
+#: Shapes the bounded model checker explores: every reliability scheme
+#: the engine runs — the data collectives' (allreduce carries the
+#: richest op lists, send+recv+reduce+dma), the barrier's on each
+#: message pattern, and the broadcast tree's — at small N.
 MODEL_CHECK_POINTS = tuple(
-    ("allreduce", algorithm, n) for algorithm in ALGORITHMS for n in (2, 3)
-)
+    (collective, algorithm, n)
+    for collective in ("allreduce", "barrier")
+    for algorithm in ALGORITHMS
+    for n in (2, 3)
+) + tuple(("bcast", "binomial", n) for n in (2, 3))
 
 
 @dataclass
@@ -925,17 +966,23 @@ class IrVerifyReport:
     model_points: int = 0
     states_explored: int = 0
     findings: list[Finding] = field(default_factory=list)
+    #: collective -> automaton points model-checked for it.
+    model_collectives: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
     def summary(self) -> str:
+        checked = ", ".join(
+            f"{name}×{count}" for name, count in sorted(self.model_collectives.items())
+        )
         return (
             f"ir-verify[{self.grid}]: {self.schedules_checked} compiled "
             f"schedules proved (SL201-SL206), {self.model_points} "
-            f"automaton points model-checked ({self.states_explored} "
-            f"states, SL207-SL208): {len(self.findings)} finding"
+            f"automaton points model-checked ({checked}; "
+            f"{self.states_explored} states, SL207-SL208): "
+            f"{len(self.findings)} finding"
             f"{'' if len(self.findings) == 1 else 's'}"
         )
 
@@ -968,10 +1015,16 @@ def run_ir_verify(
         )
         if model:
             for collective, algorithm, n in MODEL_CHECK_POINTS:
-                schedule = compile_schedule(collective, algorithm, n, 4)
+                schedule = compile_schedule(
+                    collective, algorithm, n,
+                    engine_class(collective).bytes_per_value,
+                )
                 found, states = model_check_schedule(schedule, bounds)
                 report.findings.extend(found)
                 report.states_explored += states
                 report.model_points += 1
+                report.model_collectives[collective] = (
+                    report.model_collectives.get(collective, 0) + 1
+                )
     report.findings.sort(key=Finding.sort_key)
     return report

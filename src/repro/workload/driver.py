@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 
 from repro.cluster.builder import build_cluster
 from repro.cluster.profiles import get_profile, recovery_profile
-from repro.collectives import BarrierFailure, Revoked
-from repro.collectives.data_engine import CollectiveFailure
+from repro.collectives import BarrierFailure
 from repro.collectives.membership import (
     enable_failure_detector,
     wait_for_conviction,
@@ -237,7 +236,7 @@ class _JobRun:
                 result = yield from _run_op(
                     self.comms[rank], op, job.payload_bytes, token
                 )
-            except (Revoked, BarrierFailure, CollectiveFailure):
+            except BarrierFailure:  # Revoked and CollectiveFailure too
                 abandoned_at = it
                 break
             if result is not None:

@@ -8,7 +8,7 @@ from repro.collectives import (
     nic_broadcast_recv,
     nic_broadcast_root,
 )
-from repro.collectives.broadcast import binomial_children, binomial_parent
+from repro.collectives.algorithms import binomial_children, binomial_parent
 from repro.network import FaultInjector, PacketKind
 from tests.collectives.conftest import run_all
 from tests.myrinet.conftest import MyrinetTestCluster
@@ -77,7 +77,7 @@ class TestBroadcast:
 
         run_all(cluster, [root()] + [leaf(i) for i in range(1, 8)])
         assert got == {i: "blob" for i in range(8)}
-        assert all(e.broadcasts_completed == 1 for e in engines)
+        assert all(e.completed == 1 for e in engines)
         assert all(e.states == {} for e in engines)
 
     def test_message_count_is_n_minus_one(self):
@@ -174,7 +174,7 @@ class TestBroadcast:
                 assert done.payload == seq
 
         run_all(cluster, [root()] + [leaf(i) for i in range(1, 8)])
-        assert all(e.broadcasts_completed == 10 for e in engines)
+        assert all(e.completed == 10 for e in engines)
 
     def test_permuted_group(self):
         cluster = MyrinetTestCluster(n=8)

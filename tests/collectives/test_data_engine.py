@@ -4,7 +4,7 @@ import pytest
 
 from repro.collectives import ProcessGroup
 from repro.collectives.allgather import NicAllgatherEngine, nic_allgather
-from repro.collectives.data_engine import _DataState
+from repro.collectives.engine import SequenceLayout, SequenceState
 from repro.network import FaultInjector, Packet, PacketKind
 from tests.collectives.conftest import run_all
 from tests.myrinet.conftest import MyrinetTestCluster
@@ -12,13 +12,13 @@ from tests.myrinet.conftest import MyrinetTestCluster
 
 class TestDataState:
     def test_initial(self):
-        state = _DataState(3)
+        state = SequenceState(3, SequenceLayout(()))
         assert state.seq == 3
         assert not state.started and not state.complete
         assert state.pending == {} and state.sent_messages == {}
 
     def test_cancel_timer_noop(self):
-        _DataState(0).cancel_timer()
+        SequenceState(0, SequenceLayout(())).cancel_timers()
 
 
 class TestEngineGuards:
@@ -33,7 +33,7 @@ class TestEngineGuards:
         group = ProcessGroup([0, 1])
         NicAllgatherEngine(cluster.nics[0], group, 0)
         cluster.nics[0].post_engine_command((group.group_id, "frobnicate", 0))
-        with pytest.raises(ValueError, match="unknown allgather command"):
+        with pytest.raises(ValueError, match="unknown engine command"):
             cluster.sim.run()
 
     def test_barrier_packet_rejected(self):
@@ -42,7 +42,7 @@ class TestEngineGuards:
         engine = NicAllgatherEngine(cluster.nics[0], group, 0)
         packet = Packet(1, 0, PacketKind.BARRIER, 8, payload=None)
         with pytest.raises(TypeError):
-            list(engine.on_barrier_packet(packet))
+            list(engine.on_packet(packet))
 
 
 class TestDuplicateSuppression:
@@ -103,7 +103,7 @@ class TestGiveUp:
         recv_matching) dangling forever."""
         import dataclasses
 
-        from repro.collectives.data_engine import (
+        from repro.collectives.engine import (
             RETRY_BUDGET_EXHAUSTED,
             CollectiveFailure,
         )

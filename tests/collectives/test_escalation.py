@@ -141,6 +141,97 @@ def test_crashed_nic_fails_in_flight_barrier_and_rejoins():
     assert report.ok, report.render()
 
 
+def _crash_nic1_and_run(install, step, iterations=3):
+    """The barrier crash window above, under another collective: NIC 1
+    crashes at 5 us and restarts at 65 us while ``iterations``
+    sequences run; returns each rank's per-seq outcomes."""
+    faults = FaultInjector()
+    faults.crash_window(1, 5.0, 65.0)
+    cluster = escalation_cluster(
+        faults, gm=replace(FAST_EXHAUST, nack_max_rounds=6, max_retries=6)
+    )
+    cluster.nics[1].schedule_crash(5.0, 60.0)
+    from repro.collectives import ProcessGroup
+
+    group = ProcessGroup(list(range(4)))
+    for rank, node in enumerate(group.node_ids):
+        install(cluster.nics[node], group, rank)
+    outcomes = {node: [] for node in group.node_ids}
+
+    def prog(node):
+        for seq in range(iterations):
+            try:
+                verdict = yield from step(cluster.ports[node], group, node, seq)
+            except BarrierFailure as failure:
+                verdict = failure.reason
+            outcomes[node].append(verdict)
+
+    run_all(cluster, [prog(node) for node in group.node_ids])
+    report = check_quiescent(cluster)
+    assert report.ok, report.render()
+    return outcomes
+
+
+def test_crashed_nic_fails_in_flight_allreduce():
+    # A restart wipes every engine's SRAM, not only the barrier's: the
+    # crashed NIC's in-flight allreduce fails typed instead of
+    # completing from state that no longer exists.
+    from repro.collectives import NicAllreduceEngine, nic_allreduce
+
+    def step(port, group, node, seq):
+        return (yield from nic_allreduce(port, group, seq, node + 1, "sum"))
+
+    outcomes = _crash_nic1_and_run(NicAllreduceEngine, step)
+    assert outcomes[1][0] == "nic-restart"
+    assert set(r for record in outcomes.values() for r in record) <= {
+        10, "nic-restart", "datacoll-retry-budget-exhausted",
+    }
+
+
+def test_crashed_nic_fails_in_flight_broadcast():
+    from repro.collectives import (
+        NicBroadcastEngine,
+        nic_broadcast_recv,
+        nic_broadcast_root,
+    )
+
+    def step(port, group, node, seq):
+        if node == 0:
+            done = yield from nic_broadcast_root(port, group, seq, 4096, ("b", seq))
+        else:
+            done = yield from nic_broadcast_recv(port, group, seq)
+        return done.payload
+
+    outcomes = _crash_nic1_and_run(NicBroadcastEngine, step)
+    assert outcomes[1][0] == "nic-restart"
+    assert outcomes[0] == [("b", seq) for seq in range(3)]
+
+
+def test_failed_barriers_are_pruned():
+    # A failed barrier retires into the same bounded archive a completed
+    # one does: per-sequence bookkeeping never outgrows the archive.
+    faults = FaultInjector()
+    faults.drop_all_matching(lambda p: p.src == 1, label="mute:1")
+    cluster = escalation_cluster(faults, n=2)
+    group = make_group(cluster)
+    engine, _ = install_engines(cluster, group)
+    depth = FAST_EXHAUST.coll_archive_depth
+    reasons = []
+
+    def prog():
+        for seq in range(depth + 4):
+            try:
+                yield from nic_barrier(cluster.ports[0], group, seq)
+            except BarrierFailure as failure:
+                reasons.append(failure.reason)
+
+    run_all(cluster, [prog()])
+    assert reasons == ["nack-retry-budget-exhausted"] * (depth + 4)
+    assert engine.states == {}
+    assert len(engine.archive) <= depth
+    assert engine.done_floor == 3
+
+
 def test_healed_blackhole_recovers_with_retransmissions():
     # A link flap long enough to force backed-off retries but shorter
     # than the budget: the barrier completes once the hole heals.

@@ -111,7 +111,7 @@ class TestNicBarriers:
                 yield from nic_barrier(mcluster.ports[node], group, seq)
 
         run_all(mcluster, [prog(i) for i in range(8)])
-        assert all(e.barriers_completed == 10 for e in engines)
+        assert all(e.completed == 10 for e in engines)
         # State must be pruned after completion (no leak).
         assert all(e.states == {} for e in engines)
 

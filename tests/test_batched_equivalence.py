@@ -91,7 +91,7 @@ def test_chained_driver_setup_flattens_each_rank_once(monkeypatch):
 def test_collective_states_share_one_layout():
     """Per-iteration receive states derive masks from one shared layout."""
     from repro.collectives import ProcessGroup
-    from repro.collectives.myrinet_engines import NicCollectiveBarrierEngine
+    from repro.collectives.engine import NicCollectiveBarrierEngine
 
     cluster = build_cluster("lanai_xp_xeon2400", 16)
     group = ProcessGroup(range(16), algorithm="dissemination")

@@ -1,5 +1,5 @@
 """simlint SL201-SL208: the schedule-IR verifier and the bounded model
-checker of the data-engine sequence automaton.
+checker of the NIC sequence engine's automaton.
 
 One deliberately-broken schedule per rule, asserting the exact SLxxx
 code, the ``ir://...`` locus, and the fix-it text — plus the clean-grid
@@ -14,12 +14,13 @@ import warnings
 import pytest
 
 from repro.collectives.algorithms import SCHEDULE_CACHE, configure_schedule_cache
-from repro.collectives.data_engine import SEQUENCE_AUTOMATON
+from repro.collectives.engine import SEQUENCE_AUTOMATON
 from repro.collectives.schedule_ir import (
     CollectiveSchedule,
     ScheduleOp,
     compile_schedule,
 )
+from repro.tools.simlint.ir_verify import MODEL_CHECK_POINTS
 from repro.tools.simlint import (
     IR_RULES,
     IrVerifyError,
@@ -257,7 +258,7 @@ def test_quick_grid_is_clean():
     report = run_ir_verify("quick")
     assert report.ok, [f.render() for f in report.findings]
     assert report.schedules_checked == len(ir_grid("quick"))
-    assert report.model_points == 6
+    assert report.model_points == len(MODEL_CHECK_POINTS)
     assert report.states_explored > 0
     assert "0 findings" in report.summary()
 
@@ -310,3 +311,87 @@ def test_normalization_warnings_do_not_leak_from_verify():
         warnings.simplefilter("error", RuntimeWarning)
         report = run_ir_verify("quick")
     assert report.ok
+
+
+# ----------------------------------------------------------------------
+# Every NIC collective runs the table: shims reach the barrier and the
+# broadcast, in the model and in the engine itself
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("collective, algorithm", [
+    ("barrier", "dissemination"),
+    ("barrier", "gather-broadcast"),
+    ("bcast", "binomial"),
+])
+def test_sl207_silent_return_shim_is_caught_for_every_scheme(
+    monkeypatch, collective, algorithm
+):
+    monkeypatch.setitem(
+        SEQUENCE_AUTOMATON, ("running", "timeout_exhausted"), "ignore"
+    )
+    schedule = compile_schedule(collective, algorithm, 3)
+    findings, _states = model_check_schedule(schedule)
+    finding = _only(findings, "SL207")
+    assert "parked live with dead timers" in finding.message
+
+
+def _parked_after_dead_link(monkeypatch, engine_cls, step, dead):
+    """Run one sequence over a dead link with the NACK budget's
+    exhaustion shimmed to ``ignore``: the engine must park (host
+    blocked, state live, no timer) instead of failing typed."""
+    from dataclasses import replace
+
+    from repro.collectives import BarrierFailure, ProcessGroup
+    from repro.network import FaultInjector
+    from tests.myrinet.conftest import TEST_GM, MyrinetTestCluster
+
+    monkeypatch.setitem(
+        SEQUENCE_AUTOMATON, ("running", "timeout_exhausted"), "ignore"
+    )
+    faults = FaultInjector()
+    a, b = dead
+    faults.drop_all_matching(lambda p: {p.src, p.dst} == {a, b})
+    gm = replace(TEST_GM, nack_timeout_us=30.0, nack_max_rounds=3, max_retries=3)
+    cluster = MyrinetTestCluster(n=4, gm=gm, faults=faults)
+    group = ProcessGroup(list(range(4)))
+    engines = [engine_cls(cluster.nics[n], group, n) for n in range(4)]
+    failures = []
+
+    def prog(node):
+        try:
+            yield from step(cluster.ports[node], group, node)
+        except BarrierFailure as failure:
+            failures.append(failure.reason)
+
+    procs = [cluster.sim.process(prog(node)) for node in range(4)]
+    cluster.sim.run()  # drains: a parked sequence holds no timer
+    parked = [e.states[0] for e in engines if 0 in e.states]
+    assert failures == []
+    assert not all(p.completion.processed for p in procs)
+    assert parked and all(s.nack_timer is None for s in parked)
+
+
+def test_nic_collective_barrier_dispatches_budget_exhaustion(monkeypatch):
+    from repro.collectives import NicCollectiveBarrierEngine, nic_barrier
+
+    def step(port, group, node):
+        yield from nic_barrier(port, group, 0)
+
+    _parked_after_dead_link(
+        monkeypatch, NicCollectiveBarrierEngine, step, dead=(2, 3)
+    )
+
+
+def test_broadcast_dispatches_budget_exhaustion(monkeypatch):
+    from repro.collectives import (
+        NicBroadcastEngine,
+        nic_broadcast_recv,
+        nic_broadcast_root,
+    )
+
+    def step(port, group, node):
+        if node == 0:
+            yield from nic_broadcast_root(port, group, 0, 64, "x")
+        else:
+            yield from nic_broadcast_recv(port, group, 0)
+
+    _parked_after_dead_link(monkeypatch, NicBroadcastEngine, step, dead=(0, 1))
