@@ -21,7 +21,9 @@ Commands:
   death, host slowdown, HW-barrier degradation) against every
   applicable barrier scheme, with per-run invariant checks, quiescence
   audits, and tie-break determinism rounds (exit 0 pass / 1 fail);
-  ``--report`` additionally writes the markdown degradation report.
+  ``--report`` additionally writes the markdown degradation report;
+  ``--fuzz`` runs seeded kill/flap/corrupt/jitter plans with epoch
+  repair through the same runner instead.
 - ``tune``        — auto-tune collective algorithm selection: sweep
   algorithm x N x payload through the run cache and write the winners'
   decision table (point ``REPRO_TUNING_TABLE`` at it to have
@@ -74,6 +76,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"  min   : {result.min_iteration_us:.2f} us")
     print(f"  max   : {result.max_iteration_us:.2f} us")
     if args.counters:
+        print(f"  counters over all {result.counted_barriers} barriers "
+              f"({result.warmup} warm-up + {result.iterations} timed):")
         for key in sorted(result.counters):
             print(f"  {key:<24} {result.counters[key]}")
     return 0
@@ -183,7 +187,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.tools.chaos import run_campaign
+    import warnings
+
+    from repro.tools.chaos import catalogue, make_fuzz_plan, run_block
     from repro.tools.runcache import atomic_write_text, resolve_cache
 
     cache = resolve_cache("auto" if args.cache else None)
@@ -191,41 +197,37 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ("myrinet", "quadrics") if args.network == "both" else (args.network,)
     )
     if args.fuzz:
-        import warnings
-
-        from repro.tools.chaos import run_fuzz_block
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            report = run_fuzz_block(
-                networks=networks,
-                seeds=tuple(range(args.seed, args.seed + args.fuzz_seeds)),
-                nodes=args.nodes,
-                rounds=args.rounds,
-            )
-        print(report.render())
-        return 0 if report.ok else 1
-    campaign = run_campaign(
-        networks=networks,
-        nodes=args.nodes,
-        iterations=args.iterations,
-        rounds=args.rounds,
-        seed=args.seed,
-        cache=cache,
-    )
-    print(campaign.render())
+        plans = [
+            make_fuzz_plan(network, seed, nodes=args.nodes)
+            for network in networks
+            for seed in range(args.seed, args.seed + args.fuzz_seeds)
+        ]
+        header = (
+            f"chaos fuzz: N={args.nodes}, {len(plans)} case(s), "
+            f"{args.rounds} tie-break permutation(s)/case"
+        )
+    else:
+        plans = catalogue(networks, args.nodes, args.iterations, args.seed)
+        header = (
+            f"chaos campaign: N={args.nodes}, {args.iterations} barriers/run, "
+            f"{args.rounds} tie-break permutations/run"
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = run_block(plans, args.rounds, header, cache=cache)
+    print(report.render())
     if args.report:
         from repro.experiments.chaos import degradation_report
 
         document = (
-            "# Chaos campaign\n\n```\n" + campaign.render() + "\n```\n\n"
+            "# Chaos campaign\n\n```\n" + report.render() + "\n```\n\n"
             + degradation_report(nodes=args.nodes, seed=args.seed)
         )
         atomic_write_text(args.report, document)
         print(f"degradation report written to {args.report}")
     if cache is not None:
         cache.write_stats()
-    return 0 if campaign.ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -519,13 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--rounds", type=int, default=20,
                               help="tie-break determinism permutations per run")
     chaos_parser.add_argument("--seed", type=int, default=0)
-    chaos_parser.add_argument("--report", default=None,
-                              help="also write the markdown degradation report here")
-    chaos_parser.add_argument("--fuzz", action="store_true",
-                              help="run the randomized failure fuzzer "
-                                   "(kill/flap/corrupt/jitter schedules with "
-                                   "epoch repair) instead of the scenario "
-                                   "catalogue")
+    # The degradation report sweeps the catalogue's fault classes, so it
+    # has nothing to add to a fuzz block.
+    chaos_mode = chaos_parser.add_mutually_exclusive_group()
+    chaos_mode.add_argument("--report", default=None,
+                            help="also write the markdown degradation report here")
+    chaos_mode.add_argument("--fuzz", action="store_true",
+                            help="run the randomized failure fuzzer "
+                                 "(kill/flap/corrupt/jitter schedules with "
+                                 "epoch repair) instead of the scenario "
+                                 "catalogue")
     chaos_parser.add_argument("--fuzz-seeds", type=int, default=4,
                               help="seeds per network in the fuzz block "
                                    "(seed, seed+1, ...)")

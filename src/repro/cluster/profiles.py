@@ -252,17 +252,24 @@ def get_profile(name: str) -> HardwareProfile:
     )
 
 
+#: GM retry budgets shrunk so that a dead peer exhausts them within a
+#: run: ``(field, value)`` overrides of :class:`GmParams`.
+RECOVERY_GM: tuple[tuple[str, float], ...] = (
+    ("ack_timeout_us", 200.0),
+    ("max_retries", 3),
+    ("nack_timeout_us", 300.0),
+    ("nack_max_rounds", 4),
+)
+
+
 def recovery_profile(profile: HardwareProfile) -> HardwareProfile:
     """``profile`` with the retry budgets a kill-and-repair run needs.
 
     Dying-epoch operations must resolve within the recovery window even
     when revocation loses the race with the retry machinery, so the GM
-    ACK and NACK budgets shrink.  Elan3 has no such budgets: Quadrics
-    profiles come back unchanged.
+    ACK and NACK budgets shrink (:data:`RECOVERY_GM`).  Elan3 has no
+    such budgets: Quadrics profiles come back unchanged.
     """
     if profile.gm is None:
         return profile
-    return replace(profile, gm=replace(
-        profile.gm, ack_timeout_us=200.0, max_retries=3,
-        nack_timeout_us=300.0, nack_max_rounds=4,
-    ))
+    return replace(profile, gm=replace(profile.gm, **dict(RECOVERY_GM)))

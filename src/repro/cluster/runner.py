@@ -45,7 +45,10 @@ class BarrierResult:
     max_iteration_us: float
     total_us: float
     node_permutation: tuple[int, ...] = ()
+    #: Traffic over all ``counted_barriers`` barriers, warm-up included:
+    #: consecutive barriers overlap, so no snapshot can split them.
     counters: dict[str, int] = field(default_factory=dict)
+    counted_barriers: int = 0
     # When each timed iteration's last rank exited its barrier, plus the
     # timed-region start: the windows the trace tools decompose.
     timed_start_us: float = 0.0
@@ -67,30 +70,50 @@ class BarrierResult:
         )
 
 
-class _IterationTracker:
-    """Records when each iteration's last rank exits its barrier."""
+class LastRankOut:
+    """When the last of ``ranks`` ranks finished each of ``ops`` ops.
 
-    def __init__(self, cluster, n_ranks: int, total_iters: int, warmup: int):
-        self.cluster = cluster
-        self.n_ranks = n_ranks
-        self.warmup = warmup
-        self.pending = [n_ranks] * total_iters
-        self.iter_end = [0.0] * total_iters
-        self.timed_start: Optional[float] = None
-        self.counter_base: dict[str, int] = {}
+    Every rank reports each op it finishes (:meth:`rank_done`) or, if it
+    dies, the first op it will never finish (:meth:`rank_dead`).  An op
+    completes when its last live rank reports it; ``end[seq]`` is that
+    sim time (0.0 until then).  Shared by the barrier runner, the
+    workload driver and the chaos runner.
+    """
 
-    def rank_done(self, seq: int) -> None:
+    def __init__(self, sim, ranks: int, ops: int, anchor_us: float = 0.0):
+        self.sim = sim
+        self.pending = [ranks] * ops
+        self.end = [0.0] * ops
+        self.anchor_us = anchor_us
+
+    def rank_done(self, seq: int) -> bool:
+        """One rank finished op ``seq``; True when it was the last."""
         self.pending[seq] -= 1
-        if self.pending[seq] == 0:
-            now = self.cluster.sim.now
-            self.iter_end[seq] = now
-            tracer = self.cluster.tracer
-            if tracer.enabled:
-                start = self.iter_end[seq - 1] if seq > 0 else 0.0
-                tracer.add_span(start, now, "run", f"barrier[{seq}]", seq=seq)
-            if seq == self.warmup - 1:
-                self.timed_start = now
-                self.counter_base = tracer.snapshot()
+        if self.pending[seq]:
+            return False
+        self.end[seq] = self.sim.now
+        return True
+
+    def rank_dead(self, from_seq: int) -> None:
+        """A rank died; op ``from_seq`` and later will never see it."""
+        for seq in range(from_seq, len(self.pending)):
+            if self.pending[seq] > 0:
+                self.pending[seq] -= 1
+
+    def completed(self) -> int:
+        """Leading ops every live rank finished."""
+        count = 0
+        for pending, end in zip(self.pending, self.end):
+            if pending or end <= 0.0:
+                break
+            count += 1
+        return count
+
+    def latencies(self) -> list[float]:
+        """Consecutive completion deltas of the completed ops, the first
+        anchored at ``anchor_us``."""
+        ends = self.end[:self.completed()]
+        return [end - start for start, end in zip([self.anchor_us, *ends], ends)]
 
 
 def _barrier_step(
@@ -193,12 +216,18 @@ def run_barrier_experiment(
         # applies; see prearm_chained_group).  Reference clusters keep
         # the per-iteration arm loop for the equivalence tests.
         prearm_chained_group(drivers, total)
-    tracker = _IterationTracker(cluster, n, total, warmup)
+    tracer = cluster.tracer
+    counter_base = tracer.counters.copy()
+    tracker = LastRankOut(cluster.sim, n, total)
 
     def program(node: int):
         for seq in range(total):
             yield from _barrier_step(cluster, barrier, group, drivers, hw, node, seq)
-            tracker.rank_done(seq)
+            if tracker.rank_done(seq) and tracer.enabled:
+                start = tracker.end[seq - 1] if seq > 0 else 0.0
+                tracer.add_span(
+                    start, tracker.end[seq], "run", f"barrier[{seq}]", seq=seq
+                )
 
     procs = [
         cluster.sim.process(program(node), name=f"bench@{node}")
@@ -209,13 +238,9 @@ def run_barrier_experiment(
         if not proc.completion.processed:
             raise RuntimeError(f"{proc.name} never finished its barriers")
 
-    timed = tracker.iter_end[warmup:]
-    assert tracker.timed_start is not None
-    durations = [
-        timed[0] - tracker.timed_start,
-        *(b - a for a, b in zip(timed, timed[1:])),
-    ]
-    mean = (timed[-1] - tracker.timed_start) / iterations
+    timed_start = tracker.end[warmup - 1]
+    timed = tracker.end[warmup:]
+    durations = tracker.latencies()[warmup:]
     return BarrierResult(
         profile=cluster.profile.name,
         barrier=barrier,
@@ -223,12 +248,13 @@ def run_barrier_experiment(
         nodes=n,
         iterations=iterations,
         warmup=warmup,
-        mean_latency_us=mean,
+        mean_latency_us=(timed[-1] - timed_start) / iterations,
         min_iteration_us=min(durations),
         max_iteration_us=max(durations),
-        total_us=timed[-1] - tracker.timed_start,
+        total_us=timed[-1] - timed_start,
         node_permutation=tuple(order),
-        counters=cluster.tracer.delta(tracker.counter_base),
-        timed_start_us=tracker.timed_start,
+        counters=dict(tracer.counters - counter_base),
+        counted_barriers=total,
+        timed_start_us=timed_start,
         iteration_ends_us=tuple(timed),
     )

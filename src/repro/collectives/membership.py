@@ -27,7 +27,8 @@ NIC engines report exhaustion through ``declare_dead`` with
 ``origin="retry-exhaustion"`` alongside the detector's
 ``origin="heartbeat-timeout"``, so a repair controller has one place to
 look regardless of how the failure was noticed —
-:func:`wait_for_conviction` polls it.
+:func:`wait_for_conviction` polls it, and :func:`launch_kills` runs the
+one kill → convict → repair controller on top of it.
 
 Determinism: the detector's only randomness is the initial phase offset
 of each node's heartbeat loop, drawn from a named
@@ -46,6 +47,7 @@ __all__ = [
     "PeerDead",
     "MembershipView",
     "enable_failure_detector",
+    "launch_kills",
     "wait_for_conviction",
 ]
 
@@ -246,3 +248,42 @@ def wait_for_conviction(
             return False
         yield poll_us
     return True
+
+
+def launch_kills(
+    cluster,
+    kills,
+    repair,
+    poll_us: float,
+    within_us: float = math.inf,
+):
+    """Spawn the kill → convict → repair arc; returns the processes.
+
+    Each ``(victim, at_us)`` kill takes the node down at ``at_us``: a
+    permanent wire blackhole plus the NIC's ``crashed`` flag, set by the
+    victim's own process so a kill may land mid-recovery.  One
+    controller then handles the kills in order: :func:`wait_for_conviction`,
+    then ``repair(k, victim, convicted)`` in the same event, so no
+    survivor starts a new-epoch op before the repair.  A false return
+    stops the controller.
+    """
+    sim = cluster.sim
+
+    def killer(victim: int, at_us: float):
+        yield at_us
+        cluster.nics[victim].crashed = True
+
+    def controller():
+        for k, (victim, at_us) in enumerate(kills):
+            convicted = yield from wait_for_conviction(
+                cluster, victim, at_us, poll_us, within_us=within_us
+            )
+            if not repair(k, victim, convicted):
+                return
+
+    procs = []
+    for victim, at_us in kills:
+        cluster.faults.kill_node(victim, at_us=at_us)
+        procs.append(sim.process(killer(victim, at_us), name=f"killer@{victim}"))
+    procs.append(sim.process(controller(), name="recovery-controller"))
+    return procs

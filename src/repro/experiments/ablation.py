@@ -59,24 +59,25 @@ def measure(barrier: str, iterations: int = 100) -> SchemeAccounting:
     result = run_barrier_experiment(
         cluster, barrier, "dissemination", iterations=iterations, warmup=20
     )
+    # Counters, PCI transactions and busy times all cover the whole
+    # run, warm-up included.
     c = result.counters
-    iters = result.iterations
+    bars = result.counted_barriers
     nic_busy = sum(nic.busy_us for nic in cluster.nics)
     host_busy = sum(cpu.busy_us for cpu in cluster.cpus)
-    total_bar = iterations + result.warmup
     return SchemeAccounting(
         barrier=barrier,
         latency_us=result.mean_latency_us,
-        wire_packets_per_barrier=c.get("wire.packets", 0) / iters,
+        wire_packets_per_barrier=c.get("wire.packets", 0) / bars,
         barrier_packets_per_barrier=(
             c.get("wire.barrier", 0) + c.get("wire.data", 0)
-        ) / iters,
-        acks_per_barrier=c.get("wire.ack", 0) / iters,
+        ) / bars,
+        acks_per_barrier=c.get("wire.ack", 0) / bars,
         pci_tx_per_node_per_barrier=sum(p.transactions for p in cluster.pcis)
         / NODES
-        / total_bar,
-        nic_busy_us_per_node_per_barrier=nic_busy / NODES / total_bar,
-        host_busy_us_per_node_per_barrier=host_busy / NODES / total_bar,
+        / bars,
+        nic_busy_us_per_node_per_barrier=nic_busy / NODES / bars,
+        host_busy_us_per_node_per_barrier=host_busy / NODES / bars,
     )
 
 

@@ -216,19 +216,6 @@ class Tracer:
         self.dropped_spans = 0
         self._open_spans = 0
 
-    def snapshot(self) -> dict[str, int]:
-        """A plain-dict copy of the counters (for diffs in tests)."""
-        return dict(self.counters)
-
-    def delta(self, before: dict[str, int]) -> dict[str, int]:
-        """Counter changes since a :meth:`snapshot`."""
-        out: dict[str, int] = {}
-        for key, val in self.counters.items():
-            change = val - before.get(key, 0)
-            if change:
-                out[key] = change
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Tracer enabled={self.enabled} records={len(self.records)} "

@@ -1,29 +1,46 @@
-"""Chaos campaign: fault scenarios x barrier schemes, with invariants.
+"""Chaos runs: fault plans against the collectives, with invariants.
 
-The campaign runs every fault scenario against every applicable barrier
-scheme and asserts, per run:
+One frozen :class:`ChaosPlan` describes a whole faulted run: the wire
+faults (probabilistic loss / corruption / duplication / delay, link
+flaps, a dead link, a NIC crash and restart, node kills), a host
+slowdown, per-protocol parameter overrides, the op mix per epoch and
+what the run must show.  Plans come from two places:
 
-1. **no hangs** — every rank's program finishes; retry-exhaustion must
-   escalate a typed :class:`~repro.collectives.BarrierFailure`, never
-   block forever;
-2. **exactly-once accounting** — each rank records exactly one outcome
-   (completed or failed, with the failure reason) per barrier;
-3. **expectation** — a ``recover`` scenario completes every barrier, a
-   ``fail`` scenario surfaces at least one failure (and still finishes),
-   a ``degrade`` scenario completes everything while its degradation
-   counter (e.g. the Quadrics HW-barrier fallback) is non-zero;
-4. **quiescence** — the simlint auditor finds no leaked packets,
-   records, engine states, timers or blocked processes (SL102-SL107);
+- the **catalogue** (:data:`CATALOGUE`, :func:`catalogue`): 18 pinned
+  scenarios, one per fault class and network, each run against every
+  barrier scheme it names (35 runs);
+- the **fuzzer** (:func:`make_fuzz_plan`): seeded kill / flap /
+  corrupt / jitter schedules over random collective mixes, with
+  detection and epoch repair between segments.
+
+Both run through one audited runner, :func:`run_plan`, which asserts
+per run:
+
+1. **no hangs** — every process finishes; retry exhaustion escalates a
+   typed :class:`~repro.collectives.BarrierFailure`, never blocks;
+2. **exact results** — data collectives verify the value they compute;
+   every failure reason is registry-classifiable;
+3. **accounting** — every surviving rank records one outcome per op of
+   the final segment; a killed rank observes its own death;
+4. **expectation** — ``recover``: every survivor completes the final
+   segment; ``fail``: at least one op surfaces a typed failure;
+   ``degrade``: nothing fails and the degradation counter fires; a
+   flap, crash or kill that opens after the last op ended tested
+   nothing and is reported as vacuous;
 5. **counter consistency** — the wire's fault counters agree with the
-   injector's, and delivered corruption is accounted for by receiver
-   CRC drops;
-6. **determinism** — the whole faulted run is bit-identical across
-   tie-break permutations of the event schedule (SL101 for chaos).
+   injector's (:func:`audit_fault_counters`);
+6. **quiescence** — the simlint auditor finds no leaked packets,
+   records, engine states, timers or blocked processes (SL102-SL107).
 
-Scenarios are declarative data (:class:`ChaosScenario`): probabilistic
-fault rates, a link flap / dead link / NIC crash window, a host
-slowdown, and per-protocol parameter overrides (e.g. a reduced retry
-budget so a dead link exhausts it within the scenario).
+:func:`run_block` adds determinism: each plan is replayed under
+tie-break permutations of the event schedule and must reproduce the
+baseline observables bit-identically (SL101 for chaos).
+
+A plan that names a barrier ``scheme`` drives that scheme's engines
+directly (one rank per node, identity group: scenario node indices are
+literal, so a random permutation would re-aim every fault per seed).
+A plan without one drives the MPI-style communicator, which is what
+survives kills through revoke → shrink → resume.
 """
 
 from __future__ import annotations
@@ -32,10 +49,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import HardwareProfile, get_profile, recovery_profile
+from repro.cluster.profiles import RECOVERY_GM, get_profile
 from repro.cluster.runner import (
     MYRINET_BARRIERS,
     QUADRICS_BARRIERS,
+    LastRankOut,
     _barrier_step,
     _setup_scheme,
 )
@@ -52,58 +70,87 @@ from repro.collectives import (
     nic_broadcast_root,
     nic_ibarrier,
 )
-from repro.collectives.membership import (
-    enable_failure_detector,
-    wait_for_conviction,
-)
+from repro.collectives.membership import enable_failure_detector, launch_kills
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
-from repro.tools.runcache import RunCache, run_request
+from repro.tools.runcache import RunCache, cached_call, run_request
 from repro.tools.simlint.perturb import TieBreakSimulator
 from repro.tools.simlint.quiescence import check_quiescent
 
 _DEFAULT_PROFILE = {"myrinet": "lanai_xp_xeon2400", "quadrics": "elan3_piii700"}
+_SCHEMES = {"myrinet": MYRINET_BARRIERS, "quadrics": QUADRICS_BARRIERS}
+#: Ops a plan may run per network.  Myrinet exercises the full
+#: collective-protocol engine family; Quadrics the chained-RDMA barrier
+#: in blocking and request-handle form — the paper's Quadrics
+#: contribution.
+_OPS = {
+    "myrinet": ("barrier", "allreduce", "bcast", "ibarrier"),
+    "quadrics": ("barrier", "ibarrier"),
+}
+#: NIC engines behind the non-barrier ops of a scheme-driven plan.
+_ENGINES = {
+    "allreduce": NicAllreduceEngine,
+    "bcast": NicBroadcastEngine,
+    "ibarrier": NicCollectiveBarrierEngine,
+}
+_POLL_US = 5.0
 
 
 @dataclass(frozen=True)
-class ChaosScenario:
-    """One declarative fault scenario.
+class ChaosPlan:
+    """One faulted run, decided in full before the simulation is built
+    (scripts must not consult the clock, so every timestamp is data).
+
+    ``segments[k]`` is the op mix run on epoch ``k``; kill ``k`` fires
+    during it and the controller opens segment ``k+1`` only after the
+    victim is convicted and the group repaired.  Non-final segments
+    repeat their mix until the epoch turns over, so kills land inside
+    live collectives, not in gaps between them.
 
     ``gm_overrides`` / ``elan_overrides`` are ``(field, value)`` pairs
-    applied to the profile's params dataclass — scenarios that need a
-    dead peer to exhaust its retry budget *within* the scenario shrink
-    the budget here instead of waiting out the production one.
+    applied to the profile's params dataclass — a plan that needs a
+    dead peer to exhaust its retry budget *within* the run shrinks the
+    budget here instead of waiting out the production one.
     """
 
-    name: str
     network: str  # "myrinet" | "quadrics"
-    description: str
+    nodes: int = 16
+    seed: int = 0
+    #: catalogue scenario name; drawn fuzz plans are unnamed.
+    name: str = ""
+    description: str = ""
     expect: str = "recover"  # "recover" | "fail" | "degrade"
-    schemes: tuple[str, ...] = ()  # default: every scheme of the network
-    #: Which collective the per-rank program loops on.  ``"barrier"``
-    #: runs the scheme matrix; the data collectives and the
-    #: non-blocking barrier always ride the collective-protocol engines
-    #: (Myrinet only), so their scheme set collapses to one entry.
-    collective: str = "barrier"  # "barrier"|"allreduce"|"bcast"|"ibarrier"
-    drop_probability: float = 0.0
-    corrupt_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    delay_probability: float = 0.0
-    delay_jitter_us: float = 0.0
+    #: barrier scheme whose engines the ops drive; "" = the communicator.
+    scheme: str = ""
+    segments: tuple[tuple[str, ...], ...] = (("barrier",),)
+    #: (victim node, kill time) per repair round, times increasing.  A
+    #: kill whose time falls inside the previous round's recovery is a
+    #: mid-recovery kill — the controller handles them sequentially.
+    kills: tuple[tuple[int, float], ...] = ()
     #: (node_a, node_b, start_us, until_us): black-hole the pair, heal.
-    flap_window: Optional[tuple[int, int, float, float]] = None
+    flaps: tuple[tuple[int, int, float, float], ...] = ()
     #: (node_a, node_b): permanent link death (never heals).
     dead_link: Optional[tuple[int, int]] = None
     #: (node, at_us, restart_delay_us): NIC crash + restart (Myrinet).
     crash: Optional[tuple[int, float, float]] = None
     #: (node, factor): scale every host software cost on one node.
     slowdown: Optional[tuple[int, float]] = None
+    drop_probability: float = 0.0
+    corrupt_probability: float = 0.0
+    duplicate_probability: float = 0.0
+    delay_probability: float = 0.0
+    delay_jitter_us: float = 0.0
     gm_overrides: tuple[tuple[str, float], ...] = ()
     elan_overrides: tuple[tuple[str, float], ...] = ()
     #: tracer counter that must be non-zero when ``expect="degrade"``.
     degrade_counter: str = ""
     #: pass ``fallback=False`` to ``elan_hgsync`` (hgsync scheme only).
     hw_fallback: bool = True
+    hb_period_us: float = 100.0
+    hb_timeout_us: float = 450.0
+    #: kill -> conviction by every survivor must fit in this window.
+    detect_deadline_us: float = 1500.0
+    horizon_us: float = 0.0
 
     def __post_init__(self) -> None:
         if self.network not in _DEFAULT_PROFILE:
@@ -111,38 +158,52 @@ class ChaosScenario:
         if self.expect not in ("recover", "fail", "degrade"):
             raise ValueError(f"unknown expectation {self.expect!r}")
         if self.expect == "degrade" and not self.degrade_counter:
-            raise ValueError("degrade scenarios need a degrade_counter")
-        if self.collective not in ("barrier", "allreduce", "bcast", "ibarrier"):
-            raise ValueError(f"unknown collective {self.collective!r}")
-        if self.collective != "barrier" and self.network != "myrinet":
+            raise ValueError("degrade plans need a degrade_counter")
+        ops = {op for segment in self.segments for op in segment}
+        unknown = ops - set(_OPS[self.network])
+        if unknown:
             raise ValueError(
-                f"collective {self.collective!r} runs on the Myrinet "
-                "collective-protocol engines only"
+                f"{self.network} plans cannot run {sorted(unknown)}; "
+                f"use {_OPS[self.network]}"
             )
+        if len(self.segments) != len(self.kills) + 1:
+            raise ValueError("a plan needs one segment per kill, plus one")
+        if self.scheme:
+            if self.scheme not in _SCHEMES[self.network]:
+                raise ValueError(
+                    f"{self.scheme!r} is not a {self.network} barrier scheme"
+                )
+            if self.kills:
+                raise ValueError("only communicator plans can repair kills")
+            if len(ops) != 1:
+                raise ValueError("a scheme-driven plan runs one op kind")
+            if ops != {"barrier"} and self.scheme != "nic-collective":
+                raise ValueError(
+                    f"{sorted(ops)} runs on the Myrinet collective-protocol "
+                    "engines only (scheme 'nic-collective')"
+                )
 
     @property
-    def applicable_schemes(self) -> tuple[str, ...]:
-        if self.collective != "barrier":
-            return ("nic-collective",)
-        if self.schemes:
-            return self.schemes
-        return (
-            MYRINET_BARRIERS if self.network == "myrinet" else QUADRICS_BARRIERS
-        )
+    def key(self) -> str:
+        """The plan's name in reports and tie-break stream labels."""
+        if self.name:
+            return f"{self.name}/{self.scheme}"
+        return f"{self.network}/seed{self.seed}"
 
 
 @dataclass
-class ChaosRunResult:
-    """One scenario x scheme run: outcomes, counters, and violations."""
+class ChaosResult:
+    """One run: per-rank, per-segment outcomes plus the audit."""
 
-    scenario: str
-    barrier: str
-    nodes: int
-    iterations: int
-    #: per-rank tuple of per-seq outcomes ("ok" or "fail:<reason>").
-    outcomes: tuple[tuple[str, ...], ...] = ()
-    #: sim time when the last rank finished each barrier seq.
+    plan: ChaosPlan
+    #: outcomes[rank][segment] -> tuple of "ok:<op>" / "revoked:<op>" /
+    #: "fail:<op>:<reason>" / "wrong:<op>:<value>" / "abandoned" /
+    #: "dead" entries, in program order.
+    outcomes: tuple[tuple[tuple[str, ...], ...], ...] = ()
+    #: sim time when the last rank finished each op of the final segment.
     seq_end_us: tuple[float, ...] = ()
+    detected_at: tuple[float, ...] = ()
+    repaired_at: tuple[float, ...] = ()
     end_us: float = 0.0
     counters: dict[str, int] = field(default_factory=dict)
     fault_stats: dict = field(default_factory=dict)
@@ -154,9 +215,14 @@ class ChaosRunResult:
         return not self.violations and not self.quiescence
 
     @property
+    def epochs(self) -> int:
+        return len(self.repaired_at)
+
+    @property
     def failures(self) -> int:
         return sum(
-            1 for rank in self.outcomes for o in rank if o.startswith("fail:")
+            o.startswith("fail:")
+            for rank in self.outcomes for segment in rank for o in segment
         )
 
     def comparable(self) -> tuple:
@@ -165,108 +231,37 @@ class ChaosRunResult:
         return (
             self.outcomes,
             self.seq_end_us,
+            self.detected_at,
+            self.repaired_at,
             self.end_us,
             tuple(sorted(self.counters.items())),
             repr(self.fault_stats),
         )
 
-    def __str__(self) -> str:
-        verdict = "ok" if self.ok else "FAILED"
+    def row(self, verdict: str) -> str:
+        """This run's line in a :class:`ChaosReport`."""
+        if self.plan.kills:
+            return (
+                f"  {self.plan.key:<20} kills={len(self.plan.kills)} "
+                f"epochs={self.epochs} end={self.end_us:>9.1f}us  {verdict}"
+            )
         return (
-            f"{self.scenario}/{self.barrier} N={self.nodes}: {verdict} "
-            f"({self.failures} barrier failure(s), end={self.end_us:.0f}us)"
+            f"  {self.plan.key:<28} failures={self.failures:<3} "
+            f"end={self.end_us:>10.1f}us  {verdict}"
         )
 
 
-def _apply_overrides(profile: HardwareProfile, scenario: ChaosScenario):
-    if scenario.gm_overrides:
-        profile = replace(profile, gm=replace(profile.gm, **dict(scenario.gm_overrides)))
-    if scenario.elan_overrides:
-        profile = replace(
-            profile, elan=replace(profile.elan, **dict(scenario.elan_overrides))
-        )
-    return profile
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _arrange_faults(scenario: ChaosScenario, cluster, faults: FaultInjector) -> None:
-    if scenario.flap_window is not None:
-        a, b, start, until = scenario.flap_window
-        faults.flap_link(a, b, start, until)
-    if scenario.dead_link is not None:
-        a, b = scenario.dead_link
-        faults.drop_all_matching(
-            lambda p: p.src in (a, b) and p.dst in (a, b),
-            label=f"dead:{a}<->{b}",
-        )
-    if scenario.crash is not None:
-        node, at_us, restart_delay = scenario.crash
-        faults.crash_window(node, at_us, at_us + restart_delay)
-        cluster.nics[node].schedule_crash(at_us, restart_delay)
-    if scenario.slowdown is not None:
-        node, factor = scenario.slowdown
-        cluster.cpus[node].slowdown = factor
-
-
-def _collective_step_factory(cluster, scenario: ChaosScenario, barrier, group,
-                             drivers, hw):
-    """Build the per-rank, per-seq step generator for the scenario's
-    collective.  Data collectives verify the *value* they compute —
-    a fault that double-applies a contribution shows up as a wrong
-    reduction, not just a counter."""
-    collective = scenario.collective
-    if collective == "barrier":
-        def step(rank: int, node: int, seq: int):
-            yield from _barrier_step(
-                cluster, barrier, group, drivers, hw, node, seq,
-                hw_fallback=scenario.hw_fallback,
-            )
-            return "ok"
-    elif collective == "allreduce":
-        expected = sum(r + 1 for r in range(group.size))
-        def step(rank: int, node: int, seq: int):
-            result = yield from nic_allreduce(
-                cluster.ports[node], group, seq, rank + 1, "sum"
-            )
-            return "ok" if result == expected else f"wrong:{result!r}"
-    elif collective == "bcast":
-        def step(rank: int, node: int, seq: int):
-            if rank == 0:
-                done = yield from nic_broadcast_root(
-                    cluster.ports[node], group, seq, 64, payload=("blob", seq)
-                )
-            else:
-                done = yield from nic_broadcast_recv(
-                    cluster.ports[node], group, seq
-                )
-            payload = done.payload
-            return "ok" if payload == ("blob", seq) else f"wrong:{payload!r}"
-    else:  # ibarrier
-        def step(rank: int, node: int, seq: int):
-            request = yield from nic_ibarrier(cluster.ports[node], group, seq)
-            # A few non-blocking polls first (the overlap pattern the
-            # API exists for), then the blocking wait.
-            for _ in range(3):
-                if (yield from request.test()):
-                    return "ok"
-            yield from request.wait()
-            return "ok"
-    return step
-
-
-def _decode_chaos_result(payload: dict) -> ChaosRunResult:
-    return ChaosRunResult(
-        scenario=payload["scenario"],
-        barrier=payload["barrier"],
-        nodes=payload["nodes"],
-        iterations=payload["iterations"],
-        outcomes=tuple(tuple(rank) for rank in payload["outcomes"]),
-        seq_end_us=tuple(payload["seq_end_us"]),
-        end_us=payload["end_us"],
-        counters=payload["counters"],
-        fault_stats=payload["fault_stats"],
-        quiescence=tuple(payload["quiescence"]),
-        violations=tuple(payload["violations"]),
-    )
+def _decode_result(plan: ChaosPlan, payload: dict) -> ChaosResult:
+    """A cached payload back as a result: JSON lists become the tuples a
+    live run produces; ``fault_stats`` keeps its lists, as live."""
+    return ChaosResult(plan=plan, **{
+        name: payload[name] if name == "fault_stats" else _tuples(payload[name])
+        for name in ChaosResult.__dataclass_fields__ if name != "plan"
+    })
 
 
 def audit_fault_counters(counters: dict, stats: dict) -> list[str]:
@@ -296,622 +291,89 @@ def audit_fault_counters(counters: dict, stats: dict) -> list[str]:
     return violations
 
 
-def run_chaos_scenario(
-    scenario: ChaosScenario,
-    barrier: str,
-    nodes: int = 16,
-    iterations: int = 4,
-    seed: int = 0,
-    sim: Optional[Simulator] = None,
-    cache: Optional[RunCache] = None,
-) -> ChaosRunResult:
-    """Run one scenario under one barrier scheme and audit the run.
-
-    Only stock-simulator runs consult ``cache`` — tie-break-perturbed
-    replays (``sim=TieBreakSimulator(...)``) exist to *re-execute* the
-    schedule, so they always run live.
-    """
-    if barrier not in scenario.applicable_schemes:
-        raise ValueError(f"scenario {scenario.name!r} does not cover {barrier!r}")
-    profile = _apply_overrides(
-        get_profile(_DEFAULT_PROFILE[scenario.network]), scenario
-    )
-    request = None
-    if cache is not None and sim is None:
-        request = run_request(
-            "chaos-run", scenario=scenario, params=profile, barrier=barrier,
-            nodes=nodes, iterations=iterations, seed=seed,
+def _profile(plan: ChaosPlan):
+    profile = get_profile(_DEFAULT_PROFILE[plan.network])
+    if plan.gm_overrides:
+        profile = replace(profile, gm=replace(profile.gm, **dict(plan.gm_overrides)))
+    if plan.elan_overrides:
+        profile = replace(
+            profile, elan=replace(profile.elan, **dict(plan.elan_overrides))
         )
-        payload = cache.get(request)
-        if payload is not None:
-            return _decode_chaos_result(payload)
-    probabilistic = (
-        scenario.drop_probability
-        or scenario.corrupt_probability
-        or scenario.duplicate_probability
-        or scenario.delay_probability
-    )
-    rng = (
-        DeterministicRng(seed, f"chaos/{scenario.name}") if probabilistic else None
-    )
-    faults = FaultInjector(
-        rng=rng,
-        drop_probability=scenario.drop_probability,
-        corrupt_probability=scenario.corrupt_probability,
-        duplicate_probability=scenario.duplicate_probability,
-        delay_probability=scenario.delay_probability,
-        delay_jitter_us=scenario.delay_jitter_us,
-    )
-    sim_obj = sim if sim is not None else Simulator()
-    sim_obj.track_processes()
-    cluster = build_cluster(profile, nodes, faults=faults, sim=sim_obj)
-    _arrange_faults(scenario, cluster, faults)
+    return profile
 
-    # Scenario node indices are literal, so the group is the identity
-    # order — the paper's random node permutation would re-aim every
-    # flap/crash/slowdown at a different node per seed.
-    group = ProcessGroup(range(nodes))
-    if scenario.collective == "barrier":
-        drivers, hw = _setup_scheme(cluster, barrier, group)
+
+def _arrange_faults(plan: ChaosPlan, cluster, faults: FaultInjector) -> None:
+    for a, b, start, until in plan.flaps:
+        faults.flap_link(a, b, start, until)
+    if plan.dead_link is not None:
+        a, b = plan.dead_link
+        faults.drop_all_matching(
+            lambda p: p.src in (a, b) and p.dst in (a, b),
+            label=f"dead:{a}<->{b}",
+        )
+    if plan.crash is not None:
+        node, at_us, restart_delay = plan.crash
+        faults.crash_window(node, at_us, at_us + restart_delay)
+        cluster.nics[node].schedule_crash(at_us, restart_delay)
+    if plan.slowdown is not None:
+        node, factor = plan.slowdown
+        cluster.cpus[node].slowdown = factor
+
+
+def _scheme_step(cluster, plan: ChaosPlan):
+    """The per-op step of a scheme-driven plan: the barrier through
+    :func:`_barrier_step`, the data collectives and the non-blocking
+    barrier through the NIC engine entry points.  Data collectives
+    verify the *value* they compute — a fault that double-applies a
+    contribution shows up as a wrong reduction, not just a counter."""
+    group = ProcessGroup(range(plan.nodes))
+    ports = cluster.ports
+    drivers = hw = None
+    if plan.segments[0][0] == "barrier":
+        drivers, hw = _setup_scheme(cluster, plan.scheme, group)
     else:
-        drivers = hw = None
-        engine_cls = {
-            "allreduce": NicAllreduceEngine,
-            "bcast": NicBroadcastEngine,
-            "ibarrier": NicCollectiveBarrierEngine,
-        }[scenario.collective]
+        engine_cls = _ENGINES[plan.segments[0][0]]
         for rank, node in enumerate(group.node_ids):
             engine_cls(cluster.nics[node], group, rank)
-    step = _collective_step_factory(cluster, scenario, barrier, group, drivers, hw)
+    expected_sum = sum(r + 1 for r in range(group.size))
 
-    outcomes: list[list[str]] = [[] for _ in range(nodes)]
-    seq_pending = [nodes] * iterations
-    seq_end = [0.0] * iterations
-
-    def program(rank: int, node: int):
-        for seq in range(iterations):
-            try:
-                verdict = yield from step(rank, node, seq)
-            except BarrierFailure as failure:
-                outcomes[rank].append(f"fail:{failure.reason}")
+    def step(node: int, seq: int, op: str):
+        if op == "barrier":
+            yield from _barrier_step(
+                cluster, plan.scheme, group, drivers, hw, node, seq,
+                hw_fallback=plan.hw_fallback,
+            )
+            return "ok:barrier"
+        if op == "allreduce":
+            result = yield from nic_allreduce(
+                ports[node], group, seq, node + 1, "sum"
+            )
+            if result != expected_sum:
+                return f"wrong:allreduce:{result!r}"
+            return "ok:allreduce"
+        if op == "bcast":
+            if node == 0:
+                done = yield from nic_broadcast_root(
+                    ports[node], group, seq, 64, payload=("blob", seq)
+                )
             else:
-                outcomes[rank].append(verdict)
-            seq_pending[seq] -= 1
-            if seq_pending[seq] == 0:
-                seq_end[seq] = cluster.sim.now
+                done = yield from nic_broadcast_recv(ports[node], group, seq)
+            if done.payload != ("blob", seq):
+                return f"wrong:bcast:{done.payload!r}"
+            return "ok:bcast"
+        request = yield from nic_ibarrier(ports[node], group, seq)
+        # A few non-blocking polls first (the overlap pattern the API
+        # exists for), then the blocking wait.
+        for _ in range(3):
+            if (yield from request.test()):
+                return "ok:ibarrier"
+        yield from request.wait()
+        return "ok:ibarrier"
 
-    procs = [
-        cluster.sim.process(program(rank, node), name=f"chaos@{node}")
-        for rank, node in enumerate(group.node_ids)
-    ]
-    cluster.sim.run()
-
-    violations: list[str] = []
-    for proc in procs:
-        if not proc.completion.processed:
-            violations.append(f"HANG: {proc.name} never finished its barriers")
-    for rank, record in enumerate(outcomes):
-        if len(record) != iterations:
-            violations.append(
-                f"rank {rank} recorded {len(record)}/{iterations} outcomes"
-            )
-    total_failures = sum(
-        1 for record in outcomes for o in record if o.startswith("fail:")
-    )
-    total_oks = sum(1 for record in outcomes for o in record if o == "ok")
-    wrong = [
-        (rank, o)
-        for rank, record in enumerate(outcomes)
-        for o in record
-        if o.startswith("wrong:")
-    ]
-    for rank, o in wrong:
-        violations.append(f"rank {rank} computed an incorrect result: {o}")
-    if total_oks + total_failures + len(wrong) != nodes * iterations:
-        violations.append(
-            f"outcome accounting broken: {total_oks} ok + {total_failures} "
-            f"failed + {len(wrong)} wrong != {nodes * iterations}"
-        )
-    counters = dict(cluster.tracer.counters)
-    if scenario.expect == "recover" and total_failures:
-        violations.append(
-            f"expected full recovery but {total_failures} barrier(s) failed"
-        )
-    elif scenario.expect == "fail" and not total_failures:
-        violations.append("expected surfaced failures but every barrier passed")
-    elif scenario.expect == "degrade":
-        if total_failures:
-            violations.append(
-                f"expected graceful degradation but {total_failures} "
-                "barrier(s) failed outright"
-            )
-        if not counters.get(scenario.degrade_counter, 0):
-            violations.append(
-                f"expected degradation counter {scenario.degrade_counter!r} "
-                "to fire, but it is zero"
-            )
-
-    stats = faults.stats()
-    violations.extend(audit_fault_counters(counters, stats))
-
-    report = check_quiescent(cluster, must_complete=[p.name for p in procs])
-    run_result = ChaosRunResult(
-        scenario=scenario.name,
-        barrier=barrier,
-        nodes=nodes,
-        iterations=iterations,
-        outcomes=tuple(tuple(r) for r in outcomes),
-        seq_end_us=tuple(seq_end),
-        end_us=cluster.sim.now,
-        counters=counters,
-        fault_stats=stats,
-        quiescence=tuple(f.render() for f in report.findings),
-        violations=tuple(violations),
-    )
-    if request is not None:
-        cache.put(request, run_result)
-    return run_result
+    return step
 
 
-# ----------------------------------------------------------------------
-# The scenario catalogue: one scenario per fault class, per network.
-# ----------------------------------------------------------------------
-MYRINET_SCENARIOS: tuple[ChaosScenario, ...] = (
-    ChaosScenario(
-        name="drop",
-        network="myrinet",
-        description="2% probabilistic loss on every flow; ACK timeouts and "
-                    "receiver-driven NACKs recover every message",
-        drop_probability=0.02,
-    ),
-    ChaosScenario(
-        name="corrupt",
-        network="myrinet",
-        description="2% of packets delivered mangled; the receiving NIC's "
-                    "CRC discards them and the sender's timeout recovers",
-        corrupt_probability=0.02,
-    ),
-    ChaosScenario(
-        name="duplicate",
-        network="myrinet",
-        description="5% of packets delivered twice; sequence numbers and "
-                    "bit vectors must suppress the copies",
-        duplicate_probability=0.05,
-    ),
-    ChaosScenario(
-        name="delay",
-        network="myrinet",
-        description="20% of packets held up to 5us at injection (switch "
-                    "buffering jitter); pure timing fault",
-        delay_probability=0.2,
-        delay_jitter_us=5.0,
-    ),
-    ChaosScenario(
-        name="flap",
-        network="myrinet",
-        description="the 0<->1 link black-holes for 100us early in the "
-                    "run, then heals; backed-off retransmissions recover",
-        flap_window=(0, 1, 20.0, 120.0),
-    ),
-    ChaosScenario(
-        name="crash",
-        network="myrinet",
-        description="NIC 5 crashes mid-barrier, loses its SRAM state, and "
-                    "restarts 100us later; in-flight barriers fail cleanly "
-                    "and later barriers complete",
-        expect="fail",
-        schemes=("nic-direct", "nic-collective"),
-        crash=(5, 30.0, 100.0),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 4),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 5),
-        ),
-    ),
-    ChaosScenario(
-        name="link-death",
-        network="myrinet",
-        description="the 2<->3 link dies permanently; the (shrunk) retry "
-                    "budget exhausts and every rank surfaces a typed "
-                    "BarrierFailure instead of hanging",
-        expect="fail",
-        schemes=("nic-direct", "nic-collective"),
-        dead_link=(2, 3),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 3),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 4),
-        ),
-    ),
-    ChaosScenario(
-        name="slow-host",
-        network="myrinet",
-        description="node 3's host runs 3x slower (skewed arrival); "
-                    "barriers stretch but complete",
-        slowdown=(3, 3.0),
-    ),
-)
-
-QUADRICS_SCENARIOS: tuple[ChaosScenario, ...] = (
-    ChaosScenario(
-        name="delay",
-        network="quadrics",
-        description="20% of packets held up to 5us at injection; event "
-                    "thresholds absorb the reordering",
-        schemes=("gsync", "nic-chained"),
-        delay_probability=0.2,
-        delay_jitter_us=5.0,
-    ),
-    ChaosScenario(
-        name="slow-host",
-        network="quadrics",
-        description="node 2's host runs 3x slower; hgsync pays extra probe "
-                    "rounds but completes",
-        slowdown=(2, 3.0),
-    ),
-    ChaosScenario(
-        name="hw-degrade",
-        network="quadrics",
-        description="a 50x-slowed straggler exhausts the Elite probe "
-                    "budget (2 rounds); hgsync falls back to the software "
-                    "tree and still completes",
-        expect="degrade",
-        degrade_counter="elan.hw_fallback",
-        schemes=("hgsync",),
-        slowdown=(2, 50.0),
-        elan_overrides=(("hw_max_rounds", 2),),
-    ),
-    ChaosScenario(
-        name="hw-fail",
-        network="quadrics",
-        description="same straggler, but fallback disabled: the probe "
-                    "budget exhaustion surfaces as BarrierFailure",
-        expect="fail",
-        schemes=("hgsync",),
-        slowdown=(2, 50.0),
-        elan_overrides=(("hw_max_rounds", 2),),
-        hw_fallback=False,
-    ),
-)
-
-#: Data collectives and the non-blocking barrier under the same fault
-#: classes — the PR 7 engines (allreduce/bcast) and the request-handle
-#: API were absent from the original catalogue.
-DATA_SCENARIOS: tuple[ChaosScenario, ...] = (
-    ChaosScenario(
-        name="allreduce-flap",
-        network="myrinet",
-        description="the 0<->1 link black-holes for 100us during an "
-                    "allreduce campaign, then heals; NACK recovery "
-                    "retransmits and the sums stay exact (a double-applied "
-                    "contribution would inflate them)",
-        collective="allreduce",
-        flap_window=(0, 1, 20.0, 120.0),
-    ),
-    ChaosScenario(
-        name="allreduce-link-death",
-        network="myrinet",
-        description="the 2<->3 link dies permanently mid-allreduce; the "
-                    "shrunk NACK budget exhausts and every rank surfaces a "
-                    "typed CollectiveFailure",
-        expect="fail",
-        collective="allreduce",
-        dead_link=(2, 3),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 3),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 4),
-        ),
-    ),
-    ChaosScenario(
-        name="bcast-flap",
-        network="myrinet",
-        description="a link flap during a broadcast campaign; the tree "
-                    "NACKs the lost hops and every rank still receives the "
-                    "exact payload",
-        collective="bcast",
-        flap_window=(0, 1, 20.0, 120.0),
-    ),
-    ChaosScenario(
-        name="bcast-link-death",
-        network="myrinet",
-        description="a permanently dead link under broadcast; the retry "
-                    "budget exhausts into a typed failure instead of a hang",
-        expect="fail",
-        collective="bcast",
-        # The broadcast tree is rooted at rank 0, so the 0<->1 edge is
-        # always a tree hop (a generic leaf pair may not be).
-        dead_link=(0, 1),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 3),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 4),
-        ),
-    ),
-    ChaosScenario(
-        name="ibarrier-flap",
-        network="myrinet",
-        description="non-blocking barriers (test/test/test/wait) across a "
-                    "link flap; requests complete after NACK recovery",
-        collective="ibarrier",
-        flap_window=(0, 1, 20.0, 120.0),
-    ),
-    ChaosScenario(
-        name="ibarrier-crash",
-        network="myrinet",
-        description="NIC 5 crashes while non-blocking barriers are in "
-                    "flight; their requests resolve to typed failures, "
-                    "never hang",
-        expect="fail",
-        collective="ibarrier",
-        crash=(5, 30.0, 100.0),
-        gm_overrides=(
-            ("ack_timeout_us", 200.0),
-            ("max_retries", 4),
-            ("nack_timeout_us", 300.0),
-            ("nack_max_rounds", 5),
-        ),
-    ),
-)
-
-ALL_SCENARIOS: tuple[ChaosScenario, ...] = (
-    MYRINET_SCENARIOS + DATA_SCENARIOS + QUADRICS_SCENARIOS
-)
-
-
-# ----------------------------------------------------------------------
-# Campaign driver
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignReport:
-    """Every run of a chaos campaign plus the per-run determinism audit."""
-
-    nodes: int
-    iterations: int
-    rounds: int
-    results: list[ChaosRunResult] = field(default_factory=list)
-    #: "scenario/scheme" -> round indices whose results diverged.
-    diverged: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results) and not self.diverged
-
-    def render(self) -> str:
-        lines = [
-            f"chaos campaign: N={self.nodes}, {self.iterations} barriers/run, "
-            f"{self.rounds} tie-break permutations/run"
-        ]
-        for result in self.results:
-            key = f"{result.scenario}/{result.barrier}"
-            marks = []
-            if result.violations:
-                marks.extend(result.violations)
-            if result.quiescence:
-                marks.append(f"{len(result.quiescence)} quiescence finding(s)")
-            if key in self.diverged:
-                marks.append(
-                    f"DIVERGED in permutation rounds {list(self.diverged[key])}"
-                )
-            verdict = "ok" if not marks else "FAILED: " + "; ".join(marks)
-            lines.append(
-                f"  {key:<28} failures={result.failures:<3} "
-                f"end={result.end_us:>10.1f}us  {verdict}"
-            )
-            for finding in result.quiescence:
-                lines.append(f"    {finding}")
-        lines.append("PASS" if self.ok else "FAIL")
-        return "\n".join(lines)
-
-
-def run_campaign(
-    networks: tuple[str, ...] = ("myrinet", "quadrics"),
-    nodes: int = 16,
-    iterations: int = 4,
-    rounds: int = 20,
-    seed: int = 0,
-    cache: Optional[RunCache] = None,
-) -> CampaignReport:
-    """The full chaos matrix: every scenario x scheme, with ``rounds``
-    extra tie-break-perturbed replays that must be bit-identical.
-
-    ``cache`` serves only the baselines; every permutation replay runs
-    live (they are the determinism check) and is compared against the
-    possibly-cached baseline observables.
-    """
-    report = CampaignReport(nodes=nodes, iterations=iterations, rounds=rounds)
-    for scenario in ALL_SCENARIOS:
-        if scenario.network not in networks:
-            continue
-        for barrier in scenario.applicable_schemes:
-            baseline = run_chaos_scenario(
-                scenario, barrier, nodes=nodes, iterations=iterations,
-                seed=seed, cache=cache,
-            )
-            report.results.append(baseline)
-            diverged = []
-            for round_idx in range(rounds):
-                rng = DeterministicRng(
-                    seed, f"chaos/tiebreak/{scenario.name}/{barrier}/{round_idx}"
-                )
-                replay = run_chaos_scenario(
-                    scenario, barrier, nodes=nodes, iterations=iterations,
-                    seed=seed, sim=TieBreakSimulator(rng),
-                )
-                if replay.comparable() != baseline.comparable():
-                    diverged.append(round_idx)
-            if diverged:
-                report.diverged[f"{scenario.name}/{barrier}"] = tuple(diverged)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Randomized chaos fuzzer: seeded fault schedules over collective mixes
-# ----------------------------------------------------------------------
-#: Operations each network's fuzzer may draw.  Myrinet exercises the
-#: full collective-protocol engine family; Quadrics fuzzes the chained
-#: -RDMA barrier (blocking and request-handle forms) — the paper's
-#: Quadrics contribution.
-_FUZZ_OPS = {
-    "myrinet": ("barrier", "allreduce", "bcast", "ibarrier"),
-    "quadrics": ("barrier", "ibarrier"),
-}
-_FUZZ_POLL_US = 5.0
-
-
-@dataclass(frozen=True)
-class FuzzPlan:
-    """One seeded fuzz case: the whole fault schedule, derived from the
-    seed *before* the simulation is built (scripts must not consult the
-    clock, so every timestamp is decided up front).
-
-    ``segments[k]`` is the op mix run on epoch ``k``; kill ``k`` fires
-    during it and the controller opens segment ``k+1`` only after the
-    victim is detected and the group repaired.  Non-final segments
-    repeat their mix until the epoch turns over, so kills land inside
-    live collectives, not in gaps between them.
-    """
-
-    network: str
-    nodes: int
-    seed: int
-    segments: tuple[tuple[str, ...], ...]
-    #: (victim node, kill time) per repair round, times increasing.  A
-    #: kill whose time falls inside the previous round's recovery is a
-    #: mid-recovery kill — the controller handles them sequentially.
-    kills: tuple[tuple[int, float], ...]
-    flaps: tuple[tuple[int, int, float, float], ...]
-    corrupt_probability: float
-    duplicate_probability: float
-    delay_probability: float
-    delay_jitter_us: float
-    hb_period_us: float
-    hb_timeout_us: float
-    #: kill -> conviction by every survivor must fit in this window.
-    detect_deadline_us: float
-    horizon_us: float
-
-    def describe(self) -> str:
-        kills = ", ".join(f"n{v}@{t:.0f}us" for v, t in self.kills)
-        mixes = "; ".join("+".join(seg) for seg in self.segments)
-        return (
-            f"fuzz[{self.network} seed={self.seed} N={self.nodes}] "
-            f"kills=[{kills}] flaps={len(self.flaps)} "
-            f"corrupt={self.corrupt_probability} "
-            f"delay={self.delay_probability} segments=[{mixes}]"
-        )
-
-
-def make_fuzz_plan(network: str, seed: int, nodes: int = 16) -> FuzzPlan:
-    """Derive a full fault schedule from ``(network, seed)``.
-
-    Heartbeat drops can convict a live peer, so the windows are sized
-    conservatively: flaps are shorter than half the suspicion timeout
-    and probabilistic loss is expressed as corruption (CRC drop on
-    receive) at a rate that makes a false conviction need three
-    consecutive losses on one flow.  Every case is deterministic, so a
-    seed either passes forever or fails forever — no flaky CI.
-    """
-    if network not in _FUZZ_OPS:
-        raise ValueError(f"unknown network {network!r}")
-    if nodes < 4:
-        raise ValueError("fuzzing needs at least 4 nodes")
-    rng = DeterministicRng(seed, f"chaos-fuzz/{network}")
-    ops = _FUZZ_OPS[network]
-    n_kills = rng.randint(1, 2)
-    pool = list(range(nodes))
-    kills = []
-    at = 0.0
-    for k in range(n_kills):
-        victim = pool.pop(rng.randint(0, len(pool) - 1))
-        at += rng.uniform(120.0, 600.0)
-        kills.append((victim, round(at, 1)))
-    segments = []
-    for k in range(n_kills + 1):
-        segment = tuple(rng.choice(ops) for _ in range(rng.randint(2, 3)))
-        if k == n_kills:
-            # The acceptance tail: after the last repair the survivor
-            # epoch must run the core collectives to completion with
-            # correct results.
-            tail = ("barrier", "allreduce") if network == "myrinet" else (
-                "barrier", "ibarrier")
-            segment = segment + tail
-        segments.append(segment)
-    flaps = []
-    for _ in range(rng.randint(0, 2)):
-        a = rng.randint(0, nodes - 1)
-        b = (a + rng.randint(1, nodes - 1)) % nodes
-        start = rng.uniform(30.0, max(60.0, at))
-        flaps.append((min(a, b), max(a, b), round(start, 1),
-                      round(start + rng.uniform(40.0, 120.0), 1)))
-    corrupt = rng.choice((0.0, 0.01)) if network == "myrinet" else 0.0
-    duplicate = rng.choice((0.0, 0.02)) if network == "myrinet" else 0.0
-    delay = rng.choice((0.0, 0.1))
-    return FuzzPlan(
-        network=network,
-        nodes=nodes,
-        seed=seed,
-        segments=tuple(segments),
-        kills=tuple(kills),
-        flaps=tuple(flaps),
-        corrupt_probability=corrupt,
-        duplicate_probability=duplicate,
-        delay_probability=delay,
-        delay_jitter_us=3.0 if delay else 0.0,
-        hb_period_us=100.0,
-        hb_timeout_us=450.0,
-        detect_deadline_us=1500.0,
-        horizon_us=round(at + 6000.0, 1),
-    )
-
-
-@dataclass
-class FuzzResult:
-    """One fuzz case: per-rank, per-epoch outcomes plus the audit."""
-
-    plan: FuzzPlan
-    #: outcomes[rank][epoch] -> tuple of "ok:<op>" / "revoked:<op>" /
-    #: "fail:<op>:<reason>" / "wrong:<op>:<value>" / "abandoned" /
-    #: "dead" entries, in program order.
-    outcomes: tuple[tuple[tuple[str, ...], ...], ...] = ()
-    detected_at: tuple[float, ...] = ()
-    repaired_at: tuple[float, ...] = ()
-    epochs: int = 0
-    end_us: float = 0.0
-    counters: dict[str, int] = field(default_factory=dict)
-    fault_stats: dict = field(default_factory=dict)
-    quiescence: tuple[str, ...] = ()
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.quiescence
-
-    def comparable(self) -> tuple:
-        """Observables that must be bit-identical under tie-break
-        permutation of the event schedule."""
-        return (
-            self.outcomes,
-            self.detected_at,
-            self.repaired_at,
-            self.end_us,
-            tuple(sorted(self.counters.items())),
-            repr(self.fault_stats),
-        )
-
-    def __str__(self) -> str:
-        verdict = "ok" if self.ok else "FAILED"
-        return (
-            f"{self.plan.describe()}: {verdict} "
-            f"(epochs={self.epochs}, end={self.end_us:.0f}us)"
-        )
-
-
-def _fuzz_op(comm, op):
+def _comm_op(comm, op):
     """Run one op on a rank handle, verifying data results.
 
     Expected values are derived from node ids (``comm.rank`` is stale
@@ -943,26 +405,59 @@ def _fuzz_op(comm, op):
     return "ok:ibarrier"
 
 
-def run_fuzz_case(
-    plan: FuzzPlan, sim: Optional[Simulator] = None
-) -> FuzzResult:
-    """Execute one fuzz plan and audit the global invariant: every rank
-    reaches completion, a typed failure, or survivor-epoch completion
-    within the bounded horizon; detection meets its deadline; the
-    post-repair epoch completes its tail with correct data; the cluster
-    quiesces clean.
+def _scheduled_faults(plan: ChaosPlan):
+    """``(label, opens_at_us)`` of every fault that opens mid-run."""
+    for a, b, start, _until in plan.flaps:
+        yield f"flap n{a}<->n{b}", start
+    if plan.crash is not None:
+        yield f"crash n{plan.crash[0]}", plan.crash[1]
+    for victim, at_us in plan.kills:
+        yield f"kill n{victim}", at_us
+
+
+def run_plan(
+    plan: ChaosPlan,
+    sim: Optional[Simulator] = None,
+    cache: Optional[RunCache] = None,
+) -> ChaosResult:
+    """Execute one plan and audit it (see the module docstring).
+
+    Only stock-simulator runs consult ``cache`` — tie-break-perturbed
+    replays (``sim=TieBreakSimulator(...)``) exist to *re-execute* the
+    schedule, so they always run live.
     """
+    profile = _profile(plan)
+    if cache is None or sim is not None:
+        return _execute(plan, profile, sim)
+    return cached_call(
+        cache,
+        run_request("chaos-run", plan=plan, params=profile),
+        lambda: _execute(plan, profile, None),
+        decode=lambda payload: _decode_result(plan, payload),
+    )
+
+
+#: The name the benchmark harness imports and profiles.
+run_fuzz_case = run_plan
+
+
+def _execute(plan: ChaosPlan, profile, sim: Optional[Simulator]) -> ChaosResult:
     from repro.mpi import create_communicators, repair_communicators
 
-    profile = recovery_profile(get_profile(_DEFAULT_PROFILE[plan.network]))
-    rng = DeterministicRng(plan.seed, f"chaos-fuzz/run/{plan.network}")
+    # Catalogue plans keep the stream names they were pinned with.
+    wire_stream = (
+        f"chaos/{plan.name}" if plan.name
+        else f"chaos-fuzz/run/{plan.network}/wire"
+    )
     probabilistic = (
-        plan.corrupt_probability
+        plan.drop_probability
+        or plan.corrupt_probability
         or plan.duplicate_probability
         or plan.delay_probability
     )
     faults = FaultInjector(
-        rng=rng.substream("wire") if probabilistic else None,
+        rng=DeterministicRng(plan.seed, wire_stream) if probabilistic else None,
+        drop_probability=plan.drop_probability,
         corrupt_probability=plan.corrupt_probability,
         duplicate_probability=plan.duplicate_probability,
         delay_probability=plan.delay_probability,
@@ -971,114 +466,111 @@ def run_fuzz_case(
     sim_obj = sim if sim is not None else Simulator()
     sim_obj.track_processes()
     cluster = build_cluster(profile, plan.nodes, faults=faults, sim=sim_obj)
-    for a, b, start, until in plan.flaps:
-        faults.flap_link(a, b, start, until)
-    for victim, at_us in plan.kills:
-        faults.kill_node(victim, at_us=at_us)
-    hb_rng = rng.substream("hb")
-    for node in range(plan.nodes):
-        enable_failure_detector(
-            cluster.nics[node], range(plan.nodes), rng=hb_rng,
-            period_us=plan.hb_period_us, timeout_us=plan.hb_timeout_us,
-            horizon_us=plan.horizon_us,
-        )
+    _arrange_faults(plan, cluster, faults)
+    if plan.kills:
+        hb_rng = DeterministicRng(plan.seed, f"chaos-fuzz/run/{plan.network}/hb")
+        for node in range(plan.nodes):
+            enable_failure_detector(
+                cluster.nics[node], range(plan.nodes), rng=hb_rng,
+                period_us=plan.hb_period_us, timeout_us=plan.hb_timeout_us,
+                horizon_us=plan.horizon_us,
+            )
 
-    comms = create_communicators(cluster)
-    n_segments = len(plan.segments)
-    state = {"phase": 0}
-    outcomes = [
-        [[] for _ in range(n_segments)] for _ in range(plan.nodes)
-    ]
+    if plan.scheme:
+        step = _scheme_step(cluster, plan)
+    else:
+        comms = create_communicators(cluster)
+
+        def step(node: int, seq: int, op: str):
+            return _comm_op(comms[node], op)
+
+    segments = plan.segments
+    final = len(segments) - 1
+    victims = {victim for victim, _ in plan.kills}
+    phase = [0]
+    outcomes = [[[] for _ in segments] for _ in range(plan.nodes)]
+    tracker = LastRankOut(sim_obj, plan.nodes, len(segments[-1]))
     detected_at: list[float] = []
     repaired_at: list[float] = []
     violations: list[str] = []
 
-    def killer(victim: int, at_us: float):
-        yield at_us
-        cluster.nics[victim].crashed = True
-
-    def controller():
-        for k, (victim, at_us) in enumerate(plan.kills):
-            convicted = yield from wait_for_conviction(
-                cluster, victim, at_us, _FUZZ_POLL_US,
-                within_us=plan.detect_deadline_us,
-            )
-            if not convicted:
-                violations.append(
-                    f"kill {k}: victim n{victim} not convicted by every "
-                    f"survivor within {plan.detect_deadline_us:.0f}us"
-                )
-            detected_at.append(round(sim_obj.now, 3))
-            # Repair and open the next phase with no yield in between:
-            # a survivor must never start an op on the new epoch before
-            # the gate moves, or its sequence numbering would split.
-            try:
-                repair_communicators(comms, [victim])
-            except Exception as exc:  # noqa: BLE001 - audited, not raised
-                violations.append(f"kill {k}: repair failed: {exc!r}")
-                state["phase"] = n_segments
-                return
-            state["phase"] = k + 1
-            repaired_at.append(round(sim_obj.now, 3))
-
     def program(node: int):
-        for phase_idx, segment in enumerate(plan.segments):
-            while state["phase"] < phase_idx:
-                yield _FUZZ_POLL_US
+        nic = cluster.nics[node]
+        seq = 0
+        for phase_idx, segment in enumerate(segments):
+            while phase[0] < phase_idx:
+                yield _POLL_US
             record = outcomes[node][phase_idx]
-            if cluster.nics[node].crashed:
+            if node in victims and nic.crashed:
                 record.append("dead")
+                tracker.rank_dead(0)
                 return
-            final = phase_idx == n_segments - 1
             while True:
-                abandoned = False
-                for op in segment:
-                    if state["phase"] > phase_idx:
+                for i, op in enumerate(segment):
+                    if phase[0] > phase_idx:
                         record.append("abandoned")
-                        abandoned = True
                         break
-                    if cluster.nics[node].crashed:
+                    if node in victims and nic.crashed:
                         record.append("dead")
+                        tracker.rank_dead(i if phase_idx == final else 0)
                         return
                     try:
-                        verdict = yield from _fuzz_op(comms[node], op)
-                        record.append(verdict)
+                        verdict = yield from step(node, seq, op)
                     except Revoked:
-                        record.append(f"revoked:{op}")
+                        verdict = f"revoked:{op}"
                     except BarrierFailure as failure:
-                        record.append(f"fail:{op}:{failure.reason}")
-                if final or abandoned or state["phase"] > phase_idx:
+                        verdict = f"fail:{op}:{failure.reason}"
+                    record.append(verdict)
+                    seq += 1
+                    if phase_idx == final:
+                        tracker.rank_done(i)
+                if phase_idx == final or phase[0] > phase_idx:
                     break
 
+    def repair(k: int, victim: int, convicted: bool) -> bool:
+        if not convicted:
+            violations.append(
+                f"kill {k}: victim n{victim} not convicted by every "
+                f"survivor within {plan.detect_deadline_us:.0f}us"
+            )
+        detected_at.append(round(sim_obj.now, 3))
+        try:
+            repair_communicators(comms, [victim])
+        except Exception as exc:  # noqa: BLE001 - audited, not raised
+            violations.append(f"kill {k}: repair failed: {exc!r}")
+            phase[0] = len(segments)
+            return False
+        phase[0] = k + 1
+        repaired_at.append(round(sim_obj.now, 3))
+        return True
+
     procs = [
-        sim_obj.process(program(node), name=f"fuzz@{node}")
+        sim_obj.process(program(node), name=f"chaos@{node}")
         for node in range(plan.nodes)
     ]
-    for victim, at_us in plan.kills:
-        procs.append(
-            sim_obj.process(killer(victim, at_us), name=f"killer@{victim}")
+    if plan.kills:
+        procs += launch_kills(
+            cluster, plan.kills, repair, _POLL_US,
+            within_us=plan.detect_deadline_us,
         )
-    procs.append(sim_obj.process(controller(), name="fuzz-controller"))
     sim_obj.run()
 
     for proc in procs:
         if not proc.completion.processed:
             violations.append(f"HANG: {proc.name} never finished")
-    dead_nodes = {victim for victim, _ in plan.kills}
     for node in range(plan.nodes):
-        flat = [o for phase in outcomes[node] for o in phase]
+        flat = [o for segment in outcomes[node] for o in segment]
         for o in flat:
             if o.startswith("wrong:"):
                 violations.append(f"rank n{node} computed a wrong result: {o}")
             elif o.startswith("fail:"):
-                reason = o.split(":", 2)[2]
                 try:
-                    classify_reason(reason)
+                    classify_reason(o.split(":", 2)[2])
                 except ValueError:
                     violations.append(
                         f"rank n{node} surfaced an untyped failure reason: {o}"
                     )
-        if node in dead_nodes:
+        if node in victims:
             if not flat or flat[-1] != "dead":
                 violations.append(
                     f"killed rank n{node} never observed its own death: "
@@ -1086,50 +578,69 @@ def run_fuzz_case(
                 )
             continue
         tail = outcomes[node][-1]
-        expected_tail = len(plan.segments[-1])
-        oks = [o for o in tail if o.startswith("ok:")]
-        if len(oks) != expected_tail or len(tail) != expected_tail:
+        if len(tail) != len(segments[-1]):
             violations.append(
-                f"survivor n{node} did not complete the survivor epoch "
+                f"rank n{node} recorded {len(tail)}/{len(segments[-1])} "
+                "outcomes in the final segment"
+            )
+        elif plan.expect == "recover" and any(
+            not o.startswith("ok:") for o in tail
+        ):
+            violations.append(
+                f"survivor n{node} did not complete the final segment "
                 f"cleanly: {tuple(tail)}"
             )
-    epochs = len(repaired_at)
-    if epochs != len(plan.kills) and not any(
+    if len(repaired_at) != len(plan.kills) and not any(
         "repair failed" in v for v in violations
     ):
         violations.append(
-            f"{len(plan.kills)} kill(s) but {epochs} completed repair(s)"
+            f"{len(plan.kills)} kill(s) but {len(repaired_at)} completed "
+            "repair(s)"
         )
-
-    counters = dict(cluster.tracer.counters)
-    stats = faults.stats()
-    violations.extend(audit_fault_counters(counters, stats))
-
-    report = check_quiescent(cluster, must_complete=[p.name for p in procs])
-    return FuzzResult(
+    result = ChaosResult(
         plan=plan,
-        outcomes=tuple(
-            tuple(tuple(phase) for phase in rank) for rank in outcomes
-        ),
+        outcomes=_tuples(outcomes),
+        seq_end_us=tuple(tracker.end),
         detected_at=tuple(detected_at),
         repaired_at=tuple(repaired_at),
-        epochs=epochs,
         end_us=cluster.sim.now,
-        counters=counters,
-        fault_stats=stats,
-        quiescence=tuple(f.render() for f in report.findings),
-        violations=tuple(violations),
+        counters=dict(cluster.tracer.counters),
+        fault_stats=faults.stats(),
     )
+    if plan.expect == "fail" and not result.failures:
+        violations.append("expected surfaced failures but every barrier passed")
+    elif plan.expect == "degrade":
+        if result.failures:
+            violations.append(
+                f"expected graceful degradation but {result.failures} "
+                "barrier(s) failed outright"
+            )
+        if not result.counters.get(plan.degrade_counter, 0):
+            violations.append(
+                f"expected degradation counter {plan.degrade_counter!r} "
+                "to fire, but it is zero"
+            )
+    last_op_end = max(tracker.end)
+    for label, opens_at in _scheduled_faults(plan):
+        if opens_at > last_op_end:
+            violations.append(
+                f"vacuous: {label} at {opens_at:.1f}us after the last op "
+                f"ended at {last_op_end:.1f}us"
+            )
+    violations.extend(audit_fault_counters(result.counters, result.fault_stats))
+    report = check_quiescent(cluster, must_complete=[p.name for p in procs])
+    result.quiescence = tuple(f.render() for f in report.findings)
+    result.violations = tuple(violations)
+    return result
 
 
 @dataclass
-class FuzzReport:
-    """A block of fuzz cases plus the per-case determinism audit."""
+class ChaosReport:
+    """A block of runs plus the per-run determinism audit."""
 
-    nodes: int
-    rounds: int
-    results: list[FuzzResult] = field(default_factory=list)
-    #: "network/seed" -> permutation rounds whose observables diverged.
+    header: str
+    results: list[ChaosResult] = field(default_factory=list)
+    #: plan key -> permutation rounds whose observables diverged.
     diverged: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
@@ -1137,54 +648,254 @@ class FuzzReport:
         return all(r.ok for r in self.results) and not self.diverged
 
     def render(self) -> str:
-        lines = [
-            f"chaos fuzz: N={self.nodes}, {len(self.results)} case(s), "
-            f"{self.rounds} tie-break permutation(s)/case"
-        ]
+        lines = [self.header]
         for result in self.results:
-            key = f"{result.plan.network}/seed{result.plan.seed}"
             marks = list(result.violations)
             if result.quiescence:
                 marks.append(f"{len(result.quiescence)} quiescence finding(s)")
-            if key in self.diverged:
+            if result.plan.key in self.diverged:
                 marks.append(
-                    f"DIVERGED in permutation rounds {list(self.diverged[key])}"
+                    "DIVERGED in permutation rounds "
+                    f"{list(self.diverged[result.plan.key])}"
                 )
-            verdict = "ok" if not marks else "FAILED: " + "; ".join(marks)
-            lines.append(
-                f"  {key:<20} kills={len(result.plan.kills)} "
-                f"epochs={result.epochs} end={result.end_us:>9.1f}us  {verdict}"
-            )
+            lines.append(result.row(
+                "ok" if not marks else "FAILED: " + "; ".join(marks)
+            ))
             for finding in result.quiescence:
                 lines.append(f"    {finding}")
         lines.append("PASS" if self.ok else "FAIL")
         return "\n".join(lines)
 
 
-def run_fuzz_block(
-    networks: tuple[str, ...] = ("myrinet", "quadrics"),
-    seeds: tuple[int, ...] = (0, 1, 2, 3),
-    nodes: int = 16,
-    rounds: int = 1,
-) -> FuzzReport:
-    """Run a block of seeded fuzz cases, each replayed under ``rounds``
-    tie-break permutations that must reproduce the baseline observables
-    bit-identically (the SL101 discipline, applied to full
-    kill → detect → shrink → resume campaigns)."""
-    report = FuzzReport(nodes=nodes, rounds=rounds)
-    for network in networks:
-        for seed in seeds:
-            plan = make_fuzz_plan(network, seed, nodes=nodes)
-            baseline = run_fuzz_case(plan)
-            report.results.append(baseline)
-            diverged = []
-            for round_idx in range(rounds):
-                rng = DeterministicRng(
-                    seed, f"chaos-fuzz/tiebreak/{network}/{round_idx}"
-                )
-                replay = run_fuzz_case(plan, sim=TieBreakSimulator(rng))
-                if replay.comparable() != baseline.comparable():
-                    diverged.append(round_idx)
-            if diverged:
-                report.diverged[f"{network}/seed{seed}"] = tuple(diverged)
+def run_block(
+    plans, rounds: int, header: str, cache: Optional[RunCache] = None
+) -> ChaosReport:
+    """Run every plan, then replay each under ``rounds`` tie-break
+    permutations that must reproduce its baseline observables
+    bit-identically (the SL101 discipline, applied to whole faulted
+    campaigns).
+
+    ``cache`` serves only the baselines; every permutation replay runs
+    live (they are the determinism check) and is compared against the
+    possibly-cached baseline observables.
+    """
+    report = ChaosReport(header)
+    for plan in plans:
+        baseline = run_plan(plan, cache=cache)
+        report.results.append(baseline)
+        diverged = tuple(
+            round_idx for round_idx in range(rounds)
+            if run_plan(plan, sim=TieBreakSimulator(DeterministicRng(
+                plan.seed, f"chaos/tiebreak/{plan.key}/{round_idx}"
+            ))).comparable() != baseline.comparable()
+        )
+        if diverged:
+            report.diverged[plan.key] = diverged
     return report
+
+
+# ----------------------------------------------------------------------
+# The scenario catalogue: one scenario per fault class, per network,
+# each paired with the barrier schemes it runs against.
+# ----------------------------------------------------------------------
+#: Crash scenarios give the restarting NIC one more retry and NACK round
+#: than a dead link gets (:data:`RECOVERY_GM`).
+_CRASH_GM = (
+    ("ack_timeout_us", 200.0),
+    ("max_retries", 4),
+    ("nack_timeout_us", 300.0),
+    ("nack_max_rounds", 5),
+)
+_FLAP = ((0, 1, 20.0, 120.0),)
+_ENGINE = ("nic-collective",)
+
+CATALOGUE: tuple[tuple[ChaosPlan, tuple[str, ...]], ...] = (
+    (ChaosPlan("myrinet", name="drop", drop_probability=0.02, description=(
+        "2% probabilistic loss on every flow; ACK timeouts and "
+        "receiver-driven NACKs recover every message")), MYRINET_BARRIERS),
+    (ChaosPlan("myrinet", name="corrupt", corrupt_probability=0.02, description=(
+        "2% of packets delivered mangled; the receiving NIC's CRC discards "
+        "them and the sender's timeout recovers")), MYRINET_BARRIERS),
+    (ChaosPlan("myrinet", name="duplicate", duplicate_probability=0.05, description=(
+        "5% of packets delivered twice; sequence numbers and bit vectors "
+        "must suppress the copies")), MYRINET_BARRIERS),
+    (ChaosPlan(
+        "myrinet", name="delay", delay_probability=0.2, delay_jitter_us=5.0,
+        description="20% of packets held up to 5us at injection (switch "
+                    "buffering jitter); pure timing fault"), MYRINET_BARRIERS),
+    (ChaosPlan("myrinet", name="flap", flaps=_FLAP, description=(
+        "the 0<->1 link black-holes for 100us early in the run, then heals; "
+        "backed-off retransmissions recover")), MYRINET_BARRIERS),
+    (ChaosPlan(
+        "myrinet", name="crash", expect="fail", crash=(5, 30.0, 100.0),
+        gm_overrides=_CRASH_GM,
+        description="NIC 5 crashes mid-barrier, loses its SRAM state, and "
+                    "restarts 100us later; in-flight barriers fail cleanly "
+                    "and later barriers complete"), ("nic-direct", "nic-collective")),
+    (ChaosPlan(
+        "myrinet", name="link-death", expect="fail", dead_link=(2, 3),
+        gm_overrides=RECOVERY_GM,
+        description="the 2<->3 link dies permanently; the (shrunk) retry "
+                    "budget exhausts and every rank surfaces a typed "
+                    "BarrierFailure instead of hanging"), ("nic-direct", "nic-collective")),
+    (ChaosPlan("myrinet", name="slow-host", slowdown=(3, 3.0), description=(
+        "node 3's host runs 3x slower (skewed arrival); barriers stretch "
+        "but complete")), MYRINET_BARRIERS),
+    # Data collectives and the non-blocking barrier under the same fault
+    # classes, on the collective-protocol engines.
+    (ChaosPlan(
+        "myrinet", name="allreduce-flap", segments=(("allreduce",),), flaps=_FLAP,
+        description="the 0<->1 link black-holes for 100us during an allreduce "
+                    "campaign, then heals; NACK recovery retransmits and the "
+                    "sums stay exact (a double-applied contribution would "
+                    "inflate them)"), _ENGINE),
+    (ChaosPlan(
+        "myrinet", name="allreduce-link-death", segments=(("allreduce",),),
+        expect="fail", dead_link=(2, 3), gm_overrides=RECOVERY_GM,
+        description="the 2<->3 link dies permanently mid-allreduce; the shrunk "
+                    "NACK budget exhausts and every rank surfaces a typed "
+                    "CollectiveFailure"), _ENGINE),
+    (ChaosPlan(
+        "myrinet", name="bcast-flap", segments=(("bcast",),), flaps=_FLAP,
+        description="a link flap during a broadcast campaign; the tree NACKs "
+                    "the lost hops and every rank still receives the exact "
+                    "payload"), _ENGINE),
+    (ChaosPlan(
+        "myrinet", name="bcast-link-death", segments=(("bcast",),),
+        expect="fail", dead_link=(0, 1), gm_overrides=RECOVERY_GM,
+        description="a permanently dead link under broadcast; the retry budget "
+                    "exhausts into a typed failure instead of a hang.  The "
+                    "tree is rooted at rank 0, so the 0<->1 edge is always a "
+                    "tree hop"), _ENGINE),
+    (ChaosPlan(
+        "myrinet", name="ibarrier-flap", segments=(("ibarrier",),), flaps=_FLAP,
+        description="non-blocking barriers (test/test/test/wait) across a link "
+                    "flap; requests complete after NACK recovery"), _ENGINE),
+    (ChaosPlan(
+        "myrinet", name="ibarrier-crash", segments=(("ibarrier",),),
+        expect="fail", crash=(5, 30.0, 100.0), gm_overrides=_CRASH_GM,
+        description="NIC 5 crashes while non-blocking barriers are in flight; "
+                    "their requests resolve to typed failures, never hang"),
+     _ENGINE),
+    (ChaosPlan(
+        "quadrics", name="delay", delay_probability=0.2, delay_jitter_us=5.0,
+        description="20% of packets held up to 5us at injection; event "
+                    "thresholds absorb the reordering"), ("gsync", "nic-chained")),
+    (ChaosPlan("quadrics", name="slow-host", slowdown=(2, 3.0), description=(
+        "node 2's host runs 3x slower; hgsync pays extra probe rounds but "
+        "completes")), QUADRICS_BARRIERS),
+    (ChaosPlan(
+        "quadrics", name="hw-degrade", expect="degrade",
+        degrade_counter="elan.hw_fallback", slowdown=(2, 50.0),
+        elan_overrides=(("hw_max_rounds", 2),),
+        description="a 50x-slowed straggler exhausts the Elite probe budget (2 "
+                    "rounds); hgsync falls back to the software tree and still "
+                    "completes"), ("hgsync",)),
+    (ChaosPlan(
+        "quadrics", name="hw-fail", expect="fail", slowdown=(2, 50.0),
+        elan_overrides=(("hw_max_rounds", 2),), hw_fallback=False,
+        description="same straggler, but fallback disabled: the probe budget "
+                    "exhaustion surfaces as BarrierFailure"), ("hgsync",)),
+)
+
+
+def catalogue_plan(
+    name: str,
+    scheme: str,
+    network: str = "myrinet",
+    nodes: int = 16,
+    iterations: int = 4,
+    seed: int = 0,
+) -> ChaosPlan:
+    """One catalogue scenario pinned to a scheme, size and seed: its op
+    repeated ``iterations`` times in a single segment."""
+    for template, schemes in CATALOGUE:
+        if template.name == name and template.network == network:
+            if scheme not in schemes:
+                raise ValueError(f"scenario {name!r} does not cover {scheme!r}")
+            return replace(
+                template, scheme=scheme, nodes=nodes, seed=seed,
+                segments=(template.segments[0] * iterations,),
+            )
+    raise ValueError(f"no {network} scenario named {name!r}")
+
+
+def catalogue(
+    networks: tuple[str, ...] = ("myrinet", "quadrics"),
+    nodes: int = 16,
+    iterations: int = 4,
+    seed: int = 0,
+) -> list[ChaosPlan]:
+    """Every scenario x scheme of the catalogue, in catalogue order."""
+    return [
+        catalogue_plan(template.name, scheme, template.network, nodes,
+                       iterations, seed)
+        for template, schemes in CATALOGUE
+        if template.network in networks
+        for scheme in schemes
+    ]
+
+
+# ----------------------------------------------------------------------
+# Randomized plans: seeded fault schedules over collective mixes
+# ----------------------------------------------------------------------
+def make_fuzz_plan(network: str, seed: int, nodes: int = 16) -> ChaosPlan:
+    """Derive a full fault schedule from ``(network, seed)``.
+
+    Heartbeat drops can convict a live peer, so the windows are sized
+    conservatively: flaps are shorter than half the suspicion timeout
+    and probabilistic loss is expressed as corruption (CRC drop on
+    receive) at a rate that makes a false conviction need three
+    consecutive losses on one flow.  Every case is deterministic, so a
+    seed either passes forever or fails forever — no flaky CI.
+    """
+    if network not in _OPS:
+        raise ValueError(f"unknown network {network!r}")
+    if nodes < 4:
+        raise ValueError("fuzzing needs at least 4 nodes")
+    rng = DeterministicRng(seed, f"chaos-fuzz/{network}")
+    ops = _OPS[network]
+    n_kills = rng.randint(1, 2)
+    pool = list(range(nodes))
+    kills = []
+    at = 0.0
+    for k in range(n_kills):
+        victim = pool.pop(rng.randint(0, len(pool) - 1))
+        at += rng.uniform(120.0, 600.0)
+        kills.append((victim, round(at, 1)))
+    segments = []
+    for k in range(n_kills + 1):
+        segment = tuple(rng.choice(ops) for _ in range(rng.randint(2, 3)))
+        if k == n_kills:
+            # The acceptance tail: after the last repair the survivor
+            # epoch must run the core collectives to completion with
+            # correct results.
+            tail = ("barrier", "allreduce") if network == "myrinet" else (
+                "barrier", "ibarrier")
+            segment = segment + tail
+        segments.append(segment)
+    flaps = []
+    for _ in range(rng.randint(0, 2)):
+        a = rng.randint(0, nodes - 1)
+        b = (a + rng.randint(1, nodes - 1)) % nodes
+        start = rng.uniform(30.0, max(60.0, at))
+        flaps.append((min(a, b), max(a, b), round(start, 1),
+                      round(start + rng.uniform(40.0, 120.0), 1)))
+    corrupt = rng.choice((0.0, 0.01)) if network == "myrinet" else 0.0
+    duplicate = rng.choice((0.0, 0.02)) if network == "myrinet" else 0.0
+    delay = rng.choice((0.0, 0.1))
+    return ChaosPlan(
+        network=network,
+        nodes=nodes,
+        seed=seed,
+        segments=tuple(segments),
+        kills=tuple(kills),
+        flaps=tuple(flaps),
+        corrupt_probability=corrupt,
+        duplicate_probability=duplicate,
+        delay_probability=delay,
+        delay_jitter_us=3.0 if delay else 0.0,
+        # Dying-epoch ops must resolve within the recovery window.
+        gm_overrides=RECOVERY_GM if network == "myrinet" else (),
+        horizon_us=round(at + 6000.0, 1),
+    )

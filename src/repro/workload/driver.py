@@ -27,11 +27,9 @@ from typing import Optional, Sequence
 
 from repro.cluster.builder import build_cluster
 from repro.cluster.profiles import get_profile, recovery_profile
+from repro.cluster.runner import LastRankOut
 from repro.collectives import BarrierFailure
-from repro.collectives.membership import (
-    enable_failure_detector,
-    wait_for_conviction,
-)
+from repro.collectives.membership import enable_failure_detector, launch_kills
 from repro.mpi import create_communicators, repair_communicators
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
@@ -100,49 +98,6 @@ def _draw_ops(job: JobSpec, seed: int) -> tuple[str, ...]:
     return tuple(ops)
 
 
-class _JobTracker:
-    """Per-job iteration completion times (last rank out)."""
-
-    def __init__(self, sim, job: JobSpec):
-        self.sim = sim
-        self.job = job
-        total = job.total_iterations
-        self.pending = [len(job.nodes)] * total
-        self.end = [0.0] * total
-
-    def rank_done(self, iteration: int) -> None:
-        self.pending[iteration] -= 1
-        if self.pending[iteration] == 0:
-            self.end[iteration] = self.sim.now
-
-    def rank_dead(self, from_iteration: int) -> None:
-        """A rank died; its remaining iterations will never complete."""
-        for it in range(from_iteration, len(self.pending)):
-            if self.pending[it] > 0:
-                self.pending[it] -= 1
-
-    def completed(self) -> int:
-        """Leading iterations every rank finished."""
-        count = 0
-        for pending, end in zip(self.pending, self.end):
-            if pending == 0 and end > 0.0:
-                count += 1
-            else:
-                break
-        return count
-
-    def latencies(self) -> list[float]:
-        """Per-iteration latency: consecutive completion deltas anchored
-        at the job's arrival."""
-        done = self.completed()
-        anchor = self.job.arrival_us
-        out = []
-        for it in range(done):
-            out.append(self.end[it] - anchor)
-            anchor = self.end[it]
-        return out
-
-
 def _run_op(comm, op: str, payload_bytes: int, token):
     """One collective on a rank handle; returns ``(op, result)`` for a
     result-bearing collective, ``None`` for a barrier."""
@@ -175,7 +130,10 @@ class _JobRun:
         self.job = job
         self.ops = ops
         self.affected = affected  # contains the kill victim
-        self.tracker = _JobTracker(cluster.sim, job)
+        self.tracker = LastRankOut(
+            cluster.sim, len(job.nodes), job.total_iterations,
+            anchor_us=job.arrival_us,
+        )
         self.gate = {"repaired": False}
         self.violations: list[str] = []
         self.tail_ok = 0
@@ -277,7 +235,8 @@ class _JobRun:
 
 
 def _launch_chaos(cluster, runs, kill: KillSpec, rng):
-    """Killer + controller processes (the ``repro chaos`` idiom)."""
+    """Failure detectors plus the shared kill → convict → repair
+    controller; repair re-epochs every job containing the victim."""
     n = cluster.n
     hb_rng = rng.substream("hb")
     for node in range(n):
@@ -289,40 +248,30 @@ def _launch_chaos(cluster, runs, kill: KillSpec, rng):
             timeout_us=kill.hb_timeout_us,
             horizon_us=kill.horizon_us,
         )
+    affected = [run for run in runs if run.affected]
 
-    def killer():
-        yield kill.at_us
-        cluster.nics[kill.node].crashed = True
-
-    def controller():
-        convicted = yield from wait_for_conviction(
-            cluster, kill.node, kill.at_us, _POLL_US,
-            within_us=kill.detect_deadline_us,
-        )
+    def repair(_k: int, victim: int, convicted: bool) -> bool:
         if not convicted:
-            for run in runs:
-                if run.affected:
-                    run.violations.append(
-                        f"victim n{kill.node} not convicted within "
-                        f"{kill.detect_deadline_us:.0f}us"
-                    )
-            return
-        # Repair every affected job and open its gate in one event: no
-        # survivor may start a new-epoch op before the gate moves.
-        for run in runs:
-            if not run.affected:
-                continue
+            for run in affected:
+                run.violations.append(
+                    f"victim n{victim} not convicted within "
+                    f"{kill.detect_deadline_us:.0f}us"
+                )
+            return False
+        # Every affected job's gate opens in this one event.
+        for run in affected:
             try:
-                repair_communicators(run.comms, [kill.node])
+                repair_communicators(run.comms, [victim])
             except Exception as exc:  # noqa: BLE001 - audited, not raised
                 run.violations.append(f"repair failed: {exc!r}")
             run.gate["kill"] = kill
             run.gate["repaired"] = True
+        return True
 
-    return [
-        cluster.sim.process(killer(), name=f"killer@{kill.node}"),
-        cluster.sim.process(controller(), name="workload-controller"),
-    ]
+    return launch_kills(
+        cluster, ((kill.node, kill.at_us),), repair, _POLL_US,
+        within_us=kill.detect_deadline_us,
+    )
 
 
 def _execute(
@@ -343,7 +292,6 @@ def _execute(
     if kill is not None:
         resolved = recovery_profile(resolved)
         faults = FaultInjector()
-        faults.kill_node(kill.node, at_us=kill.at_us)
     sim_obj = sim if sim is not None else Simulator()
     sim_obj.track_processes()
     cluster = build_cluster(resolved, cluster_nodes, faults=faults, sim=sim_obj)

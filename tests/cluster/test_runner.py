@@ -81,12 +81,25 @@ class TestMeasurement:
         assert a.mean_latency_us == b.mean_latency_us
         assert a.node_permutation == b.node_permutation
 
-    def test_counters_cover_timed_window_only(self):
+    def test_counters_cover_every_barrier(self):
         result = run_barrier_experiment(
             myrinet(), "nic-collective", iterations=10, warmup=5
         )
-        # 4 nodes x 2 messages (dissemination, N=4) x 10 timed iterations
-        assert result.counters["wire.barrier"] == 4 * 2 * 10
+        # 4 nodes x 2 messages (dissemination, N=4) x (5 warm-up + 10 timed)
+        assert result.counted_barriers == 15
+        assert result.counters["wire.barrier"] == 4 * 2 * 15
+
+    def test_counters_exact_at_64_nodes(self):
+        """Consecutive barriers overlap at N=64: early ranks start the
+        next barrier before the last rank leaves this one, so a counter
+        window opened at a barrier boundary would miss their sends."""
+        result = run_barrier_experiment(
+            myrinet(64), "nic-collective", iterations=5, warmup=2
+        )
+        assert result.counted_barriers == 7
+        # 64 nodes x 6 dissemination steps x 7 barriers
+        assert result.counters["wire.barrier"] == 7 * 64 * 6
+        assert all(result.counters[f"pci{i}.pio"] == 7 for i in range(64))
 
     def test_str(self):
         result = run_barrier_experiment(myrinet(), "host", iterations=3, warmup=1)

@@ -42,20 +42,6 @@ class TestTracer:
         tr.count("acks", 4)
         assert tr.counters["acks"] == 5
 
-    def test_snapshot_and_delta(self):
-        tr = Tracer()
-        tr.count("packets", 10)
-        before = tr.snapshot()
-        tr.count("packets", 7)
-        tr.count("nacks", 2)
-        assert tr.delta(before) == {"packets": 7, "nacks": 2}
-
-    def test_delta_ignores_unchanged(self):
-        tr = Tracer()
-        tr.count("steady", 5)
-        before = tr.snapshot()
-        assert tr.delta(before) == {}
-
     def test_clear(self):
         tr = Tracer(enabled=True)
         tr.record(0.0, "c", "s", "m")

@@ -34,7 +34,9 @@ def test_run_with_counters(capsys):
     main([
         "run", "--nodes", "4", "--iterations", "5", "--warmup", "2", "--counters",
     ])
-    assert "wire.barrier" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "wire.barrier" in out
+    assert "counters over all 7 barriers (2 warm-up + 5 timed)" in out
 
 
 def test_run_rejects_bad_barrier():
@@ -234,3 +236,12 @@ def test_profile_name_variants_still_accepted(capsys):
     ])
     assert code == 0
     assert "nic-chained" in capsys.readouterr().out
+
+
+def test_chaos_fuzz_report_is_a_usage_error(tmp_path, capsys):
+    report = tmp_path / "chaos.md"
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--fuzz", "--report", str(report)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not report.exists()

@@ -1,4 +1,4 @@
-"""Chaos campaign runner: scenario plumbing, invariants, SL107."""
+"""Chaos runner: plan plumbing, catalogue and fuzz plans, invariants, SL107."""
 
 import pytest
 
@@ -8,42 +8,38 @@ from repro.cluster.runner import run_barrier_experiment
 from repro.network import FaultInjector
 from repro.sim import DeterministicRng, Simulator
 from repro.tools.chaos import (
-    ALL_SCENARIOS,
-    ChaosScenario,
-    run_campaign,
-    run_chaos_scenario,
+    CATALOGUE,
+    ChaosPlan,
+    catalogue,
+    catalogue_plan,
+    run_block,
+    run_plan,
 )
 from repro.tools.simlint import check_quiescent
 from repro.tools.simlint.perturb import TieBreakSimulator
 
 
-def scenario(name, network="myrinet"):
-    match = [s for s in ALL_SCENARIOS if s.name == name and s.network == network]
-    assert len(match) == 1
-    return match[0]
-
-
 class TestScenarioValidation:
     def test_unknown_network_rejected(self):
         with pytest.raises(ValueError):
-            ChaosScenario(name="x", network="infiniband", description="")
+            ChaosPlan(name="x", network="infiniband", description="")
 
     def test_unknown_expectation_rejected(self):
         with pytest.raises(ValueError):
-            ChaosScenario(name="x", network="myrinet", description="",
-                          expect="explode")
+            ChaosPlan(name="x", network="myrinet", description="",
+                      expect="explode")
 
     def test_degrade_needs_a_counter(self):
         with pytest.raises(ValueError):
-            ChaosScenario(name="x", network="myrinet", description="",
-                          expect="degrade")
+            ChaosPlan(name="x", network="myrinet", description="",
+                      expect="degrade")
 
     def test_inapplicable_scheme_rejected(self):
         with pytest.raises(ValueError):
-            run_chaos_scenario(scenario("crash"), "host", nodes=4)
+            run_plan(catalogue_plan("crash", "host", nodes=4))
 
     def test_catalogue_covers_every_fault_class(self):
-        names = {(s.network, s.name) for s in ALL_SCENARIOS}
+        names = {(s.network, s.name) for s, _schemes in CATALOGUE}
         for required in ("drop", "corrupt", "duplicate", "delay", "flap",
                          "crash", "link-death", "slow-host"):
             assert ("myrinet", required) in names
@@ -58,103 +54,123 @@ class TestScenarioValidation:
 
     def test_collective_validation(self):
         with pytest.raises(ValueError):
-            ChaosScenario(name="x", network="myrinet", description="",
-                          collective="allscatter")
+            ChaosPlan(name="x", network="myrinet", description="",
+                      segments=(("allscatter",),))
         with pytest.raises(ValueError):
-            ChaosScenario(name="x", network="quadrics", description="",
-                          collective="allreduce")
+            ChaosPlan(name="x", network="quadrics", description="",
+                      segments=(("allreduce",),))
 
     def test_data_collective_scenarios_collapse_to_one_scheme(self):
-        assert scenario("allreduce-flap").applicable_schemes == (
-            "nic-collective",
-        )
+        assert [p.scheme for p in catalogue(("myrinet",))
+                if p.name == "allreduce-flap"] == ["nic-collective"]
 
     def test_allreduce_link_death_surfaces_typed_failures(self):
-        result = run_chaos_scenario(
-            scenario("allreduce-link-death"), "nic-collective",
+        result = run_plan(catalogue_plan(
+            "allreduce-link-death", "nic-collective",
             nodes=8, iterations=2,
-        )
+        ))
         assert result.ok, (result.violations, result.quiescence)
         assert result.failures > 0
         reasons = {
-            o.split(":", 1)[1]
-            for record in result.outcomes for o in record
+            o.split(":", 2)[2]
+            for rank in result.outcomes for record in rank for o in record
             if o.startswith("fail:")
         }
         assert reasons == {"datacoll-retry-budget-exhausted"}
 
     def test_ibarrier_flap_recovers(self):
-        result = run_chaos_scenario(
-            scenario("ibarrier-flap"), "nic-collective", nodes=8, iterations=2
-        )
+        result = run_plan(catalogue_plan(
+            "ibarrier-flap", "nic-collective", nodes=8, iterations=2
+        ))
         assert result.ok, (result.violations, result.quiescence)
         assert result.failures == 0
 
     def test_bcast_flap_delivers_exact_payloads(self):
-        result = run_chaos_scenario(
-            scenario("bcast-flap"), "nic-collective", nodes=8, iterations=2
-        )
+        result = run_plan(catalogue_plan(
+            "bcast-flap", "nic-collective", nodes=8, iterations=2
+        ))
         assert result.ok, (result.violations, result.quiescence)
-        assert all(o == "ok" for record in result.outcomes for o in record)
+        assert all(o == "ok:bcast" for rank in result.outcomes
+                   for record in rank for o in record)
 
 
 class TestScenarioRuns:
     def test_recover_scenario_recovers(self):
-        result = run_chaos_scenario(
-            scenario("drop"), "nic-collective", nodes=8, iterations=2
-        )
+        result = run_plan(catalogue_plan(
+            "drop", "nic-collective", nodes=8, iterations=2
+        ))
         assert result.ok, (result.violations, result.quiescence)
         assert result.failures == 0
         assert result.counters["wire.dropped"] > 0
         assert result.fault_stats["dropped"] == result.counters["wire.dropped"]
 
     def test_link_death_surfaces_typed_failures(self):
-        result = run_chaos_scenario(
-            scenario("link-death"), "nic-collective", nodes=8, iterations=2
-        )
+        result = run_plan(catalogue_plan(
+            "link-death", "nic-collective", nodes=8, iterations=2
+        ))
         assert result.ok, (result.violations, result.quiescence)
         assert result.failures > 0
         reasons = {
-            o.split(":", 1)[1]
-            for record in result.outcomes for o in record
+            o.split(":", 2)[2]
+            for rank in result.outcomes for record in rank for o in record
             if o.startswith("fail:")
         }
         assert reasons == {"nack-retry-budget-exhausted"}
 
     def test_hw_degrade_counts_fallbacks(self):
-        result = run_chaos_scenario(
-            scenario("hw-degrade", "quadrics"), "hgsync", nodes=8, iterations=2
-        )
+        result = run_plan(catalogue_plan(
+            "hw-degrade", "hgsync", "quadrics", nodes=8, iterations=2
+        ))
         assert result.ok, (result.violations, result.quiescence)
         assert result.failures == 0
         assert result.counters["elan.hw_fallback"] > 0
 
     def test_hw_fail_escalates(self):
-        result = run_chaos_scenario(
-            scenario("hw-fail", "quadrics"), "hgsync", nodes=8, iterations=2
-        )
+        result = run_plan(catalogue_plan(
+            "hw-fail", "hgsync", "quadrics", nodes=8, iterations=2
+        ))
         assert result.ok, (result.violations, result.quiescence)
         assert result.failures > 0
 
     def test_expectation_violation_is_reported(self):
         # A fault-free scenario that *expects* failures must not pass.
-        impossible = ChaosScenario(
+        impossible = ChaosPlan(
             name="nothing-happens",
             network="myrinet",
             description="no faults, yet failures expected",
             expect="fail",
-            schemes=("host",),
+            scheme="host",
+            nodes=4,
         )
-        result = run_chaos_scenario(impossible, "host", nodes=4, iterations=1)
+        result = run_plan(impossible)
         assert not result.ok
         assert any("expected surfaced failures" in v for v in result.violations)
 
-    def test_faulted_run_bit_identical_under_tiebreak(self):
-        baseline = run_chaos_scenario(
-            scenario("flap"), "nic-collective", nodes=8, iterations=2
+    def test_fault_after_the_last_op_is_vacuous(self):
+        """At N=8 two barriers end before NIC 5 crashes: the run tested
+        nothing, and the report must say why."""
+        result = run_plan(catalogue_plan(
+            "crash", "nic-collective", nodes=8, iterations=2
+        ))
+        assert not result.ok
+        assert result.failures == 0
+        assert (
+            "vacuous: crash n5 at 30.0us after the last op ended at 28.3us"
+            in result.violations
         )
-        replay = run_chaos_scenario(
-            scenario("flap"), "nic-collective", nodes=8, iterations=2,
+
+    def test_scheme_plans_cannot_repair_kills(self):
+        with pytest.raises(ValueError, match="repair kills"):
+            ChaosPlan(network="myrinet", scheme="nic-collective",
+                      segments=(("barrier",), ("barrier",)),
+                      kills=((3, 200.0),))
+
+    def test_faulted_run_bit_identical_under_tiebreak(self):
+        baseline = run_plan(catalogue_plan(
+            "flap", "nic-collective", nodes=8, iterations=2
+        ))
+        replay = run_plan(
+            catalogue_plan("flap", "nic-collective", nodes=8, iterations=2),
             sim=TieBreakSimulator(DeterministicRng(1, "test/tiebreak")),
         )
         assert replay.comparable() == baseline.comparable()
@@ -181,8 +197,9 @@ def test_unfired_drop_plan_surfaces_as_sl107():
 
 
 def test_campaign_smoke_quadrics():
-    campaign = run_campaign(
-        networks=("quadrics",), nodes=8, iterations=2, rounds=1
+    campaign = run_block(
+        catalogue(("quadrics",), nodes=8, iterations=2), rounds=1,
+        header="chaos campaign",
     )
     assert campaign.ok, campaign.render()
     assert len(campaign.results) == 7  # delay x2, slow-host x3, hw-degrade, hw-fail
@@ -197,7 +214,6 @@ def test_campaign_smoke_quadrics():
 
 from repro.tools.chaos import (  # noqa: E402
     make_fuzz_plan,
-    run_fuzz_block,
     run_fuzz_case,
 )
 
@@ -273,6 +289,7 @@ class TestFuzzCase:
 
 
 def test_fuzz_block_smoke():
-    report = run_fuzz_block(networks=("myrinet",), seeds=(0,), rounds=1)
+    report = run_block([make_fuzz_plan("myrinet", 0)], rounds=1,
+                       header="chaos fuzz")
     assert report.ok, report.render()
     assert report.render().endswith("PASS")

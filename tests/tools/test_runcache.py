@@ -376,16 +376,21 @@ class TestPerfbenchCache:
 
 class TestChaosCache:
     def test_baseline_cached_and_comparable(self, cache):
-        from repro.tools.chaos import MYRINET_SCENARIOS, run_chaos_scenario
+        from repro.tools.chaos import catalogue, run_plan
 
-        scenario = MYRINET_SCENARIOS[0]
-        barrier = scenario.applicable_schemes[0]
-        cold = run_chaos_scenario(
-            scenario, barrier, nodes=8, iterations=2, cache=cache
-        )
+        plan = catalogue(("myrinet",), nodes=8, iterations=2)[0]
+        cold = run_plan(plan, cache=cache)
         assert cache.stats()["stores"] == 1
-        warm = run_chaos_scenario(
-            scenario, barrier, nodes=8, iterations=2, cache=cache
-        )
+        warm = run_plan(plan, cache=cache)
         assert cache.stats()["hits"] == 1
         assert warm.comparable() == cold.comparable()
+
+    def test_fuzz_plan_warm_read_equals_cold(self, cache):
+        from repro.tools.chaos import make_fuzz_plan, run_plan
+
+        plan = make_fuzz_plan("quadrics", 0, nodes=8)
+        cold = run_plan(plan, cache=cache)
+        warm = run_plan(plan, cache=cache)
+        assert cache.stats()["stores"] == 1
+        assert cache.stats()["hits"] == 1
+        assert warm == cold
