@@ -400,6 +400,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _node_count(text: str) -> int:
+    """argparse type: a barrier needs at least two nodes."""
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a barrier needs at least 2 nodes, got {text!r}")
+    return value
+
+
 def _profile_name(text: str) -> str:
     """argparse type: a name ``get_profile`` resolves (kept as given)."""
     from repro.cluster import get_profile
@@ -440,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="dissemination",
         choices=["dissemination", "pairwise-exchange", "gather-broadcast"],
     )
-    run_parser.add_argument("--nodes", type=int, default=8)
-    run_parser.add_argument("--iterations", type=int, default=200)
-    run_parser.add_argument("--warmup", type=int, default=30)
+    run_parser.add_argument("--nodes", type=_node_count, default=8)
+    run_parser.add_argument("--iterations", type=_positive_int, default=200)
+    run_parser.add_argument("--warmup", type=_positive_int, default=30)
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--counters", action="store_true",
                             help="print traffic counters")
@@ -473,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["host", "nic-direct", "nic-collective", "gsync", "hgsync", "nic-chained"],
         help="default: nic-chained (quadrics) / nic-collective (myrinet)",
     )
-    trace_parser.add_argument("-n", "--nodes", type=int, default=16)
-    trace_parser.add_argument("--iterations", type=int, default=5)
-    trace_parser.add_argument("--warmup", type=int, default=2)
+    trace_parser.add_argument("-n", "--nodes", type=_node_count, default=16)
+    trace_parser.add_argument("--iterations", type=_positive_int, default=5)
+    trace_parser.add_argument("--warmup", type=_positive_int, default=2)
     trace_parser.add_argument("--seed", type=int, default=0)
     trace_parser.add_argument("--out", default="trace.json",
                               help="Chrome-trace JSON output path")

@@ -24,7 +24,6 @@ so receivers can match arrivals on (sequence, sender) alone.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -301,12 +300,11 @@ class ScheduleCache:
     Backs both :func:`make_schedule` (barrier message patterns) and the
     collective-schedule IR compiler (:mod:`repro.collectives
     .schedule_ir`): one store, one eviction policy, one set of
-    counters.  The old ``functools.lru_cache(maxsize=8)`` thrashed
-    under tuner sweeps — every ``(algorithm, N)`` point evicted another
-    point's schedule and the hit counters were invisible to perfbench.
-    The size is now configurable (``REPRO_SCHEDULE_CACHE_SIZE`` or
-    :func:`configure_schedule_cache`, which sweeps size from their
-    point count), and ``stats()`` exposes hits/misses/evictions.
+    counters.  Sweeps whose working set is larger than the default
+    (the tuner, ``lint --ir``) size it from their point count with
+    :func:`configure_schedule_cache`; ``stats()`` exposes
+    hits/misses/evictions, which the benchmark reports as
+    ``collectives.schedule_cache_hit_rate``.
     """
 
     def __init__(self, maxsize: int = 8):
@@ -366,26 +364,23 @@ class ScheduleCache:
         return len(self._entries)
 
 
-def _default_cache_size() -> int:
-    raw = os.environ.get("REPRO_SCHEDULE_CACHE_SIZE", "")
-    return max(1, int(raw)) if raw else 8
-
+_DEFAULT_CACHE_SIZE = 8
 
 #: The process-wide schedule cache.  A 16k-rank schedule is tens of
 #: megabytes, so the default stays small; sweeps that touch many
 #: ``(algorithm, N)`` points resize it to their working set.
-SCHEDULE_CACHE = ScheduleCache(_default_cache_size())
+SCHEDULE_CACHE = ScheduleCache(_DEFAULT_CACHE_SIZE)
 
 
 def configure_schedule_cache(maxsize: Optional[int] = None) -> ScheduleCache:
     """Resize the process-wide schedule cache (e.g. to a sweep's point
     count) and return it.  ``None`` restores the default size."""
-    SCHEDULE_CACHE.resize(maxsize if maxsize is not None else _default_cache_size())
+    SCHEDULE_CACHE.resize(maxsize if maxsize is not None else _DEFAULT_CACHE_SIZE)
     return SCHEDULE_CACHE
 
 
 def schedule_cache_stats() -> dict:
-    """Hit-rate counters for perfbench and the tuner."""
+    """Hit-rate counters for the benchmark and the tuner."""
     return SCHEDULE_CACHE.stats()
 
 
@@ -393,9 +388,10 @@ def make_schedule(algorithm: str, n: int) -> BarrierSchedule:
     """Build a validated schedule by algorithm name.
 
     Schedules are immutable and depend only on ``(algorithm, n)``, so
-    repeat builds (a bench point's trials, a sweep's per-size reference
-    runs) come from :data:`SCHEDULE_CACHE` instead of re-deriving and
-    re-validating a quarter-million :class:`Phase` objects at N=16384.
+    repeat builds (tie-break replays of one run, a sweep's per-size
+    reference runs) come from :data:`SCHEDULE_CACHE` instead of
+    re-deriving and re-validating a quarter-million :class:`Phase`
+    objects at N=16384.
     """
     if algorithm not in _BUILDERS:
         raise ValueError(

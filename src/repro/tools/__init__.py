@@ -10,7 +10,6 @@ from repro.tools.audit import (
     run_counter_audit,
 )
 from repro.tools.flow import message_flow, wire_sequence_diagram
-from repro.tools.perfbench import bench_point, run_benchmarks
 from repro.tools.simlint import (
     Finding,
     PerturbationReport,
@@ -43,7 +42,6 @@ __all__ = [
     "aggregate_counters",
     "ascii_timeline",
     "audit_counters",
-    "bench_point",
     "check_quiescent",
     "chrome_trace",
     "component_of",
@@ -51,7 +49,6 @@ __all__ = [
     "expected_counters",
     "message_flow",
     "perturb_barrier_experiment",
-    "run_benchmarks",
     "run_counter_audit",
     "run_lint",
     "wire_sequence_diagram",

@@ -21,8 +21,9 @@ This module provides the shared machinery:
   ``os.replace``), corrupted or truncated entries treated as misses and
   pruned;
 - :func:`atomic_write_text` — the tmp + ``os.replace`` writer, also
-  used for ``EXPERIMENTS.md`` / ``BENCH_kernel.json`` so an interrupt
-  can never leave a truncated report on disk;
+  used for ``EXPERIMENTS.md``, the chaos report and the tuner's
+  decision table so an interrupt can never leave a truncated report
+  on disk;
 - :func:`resolve_cache` — the escape hatches: ``REPRO_CACHE=0`` or an
   explicit ``--no-cache`` reproduce today's uncached behaviour exactly.
 

@@ -170,11 +170,3 @@ def test_cache_evicts_lru_and_resizes():
     # Growing the cache keeps residents; shrinking drops the oldest.
     configure_schedule_cache(2)
     assert schedule_cache_stats()["size"] == 2
-
-
-def test_cache_size_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE_SIZE", "3")
-    configure_schedule_cache()
-    for n in [2, 4, 8, 16]:
-        make_schedule("dissemination", n)
-    assert schedule_cache_stats()["size"] == 3

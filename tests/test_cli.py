@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro._version import __version__
@@ -151,6 +153,24 @@ def test_trace_warm_run_verifies_cached_latency(tmp_path, capsys):
     assert "run cache: warm" in capsys.readouterr().err
 
 
+def test_trace_warm_mismatch_is_a_determinism_violation(tmp_path, capsys):
+    """A cached latency that disagrees with the re-measured one under
+    the same source digest fails the run: the cross-check is live."""
+    argv = [
+        "trace", "--network", "myrinet", "-n", "4",
+        "--iterations", "2", "--warmup", "1",
+        "--out", str(tmp_path / "t.json"),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (entry_path,) = (tmp_path / "run-cache" / "objects").rglob("*.json")
+    entry = json.loads(entry_path.read_text())
+    entry["payload"] += 1
+    entry_path.write_text(json.dumps(entry))
+    assert main(argv) == 1
+    assert "WARM MISMATCH" in capsys.readouterr().err
+
+
 def test_trace_no_cache_stays_silent(tmp_path, capsys):
     code = main([
         "trace", "--network", "myrinet", "-n", "4",
@@ -217,6 +237,25 @@ def test_jobs_must_be_positive(command, jobs, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error: argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--nodes", "0"], "--nodes"),
+    (["run", "--nodes", "-3"], "--nodes"),
+    (["run", "--nodes", "1"], "--nodes"),
+    (["run", "--iterations", "0"], "--iterations"),
+    (["run", "--warmup", "-1"], "--warmup"),
+    (["trace", "-n", "1"], "-n/--nodes"),
+    (["trace", "--warmup", "0"], "--warmup"),
+    (["trace", "--iterations", "0"], "--iterations"),
+])
+def test_bad_sizes_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "trace"])

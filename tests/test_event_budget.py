@@ -2,10 +2,12 @@
 
 Wall time is too noisy on shared CI runners to gate the simulator's
 speed, but the number of kernel events a run schedules is exact and
-deterministic, and host time follows it.  Each golden point (20 timed
-+ 5 warm-up iterations, seed 0) must reproduce its latency bit for bit
-and stay at or under its event ceiling; so must a communicator mixing
-every Myrinet NIC collective.  The ceilings are today's
+deterministic, and host time follows it.  Each golden point (seed 0)
+must reproduce its latency bit for bit and stay at or under its event
+ceiling; so must a communicator mixing every Myrinet NIC collective.
+The N=4096 Quadrics point is the scale gate: the fat tree at four
+times the paper's largest model point, on the iteration schedule the
+scale command uses.  The ceilings are today's
 counts: a change that brings back an event per processor task (an
 arbitrated request → sleep → release instead of a hold), or a link
 decision pass that cannot grant (a phase walk, a pass on a full link,
@@ -19,30 +21,41 @@ import pytest
 from repro.cluster.builder import build_cluster
 from repro.cluster.runner import run_barrier_experiment
 
-# name: (profile, barrier, nodes, mean latency in µs, event ceiling)
+# name: (profile, barrier, nodes, (iterations, warm-up),
+#        mean latency in µs, event ceiling)
 GOLDEN_POINTS = {
     "lanai91_16": (
-        "lanai91_piii700", "nic-collective", 16, 25.737714285714436, 23_512,
+        "lanai91_piii700", "nic-collective", 16, (20, 5),
+        25.737714285714436, 23_512,
     ),
     "myrinet64": (
-        "lanai_xp_xeon2400", "nic-collective", 64, 34.26825714285718, 151_062,
+        "lanai_xp_xeon2400", "nic-collective", 64, (20, 5),
+        34.26825714285718, 151_062,
     ),
     "quadrics128": (
-        "elan3_piii700", "nic-chained", 128, 13.521357142857122, 195_378,
+        "elan3_piii700", "nic-chained", 128, (20, 5),
+        13.521357142857122, 195_378,
     ),
     # The prior work's direct scheme: GM send tokens and per-packet ACKs.
     "lanai91_16_direct": (
-        "lanai91_piii700", "nic-direct", 16, 46.51571428571404, 60_512,
+        "lanai91_piii700", "nic-direct", 16, (20, 5),
+        46.51571428571404, 60_512,
+    ),
+    "quadrics4096": (
+        "elan3_piii700", "nic-chained", 4096, (3, 1),
+        24.646190476190487, 889_704,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
 def test_golden_point_latency_and_event_ceiling(name):
-    profile, barrier, nodes, latency_us, ceiling = GOLDEN_POINTS[name]
+    profile, barrier, nodes, (iterations, warmup), latency_us, ceiling = (
+        GOLDEN_POINTS[name]
+    )
     cluster = build_cluster(profile, nodes)
     result = run_barrier_experiment(
-        cluster, barrier, iterations=20, warmup=5, seed=0
+        cluster, barrier, iterations=iterations, warmup=warmup, seed=0
     )
     assert result.mean_latency_us == latency_us
     events = cluster.sim.events_scheduled

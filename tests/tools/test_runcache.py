@@ -2,9 +2,8 @@
 
 Covers the contract the sweeps rely on: hit after store, miss on any
 request-field change (params, seed, source digest), corrupted entries
-treated as misses, order-preserving merge in ``parallel_map``, warm
-re-runs performing *zero* simulations with bit-identical output, and
-the perfbench warm cross-check.
+treated as misses, order-preserving merge in ``parallel_map``, and
+warm re-runs performing *zero* simulations with bit-identical output.
 """
 
 import dataclasses
@@ -309,69 +308,6 @@ class TestReportWarm:
         assert strip_timing(warm_out.read_text()) == strip_timing(
             cold_out.read_text()
         )
-
-
-class TestPerfbenchCache:
-    SPEC = None  # set lazily to keep import costs at module level low
-
-    def _spec(self):
-        from repro.tools.perfbench import PointSpec
-
-        return PointSpec(
-            "tiny", "lanai91_piii700", "nic-collective", 8,
-            iterations=3, warmup=1,
-        )
-
-    def _request(self, spec):
-        return run_request(
-            "bench-point", params=get_profile(spec.profile),
-            barrier=spec.barrier, nodes=spec.nodes,
-            iterations=spec.iterations, warmup=spec.warmup, seed=0,
-        )
-
-    def test_cold_then_warm(self, cache):
-        from repro.tools.perfbench import bench_point
-
-        spec = self._spec()
-        cold = bench_point(spec, trials=1, cache=cache)
-        assert cold["cache"] == "cold"
-        warm = bench_point(spec, trials=1, cache=cache)
-        assert warm["cache"] == "warm"
-        assert warm["events_scheduled"] == cold["events_scheduled"]
-        assert warm["mean_latency_us"] == cold["mean_latency_us"]
-
-    def test_cache_off_by_default(self):
-        from repro.tools.perfbench import bench_point
-
-        assert bench_point(self._spec(), trials=1)["cache"] == "off"
-
-    def test_schedule_cache_hit_rate_surfaced(self):
-        from repro.collectives.algorithms import SCHEDULE_CACHE
-        from repro.tools.perfbench import bench_point
-
-        SCHEDULE_CACHE.clear()
-        row = bench_point(self._spec(), trials=2)
-        sched = row["schedule_cache"]
-        # Trial 1 compiles the message pattern, trial 2 replays it.
-        assert sched["misses"] >= 1
-        assert sched["hits"] >= 1
-        assert 0 < sched["hit_rate"] < 1
-
-    def test_warm_mismatch_is_determinism_violation(self, cache):
-        from repro.tools.perfbench import bench_point
-
-        spec = self._spec()
-        row = bench_point(spec, trials=1, cache=cache)
-        request = self._request(spec)
-        cache.put(
-            request,
-            {
-                "events_scheduled": row["events_scheduled"] + 1,
-                "mean_latency_us": row["mean_latency_us"],
-            },
-        )
-        with pytest.raises(RuntimeError, match="determinism violation"):
-            bench_point(spec, trials=1, cache=cache)
 
 
 class TestChaosCache:
