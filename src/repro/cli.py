@@ -50,6 +50,24 @@ from typing import Optional, Sequence
 from repro._version import __version__
 
 
+class _UsageError(Exception):
+    """An argument the parser took but the command cannot use: reported
+    as an argparse usage error (one ``error:`` line, exit 2)."""
+
+
+def _check_fits(profile_name: str, nodes: int, flag: str):
+    """The profile named, after checking ``nodes`` fits its machine."""
+    from repro.cluster import get_profile
+
+    profile = get_profile(profile_name)
+    if nodes > profile.max_nodes:
+        raise _UsageError(
+            f"argument {flag}: profile {profile.name} supports at most "
+            f"{profile.max_nodes} nodes, got {nodes}"
+        )
+    return profile
+
+
 def _cmd_profiles(args: argparse.Namespace) -> int:
     from repro.cluster import PROFILES
 
@@ -59,9 +77,9 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.cluster import build_cluster, get_profile, run_barrier_experiment
+    from repro.cluster import build_cluster, run_barrier_experiment
 
-    profile = get_profile(args.profile)
+    profile = _check_fits(args.profile, args.nodes, "--nodes")
     cluster = build_cluster(profile, args.nodes)
     result = run_barrier_experiment(
         cluster,
@@ -88,7 +106,7 @@ _TRACE_DEFAULT_PROFILE = {"quadrics": "elan3_piii700", "myrinet": "lanai_xp_xeon
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.cluster import build_cluster, get_profile, run_barrier_experiment
+    from repro.cluster import build_cluster, run_barrier_experiment
     from repro.sim import Tracer
     from repro.tools import (
         ascii_timeline,
@@ -98,7 +116,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.tools.runcache import point_request, resolve_cache
 
-    profile = get_profile(args.profile or _TRACE_DEFAULT_PROFILE[args.network])
+    profile = _check_fits(
+        args.profile or _TRACE_DEFAULT_PROFILE[args.network], args.nodes,
+        "-n/--nodes",
+    )
     if profile.network != args.network:
         print(f"profile {profile.name} is not a {args.network} profile", file=sys.stderr)
         return 2
@@ -196,22 +217,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     networks = (
         ("myrinet", "quadrics") if args.network == "both" else (args.network,)
     )
-    if args.fuzz:
-        plans = [
-            make_fuzz_plan(network, seed, nodes=args.nodes)
-            for network in networks
-            for seed in range(args.seed, args.seed + args.fuzz_seeds)
-        ]
-        header = (
-            f"chaos fuzz: N={args.nodes}, {len(plans)} case(s), "
-            f"{args.rounds} tie-break permutation(s)/case"
-        )
-    else:
-        plans = catalogue(networks, args.nodes, args.iterations, args.seed)
-        header = (
-            f"chaos campaign: N={args.nodes}, {args.iterations} barriers/run, "
-            f"{args.rounds} tie-break permutations/run"
-        )
+    # A plan checks its own size: the fuzzer's floor, the nodes the
+    # catalogue's faults name, the network's largest machine.
+    try:
+        if args.fuzz:
+            plans = [
+                make_fuzz_plan(network, seed, nodes=args.nodes)
+                for network in networks
+                for seed in range(args.seed, args.seed + args.fuzz_seeds)
+            ]
+            header = (
+                f"chaos fuzz: N={args.nodes}, {len(plans)} case(s), "
+                f"{args.rounds} tie-break permutation(s)/case"
+            )
+        else:
+            plans = catalogue(networks, args.nodes, args.iterations, args.seed)
+            header = (
+                f"chaos campaign: N={args.nodes}, {args.iterations} barriers/run, "
+                f"{args.rounds} tie-break permutations/run"
+            )
+    except ValueError as exc:
+        raise _UsageError(f"argument -n/--nodes: {exc}") from None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = run_block(plans, args.rounds, header, cache=cache)
@@ -281,10 +307,13 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         run_workload_cached,
         verify_workload_determinism,
     )
+    from repro.workload.driver import DEFAULT_PROFILE
 
     networks = (
         ("myrinet", "quadrics") if args.network == "both" else (args.network,)
     )
+    for network in networks:
+        _check_fits(DEFAULT_PROFILE[network], args.nodes, "-n/--nodes")
     xtraffic = None
     if args.xtraffic and args.xtraffic_rate > 0:
         xtraffic = CrossTrafficSpec(
@@ -303,14 +332,17 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         if args.jobs_trace:
             jobs = load_trace(args.jobs_trace)
         else:
-            jobs = generate_trace(
-                args.pattern,
-                args.jobs,
-                args.nodes,
-                seed=args.seed,
-                iterations=args.iterations,
-                payload_bytes=args.payload_bytes,
-            )
+            try:
+                jobs = generate_trace(
+                    args.pattern,
+                    args.jobs,
+                    args.nodes,
+                    seed=args.seed,
+                    iterations=args.iterations,
+                    payload_bytes=args.payload_bytes,
+                )
+            except ValueError as exc:  # the generator's own size floor
+                raise _UsageError(f"argument -n/--nodes: {exc}") from None
         if args.write_trace:
             dump_trace(jobs, args.write_trace)
             print(f"trace written to {args.write_trace}")
@@ -523,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_parser.add_argument("--network", default="both",
                               choices=["myrinet", "quadrics", "both"])
-    chaos_parser.add_argument("-n", "--nodes", type=int, default=16)
-    chaos_parser.add_argument("--iterations", type=int, default=4,
+    chaos_parser.add_argument("-n", "--nodes", type=_node_count, default=16)
+    chaos_parser.add_argument("--iterations", type=_positive_int, default=4,
                               help="consecutive barriers per run")
     chaos_parser.add_argument("--rounds", type=int, default=20,
                               help="tie-break determinism permutations per run")
@@ -572,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload_parser.add_argument("--network", default="both",
                                  choices=["myrinet", "quadrics", "both"])
-    workload_parser.add_argument("-n", "--nodes", type=int, default=64)
-    workload_parser.add_argument("--jobs", type=int, default=4,
+    workload_parser.add_argument("-n", "--nodes", type=_node_count, default=64)
+    workload_parser.add_argument("--jobs", type=_positive_int, default=4,
                                  help="jobs in the generated trace")
     workload_parser.add_argument("--pattern", default="skewed",
                                  choices=["uniform", "bursty", "skewed"],
@@ -636,7 +668,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "workload": _cmd_workload,
         "cache": _cmd_cache,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

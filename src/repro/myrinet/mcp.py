@@ -15,6 +15,15 @@ for it through ``nic.cpu_task``:
   engines.
 - **Timeout loop** — retransmits packets whose send record timed out.
 - **Engine command loop** — host barrier-start commands → engines.
+
+Each loop consumes its queue with the event-free hand-off
+(:meth:`~repro.sim.resources.Store.take`; the NIC's producers
+``post``): a queued item is taken with no kernel event, and an item
+posted to a parked loop resumes it at once.  The receive loop holds the
+LANai's top arbitration key, so its tasks skip the arbitration pass
+whenever nothing else wants the processor at that instant.  Per packet
+that takes the put event, the get hop and the pass off the receive
+path: an uncontended receive task is one completion call.
 """
 
 from __future__ import annotations
@@ -47,14 +56,14 @@ class ControlProgram:
     def _sdma_loop(self):
         nic = self.nic
         while True:
-            token = yield nic.host_event_queue.get()
+            token = yield from nic.host_event_queue.take()
             yield from nic.cpu_task(nic.params.t_sdma_event, "sdma_event")
             nic.enqueue_send_token(token)
 
     def _send_scheduler(self):
         nic = self.nic
         while True:
-            dst = yield nic.sched_work.get()
+            dst = yield from nic.sched_work.take()
             nic.rr_ring.append(dst)
             while nic.rr_ring:
                 # Fold in any destinations that got work meanwhile so the
@@ -127,7 +136,7 @@ class ControlProgram:
         nic = self.nic
         p = nic.params
         while True:
-            packet = yield nic.rx_queue.get()
+            packet = yield from nic.rx_queue.take()
             yield from nic.cpu_task(p.t_rx_header, "rx_header")
             if packet.corrupted:
                 # The CRC computed while the packet streamed in does not
@@ -258,7 +267,7 @@ class ControlProgram:
         nic = self.nic
         p = nic.params
         while True:
-            record = yield nic.timeout_queue.get()
+            record = yield from nic.timeout_queue.take()
             if record.acked or record.abandoned:
                 continue
             if record.retransmits >= p.max_retries:
@@ -318,6 +327,6 @@ class ControlProgram:
     def _engine_cmd_loop(self):
         nic = self.nic
         while True:
-            command = yield nic.engine_cmd_queue.get()
+            command = yield from nic.engine_cmd_queue.take()
             engine = nic.engine_for(command[0])
             yield from engine.on_command(command[1:])

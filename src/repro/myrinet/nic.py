@@ -71,8 +71,12 @@ class LanaiNic:
 
         # The LANai processor.  Arbitrated: same-instant task requests
         # from different MCP loops grant in _MCP_LOOP_PRIORITY order.
+        # The receive loop's key is the top one, so its uncontended
+        # tasks are granted without a pass.
         self.cpu = ArbitratedResource(
-            sim, capacity=1, name=f"{self.name}.cpu", key_fn=_cpu_arbitration_key
+            sim, capacity=1, name=f"{self.name}.cpu",
+            key_fn=_cpu_arbitration_key,
+            top_key=_cpu_arbitration_key(f"{self.name}.rx"),
         )
         self.busy_us = 0.0
         self._cpu_lane = f"{self.name}.cpu"
@@ -146,7 +150,7 @@ class LanaiNic:
     # ------------------------------------------------------------------
     def post_send_event(self, token: SendToken) -> None:
         """A host send event has crossed the PCI bus."""
-        self.host_event_queue.put(token)
+        self.host_event_queue.post(token)
 
     def post_engine_command(self, command: tuple) -> None:
         """A host command for a collective engine crossed the bus.
@@ -155,7 +159,7 @@ class LanaiNic:
         start) are ordered by ``(group, kind, seq)``, not by scheduler
         tie-breaking.
         """
-        self.engine_cmd_queue.put_item(
+        self.engine_cmd_queue.post_item(
             command, (self.sim.now, command[0], command[1], command[2])
         )
 
@@ -187,7 +191,7 @@ class LanaiNic:
     # Wire-facing
     # ------------------------------------------------------------------
     def _on_wire_packet(self, packet: Packet) -> None:
-        self.rx_queue.put_item(packet, self._arrival_key(packet))
+        self.rx_queue.post_item(packet, self._arrival_key(packet))
 
     def _arrival_key(self, packet: Packet) -> tuple:
         """Canonical receive-arbitration key: arrival time, then port
@@ -258,7 +262,7 @@ class LanaiNic:
     def notify_host(self, event: Any):
         """DMA a completion/receive event into host memory."""
         yield from self.pci.dma(self.params.recv_event_bytes, DmaDirection.NIC_TO_HOST)
-        self.recv_event_queue.put(event)
+        self.recv_event_queue.post(event)
 
     # ------------------------------------------------------------------
     # P2P send path entry (from the SDMA loop or a NIC-resident engine)
@@ -273,7 +277,7 @@ class LanaiNic:
         self.send_queues[token.dst].append(token)
         if token.dst not in self.pending_dsts:
             self.pending_dsts.add(token.dst)
-            self.sched_work.put(token.dst)
+            self.sched_work.post(token.dst)
 
     # ------------------------------------------------------------------
     # Reliability timers
@@ -292,7 +296,7 @@ class LanaiNic:
         if not record.acked and not record.abandoned:
             # Timers armed at the same instant expire together; retry in
             # record-table order, not timer-heap tie-break order.
-            self.timeout_queue.put_item(
+            self.timeout_queue.post_item(
                 record, (self.sim.now, record.dst, record.seq)
             )
 

@@ -7,8 +7,9 @@ A process is a Python generator driven by the simulator.  It may yield:
   is sent back into the generator; a failed event is *thrown* in);
 - another :class:`Process` — join it (waits on its ``completion`` event);
 - :data:`PARKED` — only from inside a primitive that has taken over the
-  resume (:meth:`~repro.sim.resources.ArbitratedResource.hold`): the
-  process waits, unscheduled, until that primitive resumes it.
+  resume (:meth:`~repro.sim.resources.ArbitratedResource.hold`,
+  :meth:`~repro.sim.resources.Store.take`): the process waits,
+  unscheduled, until that primitive resumes it.
 
 The NIC control programs, host programs, DMA engines and switches in this
 reproduction are all written as processes.
@@ -61,7 +62,8 @@ class Process:
         self._gen = gen
         self.completion = SimEvent(sim, name=f"{self.name}.completion")
         self._waiting_on: Optional[SimEvent] = None
-        # The resource whose hold owns this process's resume, if any.
+        # The resource or store whose hold/take owns this process's
+        # resume, if any.
         self._parked_in = None
         # Every resume and every event wait passes one of these two
         # bound methods to the scheduler; binding them once here turns
@@ -86,7 +88,8 @@ class Process:
 
         A process queued in a hold reports a stand-in named
         ``<resource>.request``, as if it waited on a request; once the
-        hold is granted it is mid-sleep (None).
+        hold is granted it is mid-sleep (None).  A process parked in a
+        store's ``take`` reports a ``<store>.get`` stand-in.
         """
         return self._waiting_on
 
@@ -97,17 +100,18 @@ class Process:
         observe anything).  The event it was waiting on keeps running;
         the process may re-wait on it after handling the interrupt.
 
-        A process parked in a hold (queued or granted) cannot be
-        interrupted: the resource owns both its resume and the unit it
-        holds, so an interrupt would leak the unit and resume the
-        process twice.  That raises :class:`RuntimeError`.
+        A process parked in a hold (queued or granted) or in a store's
+        ``take`` cannot be interrupted: the primitive owns its resume
+        (and a hold the unit), so an interrupt would leak the unit or
+        the handed-over item and resume the process twice.  That raises
+        :class:`RuntimeError`.
         """
         if not self.alive:
             return
         if self._parked_in is not None:
             raise RuntimeError(
-                f"cannot interrupt process {self.name!r}: it is parked in a "
-                f"hold on {self._parked_in.name!r}"
+                f"cannot interrupt process {self.name!r}: it is parked in "
+                f"{self._parked_in.name!r}"
             )
         if self._waiting_on is not None:
             self._waiting_on.remove_callback(self._wake_cb)

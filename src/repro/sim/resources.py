@@ -8,10 +8,14 @@
   hardware with a defined service priority among concurrent clients —
   the LANai processor polled by five control-program loops.  Its
   :meth:`~ArbitratedResource.hold` runs a whole acquire → work →
-  release task as one pass plus one completion call.
+  release task as one pass plus one completion call, and a hold by the
+  ``top_key`` client, which no same-instant request can beat, skips
+  the pass when nothing contends: one completion call.
 - :class:`Store` — FIFO item queue with blocking ``get`` (and blocking
   ``put`` when capacity-bounded).  Models token queues, event queues and
-  packet FIFOs.
+  packet FIFOs.  ``post``/``take`` is its event-free hand-off to one
+  consuming process: a post hands the item straight to a parked taker,
+  and a take of a queued item returns it at once.
 - :class:`PriorityStore` — like Store but items are retrieved lowest
   priority value first (stable for equal priorities).
 """
@@ -134,6 +138,17 @@ class ArbitratedResource:
       releases the unit and resumes the process.  Same grant order and
       timing as request → sleep → release, two kernel events instead of
       three, and a hold cannot be cancelled or interrupted.
+
+    ``top_key`` names the key no same-instant request can beat: the
+    resource raises if any other process name's key, or any explicit
+    request key, sorts at or below it.  A hold with that key made at
+    delta phase 0, with the unit free and nothing pending, is granted at
+    once: only its completion is scheduled.  That is exactly what the
+    pass would have decided, since every request it could weigh against
+    the hold is born at this instant and sorts after it.  Only a
+    single-unit resource takes a top key: with more units the early
+    grant could land before a same-instant release of another unit,
+    which the pass would have seen first.
     """
 
     def __init__(
@@ -142,15 +157,22 @@ class ArbitratedResource:
         capacity: int = 1,
         name: Optional[str] = None,
         key_fn=None,
+        top_key: Any = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if top_key is not None and capacity != 1:
+            raise ValueError(f"a top key needs capacity 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
         self.name = name or "resource"
         self._req_name = self.name + ".request"
         self._key_fn = key_fn
-        self._keys: Optional[dict[str, Any]] = {} if key_fn is not None else None
+        self._top_key = top_key
+        self._top_name: Optional[str] = None  # the process holding top_key
+        self._keys: Optional[dict[str, Any]] = (
+            {} if key_fn is not None or top_key is not None else None
+        )
         # What a process queued in a hold reports as ``waiting_on``: a
         # stand-in that never triggers and only names the wait, so the
         # quiescence auditor diagnoses a starved hold as it does a
@@ -185,8 +207,21 @@ class ArbitratedResource:
             return proc.name
         key = keys.get(proc.name)
         if key is None:
-            key = keys[proc.name] = self._key_fn(proc.name)
+            name = proc.name
+            key = self._key_fn(name) if self._key_fn is not None else name
+            top = self._top_key
+            if top is not None and key <= top:
+                if key != top or self._top_name is not None:
+                    self._below_top(f"process {name!r}", key)
+                self._top_name = name
+            keys[name] = key
         return key
+
+    def _below_top(self, who: str, key: Any) -> None:
+        raise ValueError(
+            f"{self.name}: {who} has key {key!r}, which does not sort "
+            f"after the top key {self._top_key!r}"
+        )
 
     def _enqueue(self, waiter: Any, key: Any, cost: Optional[float]) -> list:
         birth = self.sim.current_phase
@@ -205,6 +240,8 @@ class ArbitratedResource:
                     "explicit arbitration key"
                 )
             key = self._process_key(proc)
+        elif self._top_key is not None and key <= self._top_key:
+            self._below_top("an explicit request", key)
         ev = SimEvent(self.sim, name=self._req_name)
         self._entry_of[ev] = self._enqueue(ev, key, None)
         return ev
@@ -215,18 +252,32 @@ class ArbitratedResource:
         Queues in the same arbitration as :meth:`request`; no event, no
         cancellable timer.  Until the unit is released the process can
         be neither interrupted nor resumed by anyone but this resource.
+        The ``top_key`` holder is granted without a pass when nothing
+        contends (see the class docstring).
         """
         if cost < 0:
             raise ValueError(f"{self.name}: negative hold time {cost!r}")
-        proc = self.sim.active_process
+        sim = self.sim
+        proc = sim.active_process
         if proc is None:
             raise RuntimeError(f"{self.name}: hold outside a process")
+        key = self._process_key(proc)
+        proc._parked_in = self
+        if (
+            key == self._top_key
+            and not self._pending
+            and not self._in_use
+            and not sim.current_phase
+        ):
+            self._in_use += 1
+            sim.schedule_detached(cost, self._finish_hold, proc)
+            yield PARKED
+            return
         wait = self._hold_wait
         if wait is None:
-            wait = self._hold_wait = SimEvent(self.sim, name=self._req_name)
-        proc._parked_in = self
+            wait = self._hold_wait = SimEvent(sim, name=self._req_name)
         proc._waiting_on = wait
-        self._enqueue(proc, self._process_key(proc), cost)
+        self._enqueue(proc, key, cost)
         yield PARKED
 
     def _finish_hold(self, proc) -> None:
@@ -295,6 +346,22 @@ class Store:
     ``put`` returns an event that succeeds once the item is accepted
     (immediately unless the store is at capacity).  ``get`` returns an
     event that succeeds with the item.
+
+    ``post``/``take`` is the event-free hand-off for a store with one
+    consuming process (a NIC service loop):
+
+    - ``post(item)`` stores the item and schedules nothing.  A process
+      parked in ``take`` gets it at once, resumed synchronously; from
+      delta phase ≥ 1 the resume is one ``schedule_now`` instead, so
+      the taker still runs (and its next request is born) at phase 0,
+      as after a ``get`` event.  A ``get`` waiter is served as by
+      ``put``, one event fewer: no put event, which nothing waited on.
+    - ``yield from take()`` returns a queued item with no event, or
+      parks the process (:data:`~repro.sim.process.PARKED`) until a
+      post.  A parked taker reports a ``<store>.get`` stand-in as
+      ``waiting_on``, so the quiescence auditor sees a parked service
+      loop, and it cannot be interrupted.  One taker at a time, and
+      never alongside ``get`` waiters.
     """
 
     def __init__(
@@ -313,6 +380,10 @@ class Store:
         self._items: deque[Any] = deque()
         self._getters: deque[SimEvent] = deque()
         self._putters: deque[tuple[SimEvent, Any]] = deque()
+        self._taker = None  # the process parked in take(), if any
+        # Its ``waiting_on`` stand-in: never triggers, only names the
+        # wait.  Made by the first park.
+        self._take_wait: Optional[SimEvent] = None
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:
@@ -337,14 +408,63 @@ class Store:
     def put(self, item: Any) -> SimEvent:
         ev = SimEvent(self.sim, name=self._put_name)
         if len(self._items) < self.capacity:
-            self._do_put(item)
             ev.succeed(item)
-            self._serve_getters()
+            self.post(item)
         else:
             self._putters.append((ev, item))
         return ev
 
+    def post(self, item: Any) -> None:
+        """Store ``item`` without an event; hand it to a parked taker."""
+        if len(self._items) >= self.capacity:
+            raise RuntimeError(f"{self.name}: post to a full store")
+        self._do_put(item)
+        taker = self._taker
+        if taker is not None:
+            self._taker = None
+            taker._waiting_on = None
+            if self.sim.current_phase:
+                self.sim.schedule_now(self._resume_taker, taker, self._do_get())
+            else:
+                self._resume_taker(taker, self._do_get())
+        elif self._getters:
+            self._serve_getters()
+
+    def take(self):
+        """Next item (``yield from`` a process): queued → no event,
+        else park until a :meth:`post` hands one over."""
+        if self._getters:
+            raise RuntimeError(f"{self.name}: take while getters are waiting")
+        if self._items:
+            item = self._do_get()
+            if self._putters:
+                self._admit_putters()
+            return item
+        proc = self.sim.active_process
+        if proc is None:
+            raise RuntimeError(f"{self.name}: take outside a process")
+        if self._taker is not None:
+            raise RuntimeError(
+                f"{self.name}: {proc.name!r} cannot take while "
+                f"{self._taker.name!r} is parked in take"
+            )
+        wait = self._take_wait
+        if wait is None:
+            wait = self._take_wait = SimEvent(self.sim, name=self._get_name)
+        proc._parked_in = self
+        proc._waiting_on = wait
+        self._taker = proc
+        return (yield PARKED)
+
+    def _resume_taker(self, taker, item: Any) -> None:
+        taker._parked_in = None
+        taker._step(item, None)
+
     def get(self) -> SimEvent:
+        if self._taker is not None:
+            raise RuntimeError(
+                f"{self.name}: get while {self._taker.name!r} is parked in take"
+            )
         ev = SimEvent(self.sim, name=self._get_name)
         if self._items:
             ev.succeed(self._do_get())
@@ -395,7 +515,8 @@ class PriorityStore(Store):
     """A store whose ``get`` returns the lowest-priority item first.
 
     Items are pushed as ``put((priority, item))`` or via
-    :meth:`put_item`; ``get`` yields the bare item.  Ties are FIFO.
+    :meth:`post_item`; ``get``/``take`` yield the bare item.  Ties are
+    FIFO.
     """
 
     def __init__(
@@ -409,8 +530,8 @@ class PriorityStore(Store):
         self._seq = 0
         self._items = self._heap  # len()/bool checks reuse Store's logic
 
-    def put_item(self, item: Any, priority: float = 0.0) -> SimEvent:
-        return self.put((priority, item))
+    def post_item(self, item: Any, priority: float = 0.0) -> None:
+        self.post((priority, item))
 
     def _do_put(self, pair: Any) -> None:
         priority, item = pair

@@ -168,6 +168,17 @@ class ChaosPlan:
             )
         if len(self.segments) != len(self.kills) + 1:
             raise ValueError("a plan needs one segment per kill, plus one")
+        if self.nodes < self.min_nodes:
+            raise ValueError(
+                f"plan {self.key} names node {self.min_nodes - 1}, so it "
+                f"needs at least {self.min_nodes} nodes, got {self.nodes}"
+            )
+        max_nodes = get_profile(_DEFAULT_PROFILE[self.network]).max_nodes
+        if self.nodes > max_nodes:
+            raise ValueError(
+                f"{self.network} plans run on at most {max_nodes} nodes, "
+                f"got {self.nodes}"
+            )
         if self.scheme:
             if self.scheme not in _SCHEMES[self.network]:
                 raise ValueError(
@@ -182,6 +193,17 @@ class ChaosPlan:
                     f"{sorted(ops)} runs on the Myrinet collective-protocol "
                     "engines only (scheme 'nic-collective')"
                 )
+
+    @property
+    def min_nodes(self) -> int:
+        """One past the highest node the plan's faults name."""
+        named = [victim for victim, _ in self.kills]
+        named += [node for a, b, _, _ in self.flaps for node in (a, b)]
+        named += self.dead_link or ()
+        for fault in (self.crash, self.slowdown):
+            if fault is not None:
+                named.append(fault[0])
+        return max(named, default=-1) + 1
 
     @property
     def key(self) -> str:
@@ -827,6 +849,13 @@ def catalogue(
     seed: int = 0,
 ) -> list[ChaosPlan]:
     """Every scenario x scheme of the catalogue, in catalogue order."""
+    templates = [t for t, _ in CATALOGUE if t.network in networks]
+    needed = max((t.min_nodes for t in templates), default=0)
+    if nodes < needed:
+        raise ValueError(
+            f"the catalogue names node {needed - 1}, so it needs at least "
+            f"{needed} nodes, got {nodes}"
+        )
     return [
         catalogue_plan(template.name, scheme, template.network, nodes,
                        iterations, seed)

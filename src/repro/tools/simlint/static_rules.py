@@ -79,7 +79,7 @@ SIZE_KWARGS = {"size_bytes", "nbytes"}
 #: Calls that hand work to the scheduler (SL005 dict-iteration trigger).
 SCHEDULING_CALL_NAMES = {
     "schedule", "schedule_detached", "transmit", "broadcast", "put",
-    "put_item", "succeed", "fail", "set_event", "issue_rdma",
+    "post", "post_item", "succeed", "fail", "set_event", "issue_rdma",
     "fast_inject", "send_nack", "post_send_event", "post_engine_command",
     "enqueue_send_token", "process", "arm", "request",
 }

@@ -78,7 +78,7 @@ def test_priority_store_is_stable_heap(pairs):
     sim = Simulator()
     store = PriorityStore(sim)
     for priority, item in pairs:
-        store.put_item((priority, item), priority=priority)
+        store.post_item((priority, item), priority=priority)
     out = []
 
     def consumer():

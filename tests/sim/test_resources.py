@@ -181,9 +181,9 @@ class TestPriorityStore:
     def test_lowest_priority_first(self):
         sim = Simulator()
         ps = PriorityStore(sim)
-        ps.put_item("low-urgency", priority=10)
-        ps.put_item("urgent", priority=1)
-        ps.put_item("medium", priority=5)
+        ps.post_item("low-urgency", priority=10)
+        ps.post_item("urgent", priority=1)
+        ps.post_item("medium", priority=5)
         out = []
 
         def consumer():
@@ -198,7 +198,7 @@ class TestPriorityStore:
         sim = Simulator()
         ps = PriorityStore(sim)
         for i in range(4):
-            ps.put_item(i, priority=0)
+            ps.post_item(i, priority=0)
         out = []
 
         def consumer():
@@ -218,18 +218,197 @@ class TestPriorityStore:
             out.append((yield ps.get()))
 
         sim.process(consumer())
-        sim.schedule(1.0, ps.put_item, "item", 3)
+        sim.schedule(1.0, ps.post_item, "item", 3)
         sim.run()
         assert out == ["item"]
 
     def test_items_sorted_view(self):
         sim = Simulator()
         ps = PriorityStore(sim)
-        ps.put_item("c", 3)
-        ps.put_item("a", 1)
-        ps.put_item("b", 2)
+        ps.post_item("c", 3)
+        ps.post_item("a", 1)
+        ps.post_item("b", 2)
         assert ps.items == ("a", "b", "c")
         sim.run()
+
+
+class TestStoreHandOff:
+    """``post``/``take``: the event-free hand-off of the NIC queues."""
+
+    def test_post_hands_the_item_to_a_parked_taker_at_once(self):
+        sim = Simulator()
+        store = Store(sim, name="q")
+        got = []
+
+        def taker():
+            got.append(((yield from store.take()), sim.now))
+
+        def producer():
+            yield 4.0
+            store.post("late-item")
+            # The taker ran inside the post, at the post's instant.
+            assert got == [("late-item", 4.0)]
+
+        sim.process(taker(), name="t")
+        sim.process(producer(), name="p")
+        sim.run()
+        assert got == [("late-item", 4.0)]
+        assert len(store) == 0
+
+    def test_priority_order_holds_for_queued_items(self):
+        sim = Simulator()
+        ps = PriorityStore(sim)
+        out = []
+
+        def taker():
+            for _ in range(4):
+                out.append((yield from ps.take()))
+                yield 1.0
+
+        def producer():
+            yield 0.5  # the taker is parked: the first post is handed over
+            for item, priority in (("first", 9), ("low", 5), ("high", 1), ("mid", 3)):
+                ps.post_item(item, priority)
+
+        sim.process(taker(), name="t")
+        sim.process(producer(), name="p")
+        sim.run()
+        assert out == ["first", "high", "mid", "low"]
+
+    def test_post_and_take_schedule_no_kernel_event(self):
+        sim = Simulator()
+        store = Store(sim)
+        got = []
+        store.post("queued")
+        assert sim.events_scheduled == 0
+
+        def taker():
+            for _ in range(2):
+                before = sim.events_scheduled
+                got.append((yield from store.take()))
+                got.append(sim.events_scheduled - before)
+
+        sim.process(taker(), name="t")  # start: one event
+        sim.schedule(1.0, store.post, "handed")  # the post's own call
+        sim.run()
+        assert got == ["queued", 0, "handed", 0]
+        # Start, the scheduled post, and the completion: nothing else.
+        assert sim.events_scheduled == 3
+
+    def test_parked_taker_waits_on_a_get_stand_in(self):
+        sim = Simulator()
+        store = Store(sim, name="nic.rx")
+
+        def taker():
+            yield from store.take()
+
+        proc = sim.process(taker(), name="t")
+        sim.run()
+        assert proc.alive
+        assert proc.waiting_on.name == "nic.rx.get"
+        assert not proc.waiting_on.triggered
+        store.post("x")
+        assert proc.waiting_on is None
+
+    def test_interrupt_refuses_a_parked_taker(self):
+        sim = Simulator()
+        store = Store(sim, name="nic.rx")
+        got = []
+
+        def taker():
+            got.append((yield from store.take()))
+
+        proc = sim.process(taker(), name="t")
+        sim.run()
+        with pytest.raises(RuntimeError, match="nic.rx"):
+            proc.interrupt("link down")
+        store.post("x")
+        sim.run()
+        assert got == ["x"] and not proc.alive
+
+    def test_second_taker_raises(self):
+        sim = Simulator()
+        store = Store(sim, name="q")
+
+        def taker():
+            yield from store.take()
+
+        sim.process(taker(), name="a")
+        second = sim.process(taker(), name="b")
+        second.completion.defuse()
+        sim.run()
+        assert isinstance(second.completion.value, RuntimeError)
+        assert "'a' is parked" in str(second.completion.value)
+
+    def test_get_and_take_do_not_mix(self):
+        sim = Simulator()
+        parked = Store(sim, name="parked")
+        waited = Store(sim, name="waited")
+
+        def taker(store):
+            yield from store.take()
+
+        sim.process(taker(parked), name="t")
+        sim.run()
+        with pytest.raises(RuntimeError, match="parked in take"):
+            parked.get()
+
+        waited.get()
+        late = sim.process(taker(waited), name="late")
+        late.completion.defuse()
+        sim.run()
+        assert isinstance(late.completion.value, RuntimeError)
+        assert "getters are waiting" in str(late.completion.value)
+
+    def test_post_serves_a_get_waiter_without_a_put_event(self):
+        sim = Simulator()
+        store = Store(sim)
+        got = store.get()
+        store.post("x")
+        assert got.triggered and got.value == "x"
+        assert sim.events_scheduled == 1  # the get event alone
+
+    def test_put_hands_to_a_parked_taker(self):
+        sim = Simulator()
+        store = Store(sim)
+        got = []
+
+        def taker():
+            got.append((yield from store.take()))
+
+        sim.process(taker(), name="t")
+        sim.run()
+        assert store.put("x").triggered
+        assert got == ["x"]
+
+    def test_post_to_a_full_store_raises(self):
+        sim = Simulator()
+        store = Store(sim, capacity=1, name="q")
+        store.post("a")
+        with pytest.raises(RuntimeError, match="full"):
+            store.post("b")
+
+    def test_post_from_a_later_phase_wakes_the_taker_at_phase_zero(self):
+        sim = Simulator()
+        store = Store(sim)
+        seen = []
+
+        def taker():
+            for _ in range(2):
+                item = yield from store.take()
+                seen.append((item, sim.now, sim.current_phase))
+
+        def post_in_phase(item, phase):
+            if phase:
+                sim.schedule_phase(phase, store.post, item)
+            else:
+                store.post(item)
+
+        sim.process(taker(), name="t")
+        sim.schedule(1.0, post_in_phase, "late-phase", 2)
+        sim.schedule(2.0, post_in_phase, "phase-0", 0)
+        sim.run()
+        assert seen == [("late-phase", 1.0, 0), ("phase-0", 2.0, 0)]
 
 
 class TestArbitratedResource:
@@ -470,6 +649,49 @@ class TestArbitratedHold:
         assert events(hold) == 2
         assert events(request_sleep_release) == 3
 
+    def test_uncontended_top_key_hold_is_one_kernel_event(self):
+        # The pass would grant the top key first anyway: only the
+        # completion is scheduled.  Contended, it queues for the pass.
+        def events(names):
+            sim = Simulator()
+            res = ArbitratedResource(sim, top_key="rx")
+
+            def body():
+                yield from res.hold(1.0)
+
+            for name in names:
+                sim.process(body(), name=name)
+            sim.run()
+            assert sim.now == len(names)
+            return sim.events_scheduled - 2 * len(names)
+
+        assert events(["rx"]) == 1
+        assert events(["sdma", "rx"]) == 4  # two passes, two completions
+
+    def test_keys_at_or_below_the_top_key_raise(self):
+        sim = Simulator()
+        res = ArbitratedResource(sim, key_fn=lambda name: name[0], top_key="b")
+
+        def body():
+            yield from res.hold(1.0)
+
+        owner = sim.process(body(), name="b.rx")
+        twin = sim.process(body(), name="b.rx2")
+        below = sim.process(body(), name="a.sdma")
+        after = sim.process(body(), name="c.sched")
+        for proc in (twin, below):
+            proc.completion.defuse()
+        sim.run()
+        for proc in (twin, below):
+            assert isinstance(proc.completion.value, ValueError)
+            assert "top key 'b'" in str(proc.completion.value)
+        assert owner.completion.ok and after.completion.ok
+        assert res.in_use == 0
+        with pytest.raises(ValueError, match="explicit request"):
+            res.request(key="b")
+        with pytest.raises(ValueError, match="capacity 1"):
+            ArbitratedResource(sim, capacity=2, top_key="b")
+
     def test_key_fn_is_called_once_per_process_name(self):
         sim = Simulator()
         calls = []
@@ -536,14 +758,16 @@ _TASKS = st.lists(st.tuples(_DELAYS, _COSTS), min_size=1, max_size=4)
     seat=st.none() | st.tuples(_DELAYS, _COSTS),
     capacity=st.sampled_from([1, 2]),
     keyed=st.booleans(),
+    top=st.none() | _TASKS,
 )
-def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed):
+def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed, top):
     """``hold(cost)`` is request → sleep ``cost`` → release, fused.
 
     Same grant order, completion times and unit-count trace, with
     same-instant contenders, zero costs, duplicate keys (``key_fn``
-    maps every worker to its letter) and a request-holding seat
-    sharing the queue.  With holds only, each worker also sees the
+    maps every worker to its letter), a request-holding seat sharing
+    the queue, and (capacity 1 only) a worker holding the ``top_key``,
+    whose uncontended holds are granted without a pass.  With holds only, each worker also sees the
     same ``in_use`` at its completion.  A seat's sleep draws its ``seq``
     when the seat resumes, after the pass drew the hold completion's,
     so when both end at one instant the two may run in either order
@@ -551,11 +775,14 @@ def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed):
     is not compared.
     """
 
+    top_tasks = top if capacity == 1 else None
+
     def run(use_hold):
         sim = _GrantLog()
         res = _TracedResource(
             sim, capacity=capacity, name="cpu",
             key_fn=(lambda name: name[0]) if keyed else None,
+            top_key=("0" if keyed else "0.top") if top_tasks else None,
         )
         sim.watched = res
         done = []
@@ -581,6 +808,8 @@ def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed):
 
         for i, (letter, tasks) in enumerate(workers):
             sim.process(worker(tasks), name=f"{letter}.{i}")
+        if top_tasks:
+            sim.process(worker(top_tasks), name="0.top")
         if seat is not None:
             sim.process(seat_holder(*seat), name="b.seat")
         sim.run()

@@ -248,6 +248,20 @@ def test_jobs_must_be_positive(command, jobs, capsys):
     (["trace", "-n", "1"], "-n/--nodes"),
     (["trace", "--warmup", "0"], "--warmup"),
     (["trace", "--iterations", "0"], "--iterations"),
+    # Above the selected profile's machine, or below what the command's
+    # own code needs (the trace generator's floor, the nodes the chaos
+    # catalogue's faults name, the fuzzer's floor).
+    (["run", "--nodes", "5000"], "--nodes"),
+    (["trace", "--network", "myrinet", "-n", "5000"], "-n/--nodes"),
+    (["workload", "-n", "1"], "-n/--nodes"),
+    (["workload", "-n", "3"], "-n/--nodes"),
+    (["workload", "-n", "5000"], "-n/--nodes"),
+    (["workload", "--jobs", "0"], "--jobs"),
+    (["chaos", "--iterations", "0"], "--iterations"),
+    (["chaos", "-n", "5"], "-n/--nodes"),
+    (["chaos", "-n", "5000"], "-n/--nodes"),
+    (["chaos", "--fuzz", "-n", "1"], "-n/--nodes"),
+    (["chaos", "--fuzz", "-n", "3"], "-n/--nodes"),
 ])
 def test_bad_sizes_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -166,6 +166,28 @@ def test_quiescence_treats_parked_service_loop_as_benign():
     assert [e.benign for e in report.graph] == [True]
 
 
+def test_quiescence_treats_a_parked_taker_as_a_parked_service_loop():
+    # A loop parked in Store.take has no real event to wait on; its
+    # ``<store>.get`` stand-in makes it read as any parked service loop,
+    # and as a named blocked wait when it was required to finish.
+    sim = Simulator()
+    sim.track_processes()
+    work = Store(sim, name="nic.work")
+
+    def service_loop():
+        while True:
+            yield from work.take()
+
+    sim.process(service_loop(), name="rx-loop")
+    sim.run()
+    report = check_quiescent(_FakeCluster(sim))
+    assert report.ok
+    assert [(e.event, e.benign) for e in report.graph] == [("nic.work.get", True)]
+    required = check_quiescent(_FakeCluster(sim), must_complete=("rx-loop",))
+    assert [f.code for f in required.findings] == ["SL102"]
+    assert "'nic.work.get'" in required.findings[0].message
+
+
 def test_quiescence_flags_required_process_even_when_parked():
     sim = Simulator()
     sim.track_processes()
@@ -216,7 +238,9 @@ def test_quiescence_names_the_exhausted_cpu_behind_a_starved_task():
     cluster = MyrinetTestCluster(n=2, sim=sim)
     cluster.profile = _FakeProfile()
     nic = cluster.nics[0]
-    nic.cpu.request(key=(-1, "intruder"))  # granted, never released
+    # Granted, never released.  Its key sorts after the receive loop's
+    # top key (no key may sort at or below it) and before the task's.
+    nic.cpu.request(key=(1, "intruder"))
 
     def task():
         yield from nic.cpu_task(1.0, "stuck")
