@@ -967,7 +967,8 @@ class CollectiveRequest:
     group are genuinely in flight at once and may be waited in any
     order.  ``wait()`` blocks until the collective finishes and returns
     its result; ``test()`` is one non-blocking poll, ``True`` once the
-    completion has been consumed (the result is then in ``result``).
+    completion has been consumed (the result is then in ``result``);
+    ``spin()`` polls until then and returns the result.
     Typed failures (``CollectiveFailure``, ``Revoked``) raise from both,
     and again from every later call; a settled request never touches
     the event queue again.  ``transform`` maps the completion event to
@@ -1027,6 +1028,18 @@ class CollectiveRequest:
             return False
         self._settle(event)
         return True
+
+    def spin(self):
+        """Poll until the collective completes; returns its result.
+
+        Exactly ``while not (yield from self.test()): pass``, with the
+        polls that find nothing fast-forwarded
+        (:meth:`~repro.host.demux.EventDemux.spin`)."""
+        if self.done:
+            yield from self.test()
+            return self.result
+        event = yield from self.port.spin_matching(self._matcher)
+        return self._settle(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "done" if self.done else "in-flight"

@@ -438,13 +438,30 @@ class QuadricsBarrierRequest:
         event = yield from driver.port.poll_host_event(driver._matcher(self.seq))
         if event is None:
             return False
+        self._settle(event)
+        return True
+
+    def spin(self):
+        """Poll until the barrier resolves; returns its result.
+
+        Exactly ``while not (yield from self.test()): pass``, with the
+        polls that find nothing fast-forwarded
+        (:meth:`~repro.host.demux.EventDemux.spin`)."""
+        driver = self.driver
+        if self.done or not driver.ops:
+            yield from self.test()
+            return self.result
+        event = yield from driver.port.spin_host_event(driver._matcher(self.seq))
+        self._settle(event)
+        return self.result
+
+    def _settle(self, event) -> None:
         self.done = True
         try:
-            self.result = driver._interpret(event)
+            self.result = self.driver._interpret(event)
         except (Revoked, BarrierFailure) as exc:
             self.failure = exc
             raise
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "done" if self.done else "in-flight"

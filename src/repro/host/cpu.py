@@ -92,5 +92,26 @@ class HostCpu:
             now = self.sim.now
             tracer.add_span(now - us, now, self.name, label or "compute")
 
+    def spin_polls(self, queue):
+        """Poll ``queue`` until a poll could find something (yield from
+        a process): one or more back-to-back ``poll_us`` polls.
+
+        With the tracer off, an idle queue and an idle CPU the polls
+        are one express spin (:meth:`ArbitratedResource.spin
+        <repro.sim.resources.ArbitratedResource.spin>`): the CPU is held
+        until a post to ``queue`` or a rival claim, and the polls that
+        would have found nothing cost no event.  Otherwise this is one
+        ordinary poll.  The caller sweeps the queue afterwards.
+        """
+        us = self.params.poll_us * self.slowdown
+        if self.tracer.enabled or not queue.idle or not self._cpu.can_spin(us):
+            yield from self.compute(self.params.poll_us, "poll")
+            return
+        polls = yield from self._cpu.spin(us, queue)
+        busy = self.busy_us
+        for _ in range(polls):
+            busy += us
+        self.busy_us = busy
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HostCpu {self.name} busy={self.busy_us:.1f}us>"

@@ -105,10 +105,28 @@ class EventDemux:
     def poll(self, matches: Callable[[Any], bool]):
         """One non-blocking poll: drain what the NIC already posted (one
         poll cost), then return the matching item or ``None``."""
+        yield from self.cpu.compute(self.cpu.params.poll_us, "poll")
+        return (yield from self._sweep(matches))
+
+    def spin(self, matches: Callable[[Any], bool]):
+        """:meth:`poll` until it returns an item, and return it.
+
+        Exactly ``while (item := (yield from poll(matches))) is None``,
+        but a run of polls that find nothing on an idle queue costs one
+        park (:meth:`~repro.host.cpu.HostCpu.spin_polls`), not two
+        kernel events per poll."""
+        item = yield from self.poll(matches)
+        while item is None:
+            yield from self.cpu.spin_polls(self.queue)
+            item = yield from self._sweep(matches)
+        return item
+
+    def _sweep(self, matches):
+        """What a poll does once its cost is paid: drain the store into
+        ``pending`` and consume the first match, if any."""
         queue = self.queue
         pending = self.pending
         on_pop = self._on_pop
-        yield from self.cpu.compute(self.cpu.params.poll_us, "poll")
         while len(queue) > 0 and queue.getters_waiting == 0:
             item = queue.try_get()
             if on_pop is not None:

@@ -122,6 +122,11 @@ class GmPort:
         """One non-blocking poll: the matching event or ``None``."""
         return self._events.poll(matches)
 
+    def spin_matching(self, matches: Callable[[Any], bool]):
+        """Poll until an event satisfying ``matches`` arrives (see
+        :meth:`~repro.host.demux.EventDemux.spin`)."""
+        return self._events.spin(matches)
+
     def recv_from(self, src: int):
         """Receive the next data message from ``src``."""
         event = yield from self.recv_matching(

@@ -95,6 +95,11 @@ class ElanPort:
         ``None`` (the ``test`` half of a non-blocking chained barrier)."""
         return self._host_events.poll(matches)
 
+    def spin_host_event(self, matches: Callable[[Any], bool]):
+        """Poll until a matching host event arrives (see
+        :meth:`~repro.host.demux.EventDemux.spin`)."""
+        return self._host_events.spin(matches)
+
 
 # ----------------------------------------------------------------------
 # Elanlib barriers

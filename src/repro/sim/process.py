@@ -8,6 +8,7 @@ A process is a Python generator driven by the simulator.  It may yield:
 - another :class:`Process` — join it (waits on its ``completion`` event);
 - :data:`PARKED` — only from inside a primitive that has taken over the
   resume (:meth:`~repro.sim.resources.ArbitratedResource.hold`,
+  :meth:`~repro.sim.resources.ArbitratedResource.spin`,
   :meth:`~repro.sim.resources.Store.take`): the process waits,
   unscheduled, until that primitive resumes it.
 
@@ -89,7 +90,8 @@ class Process:
         A process queued in a hold reports a stand-in named
         ``<resource>.request``, as if it waited on a request; once the
         hold is granted it is mid-sleep (None).  A process parked in a
-        store's ``take`` reports a ``<store>.get`` stand-in.
+        store's ``take`` reports a ``<store>.get`` stand-in, and one
+        parked in a resource's ``spin`` a ``<store>.post`` stand-in.
         """
         return self._waiting_on
 
@@ -100,8 +102,8 @@ class Process:
         observe anything).  The event it was waiting on keeps running;
         the process may re-wait on it after handling the interrupt.
 
-        A process parked in a hold (queued or granted) or in a store's
-        ``take`` cannot be interrupted: the primitive owns its resume
+        A process parked in a hold (queued or granted), a spin or a
+        store's ``take`` cannot be interrupted: the primitive owns its resume
         (and a hold the unit), so an interrupt would leak the unit or
         the handed-over item and resume the process twice.  That raises
         :class:`RuntimeError`.

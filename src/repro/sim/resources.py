@@ -10,12 +10,15 @@
   :meth:`~ArbitratedResource.hold` runs a whole acquire → work →
   release task as one pass plus one completion call, and a hold by the
   ``top_key`` client, which no same-instant request can beat, skips
-  the pass when nothing contends: one completion call.
+  the pass when nothing contends: one completion call.  Its
+  :meth:`~ArbitratedResource.spin` is a run of back-to-back tasks that
+  parks once and is costed at the one task whose outcome can differ.
 - :class:`Store` — FIFO item queue with blocking ``get`` (and blocking
   ``put`` when capacity-bounded).  Models token queues, event queues and
   packet FIFOs.  ``post``/``take`` is its event-free hand-off to one
   consuming process: a post hands the item straight to a parked taker,
-  and a take of a queued item returns it at once.
+  and a take of a queued item returns it at once.  ``watch`` arms a
+  one-shot call on the next post.
 - :class:`PriorityStore` — like Store but items are retrieved lowest
   priority value first (stable for equal priorities).
 """
@@ -149,6 +152,13 @@ class ArbitratedResource:
     single-unit resource takes a top key: with more units the early
     grant could land before a same-instant release of another unit,
     which the pass would have seen first.
+
+    ``yield from res.spin(quantum, store)`` is the exact fast-forward of
+    a loop of ``hold(quantum)`` tasks that each look at an empty
+    ``store``: the unit stays held across back-to-back quanta with no
+    event, until a post to ``store`` or a rival claim could change what
+    a task sees; then one completion at the next quantum boundary ends
+    it.  See :meth:`spin`.
     """
 
     def __init__(
@@ -192,6 +202,9 @@ class ArbitratedResource:
         self._abandoned = 0
         self._n = 0
         self._pass_phase = -1  # armed pass's phase; -1 when unarmed
+        # The process parked in spin(), as (process, key, n, entry time,
+        # quantum, store); None when nobody spins.
+        self._spinner: Optional[tuple] = None
 
     @property
     def in_use(self) -> int:
@@ -225,6 +238,8 @@ class ArbitratedResource:
 
     def _enqueue(self, waiter: Any, key: Any, cost: Optional[float]) -> list:
         birth = self.sim.current_phase
+        if self._spinner is not None:
+            self._rival_claims(birth)
         self._n += 1
         entry = [birth, key, self._n, waiter, cost]
         heapq.heappush(self._pending, entry)
@@ -273,17 +288,117 @@ class ArbitratedResource:
             sim.schedule_detached(cost, self._finish_hold, proc)
             yield PARKED
             return
-        wait = self._hold_wait
-        if wait is None:
-            wait = self._hold_wait = SimEvent(sim, name=self._req_name)
-        proc._waiting_on = wait
+        proc._waiting_on = self._queued_stand_in()
         self._enqueue(proc, key, cost)
         yield PARKED
+
+    def _queued_stand_in(self) -> SimEvent:
+        wait = self._hold_wait
+        if wait is None:
+            wait = self._hold_wait = SimEvent(self.sim, name=self._req_name)
+        return wait
 
     def _finish_hold(self, proc) -> None:
         self.release()
         proc._parked_in = None
         proc._step(None, None)
+
+    def can_spin(self, quantum: float) -> bool:
+        """Whether :meth:`spin` may park now: delta phase 0, a free
+        single unit with nothing pending and no top key, and a quantum
+        the clock can step by exactly (see :meth:`spin`)."""
+        sim = self.sim
+        now = sim.now
+        return (
+            not sim.current_phase
+            and not self._in_use
+            and not self._pending
+            and self._top_key is None
+            and self.capacity == 1
+            and 0.0 < quantum <= now
+            and now + quantum > now
+        )
+
+    def spin(self, quantum: float, store):
+        """Hold the unit for back-to-back ``quantum``-µs tasks while
+        ``store`` stays empty (``yield from`` a process, after
+        :meth:`can_spin` and an idle ``store``); return how many tasks
+        ran.
+
+        Exactly ``hold(quantum)`` repeated while each task ends looking
+        at an empty store, but parked once, with no event, until
+        something could change what a task sees:
+
+        - a post to ``store`` (a one-shot :meth:`Store.watch`), or
+        - a rival claim on this resource.
+
+        Either wakes it, and one completion is scheduled at the first
+        quantum boundary ``t_k`` after the wake (at it, if the wake runs
+        at delta phase 0): boundaries are ``t_k = t_(k-1) + quantum``
+        from the entry instant, the float addition the kernel makes
+        when a pass grants each task, and ``now + (t_k - now) == t_k``
+        holds because a spin starts no earlier than ``quantum``.  A
+        rival at the entry instant and phase would have been weighed
+        against the first task by the pass, so it turns the spinner
+        back into that pending task instead, with its key and its
+        place in arrival order.  A spinner reports a ``<store>.post``
+        stand-in as ``waiting_on`` and cannot be interrupted.
+        """
+        sim = self.sim
+        proc = sim.active_process
+        if proc is None:
+            raise RuntimeError(f"{self.name}: spin outside a process")
+        key = self._process_key(proc)
+        self._n += 1
+        self._in_use += 1
+        self._spinner = (proc, key, self._n, sim.now, quantum, store)
+        proc._parked_in = self
+        proc._waiting_on = store.watch(self._wake_spinner)
+        tasks = yield PARKED
+        return 1 if tasks is None else tasks
+
+    def _rival_claims(self, phase: int) -> None:
+        proc, key, n, entered, quantum, store = self._spinner
+        if phase or self.sim.now != entered:
+            self._wake_spinner()
+            return
+        # Same instant and phase as the first task's request: pending,
+        # it goes to the pass with the rival, as a hold would have.
+        self._spinner = None
+        store.unwatch()
+        self._in_use -= 1
+        proc._waiting_on = self._queued_stand_in()
+        heapq.heappush(self._pending, [0, key, n, proc, quantum])
+
+    def _wake_spinner(self) -> None:
+        proc, _, _, boundary, quantum, store = self._spinner
+        self._spinner = None
+        store.unwatch()
+        sim = self.sim
+        now = sim.now
+        tasks = 1
+        boundary += quantum
+        if sim.current_phase:
+            while boundary <= now:
+                boundary += quantum
+                tasks += 1
+        else:
+            while boundary < now:
+                boundary += quantum
+                tasks += 1
+        delay = boundary - now
+        if now + delay != boundary:
+            raise RuntimeError(
+                f"{self.name}: spin boundary {boundary!r} is not now + "
+                f"{delay!r} (now {now!r})"
+            )
+        proc._waiting_on = None
+        sim.schedule_detached(delay, self._finish_spin, proc, tasks)
+
+    def _finish_spin(self, proc, tasks: int) -> None:
+        self.release()
+        proc._parked_in = None
+        proc._step(tasks, None)
 
     def cancel_request(self, ev: SimEvent) -> bool:
         """Withdraw a still-pending request.  Returns True if it was
@@ -362,6 +477,9 @@ class Store:
       ``waiting_on``, so the quiescence auditor sees a parked service
       loop, and it cannot be interrupted.  One taker at a time, and
       never alongside ``get`` waiters.
+
+    ``watch(fn)`` arms one call of ``fn()`` at the end of the next
+    post (the express spin's wake, :meth:`ArbitratedResource.spin`).
     """
 
     def __init__(
@@ -384,6 +502,8 @@ class Store:
         # Its ``waiting_on`` stand-in: never triggers, only names the
         # wait.  Made by the first park.
         self._take_wait: Optional[SimEvent] = None
+        self._watcher = None  # called once by the next post, if set
+        self._watch_wait: Optional[SimEvent] = None  # as _take_wait
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:
@@ -396,6 +516,14 @@ class Store:
     @property
     def getters_waiting(self) -> int:
         return len(self._getters)
+
+    @property
+    def idle(self) -> bool:
+        """Empty, with no getter, taker or watcher."""
+        return not (
+            self._items or self._getters or self._taker is not None
+            or self._watcher is not None
+        )
 
     # -- storage policy hooks (overridden by PriorityStore) --------------
     def _do_put(self, item: Any) -> None:
@@ -429,6 +557,30 @@ class Store:
                 self._resume_taker(taker, self._do_get())
         elif self._getters:
             self._serve_getters()
+        watcher = self._watcher
+        if watcher is not None:
+            self._watcher = None
+            watcher()
+
+    def watch(self, fn) -> SimEvent:
+        """Call ``fn()`` once, at the end of the next :meth:`post`.
+
+        Returns the ``<store>.post`` stand-in a process waiting for that
+        post reports as ``waiting_on``.  One watcher at a time.
+        """
+        if self._watcher is not None:
+            raise RuntimeError(f"{self.name}: a watcher is already armed")
+        self._watcher = fn
+        wait = self._watch_wait
+        if wait is None:
+            wait = self._watch_wait = SimEvent(
+                self.sim, name=self.name + ".post"
+            )
+        return wait
+
+    def unwatch(self) -> None:
+        """Disarm the watcher, if any."""
+        self._watcher = None
 
     def take(self):
         """Next item (``yield from`` a process): queued → no event,

@@ -420,10 +420,10 @@ def _comm_op(comm, op):
         if result != token:
             return f"wrong:bcast:{result!r}"
         return "ok:bcast"
-    # ibarrier: request-handle form, a few non-blocking polls.
+    # ibarrier: request-handle form, polled until it resolves (spin()
+    # is the test() loop with its empty polls fast-forwarded).
     request = yield from comm.ibarrier()
-    while not (yield from request.test()):
-        pass
+    yield from request.spin()
     return "ok:ibarrier"
 
 

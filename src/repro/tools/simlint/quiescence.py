@@ -13,7 +13,10 @@ event nobody can fire is a deadlock.
 reports violations as SL102-SL106 findings, plus a wait-for graph of the
 still-blocked processes.  NIC service loops are *expected* to park on
 their work queue's ``.get`` forever — they appear in the graph but are
-only findings when named in ``must_complete``.
+only findings when named in ``must_complete``.  A host process parked
+in an express spin on a queue nothing posts to any more reports
+``<queue>.post``: a poll loop whose completion never came, always a
+finding.
 
 Process enumeration needs ``sim.track_processes()`` called **before**
 the model is built (weak registration happens in ``Process.__init__``);
@@ -96,6 +99,11 @@ def _check_processes(
             detail = (
                 f"blocked acquiring exhausted resource {event_name[:-8]!r} "
                 "(units held and never released)"
+            )
+        elif event_name.endswith(".post"):
+            detail = (
+                f"spinning on queue {event_name[:-5]!r}, which nothing "
+                "will post to (a poll loop whose completion never came)"
             )
         elif event_name.endswith(".completion"):
             detail = f"blocked joining {event_name[:-11]!r}, which never finished"

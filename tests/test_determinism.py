@@ -171,3 +171,33 @@ def test_tracing_is_passive(build, barrier):
         )
 
     assert run(True) == run(False)
+
+
+def test_tracing_is_passive_on_a_quadrics_fuzz_case(monkeypatch):
+    """The same for a fuzz case, whose survivors spin on ibarrier
+    requests: with the tracer on the express spin is off, yet outcomes,
+    end time and counters match the untraced run."""
+    import repro.tools.chaos as chaos
+    from repro.sim import Simulator, Tracer
+
+    plan = chaos.make_fuzz_plan("quadrics", 0, nodes=16)
+
+    def run(enabled):
+        build = chaos.build_cluster
+        monkeypatch.setattr(
+            chaos, "build_cluster",
+            lambda *args, **kw: build(*args, tracer=Tracer(enabled=enabled), **kw),
+        )
+        sim = Simulator()
+        result = chaos.run_plan(plan, sim=sim)
+        monkeypatch.undo()
+        assert result.ok, (result.violations, result.quiescence)
+        return (
+            result.outcomes, result.end_us, result.seq_end_us,
+            tuple(sorted(result.counters.items())),
+        ), sim.events_scheduled
+
+    traced, traced_events = run(True)
+    plain, plain_events = run(False)
+    assert traced == plain
+    assert traced_events > plain_events  # every empty poll simulated

@@ -7,16 +7,21 @@ must reproduce its latency bit for bit and stay at or under its event
 ceiling; so must a communicator mixing every Myrinet NIC collective.
 The N=4096 Quadrics point is the scale gate: the fat tree at four
 times the paper's largest model point, on the iteration schedule the
-scale command uses.  The ceilings are today's
+scale command uses.  The four N=16 chaos-fuzz cases the benchmark runs
+gate the express spin: their survivors poll ibarrier requests while a
+dead peer is being detected.  The ceilings are today's
 counts: a change that brings back an event per processor task (an
 arbitrated request → sleep → release instead of a hold, or a pass for
 an uncontended LANai receive-loop task), an event on a NIC queue
 hand-off (a put event, a get hop), or a link decision pass that cannot
 grant (a phase walk, a pass on a full link, a phase-burn event for
-elided up-edges), fails here.
+elided up-edges), or two events per empty host poll, fails here.
 Lower a ceiling when a change removes events; raise one only with a
 change that must add them, and say why.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -97,3 +102,30 @@ def test_data_path_end_time_and_event_ceiling():
     assert cluster.sim.now == 611.4720000000005
     events = cluster.sim.events_scheduled
     assert events <= 17_087, f"data path: {events:,} kernel events, ceiling 17,087"
+
+
+# (network, fuzz plan seed): (end time in µs, sha256 of the outcomes'
+# JSON, first 16 hex digits, event ceiling).  Before the express spin
+# the ceilings read 103,701 / 82,223 / 131,100 / 182,708.
+FUZZ_CASES = {
+    ("myrinet", 0): (6432.693379705693, "a1ac0f7f834c3fea", 79_461),
+    ("myrinet", 1): (6592.005047665537, "6b61424de404c0e5", 81_131),
+    ("quadrics", 0): (6253.186349092473, "557c6e242c7167fe", 64_718),
+    ("quadrics", 1): (6810.035294733892, "be746b55aac8443f", 81_910),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ_CASES), ids="{0[0]}-plan{0[1]}".format)
+def test_fuzz_case_end_outcomes_and_event_ceiling(case):
+    from repro.sim import Simulator
+    from repro.tools.chaos import make_fuzz_plan, run_plan
+
+    end_us, outcomes, ceiling = FUZZ_CASES[case]
+    sim = Simulator()
+    result = run_plan(make_fuzz_plan(*case, nodes=16), sim=sim)
+    assert result.ok, (result.violations, result.quiescence)
+    assert result.end_us == end_us
+    digest = hashlib.sha256(json.dumps(result.outcomes).encode()).hexdigest()
+    assert digest[:16] == outcomes
+    events = sim.events_scheduled
+    assert events <= ceiling, f"{case}: {events:,} kernel events, ceiling {ceiling:,}"

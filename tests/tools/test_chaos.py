@@ -165,6 +165,25 @@ class TestScenarioRuns:
                       segments=(("barrier",), ("barrier",)),
                       kills=((3, 200.0),))
 
+    def test_a_spin_whose_barrier_never_completes_is_a_hang(self):
+        """A dead link cuts two Quadrics chains: ranks n1 and n3 spin on
+        an ibarrier whose completion never comes.  The run still drains,
+        and both the hang check and the quiescence audit name them."""
+        result = run_plan(ChaosPlan(
+            "quadrics", nodes=4, segments=(("ibarrier",),), dead_link=(0, 1),
+        ))
+        assert [o[0] for o in result.outcomes] == [
+            ("ok:ibarrier",), (), ("ok:ibarrier",), (),
+        ]
+        hangs = [v for v in result.violations if v.startswith("HANG")]
+        assert hangs == [
+            "HANG: chaos@1 never finished", "HANG: chaos@3 never finished",
+        ]
+        assert len(result.quiescence) == 2
+        for node, finding in zip((1, 3), result.quiescence):
+            assert finding.startswith(f"elan3_piii700/chaos@{node}: SL102")
+            assert f"spinning on queue 'elan{node}.host_events'" in finding
+
     def test_faulted_run_bit_identical_under_tiebreak(self):
         baseline = run_plan(catalogue_plan(
             "flap", "nic-collective", nodes=8, iterations=2
