@@ -92,7 +92,7 @@ class ControlProgram:
             chunk = min(remaining, p.mtu_bytes)
             # Wait for a send packet buffer (held until the ACK arrives,
             # so a retransmission does not have to re-claim one).
-            yield nic.packet_pool.request()
+            buffer = yield from nic.packet_pool.take()
             yield from nic.cpu_task(p.t_packet_alloc, "packet_alloc")
             if token.notify_host:
                 # Data lives in host memory: DMA it into the send packet.
@@ -108,6 +108,7 @@ class ControlProgram:
                 kind=token.kind,
                 token=token,
                 created_at=nic.sim.now,
+                buffer=buffer,
             )
             nic.send_records[(token.dst, seq)] = record
             token.packets_outstanding += 1
@@ -246,7 +247,7 @@ class ControlProgram:
             return
         record.acked = True
         record.cancel_timer()
-        nic.packet_pool.release()
+        nic.packet_pool.post(record.buffer)
         yield from nic.cpu_task(p.t_ack_process, "ack_process")
         token = record.token
         token.packets_outstanding -= 1
@@ -288,8 +289,8 @@ class ControlProgram:
                 )
                 record.abandoned = True
                 nic.send_records.pop((record.dst, record.seq), None)
-                nic.packet_pool.release()
                 record.token.packets_outstanding -= 1
+                nic.packet_pool.post(record.buffer)
                 payload = record.payload
                 group_id = getattr(payload, "group_id", None)
                 if (

@@ -21,7 +21,7 @@ from repro.network import Fabric, Packet, PacketKind
 from repro.myrinet.params import GmParams
 from repro.myrinet.structures import SendRecord, SendToken
 from repro.pci import DmaDirection, PciBus
-from repro.sim import ArbitratedResource, PriorityStore, Resource, Simulator, Store, Tracer
+from repro.sim import ArbitratedResource, PriorityStore, Simulator, Store, Tracer
 
 #: The MCP main loop's polling priority over its work sources: receive
 #: DMA first (the wormhole fabric backpressures until rx drains), then
@@ -71,12 +71,9 @@ class LanaiNic:
 
         # The LANai processor.  Arbitrated: same-instant task requests
         # from different MCP loops grant in _MCP_LOOP_PRIORITY order.
-        # The receive loop's key is the top one, so its uncontended
-        # tasks are granted without a pass.
         self.cpu = ArbitratedResource(
             sim, capacity=1, name=f"{self.name}.cpu",
             key_fn=_cpu_arbitration_key,
-            top_key=_cpu_arbitration_key(f"{self.name}.rx"),
         )
         self.busy_us = 0.0
         self._cpu_lane = f"{self.name}.cpu"
@@ -97,9 +94,12 @@ class LanaiNic:
         self.sched_work = Store(sim, name=f"{self.name}.sched")
         self.pending_dsts: set[int] = set()
         self.rr_ring: deque[int] = deque()
-        self.packet_pool = Resource(
-            sim, capacity=params.send_packet_count, name=f"{self.name}.pktpool"
-        )
+        # Free list of send packet buffers.  The send scheduler is its
+        # only taker; an ACK, retry exhaustion or a restart posts the
+        # record's buffer back.
+        self.packet_pool = Store(sim, name=f"{self.name}.pktpool")
+        for buffer in range(params.send_packet_count):
+            self.packet_pool.post(buffer)
 
         # Reliability state.
         self.send_records: dict[tuple[int, int], SendRecord] = {}
@@ -334,9 +334,9 @@ class LanaiNic:
             record = self.send_records.pop(key)
             record.abandoned = True
             record.cancel_timer()
-            self.packet_pool.release()
             record.token.packets_outstanding -= 1
             self.tracer.count("gm.crash_record_lost")
+            self.packet_pool.post(record.buffer)
         for group_id in sorted(self.engines):
             self.sim.process(
                 self.engines[group_id].on_nic_restart(),

@@ -57,6 +57,7 @@ class SendRecord:
     kind: str
     token: SendToken
     created_at: float
+    buffer: int = -1  # the send packet buffer, back to the pool when retired
     timer: Any = None  # ScheduledCall handle
     retransmits: int = 0
     acked: bool = False

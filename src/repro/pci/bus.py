@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim import Resource, Simulator, Tracer
+from repro.sim import ArbitratedResource, Simulator, Tracer
 
 
 class DmaDirection(enum.Enum):
@@ -42,8 +42,10 @@ class PciParams:
 class PciBus:
     """One host's I/O bus, shared by all bus masters on that node.
 
-    Transactions serialize through a capacity-1 resource (bus
-    arbitration).  Use from a process::
+    Transactions serialize through a capacity-1 arbitrated resource:
+    same-instant bus masters are granted in canonical key order (the
+    process name, or the key a callback chain names), not event-heap
+    order.  Use from a process::
 
         yield from bus.pio_write()          # doorbell
         yield from bus.dma(64, DmaDirection.NIC_TO_HOST)
@@ -60,7 +62,7 @@ class PciBus:
         self.params = params
         self.name = name
         self.tracer = tracer or Tracer()
-        self._bus = Resource(sim, capacity=1, name=f"{name}.bus")
+        self._bus = ArbitratedResource(sim, capacity=1, name=f"{name}.bus")
         self.pio_count = 0
         self.dma_count = 0
         self.bytes_transferred = 0
@@ -77,9 +79,7 @@ class PciBus:
     # ------------------------------------------------------------------
     def pio_write(self, nbytes: int = 8):
         """A programmed-I/O write (fixed cost regardless of ``nbytes``)."""
-        yield self._bus.request()
-        yield self.params.pio_write_us
-        self._bus.release()
+        yield from self._bus.hold(self.params.pio_write_us)
         self.pio_count += 1
         tracer = self.tracer
         tracer.count(self._pio_counter)
@@ -92,40 +92,32 @@ class PciBus:
         """One DMA transaction: setup + transfer, bus held throughout."""
         if nbytes < 0:
             raise ValueError(f"negative DMA size {nbytes}")
-        yield self._bus.request()
-        yield self.params.dma_time(nbytes)
+        yield from self._bus.hold(self.params.dma_time(nbytes))
         self._dma_finish(nbytes, direction)
 
-    def dma_async(self, nbytes: int, direction: DmaDirection, done, *args) -> None:
+    def dma_async(
+        self, key: str, nbytes: int, direction: DmaDirection, done, *args
+    ) -> None:
         """Callback-style DMA: identical timing to :meth:`dma`, but runs
         ``done(*args)`` on completion instead of resuming a process.
 
         The NIC models use this on their hot paths (barrier completion
         notifications arrive by the thousand) to avoid a generator
-        process per 8-byte transfer.
+        process per 8-byte transfer.  ``key`` is the bus master's
+        arbitration key, ranked against process names.
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA size {nbytes}")
-        if self._bus.try_acquire():
-            self.sim.schedule_detached(
-                self.params.dma_time(nbytes),
-                self._dma_async_done, nbytes, direction, done, args,
-            )
-        else:
-            ev = self._bus.request()
-            ev.add_callback(
-                lambda _ev: self.sim.schedule_detached(
-                    self.params.dma_time(nbytes),
-                    self._dma_async_done, nbytes, direction, done, args,
-                )
-            )
+        self._bus.call(
+            key, self.params.dma_time(nbytes),
+            self._dma_async_done, nbytes, direction, done, args,
+        )
 
     def _dma_async_done(self, nbytes, direction, done, args) -> None:
         self._dma_finish(nbytes, direction)
         done(*args)
 
     def _dma_finish(self, nbytes: int, direction: DmaDirection) -> None:
-        self._bus.release()
         self.dma_count += 1
         self.bytes_transferred += nbytes
         tracer = self.tracer

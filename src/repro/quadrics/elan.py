@@ -1,7 +1,7 @@
 """The Elan3 NIC: event unit, DMA engine, thread processor.
 
 Unlike the LANai (one processor doing everything), Elan3 has dedicated
-functional units, modeled as separate capacity-1 resources:
+functional units, modeled as separate capacity-1 arbitrated resources:
 
 - the **event unit** processes arriving set-events and fires chained
   actions;
@@ -24,7 +24,7 @@ from repro.network import Fabric, Packet, PacketKind
 from repro.pci import DmaDirection, PciBus
 from repro.quadrics.events import ElanEvent
 from repro.quadrics.params import ElanParams
-from repro.sim import Resource, Simulator, Store, Tracer
+from repro.sim import ArbitratedResource, Simulator, Store, Tracer
 
 
 @dataclass
@@ -95,9 +95,15 @@ class Elan3Nic:
         self._dma_lane = f"{self.name}.dma"
         self._thread_lane = f"{self.name}.thread"
 
-        self.event_unit = Resource(sim, 1, name=f"{self.name}.events")
-        self.dma_engine = Resource(sim, 1, name=f"{self.name}.dma")
-        self.thread_cpu = Resource(sim, 1, name=f"{self.name}.thread")
+        # Same-instant clients of a unit are served in key order: a
+        # process by its name, a callback chain by the key it names
+        # below (the receive machine shares its slow path's key).
+        self.event_unit = ArbitratedResource(sim, 1, name=f"{self.name}.events")
+        self.dma_engine = ArbitratedResource(sim, 1, name=f"{self.name}.dma")
+        self.thread_cpu = ArbitratedResource(sim, 1, name=f"{self.name}.thread")
+        self._notify_key = f"{self.name}.notify"
+        self._rdma_key = f"{self.name}.rdma"
+        self._rx_key = f"{self.name}.rx"
 
         self._events: dict[str, ElanEvent] = {}
         # RDMA-deposited values readable by the host after the paired
@@ -108,7 +114,6 @@ class Elan3Nic:
         # _rx_busy gates entry, arrivals during processing back up here.
         self._rx_backlog: deque[Packet] = deque()
         self._rx_busy = False
-        self._rx_waiting_desc: Optional[RdmaDescriptor] = None
         # Host-visible notifications (host memory words the host polls).
         self.host_events = Store(sim, name=f"{self.name}.host_events")
         # Tport receive queue (messages already matched by the thread).
@@ -150,22 +155,14 @@ class Elan3Nic:
         self.event(trigger).arm(threshold, lambda: self._notify_host(value))
 
     def _notify_host(self, value: Any) -> None:
-        # Callback chain (event unit -> PCI DMA -> host word), same
-        # timing as the old generator process without allocating one.
-        if self.event_unit.try_acquire():
-            self.sim.schedule_detached(
-                self.params.t_host_event, self._notify_unit_done, value
-            )
-        else:
-            ev = self.event_unit.request()
-            ev.add_callback(
-                lambda _ev, v=value: self.sim.schedule_detached(
-                    self.params.t_host_event, self._notify_unit_done, v
-                )
-            )
+        # Callback chain (event unit -> PCI DMA -> host word): no
+        # generator process per notification.
+        self.event_unit.call(
+            self._notify_key, self.params.t_host_event,
+            self._notify_unit_done, value,
+        )
 
     def _notify_unit_done(self, value: Any) -> None:
-        self.event_unit.release()
         tracer = self.tracer
         if tracer.enabled:
             now = self.sim.now
@@ -173,8 +170,8 @@ class Elan3Nic:
                 now - self.params.t_host_event, now, self._event_lane, "host_notify"
             )
         self.pci.dma_async(
-            self.params.host_event_bytes, DmaDirection.NIC_TO_HOST,
-            self.host_events.put, value,
+            self._notify_key, self.params.host_event_bytes,
+            DmaDirection.NIC_TO_HOST, self.host_events.put, value,
         )
 
     # ------------------------------------------------------------------
@@ -182,20 +179,20 @@ class Elan3Nic:
     # ------------------------------------------------------------------
     def issue_rdma(self, descriptor: RdmaDescriptor) -> None:
         """Queue a descriptor on the DMA engine (fire-and-forget)."""
-        # Fast path for the barrier's bread and butter: a zero-byte
-        # notification RDMA on an idle engine needs no host-memory DMA
-        # and therefore no process — one scheduled call covers the
-        # engine's issue time.  (try_acquire only succeeds when no
-        # waiter is queued, so FIFO fairness is preserved.)
-        if descriptor.size_bytes == 0 and self.dma_engine.try_acquire():
-            self.sim.schedule_detached(
-                self.params.t_rdma_issue, self._rdma_issue_done, descriptor
+        # The barrier's bread and butter, a zero-byte notification RDMA,
+        # needs no host-memory DMA and therefore no process: one engine
+        # call covers its issue time.
+        if descriptor.size_bytes == 0:
+            self.dma_engine.call(
+                self._rdma_key, self.params.t_rdma_issue,
+                self._rdma_issue_done, descriptor,
             )
             return
-        self.sim.process(self._rdma_proc(descriptor), name=f"{self.name}.rdma")
+        self.sim.process(self._rdma_proc(descriptor), name=self._rdma_key)
 
     def _rdma_issue_done(self, descriptor: RdmaDescriptor) -> None:
-        """Tail of the fast path: inject the packet, free the engine."""
+        """Tail of a zero-byte issue: the engine is free, inject the
+        packet."""
         p = self.params
         tracer = self.tracer
         tracer.count("elan.rdma_issued")
@@ -214,7 +211,6 @@ class Elan3Nic:
                 payload=descriptor,
             )
         )
-        self.dma_engine.release()
         if descriptor.local_event is not None:
             self.event(descriptor.local_event).set_event()
 
@@ -223,9 +219,8 @@ class Elan3Nic:
         yield self.dma_engine.request()
         start = self.sim.now
         yield p.t_rdma_issue
-        if descriptor.size_bytes > 0:
-            # Data is fetched from host memory over the PCI bus.
-            yield from self.pci.dma(descriptor.size_bytes, DmaDirection.HOST_TO_NIC)
+        # Data is fetched from host memory over the PCI bus.
+        yield from self.pci.dma(descriptor.size_bytes, DmaDirection.HOST_TO_NIC)
         tracer = self.tracer
         if tracer.enabled:
             tracer.add_span(
@@ -273,23 +268,13 @@ class Elan3Nic:
         if type(descriptor) is RdmaDescriptor and descriptor.size_bytes == 0:
             # The barrier's notification RDMA: only the event unit is
             # involved, so the whole receive is a callback chain.
-            if self.event_unit.try_acquire():
-                self.sim.schedule_detached(
-                    self.params.t_event_fire, self._rx_fire, descriptor
-                )
-            else:
-                self._rx_waiting_desc = descriptor
-                self.event_unit.request().add_callback(self._rx_unit_granted)
+            self.event_unit.call(
+                self._rx_key, self.params.t_event_fire, self._rx_fire, descriptor
+            )
             return
-        self.sim.process(self._rx_slow(packet), name=f"{self.name}.rx")
-
-    def _rx_unit_granted(self, _ev) -> None:
-        descriptor = self._rx_waiting_desc
-        self._rx_waiting_desc = None
-        self.sim.schedule_detached(self.params.t_event_fire, self._rx_fire, descriptor)
+        self.sim.process(self._rx_slow(packet), name=self._rx_key)
 
     def _rx_fire(self, descriptor: RdmaDescriptor) -> None:
-        self.event_unit.release()
         tracer = self.tracer
         tracer.count("elan.event_fired")
         if tracer.enabled:
@@ -388,14 +373,12 @@ class Elan3Nic:
     # ------------------------------------------------------------------
     def _unit_task(
         self,
-        unit: Resource,
+        unit: ArbitratedResource,
         cost: float,
         lane: Optional[str] = None,
         name: str = "task",
     ):
-        yield unit.request()
-        yield cost
-        unit.release()
+        yield from unit.hold(cost)
         tracer = self.tracer
         if tracer.enabled and lane is not None:
             now = self.sim.now

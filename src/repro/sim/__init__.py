@@ -11,8 +11,7 @@ reproduction environment is offline.  It provides:
   one-shot triggerable events and condition combinators.
 - :class:`~repro.sim.process.Process` — generator-based cooperative
   processes (``yield`` an event / delay / another process to wait on it).
-- :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.ArbitratedResource`,
+- :class:`~repro.sim.resources.ArbitratedResource`,
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.PriorityStore` — synchronization
   primitives used to model NIC processors, DMA engines, buses and queues.
@@ -33,7 +32,7 @@ from repro.sim.events import (
     EventAlreadyTriggered,
 )
 from repro.sim.process import Process, Interrupt
-from repro.sim.resources import ArbitratedResource, Resource, Store, PriorityStore
+from repro.sim.resources import ArbitratedResource, Store, PriorityStore
 from repro.sim.trace import Span, StatAccumulator, Tracer, TraceRecord, TraceTruncated
 from repro.sim.rng import DeterministicRng
 
@@ -47,7 +46,6 @@ __all__ = [
     "EventAlreadyTriggered",
     "Process",
     "Interrupt",
-    "Resource",
     "ArbitratedResource",
     "Store",
     "PriorityStore",

@@ -1,21 +1,25 @@
-"""Synchronization primitives: resources and item stores.
+"""Synchronization primitives: the arbitrated resource and item stores.
 
-- :class:`Resource` — counted semaphore with a FIFO wait queue.  Models
-  serialized hardware: a PCI bus, a DMA engine, a switch output port.
 - :class:`ArbitratedResource` — counted semaphore whose same-instant
   grants are *arbitrated* one delta phase later in canonical key order,
-  not first-come-first-served on the event heap.  Models serialized
-  hardware with a defined service priority among concurrent clients —
-  the LANai processor polled by five control-program loops.  Its
-  :meth:`~ArbitratedResource.hold` runs a whole acquire → work →
-  release task as one pass plus one completion call, and a hold by the
-  ``top_key`` client, which no same-instant request can beat, skips
-  the pass when nothing contends: one completion call.  Its
-  :meth:`~ArbitratedResource.spin` is a run of back-to-back tasks that
-  parks once and is costed at the one task whose outcome can differ.
-- :class:`Store` — FIFO item queue with blocking ``get`` (and blocking
-  ``put`` when capacity-bounded).  Models token queues, event queues and
-  packet FIFOs.  ``post``/``take`` is its event-free hand-off to one
+  not first-come-first-served on the event heap.  Every serialized unit
+  of the model is one: the LANai processor polled by five
+  control-program loops, the host CPU, the host's poller seats, the PCI
+  bus, and the Elan3 event unit, DMA engine and thread processor.
+  Clients use a unit in one of three ways, arbitrated alike in one
+  queue: ``request``/``release`` around arbitrary yields, a process's
+  :meth:`~ArbitratedResource.hold` (acquire → work → release as one
+  pass plus one completion call), or a callback's
+  :meth:`~ArbitratedResource.call` (the same task ending in a function
+  call instead of a resume).  A hold or call on a free single unit with
+  nothing pending is an *express grant*: only its completion is
+  scheduled, and a same-instant rival the pass would have preferred
+  reverts it.  :meth:`~ArbitratedResource.spin` is a run of
+  back-to-back tasks that parks once and is costed at the one task
+  whose outcome can differ.
+- :class:`Store` — FIFO item queue with blocking ``get``.  Models token
+  queues, event queues, packet FIFOs and free lists (the LANai's send
+  packet buffers).  ``post``/``take`` is its event-free hand-off to one
   consuming process: a post hands the item straight to a parked taker,
   and a take of a queued item returns it at once.  ``watch`` arms a
   one-shot call on the next post.
@@ -34,124 +38,52 @@ from repro.sim.events import SimEvent
 from repro.sim.process import PARKED
 
 
-class Resource:
-    """A counted resource with FIFO granting.
-
-    Usage from a process::
-
-        req = resource.request()
-        yield req
-        ... critical section ...
-        resource.release()
-
-    A pending (ungranted) request can be cancelled with
-    :meth:`cancel_request`.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: Optional[str] = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name or "resource"
-        self._req_name = self.name + ".request"
-        self._in_use = 0
-        self._waiters: deque[SimEvent] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def request(self) -> SimEvent:
-        ev = SimEvent(self.sim, name=self._req_name)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def try_acquire(self) -> bool:
-        """Claim a unit synchronously if one is free (no event, no wait).
-
-        The Elan event and DMA units and the PCI bus use this to skip the
-        request event when uncontended; pair every successful call with
-        :meth:`release`.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
-
-    def cancel_request(self, ev: SimEvent) -> bool:
-        """Withdraw a still-queued request.  Returns True if it was queued."""
-        try:
-            self._waiters.remove(ev)
-            return True
-        except ValueError:
-            return False
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise RuntimeError(f"{self.name}: release without matching request")
-        if self._waiters:
-            nxt = self._waiters.popleft()
-            nxt.succeed(self)  # usage count carries over to the waiter
-        else:
-            self._in_use -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Resource {self.name} {self._in_use}/{self.capacity}"
-            f" queued={len(self._waiters)}>"
-        )
-
-
 class ArbitratedResource:
     """A counted resource with deterministic same-instant arbitration.
 
-    :class:`Resource` grants in request order — which, for requests made
-    at the same timestamp by different processes, is event-heap pop
-    order: a schedule race (simlint SL101) when the grant order affects
+    Granting in request order would make the winner among requests made
+    at the same timestamp by different clients the event-heap pop order:
+    a schedule race (simlint SL101) when the grant order affects
     anything observable.  Here every request pools up and a decision
     pass runs one delta phase later (zero simulated time), granting free
-    units in ``(birth phase, key)`` order — the same scheme the fabric's
+    units in ``(birth phase, key, n)`` order, ``n`` being the arrival
+    number — the same scheme the fabric's
     :class:`~repro.network.fabric.LinkArbiter` uses for link bandwidth.
 
     ``key_fn`` maps the requesting process's name to an orderable key
     (default: the name itself); it defines the hardware's service
     priority among same-instant contenders.  It is called once per
     process name and memoized.  Requests made outside any process must
-    pass an explicit ``key``.
+    pass an explicit ``key``, and a :meth:`call` always does.
 
-    Two ways to use a unit, arbitrated alike in one queue:
+    Three ways to use a unit, arbitrated alike in one queue:
 
-    - ``yield res.request()`` … ``res.release()`` — the interface of
-      :class:`Resource` (``request``/``release``/``cancel_request``/
-      ``in_use``), for a unit held across arbitrary yields (the host
-      poller seat).  A granted request resolves one delta phase after
-      it is made, never synchronously.
+    - ``yield res.request()`` … ``res.release()`` — for a unit held
+      across arbitrary yields (the host poller seat, the Elan DMA engine
+      across a PCI transfer).  A granted request resolves one delta
+      phase after it is made, never synchronously.
     - ``yield from res.hold(cost)`` — one processor task: acquire, work
       ``cost`` µs, release.  The process parks without an event; when
       the decision pass grants it, one detached call ``cost`` µs later
       releases the unit and resumes the process.  Same grant order and
       timing as request → sleep → release, two kernel events instead of
-      three, and a hold cannot be cancelled or interrupted.
+      three (one, granted express), and a hold cannot be interrupted.
+    - ``res.call(key, cost, fn, *args)`` — the same task for a callback
+      chain: when granted, one detached call ``cost`` µs later releases
+      the unit and runs ``fn(*args)``.
 
-    ``top_key`` names the key no same-instant request can beat: the
-    resource raises if any other process name's key, or any explicit
-    request key, sorts at or below it.  A hold with that key made at
-    delta phase 0, with the unit free and nothing pending, is granted at
-    once: only its completion is scheduled.  That is exactly what the
-    pass would have decided, since every request it could weigh against
-    the hold is born at this instant and sorts after it.  Only a
-    single-unit resource takes a top key: with more units the early
-    grant could land before a same-instant release of another unit,
-    which the pass would have seen first.
+    *Express grant.*  A hold or call with ``cost > 0`` made at delta
+    phase 0 on a free single-unit resource with nothing pending is
+    granted at once: only its completion is scheduled.  The pass would
+    have decided the same, except against a rival the pass ranks first:
+    one born at this instant and phase with a lower key.  Such a rival
+    reverts the grant — the completion is voided and the entry goes back
+    to the heap with its key and an arrival number ahead of everything
+    pending, as its arrival was — and the pass decides as before.
+    Rivals of equal key rank after the earlier arrival,
+    rivals born at a later phase after every phase-0 entry, and no
+    release can land in between, since ``cost > 0`` puts the unit's
+    only release at a later instant.
 
     ``yield from res.spin(quantum, store)`` is the exact fast-forward of
     a loop of ``hold(quantum)`` tasks that each look at an empty
@@ -167,43 +99,38 @@ class ArbitratedResource:
         capacity: int = 1,
         name: Optional[str] = None,
         key_fn=None,
-        top_key: Any = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if top_key is not None and capacity != 1:
-            raise ValueError(f"a top key needs capacity 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
         self.name = name or "resource"
         self._req_name = self.name + ".request"
         self._key_fn = key_fn
-        self._top_key = top_key
-        self._top_name: Optional[str] = None  # the process holding top_key
-        self._keys: Optional[dict[str, Any]] = (
-            {} if key_fn is not None or top_key is not None else None
-        )
+        self._keys: Optional[dict[str, Any]] = {} if key_fn is not None else None
         # What a process queued in a hold reports as ``waiting_on``: a
         # stand-in that never triggers and only names the wait, so the
         # quiescence auditor diagnoses a starved hold as it does a
-        # starved request.  Made by the first hold: most resources
-        # (every poller seat) never hold.
+        # starved request.  Made by the first queued hold: most
+        # resources (every poller seat) never hold.
         self._hold_wait: Optional[SimEvent] = None
         self._in_use = 0
-        # Heap of [birth_phase, key, n, waiter, cost]; ``n`` separates
-        # requests with identical keys and keeps the comparison off the
-        # waiter.  A request's waiter is its event and its cost None; a
-        # hold's waiter is the parked process.  Entries are lists so a
-        # withdrawn request is cancelled in place (waiter slot set to
-        # None) in O(1) — the same lazy-cancellation scheme as the event
-        # kernel's calendar queue.
-        self._pending: list[list] = []
-        self._entry_of: dict[SimEvent, list] = {}
-        self._abandoned = 0
+        # Heap of (birth_phase, key, n, waiter, cost, args); ``n``
+        # separates entries with identical keys and keeps the comparison
+        # off the waiter.  A request's waiter is its event and its cost
+        # None; a hold's waiter is the parked process and its args None;
+        # a call's waiter is its function.
+        self._pending: list[tuple] = []
         self._n = 0
         self._pass_phase = -1  # armed pass's phase; -1 when unarmed
-        # The process parked in spin(), as (process, key, n, entry time,
-        # quantum, store); None when nobody spins.
+        # The express grant a same-instant rival may still revert, as
+        # (instant, key, waiter, cost, args); None once completed.
+        self._express: Optional[tuple] = None
+        self._express_done = self._finish_express  # bound once: hot path
+        # The process parked in spin(), as (process, key, entry time,
+        # quantum, store); None when nobody spins.  Like an express
+        # grant it found nothing pending, so a rival that turns it back
+        # into a pending task queues it with arrival number 0.
         self._spinner: Optional[tuple] = None
 
     @property
@@ -212,7 +139,7 @@ class ArbitratedResource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._pending) - self._abandoned
+        return len(self._pending)
 
     def _process_key(self, proc) -> Any:
         keys = self._keys
@@ -220,31 +147,39 @@ class ArbitratedResource:
             return proc.name
         key = keys.get(proc.name)
         if key is None:
-            name = proc.name
-            key = self._key_fn(name) if self._key_fn is not None else name
-            top = self._top_key
-            if top is not None and key <= top:
-                if key != top or self._top_name is not None:
-                    self._below_top(f"process {name!r}", key)
-                self._top_name = name
-            keys[name] = key
+            key = keys[proc.name] = self._key_fn(proc.name)
         return key
 
-    def _below_top(self, who: str, key: Any) -> None:
-        raise ValueError(
-            f"{self.name}: {who} has key {key!r}, which does not sort "
-            f"after the top key {self._top_key!r}"
-        )
-
-    def _enqueue(self, waiter: Any, key: Any, cost: Optional[float]) -> list:
-        birth = self.sim.current_phase
+    def _enqueue(self, waiter: Any, key: Any, cost, args) -> None:
+        sim = self.sim
+        birth = sim._phase
         if self._spinner is not None:
             self._rival_claims(birth)
+        express = self._express
+        if (
+            express is not None
+            and not birth
+            and sim._now == express[0]
+            and key < express[1]
+        ):
+            self._revert(express)
         self._n += 1
-        entry = [birth, key, self._n, waiter, cost]
-        heapq.heappush(self._pending, entry)
+        heapq.heappush(self._pending, (birth, key, self._n, waiter, cost, args))
         self._ensure_pass(birth + 1)
-        return entry
+
+    def _revert(self, express: tuple) -> None:
+        # The pass would rank a same-instant rival first: undo the
+        # express grant and queue its entry as it would have been.  The
+        # completion already scheduled finds ``_express`` changed and
+        # does nothing.  Arrival number 0 ranks the entry before every
+        # pending one of equal key, as its own arrival did: the grant
+        # found nothing pending, and no pass has run since.
+        _, key, waiter, cost, args = express
+        self._express = None
+        self._in_use -= 1
+        if args is None:  # a hold: its process waits for the pass
+            waiter._waiting_on = self._queued_stand_in()
+        heapq.heappush(self._pending, (0, key, 0, waiter, cost, args))
 
     def request(self, key: Any = None) -> SimEvent:
         if key is None:
@@ -255,10 +190,8 @@ class ArbitratedResource:
                     "explicit arbitration key"
                 )
             key = self._process_key(proc)
-        elif self._top_key is not None and key <= self._top_key:
-            self._below_top("an explicit request", key)
         ev = SimEvent(self.sim, name=self._req_name)
-        self._entry_of[ev] = self._enqueue(ev, key, None)
+        self._enqueue(ev, key, None, None)
         return ev
 
     def hold(self, cost: float):
@@ -267,30 +200,51 @@ class ArbitratedResource:
         Queues in the same arbitration as :meth:`request`; no event, no
         cancellable timer.  Until the unit is released the process can
         be neither interrupted nor resumed by anyone but this resource.
-        The ``top_key`` holder is granted without a pass when nothing
-        contends (see the class docstring).
+        An uncontended hold is an express grant (see the class
+        docstring).
         """
         if cost < 0:
             raise ValueError(f"{self.name}: negative hold time {cost!r}")
         sim = self.sim
-        proc = sim.active_process
+        proc = sim._active_process
         if proc is None:
             raise RuntimeError(f"{self.name}: hold outside a process")
         key = self._process_key(proc)
         proc._parked_in = self
         if (
-            key == self._top_key
-            and not self._pending
-            and not self._in_use
-            and not sim.current_phase
+            not (self._in_use or self._pending or sim._phase)
+            and cost > 0
+            and self.capacity == 1
         ):
-            self._in_use += 1
-            sim.schedule_detached(cost, self._finish_hold, proc)
-            yield PARKED
-            return
-        proc._waiting_on = self._queued_stand_in()
-        self._enqueue(proc, key, cost)
+            self._in_use = 1
+            self._express = express = (sim._now, key, proc, cost, None)
+            sim.schedule_detached(cost, self._express_done, express)
+        else:
+            proc._waiting_on = self._queued_stand_in()
+            self._enqueue(proc, key, cost, None)
         yield PARKED
+
+    def call(self, key: Any, cost: float, fn, *args) -> None:
+        """Occupy one unit for ``cost`` µs, then release it and run
+        ``fn(*args)``.
+
+        The callback form of :meth:`hold` for the NIC models' callback
+        chains (Elan event unit → PCI DMA → host word): same arbitration
+        under the explicit ``key``, same express grant, no process.
+        """
+        sim = self.sim
+        if (
+            not (self._in_use or self._pending or sim._phase)
+            and cost > 0
+            and self.capacity == 1
+        ):
+            self._in_use = 1
+            self._express = express = (sim._now, key, fn, cost, args)
+            sim.schedule_detached(cost, self._express_done, express)
+            return
+        if cost < 0:
+            raise ValueError(f"{self.name}: negative call time {cost!r}")
+        self._enqueue(fn, key, cost, args)
 
     def _queued_stand_in(self) -> SimEvent:
         wait = self._hold_wait
@@ -298,22 +252,38 @@ class ArbitratedResource:
             wait = self._hold_wait = SimEvent(self.sim, name=self._req_name)
         return wait
 
-    def _finish_hold(self, proc) -> None:
+    def _finish_express(self, express: tuple) -> None:
+        if express is not self._express:
+            return  # reverted: the pass granted the entry afresh
+        self._express = None
+        self._in_use = 0
+        if self._pending:
+            self._ensure_pass(1)  # a completion at a later instant: phase 0
+        waiter, args = express[2], express[4]
+        if args is None:
+            waiter._parked_in = None
+            waiter._step(None, None)
+        else:
+            waiter(*args)
+
+    def _finish(self, waiter, args) -> None:
         self.release()
-        proc._parked_in = None
-        proc._step(None, None)
+        if args is None:
+            waiter._parked_in = None
+            waiter._step(None, None)
+        else:
+            waiter(*args)
 
     def can_spin(self, quantum: float) -> bool:
         """Whether :meth:`spin` may park now: delta phase 0, a free
-        single unit with nothing pending and no top key, and a quantum
-        the clock can step by exactly (see :meth:`spin`)."""
+        single unit with nothing pending, and a quantum the clock can
+        step by exactly (see :meth:`spin`)."""
         sim = self.sim
         now = sim.now
         return (
             not sim.current_phase
             and not self._in_use
             and not self._pending
-            and self._top_key is None
             and self.capacity == 1
             and 0.0 < quantum <= now
             and now + quantum > now
@@ -349,16 +319,15 @@ class ArbitratedResource:
         if proc is None:
             raise RuntimeError(f"{self.name}: spin outside a process")
         key = self._process_key(proc)
-        self._n += 1
         self._in_use += 1
-        self._spinner = (proc, key, self._n, sim.now, quantum, store)
+        self._spinner = (proc, key, sim.now, quantum, store)
         proc._parked_in = self
         proc._waiting_on = store.watch(self._wake_spinner)
         tasks = yield PARKED
         return 1 if tasks is None else tasks
 
     def _rival_claims(self, phase: int) -> None:
-        proc, key, n, entered, quantum, store = self._spinner
+        proc, key, entered, quantum, store = self._spinner
         if phase or self.sim.now != entered:
             self._wake_spinner()
             return
@@ -368,10 +337,10 @@ class ArbitratedResource:
         store.unwatch()
         self._in_use -= 1
         proc._waiting_on = self._queued_stand_in()
-        heapq.heappush(self._pending, [0, key, n, proc, quantum])
+        heapq.heappush(self._pending, (0, key, 0, proc, quantum, None))
 
     def _wake_spinner(self) -> None:
-        proc, _, _, boundary, quantum, store = self._spinner
+        proc, _, boundary, quantum, store = self._spinner
         self._spinner = None
         store.unwatch()
         sim = self.sim
@@ -400,16 +369,6 @@ class ArbitratedResource:
         proc._parked_in = None
         proc._step(tasks, None)
 
-    def cancel_request(self, ev: SimEvent) -> bool:
-        """Withdraw a still-pending request.  Returns True if it was
-        pending (a cancelled entry is skipped by the decision pass)."""
-        entry = self._entry_of.pop(ev, None)
-        if entry is None or ev.triggered:
-            return False
-        entry[3] = None
-        self._abandoned += 1
-        return True
-
     def release(self) -> None:
         if self._in_use <= 0:
             raise RuntimeError(f"{self.name}: release without matching request")
@@ -428,21 +387,15 @@ class ArbitratedResource:
     def _pass(self, phase: int) -> None:
         self._pass_phase = -1
         pending = self._pending
-        while pending:
-            if pending[0][3] is None:  # cancelled in place: reap lazily
-                heapq.heappop(pending)
-                self._abandoned -= 1
-                continue
-            if not (self._in_use < self.capacity and pending[0][0] < phase):
-                break
-            _, _, _, waiter, cost = heapq.heappop(pending)
+        while pending and self._in_use < self.capacity and pending[0][0] < phase:
+            _, _, _, waiter, cost, args = heapq.heappop(pending)
             self._in_use += 1
             if cost is None:
-                del self._entry_of[waiter]
                 waiter.succeed(self)
             else:
-                waiter._waiting_on = None
-                self.sim.schedule_detached(cost, self._finish_hold, waiter)
+                if args is None:
+                    waiter._waiting_on = None
+                self.sim.schedule_detached(cost, self._finish, waiter, args)
         if pending and self._in_use < self.capacity:
             # Only same-phase births remain; decide them next phase so
             # no same-instant contender is missed.
@@ -456,11 +409,11 @@ class ArbitratedResource:
 
 
 class Store:
-    """FIFO item store with blocking get/put semantics.
+    """Unbounded FIFO item store with blocking get semantics.
 
-    ``put`` returns an event that succeeds once the item is accepted
-    (immediately unless the store is at capacity).  ``get`` returns an
-    event that succeeds with the item.
+    ``put`` returns an event that has already succeeded (the item is
+    always accepted).  ``get`` returns an event that succeeds with the
+    item.
 
     ``post``/``take`` is the event-free hand-off for a store with one
     consuming process (a NIC service loop):
@@ -482,22 +435,13 @@ class Store:
     post (the express spin's wake, :meth:`ArbitratedResource.spin`).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        name: Optional[str] = None,
-    ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: Optional[str] = None):
         self.sim = sim
-        self.capacity = capacity
         self.name = name or "store"
         self._put_name = self.name + ".put"
         self._get_name = self.name + ".get"
         self._items: deque[Any] = deque()
         self._getters: deque[SimEvent] = deque()
-        self._putters: deque[tuple[SimEvent, Any]] = deque()
         self._taker = None  # the process parked in take(), if any
         # Its ``waiting_on`` stand-in: never triggers, only names the
         # wait.  Made by the first park.
@@ -535,17 +479,12 @@ class Store:
     # -- operations ------------------------------------------------------
     def put(self, item: Any) -> SimEvent:
         ev = SimEvent(self.sim, name=self._put_name)
-        if len(self._items) < self.capacity:
-            ev.succeed(item)
-            self.post(item)
-        else:
-            self._putters.append((ev, item))
+        ev.succeed(item)
+        self.post(item)
         return ev
 
     def post(self, item: Any) -> None:
         """Store ``item`` without an event; hand it to a parked taker."""
-        if len(self._items) >= self.capacity:
-            raise RuntimeError(f"{self.name}: post to a full store")
         self._do_put(item)
         taker = self._taker
         if taker is not None:
@@ -588,10 +527,7 @@ class Store:
         if self._getters:
             raise RuntimeError(f"{self.name}: take while getters are waiting")
         if self._items:
-            item = self._do_get()
-            if self._putters:
-                self._admit_putters()
-            return item
+            return self._do_get()
         proc = self.sim.active_process
         if proc is None:
             raise RuntimeError(f"{self.name}: take outside a process")
@@ -620,7 +556,6 @@ class Store:
         ev = SimEvent(self.sim, name=self._get_name)
         if self._items:
             ev.succeed(self._do_get())
-            self._admit_putters()
         else:
             self._getters.append(ev)
         return ev
@@ -635,29 +570,13 @@ class Store:
             raise RuntimeError(f"{self.name}: try_get while getters are waiting")
         if not self._items:
             return None
-        item = self._do_get()
-        self._admit_putters()
-        return item
-
-    def cancel_get(self, ev: SimEvent) -> bool:
-        try:
-            self._getters.remove(ev)
-            return True
-        except ValueError:
-            return False
+        return self._do_get()
 
     # -- internals ---------------------------------------------------------
     def _serve_getters(self) -> None:
         while self._getters and self._items:
             getter = self._getters.popleft()
             getter.succeed(self._do_get())
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self._items) < self.capacity:
-            ev, item = self._putters.popleft()
-            self._do_put(item)
-            ev.succeed(item)
-            self._serve_getters()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} items={len(self._items)}>"
@@ -671,13 +590,8 @@ class PriorityStore(Store):
     FIFO.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        name: Optional[str] = None,
-    ):
-        super().__init__(sim, capacity, name)
+    def __init__(self, sim: Simulator, name: Optional[str] = None):
+        super().__init__(sim, name)
         self._heap: list[tuple[float, int, Any]] = []
         self._seq = 0
         self._items = self._heap  # len()/bool checks reuse Store's logic

@@ -117,15 +117,25 @@ def _check_processes(
         ))
 
 
-def _check_resource(cluster, unit: str, resource, what: str, report) -> None:
-    if resource.in_use:
+def _check_held(
+    cluster, unit: str, what: str, name: str, held: int, total: int, report
+) -> None:
+    if held:
         report.findings.append(Finding(
             "SL103", _where(cluster, unit), 0,
-            f"{what}: {resource.in_use}/{resource.capacity} unit(s) of "
-            f"{resource.name!r} still held at quiescence",
-            fixit="pair every request()/try_acquire() with a release() on "
-                  "all exits, including failure paths",
+            f"{what}: {held}/{total} unit(s) of {name!r} still held at "
+            "quiescence",
+            fixit="pair every request() with a release(), and every buffer "
+                  "taken from a free list with a post(), on all exits, "
+                  "including failure paths",
         ))
+
+
+def _check_resource(cluster, unit: str, resource, what: str, report) -> None:
+    _check_held(
+        cluster, unit, what, resource.name, resource.in_use,
+        resource.capacity, report,
+    )
 
 
 def _check_store(cluster, unit: str, store, report) -> None:
@@ -141,7 +151,11 @@ def _check_store(cluster, unit: str, store, report) -> None:
 
 def _check_myrinet_nic(cluster, nic, report: QuiescenceReport) -> None:
     unit = nic.name
-    _check_resource(cluster, unit, nic.packet_pool, "send packet pool", report)
+    pool, total = nic.packet_pool, nic.params.send_packet_count
+    _check_held(
+        cluster, unit, "send packet pool", pool.name, total - len(pool),
+        total, report,
+    )
     _check_resource(cluster, unit, nic.cpu, "LANai processor", report)
     for store in (
         nic.host_event_queue, nic.engine_cmd_queue, nic.rx_queue,
@@ -202,12 +216,11 @@ def _check_quadrics_nic(cluster, nic, report: QuiescenceReport) -> None:
     _check_resource(cluster, unit, nic.thread_cpu, "thread processor", report)
     for store in (nic.host_events, nic.tport_queue):
         _check_store(cluster, unit, store, report)
-    if nic._rx_busy or nic._rx_backlog or nic._rx_waiting_desc is not None:
+    if nic._rx_busy or nic._rx_backlog:
         report.findings.append(Finding(
             "SL104", _where(cluster, unit), 0,
             f"receive state machine not idle: busy={nic._rx_busy} "
-            f"backlog={len(nic._rx_backlog)} "
-            f"waiting_desc={nic._rx_waiting_desc is not None}",
+            f"backlog={len(nic._rx_backlog)}",
             fixit="_rx_next() must run after every packet, including the "
                   "event-unit-contended path",
         ))

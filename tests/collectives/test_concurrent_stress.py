@@ -86,7 +86,7 @@ def test_myrinet_four_in_flight_quiesces_clean():
     report = check_quiescent(cluster)
     assert report.ok, report.render()
     for nic in cluster.nics:
-        assert nic.packet_pool.in_use == 0
+        assert len(nic.packet_pool) == nic.params.send_packet_count
 
 
 def test_myrinet_stress_bit_identical_under_perturbation():

@@ -86,7 +86,7 @@ def test_direct_dead_link_escalates_without_hang_or_leak():
     assert report.ok, report.render()
     for nic in cluster.nics:
         assert nic.send_records == {}
-        assert nic.packet_pool.in_use == 0
+        assert len(nic.packet_pool) == nic.params.send_packet_count
 
 
 def test_collective_dead_link_exhausts_nack_budget():

@@ -219,13 +219,13 @@ def test_tracing_turns_the_express_spin_off():
 
 
 def test_a_long_spin_is_a_handful_of_events():
-    """2,000 empty polls cost two kernel events each in the plain loop
-    and none in the express spin."""
+    """2,000 empty polls cost one kernel event each in the plain loop
+    (an express hold: its completion) and none in the express spin."""
     args = ([], 0.25, 1.0, 2.0, "a.spin")
     spun, spun_events = _run(*args, True, Simulator(), last_at=500.0)
     looped, looped_events = _run(*args, False, Simulator(), last_at=500.0)
     assert spun == looped
-    assert looped_events - spun_events >= 2 * 1999
+    assert looped_events - spun_events >= 1999
 
 
 def test_a_spin_that_is_never_answered_drains_the_simulator():
@@ -258,7 +258,6 @@ def test_spin_needs_an_idle_unit_and_store():
     assert res.can_spin(0.5)
     assert not res.can_spin(2.0)  # before one quantum has elapsed
     assert not res.can_spin(0.0)
-    assert not ArbitratedResource(sim, top_key="x").can_spin(0.5)
     assert not ArbitratedResource(sim, capacity=2).can_spin(0.5)
     assert store.idle
     store.watch(lambda: None)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import ArbitratedResource, PriorityStore, Simulator, Store
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,7 +103,7 @@ def test_priority_store_is_stable_heap(pairs):
 )
 def test_resource_never_exceeds_capacity(capacity, holds):
     sim = Simulator()
-    resource = Resource(sim, capacity=capacity)
+    resource = ArbitratedResource(sim, capacity=capacity)
     peak = [0]
 
     def worker(hold):

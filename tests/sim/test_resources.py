@@ -1,28 +1,22 @@
-"""Unit tests for Resource, ArbitratedResource, Store and PriorityStore."""
+"""Unit tests for ArbitratedResource, Store and PriorityStore."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import ArbitratedResource, PriorityStore, Resource, Simulator, Store
+from repro.sim import ArbitratedResource, PriorityStore, Simulator, Store
+from repro.sim.process import PARKED
 
 
 class TestResource:
-    def test_capacity_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_grant_within_capacity_is_immediate(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        r1, r2 = res.request(), res.request()
-        assert r1.triggered and r2.triggered
-        assert res.in_use == 2
+    """The request → release interface of the one resource primitive,
+    for a unit held across arbitrary yields (a poller seat)."""
 
     def test_serialization_order(self):
+        # Granted in key (process-name) order; each waiter gets the
+        # unit at its predecessor's release.
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = ArbitratedResource(sim, capacity=1)
         spans = {}
 
         def worker(name, hold):
@@ -32,42 +26,47 @@ class TestResource:
             res.release()
             spans[name] = (start, sim.now)
 
-        sim.process(worker("a", 5.0))
-        sim.process(worker("b", 3.0))
-        sim.process(worker("c", 1.0))
+        sim.process(worker("a", 5.0), name="a")
+        sim.process(worker("b", 3.0), name="b")
+        sim.process(worker("c", 1.0), name="c")
         sim.run()
         assert spans["a"] == (0.0, 5.0)
         assert spans["b"] == (5.0, 8.0)
         assert spans["c"] == (8.0, 9.0)
 
-    def test_release_without_request_raises(self):
+    def test_grant_within_capacity_is_immediate(self):
+        # Within capacity nobody waits: both requests are granted at the
+        # instant they are made (one delta phase later).
         sim = Simulator()
-        res = Resource(sim)
-        with pytest.raises(RuntimeError):
+        res = ArbitratedResource(sim, capacity=2)
+        r1, r2 = res.request(key="a"), res.request(key="b")
+        sim.run()
+        assert r1.triggered and r2.triggered
+        assert sim.now == 0.0
+        assert res.in_use == 2
+
+    def test_release_without_request_raises(self):
+        # A second release of one granted unit has no request to match.
+        sim = Simulator()
+        res = ArbitratedResource(sim)
+        res.request(key="a")
+        sim.run()
+        res.release()
+        with pytest.raises(RuntimeError, match="without matching request"):
             res.release()
 
     def test_release_hands_over_to_waiter(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()
-        waiting = res.request()
+        res = ArbitratedResource(sim, capacity=1)
+        res.request(key="a")
+        waiting = res.request(key="b")
+        sim.run()
         assert not waiting.triggered
         assert res.queue_length == 1
         res.release()
+        sim.run()
         assert waiting.triggered
         assert res.in_use == 1
-        sim.run()
-
-    def test_cancel_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()
-        pending = res.request()
-        assert res.cancel_request(pending) is True
-        assert res.cancel_request(pending) is False
-        res.release()
-        assert res.in_use == 0
-        sim.run()
 
 
 class TestStore:
@@ -124,18 +123,6 @@ class TestStore:
         sim.run()
         assert out == [("g1", "a"), ("g2", "b")]
 
-    def test_capacity_blocks_put(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        p1 = store.put("a")
-        p2 = store.put("b")
-        assert p1.triggered and not p2.triggered
-        got = store.get()
-        assert got.value == "a"
-        assert p2.triggered  # admitted when slot freed
-        assert store.items == ("b",)
-        sim.run()
-
     def test_try_get(self):
         sim = Simulator()
         store = Store(sim)
@@ -152,15 +139,6 @@ class TestStore:
         with pytest.raises(RuntimeError):
             store.try_get()
 
-    def test_cancel_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        ev = store.get()
-        assert store.cancel_get(ev) is True
-        store.put("x")
-        assert store.items == ("x",)
-        sim.run()
-
     def test_len_and_items(self):
         sim = Simulator()
         store = Store(sim)
@@ -170,11 +148,6 @@ class TestStore:
         assert len(store) == 2
         assert store.items == (1, 2)
         sim.run()
-
-    def test_capacity_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
 
 
 class TestPriorityStore:
@@ -381,13 +354,6 @@ class TestStoreHandOff:
         assert store.put("x").triggered
         assert got == ["x"]
 
-    def test_post_to_a_full_store_raises(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1, name="q")
-        store.post("a")
-        with pytest.raises(RuntimeError, match="full"):
-            store.post("b")
-
     def test_post_from_a_later_phase_wakes_the_taker_at_phase_zero(self):
         sim = Simulator()
         store = Store(sim)
@@ -527,69 +493,25 @@ class TestArbitratedResource:
         # d takes a's at t=2.
         assert order == [(0.0, "a"), (0.0, "b"), (1.0, "c"), (2.0, "d")]
 
-    def test_cancel_request(self):
-        sim = Simulator()
-        res = ArbitratedResource(sim)
-        holder = res.request(key="a")
-        waiter = res.request(key="b")
-        sim.run()
-        assert holder.triggered and not waiter.triggered
-        assert res.queue_length == 1
-        assert res.cancel_request(waiter) is True
-        assert res.cancel_request(waiter) is False
-        res.release()
-        sim.run()
-        assert not waiter.triggered
-        assert res.in_use == 0
-
     def test_release_without_request_raises(self):
         sim = Simulator()
         res = ArbitratedResource(sim)
         with pytest.raises(RuntimeError):
             res.release()
 
-    def test_cancelled_would_be_winner_is_skipped(self):
-        """Lazy O(1) cancellation: the entry stays in the heap but the
-        decision pass reaps it and grants the next key instead."""
-        sim = Simulator()
-        res = ArbitratedResource(sim)
-        a = res.request(key="a")
-        b = res.request(key="b")
-        c = res.request(key="c")
-        assert res.cancel_request(a) is True
-        sim.run()
-        assert not a.triggered
-        assert b.triggered
-        assert not c.triggered
-        assert res.queue_length == 1
-
     def test_queue_length_counts_only_live_waiters(self):
+        # Pending entries only: not the holder, not a granted waiter.
         sim = Simulator()
         res = ArbitratedResource(sim)
         res.request(key="a")
         waiters = [res.request(key=f"w{i}") for i in range(4)]
+        assert res.queue_length == 5  # all pending until the pass
         sim.run()
         assert res.queue_length == 4
-        for w in waiters[1:3]:
-            assert res.cancel_request(w) is True
-        # Cancellation is in place (no heap scan), but the public count
-        # is exact immediately.
-        assert res.queue_length == 2
-
-    def test_cancel_non_head_waiter_never_granted_on_release(self):
-        sim = Simulator()
-        res = ArbitratedResource(sim)
-        holder = res.request(key="a")
-        b = res.request(key="b")
-        c = res.request(key="c")
-        sim.run()
-        assert holder.triggered
-        assert res.cancel_request(b) is True
         res.release()
         sim.run()
-        assert not b.triggered
-        assert c.triggered
-        assert res.queue_length == 0
+        assert waiters[0].triggered
+        assert res.queue_length == 3
 
 
 class TestArbitratedHold:
@@ -627,70 +549,92 @@ class TestArbitratedHold:
         assert seen == [(3.0, 0), (5.0, 0)]
 
     def test_hold_is_two_kernel_events(self):
-        # Pass + completion, where request → sleep → release takes the
-        # pass, the grant event and the sleep.  Start and finish of the
-        # process cost two more either way.
-        def events(body):
+        # A hold the pass decides (here: zero cost, never express) is
+        # pass + completion, where request → sleep → release takes the
+        # pass, the grant event and the sleep.  An uncontended hold of
+        # positive cost is an express grant: the completion alone.
+        # Start and finish of the process cost two more either way.
+        def events(body, cost):
             sim = Simulator()
             res = ArbitratedResource(sim)
-            sim.process(body(res), name="a")
+            sim.process(body(res, cost), name="a")
             sim.run()
-            assert sim.now == 1.0
+            assert sim.now == cost
             return sim.events_scheduled - 2
 
-        def hold(res):
-            yield from res.hold(1.0)
+        def hold(res, cost):
+            yield from res.hold(cost)
 
-        def request_sleep_release(res):
+        def request_sleep_release(res, cost):
             yield res.request()
-            yield 1.0
+            yield cost
             res.release()
 
-        assert events(hold) == 2
-        assert events(request_sleep_release) == 3
+        assert events(hold, 0.0) == 2
+        assert events(request_sleep_release, 0.0) == 3
+        assert events(hold, 1.0) == 1
+        assert events(request_sleep_release, 1.0) == 3
 
     def test_uncontended_top_key_hold_is_one_kernel_event(self):
-        # The pass would grant the top key first anyway: only the
-        # completion is scheduled.  Contended, it queues for the pass.
-        def events(names):
+        # Any uncontended hold, top key or not, is an express grant:
+        # only the completion is scheduled.  A later same-instant rival
+        # of higher key queues behind it; one of lower key (the top
+        # key, "rx") reverts it, and the pass grants the rival first.
+        def run(names):
             sim = Simulator()
-            res = ArbitratedResource(sim, top_key="rx")
+            res = ArbitratedResource(sim)
+            order = []
 
             def body():
                 yield from res.hold(1.0)
+                order.append((sim.now, sim.active_process.name))
 
             for name in names:
                 sim.process(body(), name=name)
             sim.run()
-            assert sim.now == len(names)
-            return sim.events_scheduled - 2 * len(names)
+            return order, sim.events_scheduled - 2 * len(names)
 
-        assert events(["rx"]) == 1
-        assert events(["sdma", "rx"]) == 4  # two passes, two completions
+        assert run(["rx"]) == ([(1.0, "rx")], 1)
+        # rx: completion; sdma: a pass finding the unit busy, the pass
+        # at rx's release, its completion.
+        assert run(["rx", "sdma"]) == ([(1.0, "rx"), (2.0, "sdma")], 4)
+        # sdma's express completion (voided by the revert), the pass
+        # granting rx, rx's completion, the pass at rx's release and
+        # sdma's completion.
+        assert run(["sdma", "rx"]) == ([(1.0, "rx"), (2.0, "sdma")], 5)
 
-    def test_keys_at_or_below_the_top_key_raise(self):
+    def test_a_revert_keeps_the_arrival_number(self):
+        # a.0 is granted express; a.1 (same key, cost 0) queues behind
+        # it; 0.2 (lower key) reverts a.0.  The pass must rank a.0
+        # before a.1 as it would have without the express grant: a
+        # revert that drew a new arrival number swapped them.
         sim = Simulator()
-        res = ArbitratedResource(sim, key_fn=lambda name: name[0], top_key="b")
+        res = ArbitratedResource(sim, key_fn=lambda name: name[0])
+        order = []
 
-        def body():
-            yield from res.hold(1.0)
+        def body(cost):
+            yield from res.hold(cost)
+            order.append((sim.now, sim.active_process.name))
 
-        owner = sim.process(body(), name="b.rx")
-        twin = sim.process(body(), name="b.rx2")
-        below = sim.process(body(), name="a.sdma")
-        after = sim.process(body(), name="c.sched")
-        for proc in (twin, below):
-            proc.completion.defuse()
+        for name, cost in (("a.0", 0.5), ("a.1", 0.0), ("0.2", 0.0)):
+            sim.process(body(cost), name=name)
         sim.run()
-        for proc in (twin, below):
-            assert isinstance(proc.completion.value, ValueError)
-            assert "top key 'b'" in str(proc.completion.value)
-        assert owner.completion.ok and after.completion.ok
-        assert res.in_use == 0
-        with pytest.raises(ValueError, match="explicit request"):
-            res.request(key="b")
-        with pytest.raises(ValueError, match="capacity 1"):
-            ArbitratedResource(sim, capacity=2, top_key="b")
+        assert order == [(0.0, "0.2"), (0.5, "a.0"), (0.5, "a.1")]
+
+    def test_call_runs_its_function_after_the_release(self):
+        sim = Simulator()
+        res = ArbitratedResource(sim, name="dma")
+        seen = []
+
+        def done(tag):
+            seen.append((sim.now, tag, res.in_use))
+
+        res.call("x", 2.0, done, "first")  # express
+        res.call("y", 1.0, done, "second")  # queued behind it
+        sim.run()
+        assert seen == [(2.0, "first", 0), (3.0, "second", 0)]
+        with pytest.raises(ValueError, match="negative"):
+            res.call("x", -1.0, done, "bad")
 
     def test_key_fn_is_called_once_per_process_name(self):
         sim = Simulator()
@@ -731,7 +675,9 @@ class _TracedResource(ArbitratedResource):
 
 
 class _GrantLog(Simulator):
-    """Logs each hold grant: the pass schedules its completion call."""
+    """Logs each grant of a hold or a call by the worker's name: the
+    completion call the pass, or an express grant, schedules.  The
+    watched resource drops a reverted express grant again."""
 
     watched = None
 
@@ -740,9 +686,36 @@ class _GrantLog(Simulator):
         self.grants = []
 
     def schedule_detached(self, delay, fn, *args):
-        if self.watched is not None and fn == self.watched._finish_hold:
-            self.grants.append((self.now, args[0].name))
+        res = self.watched
+        if res is not None:
+            if fn == res._finish:
+                self.grants.append((self.now, _worker_of(*args)))
+            elif fn == res._finish_express:
+                express = args[0]
+                self.grants.append((self.now, _worker_of(express[2], express[4])))
         super().schedule_detached(delay, fn, *args)
+
+
+def _worker_of(waiter, args):
+    # A hold's waiter is the process; the property test's calls resume
+    # their process through its bound ``_step``.
+    return waiter.name if args is None else waiter.__self__.name
+
+
+class _LoggedResource(_TracedResource):
+    def _revert(self, express):
+        # Nothing is granted between an express grant and its revert
+        # (both happen at phase 0 of one instant; passes run later).
+        self.sim.grants.pop()
+        super()._revert(express)
+
+
+def _settled(trace):
+    """An ``in_use`` trace as the value each instant ends with."""
+    last = {}
+    for now, value in trace:
+        last[now] = value
+    return sorted(last.items())
 
 
 _DELAYS = st.sampled_from([0.0, 0.5, 1.0])
@@ -753,51 +726,66 @@ _TASKS = st.lists(st.tuples(_DELAYS, _COSTS), min_size=1, max_size=4)
 @settings(max_examples=300, deadline=None)
 @given(
     workers=st.lists(
-        st.tuples(st.sampled_from("abc"), _TASKS), min_size=1, max_size=6
+        st.tuples(st.sampled_from("0abc"), st.booleans(), _TASKS),
+        min_size=1, max_size=6,
     ),
     seat=st.none() | st.tuples(_DELAYS, _COSTS),
     capacity=st.sampled_from([1, 2]),
     keyed=st.booleans(),
-    top=st.none() | _TASKS,
 )
-def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed, top):
-    """``hold(cost)`` is request → sleep ``cost`` → release, fused.
+@example(  # a revert that drew a new arrival number swapped the a's
+    workers=[
+        ("a", False, [(0.0, 0.5)]),
+        ("a", False, [(0.0, 0.0)]),
+        ("0", False, [(0.0, 0.0)]),
+    ],
+    seat=None, capacity=1, keyed=True,
+)
+def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed):
+    """``hold(cost)`` and ``call(key, cost, fn)`` are request → sleep
+    ``cost`` → release, fused.
 
-    Same grant order, completion times and unit-count trace, with
-    same-instant contenders, zero costs, duplicate keys (``key_fn``
-    maps every worker to its letter), a request-holding seat sharing
-    the queue, and (capacity 1 only) a worker holding the ``top_key``,
-    whose uncontended holds are granted without a pass.  With holds only, each worker also sees the
-    same ``in_use`` at its completion.  A seat's sleep draws its ``seq``
-    when the seat resumes, after the pass drew the hold completion's,
-    so when both end at one instant the two may run in either order
-    (the same-instant tie-break SL101 covers): what a worker sees then
-    is not compared.
+    Same grant order, completion times and settled unit-count trace,
+    with same-instant contenders of lower, equal and higher key, zero
+    costs, duplicate keys (``key_fn`` maps every worker to its letter),
+    explicit keys (a call names its key), and a request-holding seat
+    sharing the queue.  At capacity 1 an uncontended hold or call of
+    positive cost is an express grant, and a same-instant rival of
+    lower key (letter ``0`` sorts first) reverts it; the grant log
+    drops a reverted grant.  A revert flips ``in_use`` back and forth
+    within one instant, so traces are compared as the value each
+    instant ends with.  With holds and calls only, each worker also sees
+    the same ``in_use`` at its completion.  A seat's sleep draws its
+    ``seq`` when the seat resumes, after the pass drew the hold
+    completion's, so when both end at one instant the two may run in
+    either order (the same-instant tie-break SL101 covers): what a
+    worker sees then is not compared.
     """
 
-    top_tasks = top if capacity == 1 else None
-
-    def run(use_hold):
+    def run(fused):
         sim = _GrantLog()
-        res = _TracedResource(
+        res = _LoggedResource(
             sim, capacity=capacity, name="cpu",
             key_fn=(lambda name: name[0]) if keyed else None,
-            top_key=("0" if keyed else "0.top") if top_tasks else None,
         )
         sim.watched = res
         done = []
 
-        def worker(tasks):
-            name = sim.active_process.name
+        def worker(calls, tasks):
+            proc = sim.active_process
+            name = proc.name
             for delay, cost in tasks:
                 yield delay
-                if use_hold:
-                    yield from res.hold(cost)
-                else:
+                if not fused:
                     yield res.request()
                     sim.grants.append((sim.now, name))
                     yield cost
                     res.release()
+                elif calls:
+                    res.call(name[0] if keyed else name, cost, proc._step, None, None)
+                    yield PARKED
+                else:
+                    yield from res.hold(cost)
                 done.append((sim.now, name, res.in_use))
 
         def seat_holder(delay, span):
@@ -806,20 +794,18 @@ def test_hold_matches_request_sleep_release(workers, seat, capacity, keyed, top)
             yield span
             res.release()
 
-        for i, (letter, tasks) in enumerate(workers):
-            sim.process(worker(tasks), name=f"{letter}.{i}")
-        if top_tasks:
-            sim.process(worker(top_tasks), name="0.top")
+        for i, (letter, calls, tasks) in enumerate(workers):
+            sim.process(worker(calls, tasks), name=f"{letter}.{i}")
         if seat is not None:
             sim.process(seat_holder(*seat), name="b.seat")
         sim.run()
         assert res.in_use == 0 and res.queue_length == 0
-        return sim.grants, done, res.in_use_trace
+        return sim.grants, done, _settled(res.in_use_trace)
 
-    held, reference = run(use_hold=True), run(use_hold=False)
+    fused, reference = run(fused=True), run(fused=False)
     if seat is not None:
-        held, reference = (
+        fused, reference = (
             (grants, [entry[:2] for entry in done], trace)
-            for grants, done, trace in (held, reference)
+            for grants, done, trace in (fused, reference)
         )
-    assert held == reference
+    assert fused == reference
