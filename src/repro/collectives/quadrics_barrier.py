@@ -195,9 +195,6 @@ class QuadricsChainedBarrier:
         link = 1 if op_index > 0 else 0  # the chain link from op t-1
         return arrivals + link
 
-    def _threshold(self, seq: int, op_index: int) -> int:
-        return (seq + 1) * self._per_barrier(op_index)
-
     # ------------------------------------------------------------------
     # Chain arming
     # ------------------------------------------------------------------
@@ -320,7 +317,7 @@ class QuadricsChainedBarrier:
         if disarmed:
             nic.tracer.count("elan.barrier_revoke_disarmed", disarmed)
         for seq in sorted(self._outstanding):
-            nic.host_events.put(
+            nic.host_events.post(
                 BarrierFailed(
                     self.group.group_id,
                     seq,

@@ -107,10 +107,6 @@ class CollectiveSchedule:
             raise ValueError(f"rank {rank} out of range for size {self.size}")
         return self.ops_by_rank[rank]
 
-    @property
-    def max_ops(self) -> int:
-        return max((len(ops) for ops in self.ops_by_rank), default=0)
-
     def total_messages(self) -> int:
         """Wire messages per sequence over all ranks."""
         return sum(

@@ -21,11 +21,12 @@ class EventDemux:
     Only the *seat holder* sits on the store; co-waiters queue on the
     seat.  When the holder pops an item it does not want, it buffers the
     item in ``pending`` and releases the seat, so the next waiter
-    re-scans the buffer and takes over polling.  (With FIFO getters
-    instead, waiter A could pop and buffer waiter B's item while B stays
-    blocked forever.)  The seat is arbitrated, so which of two
-    same-instant waiters polls — and pays the poll-lag and poll costs —
-    is canonical, not event-heap order (simlint SL101).
+    re-scans the buffer and takes over polling.  (Were every waiter to
+    take from the store itself, waiter A could pop and buffer waiter
+    B's item while B stays blocked forever.)  The seat is arbitrated,
+    so which of two same-instant waiters polls — and pays the poll-lag
+    and poll costs — is canonical, not event-heap order (simlint
+    SL101).
 
     The library hooks: ``on_pop(item)`` runs when an item leaves the
     store, matched or not; the generator ``on_consume(item)`` runs after
@@ -66,16 +67,12 @@ class EventDemux:
         half a poll interval (the mean phase lag) after it lands.  An
         item landing at the very instant polling begins is caught by the
         first poll — charging the lag there would make the cost depend
-        on put-vs-get scheduling order (SL101)."""
+        on post-vs-take scheduling order (SL101)."""
         params = self.cpu.params
-        queue = self.queue
-        if len(queue) > 0 and queue.getters_waiting == 0:
-            item = queue.try_get()
-        else:
-            blocked_at = self.sim.now
-            item = yield queue.get()
-            if self.sim.now > blocked_at:
-                yield params.poll_interval_us / 2.0
+        blocked_at = self.sim.now
+        item = yield from self.queue.take()
+        if self.sim.now > blocked_at:
+            yield params.poll_interval_us / 2.0
         yield from self.cpu.compute(params.poll_us, "poll")
         return item
 
@@ -127,7 +124,7 @@ class EventDemux:
         queue = self.queue
         pending = self.pending
         on_pop = self._on_pop
-        while len(queue) > 0 and queue.getters_waiting == 0:
+        while len(queue) > 0:
             item = queue.try_get()
             if on_pop is not None:
                 on_pop(item)

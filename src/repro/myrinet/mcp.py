@@ -19,11 +19,11 @@ for it through ``nic.cpu_task``:
 Each loop consumes its queue with the event-free hand-off
 (:meth:`~repro.sim.resources.Store.take`; the NIC's producers
 ``post``): a queued item is taken with no kernel event, and an item
-posted to a parked loop resumes it at once.  The receive loop holds the
-LANai's top arbitration key, so its tasks skip the arbitration pass
-whenever nothing else wants the processor at that instant.  Per packet
-that takes the put event, the get hop and the pass off the receive
-path: an uncontended receive task is one completion call.
+posted to a parked loop resumes it at once.  A receive task at delta
+phase 0 on a free LANai with nothing pending is an express grant and
+skips the arbitration pass.  Per packet that takes the put event,
+the get hop and the pass off the receive path: an uncontended receive
+task is one completion call.
 """
 
 from __future__ import annotations

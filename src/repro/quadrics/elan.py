@@ -171,7 +171,7 @@ class Elan3Nic:
             )
         self.pci.dma_async(
             self._notify_key, self.params.host_event_bytes,
-            DmaDirection.NIC_TO_HOST, self.host_events.put, value,
+            DmaDirection.NIC_TO_HOST, self.host_events.post, value,
         )
 
     # ------------------------------------------------------------------
@@ -321,7 +321,7 @@ class Elan3Nic:
                 self.event_unit, p.t_host_event, self._event_lane, "host_notify"
             )
             yield from self.pci.dma(packet.size_bytes, DmaDirection.NIC_TO_HOST)
-            self.tport_queue.put(packet.payload)
+            self.tport_queue.post(packet.payload)
         self._rx_next()
 
     # ------------------------------------------------------------------

@@ -251,7 +251,7 @@ def elan_hgsync(
     release = hw_barrier.enter(port.node_id, seq)
     failed = False
     while True:
-        got = yield release.get()
+        got = yield from release.take()
         if got == seq:
             break
         if got == ("hw-failed", seq):

@@ -80,8 +80,8 @@ class HardwareBarrier:
     def enter(self, rank: int, seq: int) -> Store:
         """Mark ``rank`` arrived at barrier ``seq``.
 
-        Returns the store the caller should ``get()`` to learn of the
-        release.  The first arrival starts the probe controller.
+        Returns the store the caller should ``take()`` from to learn of
+        the release.  The first arrival starts the probe controller.
         """
         if rank not in self._release:
             raise ValueError(f"rank {rank} is not a participant")
@@ -89,7 +89,7 @@ class HardwareBarrier:
             # The controller already gave up on this barrier: the
             # straggler (whose lateness exhausted the budget) learns of
             # the failure immediately on arrival.
-            self._release[rank].put(("hw-failed", seq))
+            self._release[rank].post(("hw-failed", seq))
             return self._release[rank]
         self._arrived[seq].add(rank)
         if seq not in self._controller_started:
@@ -135,7 +135,7 @@ class HardwareBarrier:
                 self._failed.add(seq)
                 del self._arrived[seq]
                 for rank in arrived:
-                    self._release[rank].put(("hw-failed", seq))
+                    self._release[rank].post(("hw-failed", seq))
                 return
             self.retries += 1
             backoff = self.retry_backoff_us * self.backoff_factor ** (
@@ -156,7 +156,7 @@ class HardwareBarrier:
             tracer.add_span(t0, self.sim.now, "elite", "set_release", seq=seq)
         del self._arrived[seq]
         for rank in self.ranks:
-            self._release[rank].put(seq)
+            self._release[rank].post(seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HardwareBarrier ranks={len(self.ranks)} retries={self.retries}>"

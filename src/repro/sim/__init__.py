@@ -6,9 +6,8 @@ reproduction environment is offline.  It provides:
 
 - :class:`~repro.sim.engine.Simulator` — the event loop (time unit:
   microseconds, stored as ``float``).
-- :class:`~repro.sim.events.SimEvent`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf` —
-  one-shot triggerable events and condition combinators.
+- :class:`~repro.sim.events.SimEvent`, :class:`~repro.sim.events.Timeout`
+  — one-shot triggerable events.
 - :class:`~repro.sim.process.Process` — generator-based cooperative
   processes (``yield`` an event / delay / another process to wait on it).
 - :class:`~repro.sim.resources.ArbitratedResource`,
@@ -27,8 +26,6 @@ from repro.sim.engine import Simulator, ScheduledCall
 from repro.sim.events import (
     SimEvent,
     Timeout,
-    AllOf,
-    AnyOf,
     EventAlreadyTriggered,
 )
 from repro.sim.process import Process, Interrupt
@@ -41,8 +38,6 @@ __all__ = [
     "ScheduledCall",
     "SimEvent",
     "Timeout",
-    "AllOf",
-    "AnyOf",
     "EventAlreadyTriggered",
     "Process",
     "Interrupt",

@@ -1,4 +1,4 @@
-"""One-shot triggerable events and condition combinators.
+"""One-shot triggerable events.
 
 A :class:`SimEvent` goes through three states::
 
@@ -18,7 +18,7 @@ list is only allocated for the second and later callbacks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Simulator
 
@@ -77,8 +77,7 @@ class SimEvent:
         """Mark a failed event as handled out-of-band.
 
         Prevents :meth:`repro.sim.engine.Simulator.run` from re-raising
-        the failure when no callback consumed it (used by AnyOf, where a
-        losing branch may legitimately fail unobserved).
+        the failure when no callback consumed it.
         """
         self._defused = True
 
@@ -177,69 +176,3 @@ class Timeout(SimEvent):
         self._ok = True
         self._value = value
         sim.schedule_detached(delay, self._process)
-
-
-class _Condition(SimEvent):
-    """Base for AllOf / AnyOf."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: Simulator, events: Iterable[SimEvent]):
-        super().__init__(sim)
-        self.events = tuple(events)
-        self._count = 0
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        for ev in self.events:
-            ev.add_callback(self._on_child)
-
-    def _collect(self) -> list:
-        return [ev._value for ev in self.events if ev.processed and ev._ok]
-
-    def _on_child(self, ev: SimEvent) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds with the list of child values once every child succeeds.
-
-    Fails fast with the first child failure (remaining children keep
-    running; their failures are defused).
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, ev: SimEvent) -> None:
-        if self.triggered:
-            if ev._ok is False:
-                ev.defuse()
-            return
-        if ev._ok is False:
-            self.fail(ev._value)
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed([e._value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Succeeds with ``(event, value)`` of the first child to succeed.
-
-    Fails only if *all* children fail (with the last failure).
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, ev: SimEvent) -> None:
-        if self.triggered:
-            if ev._ok is False:
-                ev.defuse()
-            return
-        if ev._ok:
-            self.succeed((ev, ev._value))
-            return
-        ev.defuse()
-        self._count += 1
-        if self._count == len(self.events):
-            self.fail(ev._value)

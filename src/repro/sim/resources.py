@@ -17,12 +17,13 @@
   reverts it.  :meth:`~ArbitratedResource.spin` is a run of
   back-to-back tasks that parks once and is costed at the one task
   whose outcome can differ.
-- :class:`Store` — FIFO item queue with blocking ``get``.  Models token
-  queues, event queues, packet FIFOs and free lists (the LANai's send
-  packet buffers).  ``post``/``take`` is its event-free hand-off to one
-  consuming process: a post hands the item straight to a parked taker,
-  and a take of a queued item returns it at once.  ``watch`` arms a
-  one-shot call on the next post.
+- :class:`Store` — FIFO item queue.  Models token queues, event queues,
+  host-visible words, packet FIFOs and free lists (the LANai's send
+  packet buffers).  ``post``/``take`` is its one hand-off, event-free,
+  to one consuming process: a post hands the item straight to a parked
+  taker, and a take of a queued item returns it at once.  ``try_get``
+  is the non-blocking take, and ``watch`` arms a one-shot call on the
+  next post.
 - :class:`PriorityStore` — like Store but items are retrieved lowest
   priority value first (stable for equal priorities).
 """
@@ -409,27 +410,21 @@ class ArbitratedResource:
 
 
 class Store:
-    """Unbounded FIFO item store with blocking get semantics.
-
-    ``put`` returns an event that has already succeeded (the item is
-    always accepted).  ``get`` returns an event that succeeds with the
-    item.
-
-    ``post``/``take`` is the event-free hand-off for a store with one
-    consuming process (a NIC service loop):
+    """Unbounded FIFO item store: an event-free hand-off to one
+    consuming process (a NIC service loop, a host poller).
 
     - ``post(item)`` stores the item and schedules nothing.  A process
       parked in ``take`` gets it at once, resumed synchronously; from
       delta phase ≥ 1 the resume is one ``schedule_now`` instead, so
-      the taker still runs (and its next request is born) at phase 0,
-      as after a ``get`` event.  A ``get`` waiter is served as by
-      ``put``, one event fewer: no put event, which nothing waited on.
+      the taker still runs (and its next request is born) at phase 0.
     - ``yield from take()`` returns a queued item with no event, or
       parks the process (:data:`~repro.sim.process.PARKED`) until a
       post.  A parked taker reports a ``<store>.get`` stand-in as
       ``waiting_on``, so the quiescence auditor sees a parked service
-      loop, and it cannot be interrupted.  One taker at a time, and
-      never alongside ``get`` waiters.
+      loop, and it cannot be interrupted.  One taker at a time.  A
+      post hands an item straight to a parked taker, so the store is
+      empty whenever a taker waits.
+    - ``try_get()`` returns a queued item or ``None``.
 
     ``watch(fn)`` arms one call of ``fn()`` at the end of the next
     post (the express spin's wake, :meth:`ArbitratedResource.spin`).
@@ -438,10 +433,7 @@ class Store:
     def __init__(self, sim: Simulator, name: Optional[str] = None):
         self.sim = sim
         self.name = name or "store"
-        self._put_name = self.name + ".put"
-        self._get_name = self.name + ".get"
         self._items: deque[Any] = deque()
-        self._getters: deque[SimEvent] = deque()
         self._taker = None  # the process parked in take(), if any
         # Its ``waiting_on`` stand-in: never triggers, only names the
         # wait.  Made by the first park.
@@ -458,15 +450,10 @@ class Store:
         return tuple(self._items)
 
     @property
-    def getters_waiting(self) -> int:
-        return len(self._getters)
-
-    @property
     def idle(self) -> bool:
-        """Empty, with no getter, taker or watcher."""
+        """Empty, with no taker or watcher."""
         return not (
-            self._items or self._getters or self._taker is not None
-            or self._watcher is not None
+            self._items or self._taker is not None or self._watcher is not None
         )
 
     # -- storage policy hooks (overridden by PriorityStore) --------------
@@ -477,12 +464,6 @@ class Store:
         return self._items.popleft()
 
     # -- operations ------------------------------------------------------
-    def put(self, item: Any) -> SimEvent:
-        ev = SimEvent(self.sim, name=self._put_name)
-        ev.succeed(item)
-        self.post(item)
-        return ev
-
     def post(self, item: Any) -> None:
         """Store ``item`` without an event; hand it to a parked taker."""
         self._do_put(item)
@@ -494,8 +475,6 @@ class Store:
                 self.sim.schedule_now(self._resume_taker, taker, self._do_get())
             else:
                 self._resume_taker(taker, self._do_get())
-        elif self._getters:
-            self._serve_getters()
         watcher = self._watcher
         if watcher is not None:
             self._watcher = None
@@ -524,8 +503,6 @@ class Store:
     def take(self):
         """Next item (``yield from`` a process): queued → no event,
         else park until a :meth:`post` hands one over."""
-        if self._getters:
-            raise RuntimeError(f"{self.name}: take while getters are waiting")
         if self._items:
             return self._do_get()
         proc = self.sim.active_process
@@ -538,7 +515,7 @@ class Store:
             )
         wait = self._take_wait
         if wait is None:
-            wait = self._take_wait = SimEvent(self.sim, name=self._get_name)
+            wait = self._take_wait = SimEvent(self.sim, name=self.name + ".get")
         proc._parked_in = self
         proc._waiting_on = wait
         self._taker = proc
@@ -548,46 +525,22 @@ class Store:
         taker._parked_in = None
         taker._step(item, None)
 
-    def get(self) -> SimEvent:
-        if self._taker is not None:
-            raise RuntimeError(
-                f"{self.name}: get while {self._taker.name!r} is parked in take"
-            )
-        ev = SimEvent(self.sim, name=self._get_name)
-        if self._items:
-            ev.succeed(self._do_get())
-        else:
-            self._getters.append(ev)
-        return ev
-
     def try_get(self) -> Any:
-        """Non-blocking get; returns the item or ``None`` when empty.
-
-        Only safe when no getter is queued (NIC poll loops use this on
-        queues they exclusively consume).
-        """
-        if self._getters:
-            raise RuntimeError(f"{self.name}: try_get while getters are waiting")
+        """Non-blocking take: the next item, or ``None`` when empty."""
         if not self._items:
             return None
         return self._do_get()
-
-    # -- internals ---------------------------------------------------------
-    def _serve_getters(self) -> None:
-        while self._getters and self._items:
-            getter = self._getters.popleft()
-            getter.succeed(self._do_get())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} items={len(self._items)}>"
 
 
 class PriorityStore(Store):
-    """A store whose ``get`` returns the lowest-priority item first.
+    """A store whose ``take`` returns the lowest-priority item first.
 
-    Items are pushed as ``put((priority, item))`` or via
-    :meth:`post_item`; ``get``/``take`` yield the bare item.  Ties are
-    FIFO.
+    Items are posted as ``post((priority, item))`` or via
+    :meth:`post_item`; ``take``/``try_get`` return the bare item.  Ties
+    are FIFO.
     """
 
     def __init__(self, sim: Simulator, name: Optional[str] = None):

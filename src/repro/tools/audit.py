@@ -238,22 +238,6 @@ class GroupFlowCheck:
         return self.expected_packets == self.actual_packets
 
 
-def expected_flow_packets(
-    collective: str,
-    algorithm: str,
-    nodes: int,
-    count: int,
-    payload_bytes: int = 0,
-) -> int:
-    """Wire packets ``count`` runs of one collective inject, read off
-    the compiled schedule IR (fault-free; retransmissions add packets
-    on top)."""
-    from repro.collectives.schedule_ir import compile_schedule
-
-    schedule = compile_schedule(collective, algorithm, nodes, payload_bytes)
-    return schedule.total_messages() * count
-
-
 def audit_group_flows(fabric, specs) -> list[GroupFlowCheck]:
     """Audit per-group fabric flow counters against the schedule IR.
 

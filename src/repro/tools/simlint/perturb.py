@@ -195,6 +195,12 @@ def diff_results(baseline: BarrierResult, other: BarrierResult) -> list[str]:
     return diffs
 
 
+def _label(profile: str, barrier: str, faults: str, nodes: int) -> str:
+    """``profile/barrier[faults] N=nodes``: one run of the matrix."""
+    case = f"[{faults}]" if faults else ""
+    return f"{profile}/{barrier}{case} N={nodes}"
+
+
 @dataclass
 class PerturbationReport:
     """Outcome of one perturbation sweep over one barrier scheme."""
@@ -206,6 +212,8 @@ class PerturbationReport:
     baseline: BarrierResult
     findings: list[Finding] = field(default_factory=list)
     diverged_rounds: tuple[int, ...] = ()
+    #: The injected fault case, e.g. ``"corrupt=0.02"``; empty when clean.
+    faults: str = ""
 
     @property
     def ok(self) -> bool:
@@ -217,10 +225,8 @@ class PerturbationReport:
             if self.ok
             else f"DIVERGED in rounds {list(self.diverged_rounds)}"
         )
-        return (
-            f"{self.profile}/{self.barrier} N={self.nodes}: "
-            f"{self.rounds} permutations {verdict}"
-        )
+        label = _label(self.profile, self.barrier, self.faults, self.nodes)
+        return f"{label}: {self.rounds} permutations {verdict}"
 
 
 def perturb_barrier_experiment(
@@ -280,7 +286,18 @@ def perturb_barrier_experiment(
     baseline = one_run(None)
     findings: list[Finding] = []
     diverged: list[int] = []
-    where = f"{resolved.name}/{barrier}"
+    faults = ",".join(
+        f"{name}={value:g}"
+        for name, value in (
+            ("drop", drop_probability),
+            ("corrupt", corrupt_probability),
+            ("duplicate", duplicate_probability),
+            ("delay", delay_probability),
+            ("jitter_us", delay_jitter_us),
+        )
+        if value
+    )
+    where = _label(resolved.name, barrier, faults, nodes)
     for round_idx in range(rounds):
         rng = DeterministicRng(seed, f"simlint/tiebreak/{round_idx}")
         result = one_run(TieBreakSimulator(rng))
@@ -290,7 +307,7 @@ def perturb_barrier_experiment(
             findings.append(Finding(
                 "SL101", where, 0,
                 f"results diverged under tie-break permutation "
-                f"(round {round_idx}, N={nodes}): " + "; ".join(diffs),
+                f"(round {round_idx}): " + "; ".join(diffs),
                 fixit="some protocol state depends on same-timestamp event "
                       "order; look for iteration over unordered collections, "
                       "shared mutable state read before all same-time events "
@@ -304,6 +321,7 @@ def perturb_barrier_experiment(
         baseline=baseline,
         findings=findings,
         diverged_rounds=tuple(diverged),
+        faults=faults,
     )
 
 

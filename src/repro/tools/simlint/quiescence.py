@@ -11,9 +11,10 @@ event nobody can fire is a deadlock.
 
 :func:`check_quiescent` walks a cluster after ``sim.run()`` returned and
 reports violations as SL102-SL106 findings, plus a wait-for graph of the
-still-blocked processes.  NIC service loops are *expected* to park on
-their work queue's ``.get`` forever — they appear in the graph but are
-only findings when named in ``must_complete``.  A host process parked
+still-blocked processes.  NIC service loops are *expected* to park in
+their work queue's ``take`` (reported as ``<queue>.get``) forever —
+they appear in the graph but are only findings when named in
+``must_complete``.  A host process parked
 in an express spin on a queue nothing posts to any more reports
 ``<queue>.post``: a poll loop whose completion never came, always a
 finding.
@@ -31,7 +32,8 @@ from typing import Iterable, Optional
 
 from repro.tools.simlint.findings import Finding
 
-#: Event-name suffix of a Store.get — the park position of a service loop.
+#: Event-name suffix of a parked Store.take — the park position of a
+#: service loop.
 _BENIGN_PARK_SUFFIX = ".get"
 
 

@@ -272,17 +272,6 @@ class CriticalPath:
             out[key] = out.get(key, 0.0) + step.duration
         return out
 
-    def by_step(self) -> dict[str, float]:
-        """Latency attributed per (component, protocol-step name)."""
-        out: dict[str, float] = {}
-        for step in self.steps:
-            key = (
-                "wait" if step.kind == "wait"
-                else f"{component_of(step.lane)}/{step.name}"
-            )
-            out[key] = out.get(key, 0.0) + step.duration
-        return out
-
     def table(self) -> str:
         """The walk, oldest step first, as a fixed-width table."""
         lines = [f"{'t(us)':>10} {'dur(us)':>9}  {'lane':<18} step"]

@@ -38,9 +38,9 @@ def test_concurrent_waiters_each_get_their_own_event(kind):
 
     def nic():
         yield 10.0
-        queue.put(("word", "b"))
+        queue.post(("word", "b"))
         yield 10.0
-        queue.put(("word", "a"))
+        queue.post(("word", "a"))
 
     procs = [
         sim.process(waiter("a"), name="waiter-a"),
@@ -66,8 +66,8 @@ def test_poll_buffers_unmatched_events_for_later_waiters(kind):
     seen = []
 
     def program():
-        queue.put(("word", "x"))
-        queue.put(("word", "y"))
+        queue.post(("word", "x"))
+        queue.post(("word", "y"))
         first = yield from poll(lambda ev: ev == ("word", "y"))
         missing = yield from poll(lambda ev: ev == ("word", "z"))
         second = yield from recv(lambda ev: ev == ("word", "x"))

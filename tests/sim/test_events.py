@@ -1,8 +1,8 @@
-"""Unit tests for events and condition combinators."""
+"""Unit tests for events."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, EventAlreadyTriggered, SimEvent, Simulator, Timeout
+from repro.sim import EventAlreadyTriggered, SimEvent, Simulator, Timeout
 
 
 def test_event_lifecycle():
@@ -121,108 +121,3 @@ def test_timeout_cannot_be_retriggered():
     with pytest.raises(EventAlreadyTriggered):
         t.succeed()
     sim.run()
-
-
-class TestAllOf:
-    def test_waits_for_all(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(3)]
-        combo = AllOf(sim, evs)
-        seen = []
-        combo.add_callback(lambda e: seen.append(e.value))
-        evs[1].succeed("b")
-        sim.run()
-        assert seen == []
-        evs[0].succeed("a")
-        evs[2].succeed("c")
-        sim.run()
-        assert seen == [["a", "b", "c"]]
-
-    def test_values_keep_child_order(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(3)]
-        combo = AllOf(sim, evs)
-        out = []
-        combo.add_callback(lambda e: out.append(e.value))
-        evs[2].succeed(2)
-        evs[0].succeed(0)
-        evs[1].succeed(1)
-        sim.run()
-        assert out == [[0, 1, 2]]
-
-    def test_empty_succeeds_immediately(self):
-        sim = Simulator()
-        combo = AllOf(sim, [])
-        sim.run()
-        assert combo.processed and combo.ok
-
-    def test_fails_fast_on_child_failure(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(2)]
-        combo = AllOf(sim, evs)
-        failures = []
-        combo.add_callback(lambda e: failures.append(e.value) if not e.ok else None)
-        evs[0].fail(ValueError("child died"))
-        sim.run()
-        assert len(failures) == 1
-        # The never-triggered sibling must not block anything.
-        assert not evs[1].triggered
-
-    def test_late_failure_after_trigger_is_defused(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(2)]
-        combo = AllOf(sim, evs)
-        combo.add_callback(lambda e: None)
-        evs[0].fail(ValueError("first"))
-        sim.run()
-        evs[1].fail(ValueError("second"))
-        sim.run()  # must not raise: combo already failed, second defused
-
-
-class TestAnyOf:
-    def test_first_success_wins(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(3)]
-        combo = AnyOf(sim, evs)
-        out = []
-        combo.add_callback(lambda e: out.append(e.value))
-        evs[2].succeed("winner")
-        sim.run()
-        winner_event, winner_value = out[0]
-        assert winner_event is evs[2]
-        assert winner_value == "winner"
-
-    def test_later_success_ignored(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(2)]
-        combo = AnyOf(sim, evs)
-        combo.add_callback(lambda e: None)
-        evs[0].succeed("first")
-        sim.run()
-        evs[1].succeed("second")
-        sim.run()
-        assert combo.value[0] is evs[0]
-
-    def test_all_failures_fails(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(2)]
-        combo = AnyOf(sim, evs)
-        out = []
-        combo.add_callback(lambda e: out.append(e.ok))
-        evs[0].fail(ValueError("a"))
-        evs[1].fail(ValueError("b"))
-        sim.run()
-        assert out == [False]
-
-    def test_single_failure_does_not_fail_combo(self):
-        sim = Simulator()
-        evs = [SimEvent(sim) for _ in range(2)]
-        combo = AnyOf(sim, evs)
-        out = []
-        combo.add_callback(lambda e: out.append(e.ok))
-        evs[0].fail(ValueError("a"))
-        sim.run()
-        assert out == []
-        evs[1].succeed("ok")
-        sim.run()
-        assert out == [True]

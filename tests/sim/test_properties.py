@@ -53,12 +53,12 @@ def test_store_is_fifo(items):
 
     def producer():
         for item in items:
-            store.put(item)
+            store.post(item)
             yield 1.0
 
     def consumer():
         for _ in items:
-            out.append((yield store.get()))
+            out.append((yield from store.take()))
 
     sim.process(producer())
     sim.process(consumer())
@@ -83,7 +83,7 @@ def test_priority_store_is_stable_heap(pairs):
 
     def consumer():
         for _ in pairs:
-            out.append((yield store.get()))
+            out.append((yield from store.take()))
 
     sim.process(consumer())
     sim.run()

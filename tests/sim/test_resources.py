@@ -71,12 +71,18 @@ class TestResource:
 
 class TestStore:
     def test_put_then_get(self):
+        # A queued item is taken at once.
         sim = Simulator()
         store = Store(sim)
-        store.put("x")
-        got = store.get()
-        assert got.triggered and got.value == "x"
+        store.post("x")
+        got = []
+
+        def consumer():
+            got.append((yield from store.take()))
+
+        sim.process(consumer())
         sim.run()
+        assert got == ["x"]
 
     def test_get_blocks_until_put(self):
         sim = Simulator()
@@ -84,11 +90,11 @@ class TestStore:
         out = []
 
         def consumer():
-            out.append((yield store.get()))
+            out.append((yield from store.take()))
             out.append(sim.now)
 
         sim.process(consumer())
-        sim.schedule(4.0, store.put, "late-item")
+        sim.schedule(4.0, store.post, "late-item")
         sim.run()
         assert out == ["late-item", 4.0]
 
@@ -96,55 +102,32 @@ class TestStore:
         sim = Simulator()
         store = Store(sim)
         for i in range(5):
-            store.put(i)
+            store.post(i)
         out = []
 
         def consumer():
             for _ in range(5):
-                out.append((yield store.get()))
+                out.append((yield from store.take()))
 
         sim.process(consumer())
         sim.run()
         assert out == [0, 1, 2, 3, 4]
 
-    def test_multiple_getters_fifo(self):
-        sim = Simulator()
-        store = Store(sim)
-        out = []
-
-        def consumer(name):
-            item = yield store.get()
-            out.append((name, item))
-
-        sim.process(consumer("g1"))
-        sim.process(consumer("g2"))
-        sim.schedule(1.0, store.put, "a")
-        sim.schedule(2.0, store.put, "b")
-        sim.run()
-        assert out == [("g1", "a"), ("g2", "b")]
-
     def test_try_get(self):
         sim = Simulator()
         store = Store(sim)
         assert store.try_get() is None
-        store.put("z")
+        store.post("z")
         assert store.try_get() == "z"
         assert store.try_get() is None
         sim.run()
-
-    def test_try_get_with_waiting_getters_raises(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.get()  # now a getter is queued
-        with pytest.raises(RuntimeError):
-            store.try_get()
 
     def test_len_and_items(self):
         sim = Simulator()
         store = Store(sim)
         assert len(store) == 0
-        store.put(1)
-        store.put(2)
+        store.post(1)
+        store.post(2)
         assert len(store) == 2
         assert store.items == (1, 2)
         sim.run()
@@ -161,7 +144,7 @@ class TestPriorityStore:
 
         def consumer():
             for _ in range(3):
-                out.append((yield ps.get()))
+                out.append((yield from ps.take()))
 
         sim.process(consumer())
         sim.run()
@@ -176,7 +159,7 @@ class TestPriorityStore:
 
         def consumer():
             for _ in range(4):
-                out.append((yield ps.get()))
+                out.append((yield from ps.take()))
 
         sim.process(consumer())
         sim.run()
@@ -188,7 +171,7 @@ class TestPriorityStore:
         out = []
 
         def consumer():
-            out.append((yield ps.get()))
+            out.append((yield from ps.take()))
 
         sim.process(consumer())
         sim.schedule(1.0, ps.post_item, "item", 3)
@@ -312,47 +295,6 @@ class TestStoreHandOff:
         sim.run()
         assert isinstance(second.completion.value, RuntimeError)
         assert "'a' is parked" in str(second.completion.value)
-
-    def test_get_and_take_do_not_mix(self):
-        sim = Simulator()
-        parked = Store(sim, name="parked")
-        waited = Store(sim, name="waited")
-
-        def taker(store):
-            yield from store.take()
-
-        sim.process(taker(parked), name="t")
-        sim.run()
-        with pytest.raises(RuntimeError, match="parked in take"):
-            parked.get()
-
-        waited.get()
-        late = sim.process(taker(waited), name="late")
-        late.completion.defuse()
-        sim.run()
-        assert isinstance(late.completion.value, RuntimeError)
-        assert "getters are waiting" in str(late.completion.value)
-
-    def test_post_serves_a_get_waiter_without_a_put_event(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = store.get()
-        store.post("x")
-        assert got.triggered and got.value == "x"
-        assert sim.events_scheduled == 1  # the get event alone
-
-    def test_put_hands_to_a_parked_taker(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def taker():
-            got.append((yield from store.take()))
-
-        sim.process(taker(), name="t")
-        sim.run()
-        assert store.put("x").triggered
-        assert got == ["x"]
 
     def test_post_from_a_later_phase_wakes_the_taker_at_phase_zero(self):
         sim = Simulator()

@@ -19,6 +19,7 @@ from repro.sim import SimEvent, Simulator, Store
 from repro.sim.rng import DeterministicRng
 from repro.tools.simlint import (
     TieBreakSimulator,
+    all_scheme_reports,
     check_quiescent,
     compare_runs,
     perturb_barrier_experiment,
@@ -154,13 +155,17 @@ def test_quiescence_treats_parked_service_loop_as_benign():
     sim = Simulator()
     sim.track_processes()
     work = Store(sim, name="nic.work")
+    served = []
 
     def service_loop():
         while True:
-            yield work.get()
+            served.append((yield from work.take()))
 
     sim.process(service_loop(), name="rx-loop")
+    sim.schedule(1.0, work.post, "a")
+    sim.schedule(2.0, work.post, "b")
     sim.run()
+    assert served == ["a", "b"]
     report = check_quiescent(_FakeCluster(sim))
     assert report.ok
     assert [e.benign for e in report.graph] == [True]
@@ -194,7 +199,7 @@ def test_quiescence_flags_required_process_even_when_parked():
     work = Store(sim, name="bench.work")
 
     def driver():
-        yield work.get()
+        yield from work.take()
 
     sim.process(driver(), name="bench@0")
     sim.run()
@@ -316,6 +321,23 @@ def test_faulty_nic_collective_bit_identical_under_perturbation():
     )
     assert report.ok, report.findings[0].message if report.findings else ""
     assert report.baseline.counters.get("wire.dropped", 0) > 0
+
+
+def test_perturbation_labels_name_the_fault_case():
+    # A faulted run must not print as the clean run of its scheme.
+    report = perturb_barrier_experiment(
+        "lanai_xp_xeon2400", "nic-collective", nodes=8, rounds=1,
+        iterations=3, warmup=1, delay_probability=0.2, delay_jitter_us=5.0,
+    )
+    assert str(report).startswith(
+        "lanai_xp_xeon2400/nic-collective[delay=0.2,jitter_us=5] N=8:"
+    )
+    labels = [
+        str(r).split(":")[0]
+        for r in all_scheme_reports(nodes=4, rounds=0, iterations=1, warmup=1)
+    ]
+    assert len(set(labels)) == len(labels) == 10
+    assert "lanai_xp_xeon2400/nic-collective[corrupt=0.02] N=4" in labels
 
 
 def test_fault_injection_rejected_on_quadrics():
