@@ -11,11 +11,13 @@ Timing model (cut-through / wormhole, used by both Myrinet and QsNet):
   the same link queue up, packets on disjoint paths don't interact.
 
 Link grants are *arbitrated*, not first-come-first-served on the event
-heap: every request and release lands in a per-link pool, and a
-decision pass runs one delta phase later (:meth:`Simulator.
-schedule_phase`), granting bandwidth in canonical packet order
-(:func:`~repro.network.packet.canonical_packet_key`).  Real switch ports
-arbitrate same-cycle heads deterministically (port order); resolving
+heap: every link is an :class:`~repro.sim.resources.ArbitratedResource`,
+the one arbiter of every serialized unit, whose decision pass runs one
+delta phase after a claim and grants bandwidth in canonical packet
+order (:func:`~repro.network.packet.canonical_packet_key`).  All links
+share one :class:`~repro.sim.resources.ArbitrationDomain`, so the link
+decisions of one instant and phase are one kernel event.  Real switch
+ports arbitrate same-cycle heads deterministically (port order); resolving
 them by event scheduling order instead makes delivery times depend on
 same-timestamp tie-breaking — the schedule race simlint SL101 detects.
 
@@ -27,12 +29,12 @@ at a switch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from repro.network.faults import FaultInjector
 from repro.network.packet import Packet, canonical_packet_key
 from repro.sim import Simulator, Tracer
+from repro.sim.resources import ArbitratedResource, ArbitrationDomain
 from repro.topology.base import Topology
 from repro.topology.fat_tree import QuaternaryFatTree
 
@@ -67,165 +69,6 @@ class WireParams:
 DeliveryHandler = Callable[[Packet], None]
 
 
-class ArbitrationDomain:
-    """One decision event per (instant, delta phase), shared by all links.
-
-    Each link arbiter used to arm its own :meth:`Simulator.
-    schedule_phase` event per decision; at 4096+ nodes those events were
-    a third of all kernel traffic.  The domain pools every arbiter that
-    needs a phase-``p`` decision at the current instant into one list
-    and runs them under a single kernel event.  Processing order within
-    a pass is observationally irrelevant: a phase-``p`` pass only grants
-    requests born in earlier phases, any request a grant causes is born
-    in phase ``p`` or later (``p + skip`` past an elided climb) and so
-    decided at ``p+1`` at the earliest regardless of which arbiter ran
-    first, and releases only arrive from timed (phase-0) events — no
-    arbiter's decision can observe another arbiter's position in the
-    list.  The queues never leak across instants because every
-    scheduled call at a timestamp drains before the clock advances.
-    """
-
-    __slots__ = ("sim", "_queues")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._queues: dict[int, list] = {}
-
-    def mark(self, arbiter: "LinkArbiter", phase: int) -> None:
-        q = self._queues.get(phase)
-        if q is None:
-            q = self._queues[phase] = []
-            self.sim.schedule_phase(phase, self._run, phase)
-        q.append(arbiter)
-
-    def _run(self, phase: int) -> None:
-        for arbiter in self._queues.pop(phase):
-            arbiter._pass(phase)
-
-
-class LinkArbiter:
-    """One directional link's bandwidth units with deterministic grants.
-
-    Requests pool up; a decision pass runs one delta phase later and
-    grants free units in ``(birth phase, canonical key)`` order.  The
-    one-phase lag guarantees every same-instant contender has registered
-    before any winner is picked, whatever order the scheduler popped
-    their events in; it costs zero simulated time.  Requests born while
-    a pass is deciding (a packet granted an earlier hop in that same
-    pass) wait for the next phase — a structural, schedule-independent
-    property of the route.
-
-    A pass is armed only where it can grant: at ``max(now phase, head
-    birth) + 1`` and only while a unit is free.  A request on a full
-    link arms nothing (the release that frees a unit does), and a head
-    left over from an earlier instant is decided at its birth phase + 1,
-    the first phase that can grant it.  The grants and their phases are
-    those of a pass at every phase.
-    """
-
-    __slots__ = (
-        "sim", "domain", "name", "capacity", "in_use",
-        "_pending", "_n", "_pass_phase",
-    )
-
-    def __init__(
-        self, sim: Simulator, domain: ArbitrationDomain, capacity: int, name: str
-    ):
-        self.sim = sim
-        self.domain = domain
-        self.name = name
-        self.capacity = capacity
-        self.in_use = 0
-        # Heap of (birth_phase, canonical_key, n, grant_fn, grant_args);
-        # ``n`` only separates requests identical in every protocol
-        # coordinate (interchangeable packets) and keeps the comparison
-        # off the callback.  A fabric worm's entry has ``grant_fn``
-        # None and its traversal record as ``grant_args``: the pass
-        # advances it to its next link itself, with no callback.
-        self._pending: list[tuple] = []
-        self._n = 0
-        # Phase of the live armed pass; -1 when unarmed.  Arming an
-        # earlier pass supersedes a later one, which then finds the
-        # phase changed and returns without deciding.
-        self._pass_phase = -1
-
-    def request(self, key: tuple, fn: Callable, *args) -> None:
-        """Queue ``fn(*args)`` for the grant of one unit."""
-        self._push(self.sim._phase, key, fn, args)
-
-    def _push(self, birth: int, key: tuple, fn: Optional[Callable], args) -> None:
-        self._n += 1
-        heappush(self._pending, (birth, key, self._n, fn, args))
-        if self.in_use < self.capacity:
-            phase = birth + 1
-            armed = self._pass_phase
-            if armed < 0 or armed > phase:
-                self._pass_phase = phase
-                # Inlined ``domain.mark`` — this is the hottest
-                # arbitration call site (one per link per packet).
-                domain = self.domain
-                q = domain._queues.get(phase)
-                if q is None:
-                    domain._queues[phase] = [self]
-                    domain.sim.schedule_phase(phase, domain._run, phase)
-                else:
-                    q.append(self)
-
-    def release(self) -> None:
-        self.in_use -= 1
-        pending = self._pending
-        if pending:
-            self._ensure_pass(max(self.sim._phase, pending[0][0]) + 1)
-
-    def _ensure_pass(self, phase: int) -> None:
-        # A live pass at this phase or earlier decides first and re-arms
-        # for whatever it leaves; otherwise arm one.  An armed pass
-        # always fires at the instant it was armed (the domain's event
-        # lands at the current timestamp, and every same-time call
-        # drains before time advances), so the guard needs no time
-        # component.
-        armed = self._pass_phase
-        if 0 <= armed <= phase:
-            return
-        self._pass_phase = phase
-        self.domain.mark(self, phase)
-
-    def _pass(self, phase: int) -> None:
-        if phase != self._pass_phase:
-            return  # superseded by an earlier pass
-        self._pass_phase = -1
-        pending = self._pending
-        capacity = self.capacity
-        # ``in_use`` can be cached across the loop: a grant only ever
-        # advances the *granted* worm (this link's next hops are other
-        # links; releases arrive solely from timed events later).
-        in_use = self.in_use
-        while in_use < capacity and pending and pending[0][0] < phase:
-            _birth, key, _n, fn, args = heappop(pending)
-            in_use += 1
-            self.in_use = in_use
-            if fn is not None:
-                fn(*args)
-                continue
-            # A fabric worm ``[packet, links, latency, idx, skip,
-            # complete]``: claim its next link or, holding them all, let
-            # it drain.  Past an elided route's injection hop the claim
-            # is born ``skip`` phases on: the phase at which it would
-            # reach that link after crossing the free up-edges one
-            # phase each.
-            links = args[1]
-            idx = args[3] + 1
-            if idx == len(links):
-                self.sim.schedule_detached(args[2], args[5], args[0], links)
-            else:
-                args[3] = idx
-                links[idx]._push(
-                    phase + args[4] if idx == 1 else phase, key, None, args
-                )
-        if pending and in_use < capacity:
-            self._ensure_pass(max(phase, pending[0][0]) + 1)
-
-
 class Fabric:
     """Connects NIC ports over a topology with wormhole timing."""
 
@@ -246,7 +89,7 @@ class Fabric:
         self._handlers: dict[int, DeliveryHandler] = {}
         self._bandwidth = params.bandwidth_bytes_per_us
         self._domain = ArbitrationDomain(sim)
-        self._links: dict[tuple[str, str], LinkArbiter] = {}
+        self._links: dict[tuple[str, str], ArbitratedResource] = {}
         # Topologies are immutable for the lifetime of a simulation, so
         # the route, its arbitrated link resources, the size-independent
         # head latency, and the elided delta-phase count are memoized
@@ -341,12 +184,14 @@ class Fabric:
             raise ValueError(f"port {port} already attached")
         self._handlers[port] = handler
 
-    def _link(self, a: str, b: str) -> LinkArbiter:
+    def _link(self, a: str, b: str) -> ArbitratedResource:
         key = (a, b)
         res = self._links.get(key)
         if res is None:
-            capacity = self.topology.link_capacity(a, b)
-            res = LinkArbiter(self.sim, self._domain, capacity, name=f"link:{a}->{b}")
+            res = ArbitratedResource(
+                self.sim, self.topology.link_capacity(a, b),
+                name=f"link:{a}->{b}", domain=self._domain,
+            )
             self._links[key] = res
         return res
 
@@ -426,8 +271,8 @@ class Fabric:
             flow = self._flow_counters[flow_label] = [0, 0, 0]
         flow[0] += 1
         flow[1] += packet.size_bytes
-        # Wormhole path: claim each directional link in order (the link
-        # arbiters' passes hand the worm from one link to the next — no
+        # Wormhole path: claim each directional link in order (the
+        # links' passes hand the worm from one link to the next — no
         # per-packet Process, no per-hop callback), then let the whole
         # worm drain.  Head latency accrues after the claims, exactly as
         # a worm stalled mid-path holds its upstream channels.  The
@@ -435,8 +280,8 @@ class Fabric:
         # along the path, and recomputing it per link was ~700k
         # redundant tuple builds per 1024-node point.  The worm's
         # traversal state lives in one mutable record, ``[packet, links,
-        # latency, next_idx, skip, complete]``, allocated once per
-        # packet.
+        # latency, next_idx, skip, fn]``, allocated once per packet; the
+        # drain releases the links and runs ``fn(packet)``.
         links, head, skip = self._route_entry(packet.src, packet.dst)
         latency = head + packet.size_bytes / self._bandwidth
         key = canonical_packet_key(packet)
@@ -461,27 +306,22 @@ class Fabric:
                 clone = packet.clone()
                 self._inject(
                     canonical_packet_key(clone),
-                    [clone, links, latency, 0, skip, self._complete],
+                    [clone, links, latency, 0, skip, self._finish],
                 )
             if decision.delay_us > 0.0:
                 tracer.count("wire.delayed")
                 self.sim.schedule_detached(
                     decision.delay_us, self._inject, key,
-                    [packet, links, latency, 0, skip, self._complete],
+                    [packet, links, latency, 0, skip, self._finish],
                 )
                 return
-        self._inject(key, [packet, links, latency, 0, skip, self._complete])
+        self._inject(key, [packet, links, latency, 0, skip, self._finish])
 
     def _inject(self, key: tuple, worm: list) -> None:
-        worm[1][0]._push(self.sim._phase, key, None, worm)
-
-    def _complete(self, packet: Packet, links: list) -> None:
-        """Tail of a delivery: free the path, hand over."""
-        for link in links:
-            link.release()
-        self._finish(packet)
+        worm[1][0]._push(self.sim._phase, key, None, None, worm)
 
     def _finish(self, packet: Packet) -> None:
+        """A delivery whose worm has drained and freed its path."""
         packet.delivered_at = self.sim.now
         self.delivered_count += 1
         if self.tracer.enabled:

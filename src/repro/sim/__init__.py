@@ -13,7 +13,8 @@ reproduction environment is offline.  It provides:
 - :class:`~repro.sim.resources.ArbitratedResource`,
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.PriorityStore` — synchronization
-  primitives used to model NIC processors, DMA engines, buses and queues.
+  primitives used to model NIC processors, DMA engines, buses, fabric
+  links and queues.
 - :class:`~repro.sim.trace.Tracer` — structured trace records and packet
   counters used by the experiment harnesses.
 

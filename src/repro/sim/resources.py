@@ -5,18 +5,22 @@
   not first-come-first-served on the event heap.  Every serialized unit
   of the model is one: the LANai processor polled by five
   control-program loops, the host CPU, the host's poller seats, the PCI
-  bus, and the Elan3 event unit, DMA engine and thread processor.
-  Clients use a unit in one of three ways, arbitrated alike in one
-  queue: ``request``/``release`` around arbitrary yields, a process's
-  :meth:`~ArbitratedResource.hold` (acquire → work → release as one
-  pass plus one completion call), or a callback's
-  :meth:`~ArbitratedResource.call` (the same task ending in a function
-  call instead of a resume).  A hold or call on a free single unit with
+  bus, the Elan3 event unit, DMA engine and thread processor, and each
+  directional link of the fabric.  Clients use a unit in one of four
+  ways, arbitrated alike in one queue: ``request``/``release`` around
+  arbitrary yields, a process's :meth:`~ArbitratedResource.hold`
+  (acquire → work → release as one pass plus one completion call), a
+  callback's :meth:`~ArbitratedResource.call` (the same task ending in
+  a function call instead of a resume), or a fabric worm's chain of
+  link claims.  A hold or call on a free single unit with
   nothing pending is an *express grant*: only its completion is
   scheduled, and a same-instant rival the pass would have preferred
   reverts it.  :meth:`~ArbitratedResource.spin` is a run of
   back-to-back tasks that parks once and is costed at the one task
   whose outcome can differ.
+- :class:`ArbitrationDomain` — runs the passes its resources need at
+  one instant and delta phase under one kernel event; the fabric's
+  links share one.
 - :class:`Store` — FIFO item queue.  Models token queues, event queues,
   host-visible words, packet FIFOs and free lists (the LANai's send
   packet buffers).  ``post``/``take`` is its one hand-off, event-free,
@@ -30,13 +34,54 @@
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import SimEvent
 from repro.sim.process import PARKED
+
+
+class ArbitrationDomain:
+    """One kernel event per (instant, delta phase) for a set of arbiters.
+
+    Every :class:`ArbitratedResource` of a domain that needs a phase-``p``
+    pass at the current instant is queued under ``p``, and a single
+    :meth:`Simulator.schedule_phase` event runs all their passes.  The
+    fabric's links share one domain: one event per link decision was a
+    third of all kernel traffic at 4096+ nodes.  Order within a pooled
+    link pass is observationally irrelevant: a phase-``p`` pass only
+    grants claims born in earlier phases, any claim a grant causes is
+    born in phase ``p`` or later (``p + skip`` past an elided climb) and
+    so decided at ``p+1`` at the earliest whichever link ran first, and
+    releases only arrive from timed (phase-0) events — no link's
+    decision can observe another's position in the list.  Every other
+    resource has a domain of its own, so its pass is its own event:
+    pooled with the links, a processor grant's follow-ups would
+    interleave differently with the link grants of the same pass, and
+    that order is proven irrelevant only for link decisions (DESIGN
+    §12).  The queues never leak across instants because every
+    scheduled call at a timestamp drains before the clock advances.
+    """
+
+    __slots__ = ("sim", "_queues")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._queues: dict[int, list] = {}
+
+    def _run(self, phase: int) -> None:
+        for arbiter in self._queues.pop(phase):
+            arbiter._pass(phase)
+
+
+def _drain_worm(worm: list) -> None:
+    """The tail of a fabric worm that holds every link of its route:
+    free the path, then hand the packet over (``fn(packet)``)."""
+    for link in worm[1]:
+        link.release()
+    worm[5](worm[0])
 
 
 class ArbitratedResource:
@@ -48,8 +93,20 @@ class ArbitratedResource:
     anything observable.  Here every request pools up and a decision
     pass runs one delta phase later (zero simulated time), granting free
     units in ``(birth phase, key, n)`` order, ``n`` being the arrival
-    number — the same scheme the fabric's
-    :class:`~repro.network.fabric.LinkArbiter` uses for link bandwidth.
+    number.  Every serialized unit of the model is one: the processors,
+    the PCI bus, the poller seats and each directional link of the
+    fabric.
+
+    *Arming.*  A pass is armed only while a unit is free, at
+    ``max(current phase, head birth) + 1``, the first phase that can
+    grant the head.  A claim on a full unit arms nothing (the release
+    that frees a unit does), and a head left over from an earlier
+    instant is decided at its birth phase + 1, with no pass at each
+    phase up to it.  Arming an earlier pass supersedes a later one,
+    which returns at once.  The grants and their phases are those of a
+    pass at every phase.  Passes run through an
+    :class:`ArbitrationDomain`: the fabric passes its one shared domain
+    to every link, and every other resource makes its own.
 
     ``key_fn`` maps the requesting process's name to an orderable key
     (default: the name itself); it defines the hardware's service
@@ -57,7 +114,7 @@ class ArbitratedResource:
     process name and memoized.  Requests made outside any process must
     pass an explicit ``key``, and a :meth:`call` always does.
 
-    Three ways to use a unit, arbitrated alike in one queue:
+    Four kinds of claim, arbitrated alike in one queue:
 
     - ``yield res.request()`` … ``res.release()`` — for a unit held
       across arbitrary yields (the host poller seat, the Elan DMA engine
@@ -72,6 +129,12 @@ class ArbitratedResource:
     - ``res.call(key, cost, fn, *args)`` — the same task for a callback
       chain: when granted, one detached call ``cost`` µs later releases
       the unit and runs ``fn(*args)``.
+    - A fabric worm, pushed with no waiter and its traversal record
+      ``[packet, links, latency, idx, skip, fn]`` (see
+      :meth:`~repro.network.fabric.Fabric.transmit`): the pass that
+      grants one link pushes the claim on the next, and once the worm
+      holds every link one detached call ``latency`` µs later releases
+      them all and runs ``fn(packet)``.
 
     *Express grant.*  A hold or call with ``cost > 0`` made at delta
     phase 0 on a free single-unit resource with nothing pending is
@@ -94,19 +157,26 @@ class ArbitratedResource:
     it.  See :meth:`spin`.
     """
 
+    __slots__ = (
+        "sim", "capacity", "name", "_domain", "_key_fn", "_keys",
+        "_hold_wait", "_in_use", "_pending", "_n",
+        "_pass_phase", "_express", "_spinner",
+    )
+
     def __init__(
         self,
         sim: Simulator,
         capacity: int = 1,
         name: Optional[str] = None,
         key_fn=None,
+        domain: Optional[ArbitrationDomain] = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
         self.name = name or "resource"
-        self._req_name = self.name + ".request"
+        self._domain = ArbitrationDomain(sim) if domain is None else domain
         self._key_fn = key_fn
         self._keys: Optional[dict[str, Any]] = {} if key_fn is not None else None
         # What a process queued in a hold reports as ``waiting_on``: a
@@ -120,18 +190,20 @@ class ArbitratedResource:
         # separates entries with identical keys and keeps the comparison
         # off the waiter.  A request's waiter is its event and its cost
         # None; a hold's waiter is the parked process and its args None;
-        # a call's waiter is its function.
+        # a call's waiter is its function; a worm's waiter and cost are
+        # None and its args are its traversal record.
         self._pending: list[tuple] = []
         self._n = 0
-        self._pass_phase = -1  # armed pass's phase; -1 when unarmed
+        # Phase of the live armed pass; -1 when unarmed.  An armed pass
+        # always runs at the instant it was armed (the domain's event
+        # lands at the current timestamp, and every same-time call
+        # drains before time advances), so it needs no time component.
+        self._pass_phase = -1
         # The express grant a same-instant rival may still revert, as
         # (instant, key, waiter, cost, args); None once completed.
         self._express: Optional[tuple] = None
-        self._express_done = self._finish_express  # bound once: hot path
         # The process parked in spin(), as (process, key, entry time,
-        # quantum, store); None when nobody spins.  Like an express
-        # grant it found nothing pending, so a rival that turns it back
-        # into a pending task queues it with arrival number 0.
+        # quantum, store); None when nobody spins.
         self._spinner: Optional[tuple] = None
 
     @property
@@ -154,7 +226,8 @@ class ArbitratedResource:
     def _enqueue(self, waiter: Any, key: Any, cost, args) -> None:
         sim = self.sim
         birth = sim._phase
-        if self._spinner is not None:
+        # A spin the rival finishes on the spot may park again.
+        while self._spinner is not None:
             self._rival_claims(birth)
         express = self._express
         if (
@@ -164,9 +237,41 @@ class ArbitratedResource:
             and key < express[1]
         ):
             self._revert(express)
+        self._push(birth, key, waiter, cost, args)
+
+    def _push(self, birth: int, key: Any, waiter: Any, cost, args) -> None:
         self._n += 1
-        heapq.heappush(self._pending, (birth, key, self._n, waiter, cost, args))
-        self._ensure_pass(birth + 1)
+        heappush(self._pending, (birth, key, self._n, waiter, cost, args))
+        if self._in_use < self.capacity:
+            # ``_arm(birth + 1)``, inlined: this is the hottest
+            # arbitration call (one per link per packet).
+            phase = birth + 1
+            armed = self._pass_phase
+            if armed < 0 or armed > phase:
+                self._pass_phase = phase
+                domain = self._domain
+                queue = domain._queues.get(phase)
+                if queue is None:
+                    domain._queues[phase] = [self]
+                    self.sim.schedule_phase(phase, domain._run, phase)
+                else:
+                    queue.append(self)
+
+    def _arm(self, phase: int) -> None:
+        # A live pass at this phase or earlier decides first and re-arms
+        # for whatever it leaves; otherwise arm one, superseding a later
+        # pass.
+        armed = self._pass_phase
+        if 0 <= armed <= phase:
+            return
+        self._pass_phase = phase
+        domain = self._domain
+        queue = domain._queues.get(phase)
+        if queue is None:
+            domain._queues[phase] = [self]
+            self.sim.schedule_phase(phase, domain._run, phase)
+        else:
+            queue.append(self)
 
     def _revert(self, express: tuple) -> None:
         # The pass would rank a same-instant rival first: undo the
@@ -180,7 +285,7 @@ class ArbitratedResource:
         self._in_use -= 1
         if args is None:  # a hold: its process waits for the pass
             waiter._waiting_on = self._queued_stand_in()
-        heapq.heappush(self._pending, (0, key, 0, waiter, cost, args))
+        heappush(self._pending, (0, key, 0, waiter, cost, args))
 
     def request(self, key: Any = None) -> SimEvent:
         if key is None:
@@ -191,7 +296,7 @@ class ArbitratedResource:
                     "explicit arbitration key"
                 )
             key = self._process_key(proc)
-        ev = SimEvent(self.sim, name=self._req_name)
+        ev = SimEvent(self.sim, name=self.name + ".request")
         self._enqueue(ev, key, None, None)
         return ev
 
@@ -219,7 +324,7 @@ class ArbitratedResource:
         ):
             self._in_use = 1
             self._express = express = (sim._now, key, proc, cost, None)
-            sim.schedule_detached(cost, self._express_done, express)
+            sim.schedule_detached(cost, self._finish_express, express)
         else:
             proc._waiting_on = self._queued_stand_in()
             self._enqueue(proc, key, cost, None)
@@ -241,7 +346,7 @@ class ArbitratedResource:
         ):
             self._in_use = 1
             self._express = express = (sim._now, key, fn, cost, args)
-            sim.schedule_detached(cost, self._express_done, express)
+            sim.schedule_detached(cost, self._finish_express, express)
             return
         if cost < 0:
             raise ValueError(f"{self.name}: negative call time {cost!r}")
@@ -250,7 +355,7 @@ class ArbitratedResource:
     def _queued_stand_in(self) -> SimEvent:
         wait = self._hold_wait
         if wait is None:
-            wait = self._hold_wait = SimEvent(self.sim, name=self._req_name)
+            wait = self._hold_wait = SimEvent(self.sim, name=self.name + ".request")
         return wait
 
     def _finish_express(self, express: tuple) -> None:
@@ -259,7 +364,8 @@ class ArbitratedResource:
         self._express = None
         self._in_use = 0
         if self._pending:
-            self._ensure_pass(1)  # a completion at a later instant: phase 0
+            # A completion at a later instant runs at phase 0.
+            self._arm(self._pending[0][0] + 1)
         waiter, args = express[2], express[4]
         if args is None:
             waiter._parked_in = None
@@ -309,11 +415,13 @@ class ArbitratedResource:
         from the entry instant, the float addition the kernel makes
         when a pass grants each task, and ``now + (t_k - now) == t_k``
         holds because a spin starts no earlier than ``quantum``.  A
-        rival at the entry instant and phase would have been weighed
-        against the first task by the pass, so it turns the spinner
-        back into that pending task instead, with its key and its
-        place in arrival order.  A spinner reports a ``<store>.post``
-        stand-in as ``waiting_on`` and cannot be interrupted.
+        rival claim at phase 0 exactly on a boundary finishes the spin
+        on the spot instead, as if the task ending there completed
+        first.  A rival at the entry instant and phase would have met
+        the first task as an express grant, so it turns the spin into
+        that grant, which it reverts if its key is lower.  A spinner
+        reports a ``<store>.post`` stand-in as ``waiting_on`` and cannot
+        be interrupted.
         """
         sim = self.sim
         proc = sim.active_process
@@ -329,18 +437,20 @@ class ArbitratedResource:
 
     def _rival_claims(self, phase: int) -> None:
         proc, key, entered, quantum, store = self._spinner
-        if phase or self.sim.now != entered:
-            self._wake_spinner()
+        sim = self.sim
+        if phase or sim.now != entered:
+            self._wake_spinner(rival=True)
             return
-        # Same instant and phase as the first task's request: pending,
-        # it goes to the pass with the rival, as a hold would have.
+        # Same instant and phase as the first task's claim, which found
+        # the unit free with nothing pending: it becomes that express
+        # grant.
         self._spinner = None
         store.unwatch()
-        self._in_use -= 1
-        proc._waiting_on = self._queued_stand_in()
-        heapq.heappush(self._pending, (0, key, 0, proc, quantum, None))
+        proc._waiting_on = None
+        self._express = express = (entered, key, proc, quantum, None)
+        sim.schedule_detached(quantum, self._finish_express, express)
 
-    def _wake_spinner(self) -> None:
+    def _wake_spinner(self, rival: bool = False) -> None:
         proc, _, boundary, quantum, store = self._spinner
         self._spinner = None
         store.unwatch()
@@ -363,7 +473,15 @@ class ArbitratedResource:
                 f"{delay!r} (now {now!r})"
             )
         proc._waiting_on = None
-        sim.schedule_detached(delay, self._finish_spin, proc, tasks)
+        if rival and not delay:
+            # A phase-0 rival on a boundary: the task ending here
+            # completes before the rival claims, one of the two orders
+            # the loop's completion and the claim may take.  A post
+            # stays scheduled: two posts on one boundary must both land
+            # before the sweep.
+            self._finish_spin(proc, tasks)
+        else:
+            sim.schedule_detached(delay, self._finish_spin, proc, tasks)
 
     def _finish_spin(self, proc, tasks: int) -> None:
         self.release()
@@ -371,36 +489,52 @@ class ArbitratedResource:
         proc._step(tasks, None)
 
     def release(self) -> None:
-        if self._in_use <= 0:
+        in_use = self._in_use
+        if in_use <= 0:
             raise RuntimeError(f"{self.name}: release without matching request")
-        self._in_use -= 1
-        if self._pending:
-            self._ensure_pass(self.sim.current_phase + 1)
-
-    def _ensure_pass(self, phase: int) -> None:
-        # An armed pass always fires at the instant it was armed (see
-        # LinkArbiter._ensure_pass), so the guard needs no time component.
-        if self._pass_phase >= phase:
-            return
-        self._pass_phase = phase
-        self.sim.schedule_phase(phase, self._pass, phase)
+        self._in_use = in_use - 1
+        pending = self._pending
+        if pending:
+            self._arm(max(self.sim._phase, pending[0][0]) + 1)
 
     def _pass(self, phase: int) -> None:
+        if phase != self._pass_phase:
+            return  # superseded by an earlier pass
         self._pass_phase = -1
         pending = self._pending
-        while pending and self._in_use < self.capacity and pending[0][0] < phase:
-            _, _, _, waiter, cost, args = heapq.heappop(pending)
-            self._in_use += 1
-            if cost is None:
+        capacity = self.capacity
+        # ``in_use`` can be cached across the loop: no grant releases a
+        # unit synchronously (a granted request's event and every
+        # completion are scheduled; a granted worm claims other links).
+        in_use = self._in_use
+        while in_use < capacity and pending and pending[0][0] < phase:
+            _, key, _, waiter, cost, args = heappop(pending)
+            in_use += 1
+            self._in_use = in_use
+            if waiter is None:
+                # A fabric worm: claim its next link or, holding them
+                # all, let it drain.  Past an elided route's injection
+                # hop the claim is born ``skip`` phases on: the phase at
+                # which it would reach that link after crossing the free
+                # up-edges one phase each.
+                links = args[1]
+                idx = args[3] + 1
+                if idx == len(links):
+                    self.sim.schedule_detached(args[2], _drain_worm, args)
+                else:
+                    args[3] = idx
+                    links[idx]._push(
+                        phase + args[4] if idx == 1 else phase, key,
+                        None, None, args,
+                    )
+            elif cost is None:
                 waiter.succeed(self)
             else:
                 if args is None:
                     waiter._waiting_on = None
                 self.sim.schedule_detached(cost, self._finish, waiter, args)
-        if pending and self._in_use < self.capacity:
-            # Only same-phase births remain; decide them next phase so
-            # no same-instant contender is missed.
-            self._ensure_pass(phase + 1)
+        if pending and in_use < capacity:
+            self._arm(max(phase, pending[0][0]) + 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -555,10 +689,10 @@ class PriorityStore(Store):
     def _do_put(self, pair: Any) -> None:
         priority, item = pair
         self._seq += 1
-        heapq.heappush(self._heap, (priority, self._seq, item))
+        heappush(self._heap, (priority, self._seq, item))
 
     def _do_get(self) -> Any:
-        return heapq.heappop(self._heap)[2]
+        return heappop(self._heap)[2]
 
     @property
     def items(self) -> tuple:

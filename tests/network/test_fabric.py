@@ -4,6 +4,7 @@ import pytest
 
 from repro.network import Fabric, FaultInjector, Packet, PacketKind, WireParams
 from repro.sim import Simulator
+from repro.sim.resources import ArbitratedResource, ArbitrationDomain
 from repro.topology import ClosTopology, QuaternaryFatTree
 
 PARAMS = WireParams(
@@ -169,32 +170,36 @@ def test_arbitration_adds_no_simulated_time_when_uncontended():
 def test_same_phase_link_decisions_share_one_kernel_event():
     """The arbitration domain pools every same-(instant, phase) link
     decision under a single scheduled call — the event-count win that
-    makes 16k-node sweeps affordable — without changing grant results."""
-    from repro.network.fabric import ArbitrationDomain, LinkArbiter
-
+    makes 16k-node sweeps affordable — without changing grant results.
+    A resource built without a domain has one of its own, so its pass
+    stays its own kernel event."""
     sim = Simulator()
     domain = ArbitrationDomain(sim)
-    a = LinkArbiter(sim, domain, 1, "a")
-    b = LinkArbiter(sim, domain, 1, "b")
+    a = ArbitratedResource(sim, 1, "a", domain=domain)
+    b = ArbitratedResource(sim, 1, "b", domain=domain)
     granted = []
     base = sim.events_scheduled
-    a.request(("k",), granted.append, "a")
-    b.request(("k",), granted.append, "b")
+    a.request(("k",)).add_callback(lambda _: granted.append("a"))
+    b.request(("k",)).add_callback(lambda _: granted.append("b"))
     # Two same-phase requests on two links arm exactly one decision event.
     assert sim.events_scheduled == base + 1
     sim.run()
     assert granted == ["a", "b"]
 
+    c = ArbitratedResource(sim, 1, "c")
+    d = ArbitratedResource(sim, 1, "d")
+    base = sim.events_scheduled
+    c.request(("k",))
+    d.request(("k",))
+    assert sim.events_scheduled == base + 2
+
 
 def test_pooled_pass_still_grants_in_canonical_order_per_link():
-    from repro.network.fabric import ArbitrationDomain, LinkArbiter
-
     sim = Simulator()
-    domain = ArbitrationDomain(sim)
-    link = LinkArbiter(sim, domain, 1, "l")
+    link = ArbitratedResource(sim, 1, "l", domain=ArbitrationDomain(sim))
     granted = []
-    link.request(("z",), granted.append, "z")
-    link.request(("a",), granted.append, "a")
+    link.request(("z",)).add_callback(lambda _: granted.append("z"))
+    link.request(("a",)).add_callback(lambda _: granted.append("a"))
     sim.run()
     assert granted == ["a"]  # canonical key wins; "z" waits for release
     link.release()
@@ -291,50 +296,73 @@ def test_elided_route_schedules_one_event_per_link_decision():
     assert inboxes[63] == [pkt]
 
 
-def _link(capacity=1):
-    from repro.network.fabric import ArbitrationDomain, LinkArbiter
+class _PassLog(Simulator):
+    """Logs ``(now, phase)`` of every decision pass an arbitration
+    domain schedules."""
 
-    sim = Simulator()
-    return sim, LinkArbiter(sim, ArbitrationDomain(sim), capacity, "l")
+    def __init__(self):
+        super().__init__()
+        self.passes = []
+
+    def schedule_phase(self, phase, fn, *args):
+        if isinstance(getattr(fn, "__self__", None), ArbitrationDomain):
+            self.passes.append((self.now, phase))
+        super().schedule_phase(phase, fn, *args)
 
 
-def test_request_on_full_link_schedules_nothing_until_release():
-    sim, link = _link()
-    grants = []
+def _unit(kind):
+    """A capacity-1 unit and ``claim(key, tag, hold_us)``, made at the
+    current instant and phase, that keeps the unit ``hold_us``.  The log
+    gets ``(tag, grant instant)``.  A ``"link"`` is a link in a shared
+    domain whose request's grant schedules its release; a ``"cpu"`` is
+    a standalone processor given a task by ``call``, the callback form
+    of ``hold``, whose completion logs the grant."""
+    sim = _PassLog()
+    log = []
+    if kind == "link":
+        unit = ArbitratedResource(sim, 1, "l", domain=ArbitrationDomain(sim))
 
-    def grant(tag):
-        grants.append((tag, sim.now, sim.current_phase))
+        def claim(key, tag, hold_us):
+            def granted(_event):
+                log.append((tag, sim.now))
+                sim.schedule(hold_us, unit.release)
 
-    link.request(("a",), grant, "a")
-    sim.schedule(0.5, link.request, ("b",), grant, "b")
-    base = sim.events_scheduled
-    sim.run(until=0.75)
-    assert sim.events_scheduled == base  # the link is full: no pass
-    sim.schedule(0.25, link.release)
+            unit.request(key).add_callback(granted)
+    else:
+        unit = ArbitratedResource(sim, 1, "cpu")
+
+        def claim(key, tag, hold_us):
+            unit.call(key, hold_us, lambda: log.append((tag, sim.now - hold_us)))
+
+    return sim, unit, claim, log
+
+
+@pytest.mark.parametrize("kind", ["link", "cpu"])
+def test_request_on_full_link_schedules_nothing_until_release(kind):
+    """A claim on a full unit arms no pass: the release that frees the
+    unit arms the one that grants it.  The CPU takes its first task as
+    an express grant, with no pass at all."""
+    sim, _, claim, log = _unit(kind)
+    claim(("a",), "a", 1.0)
+    sim.schedule(0.5, claim, ("b",), "b", 0.25)
     sim.run()
-    assert grants == [("a", 0.0, 1), ("b", 1.0, 1)]
-    assert sim.events_scheduled == base + 2  # the release and one pass
+    assert log == [("a", 0.0), ("b", 1.0)]
+    first = [(0.0, 1)] if kind == "link" else []
+    assert sim.passes == first + [(1.0, 1)]
 
 
-def test_leftover_request_is_decided_at_its_birth_phase_without_walking():
-    """A request born at phase 5 of an earlier instant on a full link is
+@pytest.mark.parametrize("kind", ["link", "cpu"])
+def test_leftover_request_is_decided_at_its_birth_phase_without_walking(kind):
+    """A request born at phase 5 of an earlier instant on a full unit is
     granted after the release at phase 6, by the one pass that can
     grant it (a pass at every phase 1..6 used to walk up to it)."""
-    sim, link = _link()
-    grants = []
-
-    def grant(tag):
-        grants.append((tag, sim.now, sim.current_phase, sim.events_scheduled))
-
-    link.request(("a",), grant, "a")
-    sim.schedule_phase(5, link.request, ("b",), grant, "b")
+    sim, _, claim, log = _unit(kind)
+    claim(("a",), "a", 1.0)
+    sim.schedule_phase(5, claim, ("b",), "b", 0.25)
     sim.run()
-    assert grants == [("a", 0.0, 1, 2)]
-    sim.schedule(1.0, link.release)
-    released = sim.events_scheduled
-    sim.run()
-    assert grants[1][:3] == ("b", 1.0, 6)
-    assert grants[1][3] - released == 1
+    assert log == [("a", 0.0), ("b", 1.0)]
+    first = [(0.0, 1)] if kind == "link" else []
+    assert sim.passes == first + [(1.0, 6)]
 
 
 def test_cross_instant_births_compare_as_bare_phases():
@@ -342,22 +370,15 @@ def test_cross_instant_births_compare_as_bare_phases():
     instants, so a worm waiting since t=1 (born at phase 5, smaller
     key) loses the freed link at t=2 to a newcomer born at phase 2.
     Changing this moves simulated results; see DESIGN.md section 12."""
-    sim, link = _link()
-    grants = []
-
-    def grant(tag):
-        grants.append((tag, sim.now, sim.current_phase))
-
-    link.request(("holder",), grant, "holder")
-    sim.schedule(1.0, sim.schedule_phase, 5, link.request, ("a",), grant, "waiter")
-
-    def at_two():
-        link.release()
-        sim.schedule_phase(2, link.request, ("b",), grant, "newcomer")
-
-    sim.schedule(2.0, at_two)
-    sim.run()
-    assert grants == [("holder", 0.0, 1), ("newcomer", 2.0, 3)]
+    sim, link, claim, log = _unit("link")
+    claim(("holder",), "holder", 2.0)
+    sim.schedule(1.0, sim.schedule_phase, 5, claim, ("a",), "waiter", 1.0)
+    sim.schedule(2.0, sim.schedule_phase, 2, claim, ("b",), "newcomer", 1.0)
+    sim.run(until=2.5)
+    assert log == [("holder", 0.0), ("newcomer", 2.0)]
+    # The release arms the waiter's pass at phase 6; the newcomer's
+    # pass at phase 3 supersedes it, and it returns without deciding.
+    assert sim.passes == [(0.0, 1), (2.0, 6), (2.0, 3)]
     assert link._pending[0][:2] == (5, ("a",))
 
 

@@ -537,9 +537,9 @@ class TestArbitratedHold:
             return order, sim.events_scheduled - 2 * len(names)
 
         assert run(["rx"]) == ([(1.0, "rx")], 1)
-        # rx: completion; sdma: a pass finding the unit busy, the pass
-        # at rx's release, its completion.
-        assert run(["rx", "sdma"]) == ([(1.0, "rx"), (2.0, "sdma")], 4)
+        # rx: completion; sdma, queued on the busy unit, arms no pass:
+        # the pass at rx's release, its completion.
+        assert run(["rx", "sdma"]) == ([(1.0, "rx"), (2.0, "sdma")], 3)
         # sdma's express completion (voided by the revert), the pass
         # granting rx, rx's completion, the pass at rx's release and
         # sdma's completion.
