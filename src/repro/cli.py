@@ -68,6 +68,18 @@ def _check_fits(profile_name: str, nodes: int, flag: str):
     return profile
 
 
+def _check_barrier(profile, barrier: str) -> None:
+    """Refuse a barrier scheme the profile's network does not offer."""
+    from repro.cluster.runner import MYRINET_BARRIERS, QUADRICS_BARRIERS
+
+    valid = MYRINET_BARRIERS if profile.network == "myrinet" else QUADRICS_BARRIERS
+    if barrier not in valid:
+        raise _UsageError(
+            f"argument --barrier: {barrier!r} is not a {profile.network} "
+            f"barrier (profile {profile.name}); choose from {', '.join(valid)}"
+        )
+
+
 def _cmd_profiles(args: argparse.Namespace) -> int:
     from repro.cluster import PROFILES
 
@@ -80,6 +92,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.cluster import build_cluster, run_barrier_experiment
 
     profile = _check_fits(args.profile, args.nodes, "--nodes")
+    _check_barrier(profile, args.barrier)
     cluster = build_cluster(profile, args.nodes)
     result = run_barrier_experiment(
         cluster,
@@ -121,9 +134,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "-n/--nodes",
     )
     if profile.network != args.network:
-        print(f"profile {profile.name} is not a {args.network} profile", file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"argument --profile: profile {profile.name} is not a "
+            f"{args.network} profile"
+        )
     barrier = args.barrier or _TRACE_DEFAULT_BARRIER[args.network]
+    _check_barrier(profile, barrier)
 
     tracer = Tracer(enabled=True)
     cluster = build_cluster(profile, args.nodes, tracer=tracer)

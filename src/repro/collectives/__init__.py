@@ -6,7 +6,11 @@ Layout:
   schedules of §5: gather-broadcast, pairwise-exchange, dissemination.
 - :mod:`~repro.collectives.group` — process groups (rank ↔ node maps).
 - :mod:`~repro.collectives.messages` — wire messages and host
-  notifications of the NIC collectives.
+  notifications of the NIC collectives, and
+  :class:`~repro.collectives.messages.CollectiveRequest`, the one
+  request handle for a NIC collective on either network (``wait`` /
+  ``test`` / ``spin`` over the port's ``recv_matching`` /
+  ``poll_matching`` / ``spin_matching``).
 - :mod:`~repro.collectives.engine` — the one NIC sequence engine every
   Myrinet collective runs on: the per-sequence record (the single send
   record with a bit vector, §6.3), the lifecycle automaton, and the
@@ -18,7 +22,8 @@ Layout:
 - :mod:`~repro.collectives.host_barrier` — host-based barrier over GM
   send/recv (the baseline of Figs. 5-6).
 - :mod:`~repro.collectives.quadrics_barrier` — NIC-based barrier over
-  chained RDMA descriptors on Elan3 (§7).
+  chained RDMA descriptors on Elan3 (§7); its ``ibarrier`` returns the
+  same request handle.
 - :mod:`~repro.collectives.schedule_ir` — the compiled collective
   schedule IR (ordered send/recv/reduce/dma ops per rank) the engine
   replays; cached process-wide and per group.
@@ -46,7 +51,6 @@ from repro.collectives.failures import (
 from repro.collectives.group import (
     GroupIdAllocator,
     ProcessGroup,
-    reset_group_ids,
 )
 from repro.collectives.membership import MembershipView, PeerDead
 from repro.collectives.messages import (
@@ -58,12 +62,12 @@ from repro.collectives.messages import (
     BcastDone,
     BcastMsg,
     CollectiveFailure,
+    CollectiveRequest,
     DataCollDone,
     DataCollFailed,
 )
 from repro.collectives.engine import (
     SEQUENCE_AUTOMATON,
-    CollectiveRequest,
     NicBroadcastEngine,
     NicCollectiveBarrierEngine,
     NicDirectBarrierEngine,
@@ -124,7 +128,6 @@ __all__ = [
     "make_schedule",
     "ProcessGroup",
     "GroupIdAllocator",
-    "reset_group_ids",
     "BarrierMsg",
     "BarrierNack",
     "BarrierDone",

@@ -89,9 +89,9 @@ def is_revocation(reason: str) -> bool:
 class Revoked(BarrierFailure):
     """A collective was aborted because its process-group epoch died.
 
-    Raised by the host-side interpreters (``interpret_collective`` for
-    every Myrinet NIC collective, the Quadrics chained-barrier waiter)
-    whenever a sequence resolves with
+    Raised by the one host-side interpreter (``interpret_collective``,
+    behind every NIC collective's request on both networks) whenever a
+    sequence resolves with
     :attr:`FailureReason.GROUP_REVOKED`, so callers can distinguish
     "your epoch died, repair and resume" from a wire-level failure with
     a single ``except Revoked`` while generic ``except BarrierFailure``

@@ -49,11 +49,6 @@ class GroupIdAllocator:
 _default_allocator = GroupIdAllocator()
 
 
-def reset_group_ids() -> None:
-    """Reset the fallback allocator to fresh-process numbering."""
-    _default_allocator.reset()
-
-
 #: (collective, algorithm, model_n, payload) -> model-check findings.
 _model_verdicts: dict[tuple, list] = {}
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from repro.collectives.failures import FailureReason, Revoked
 from repro.collectives.group import ProcessGroup
-from repro.collectives.messages import BarrierDone, BarrierFailed, BarrierFailure
+from repro.collectives.messages import BarrierDone, BarrierFailed, CollectiveRequest
 from repro.quadrics.elan import RdmaDescriptor
 from repro.quadrics.elanlib import ElanPort
 
@@ -156,8 +156,11 @@ class _RemoteWaitView:
 class QuadricsChainedBarrier:
     """Per-rank chained-RDMA barrier driver (host object).
 
-    Build once per (port, group); call :meth:`barrier` with increasing
-    sequence numbers.
+    Build once per (port, group); call :meth:`ibarrier` or
+    :meth:`barrier` with increasing sequence numbers.  The host
+    contract is the Myrinet NIC barrier's: one call starts it, one
+    completion word ends it, and :meth:`ibarrier` returns the same
+    :class:`~repro.collectives.messages.CollectiveRequest`.
     """
 
     def __init__(self, port: ElanPort, group: ProcessGroup):
@@ -274,29 +277,16 @@ class QuadricsChainedBarrier:
         return self._done_event()
 
     # ------------------------------------------------------------------
-    def _matcher(self, seq: int):
-        return (
-            lambda ev: isinstance(ev, (BarrierDone, BarrierFailed))
-            and ev.group_id == self.group.group_id
-            and ev.seq == seq
-        )
-
-    def _interpret(self, event):
-        """Resolve a completion word to a result or a typed failure."""
-        self._outstanding.discard(getattr(event, "seq", -1))
-        if isinstance(event, BarrierFailed):
-            if event.reason == FailureReason.GROUP_REVOKED.value:
-                raise Revoked(
-                    event.group_id,
-                    event.seq,
-                    node=self.port.node_id,
-                    failed_at=event.failed_at,
-                )
-            raise BarrierFailure(
-                event.group_id, event.seq, event.reason, node=self.port.node_id
-            )
+    def _completed(self, done):
+        """Settle-time bookkeeping of a completed barrier (its
+        request's transform); ``done`` is the completion word, or
+        ``None`` for a single-rank group's empty chain.  A failure word
+        comes only from :meth:`revoke`, which closes the driver, so the
+        outstanding set is never read again after one."""
+        if done is not None:
+            self._outstanding.discard(done.seq)
         self.barriers_completed += 1
-        return event
+        return done
 
     def revoke(self):
         """Tear down this driver's epoch after a membership change.
@@ -326,13 +316,15 @@ class QuadricsChainedBarrier:
                 )
             )
 
-    def start_barrier(self, seq: int):
-        """Non-blocking half: arm the chain and trigger the head.
+    def ibarrier(self, seq: int):
+        """Post a barrier: arm the chain, trigger the head, and return
+        its :class:`~repro.collectives.messages.CollectiveRequest`.
 
         Event words are cumulative, so several sequences can be armed
         and in flight at once — arming always proceeds contiguously up
         through ``seq`` (thresholds are linear in the iteration count).
-        Pair with :meth:`wait_barrier`.
+        A single-rank group's chain is empty: its request is settled
+        at once, with result ``None``.
         """
         if self.closed:
             raise Revoked(
@@ -347,8 +339,10 @@ class QuadricsChainedBarrier:
         # One command crossing re-arms the descriptor list for this
         # iteration (the SRAM writes ride the same PIO burst).
         yield from port._command()
+        request = CollectiveRequest(port, "barrier", self.group, seq, self._completed)
         if not self.ops:
-            return
+            request._settle(None)
+            return request
         self._outstanding.add(seq)
         # Prearmed chains (see prearm_chained_group) skip the arm loop:
         # the thresholds are already in SRAM, only the head trigger and
@@ -363,106 +357,10 @@ class QuadricsChainedBarrier:
         # "The very first RDMA operation ... the host process triggers."
         for descriptor in head:
             nic.issue_rdma(descriptor)
-
-    def wait_barrier(self, seq: int):
-        """Blocking wait for a previously-started barrier.
-
-        Raises :class:`Revoked` when the group was revoked while the
-        barrier was in flight, :class:`BarrierFailure` on any other
-        failure word.
-        """
-        if not self.ops:
-            # Degenerate single-rank group: nothing to wait for.
-            self.barriers_completed += 1
-            return None
-        done = yield from self.port.wait_host_event(self._matcher(seq))
-        return self._interpret(done)
-
-    def ibarrier(self, seq: int):
-        """Post a barrier; returns a request handle with generator
-        ``wait()``/``test()`` methods (the Quadrics counterpart of
-        :class:`repro.collectives.engine.CollectiveRequest`)."""
-        yield from self.start_barrier(seq)
-        return QuadricsBarrierRequest(self, seq)
+        return request
 
     def barrier(self, seq: int):
-        """One barrier: arm the chain, trigger the head, await the tail."""
-        yield from self.start_barrier(seq)
-        done = yield from self.wait_barrier(seq)
-        return done
-
-
-class QuadricsBarrierRequest:
-    """Handle for one in-flight chained-RDMA barrier."""
-
-    def __init__(self, driver: QuadricsChainedBarrier, seq: int):
-        self.driver = driver
-        self.seq = seq
-        self.done = False
-        self.result = None
-        self.failure: Exception | None = None
-
-    def wait(self):
-        if self.done:
-            if self.failure is not None:
-                raise self.failure
-            return self.result
-        try:
-            self.result = yield from self.driver.wait_barrier(self.seq)
-        except (Revoked, BarrierFailure) as exc:
-            self.done = True
-            self.failure = exc
-            raise
-        self.done = True
-        return self.result
-
-    def test(self):
-        """One non-blocking poll: ``True`` iff the barrier resolved.
-
-        A barrier that resolved to a failure word raises the typed
-        failure (:class:`Revoked` / :class:`BarrierFailure`) — the
-        handle is *done*, not pending, so it never hangs.
-        """
-        if self.done:
-            if self.failure is not None:
-                raise self.failure
-            return True
-        driver = self.driver
-        if not driver.ops:
-            self.result = yield from driver.wait_barrier(self.seq)
-            self.done = True
-            return True
-        event = yield from driver.port.poll_host_event(driver._matcher(self.seq))
-        if event is None:
-            return False
-        self._settle(event)
-        return True
-
-    def spin(self):
-        """Poll until the barrier resolves; returns its result.
-
-        Exactly ``while not (yield from self.test()): pass``, with the
-        polls that find nothing fast-forwarded
-        (:meth:`~repro.host.demux.EventDemux.spin`)."""
-        driver = self.driver
-        if self.done or not driver.ops:
-            yield from self.test()
-            return self.result
-        event = yield from driver.port.spin_host_event(driver._matcher(self.seq))
-        self._settle(event)
-        return self.result
-
-    def _settle(self, event) -> None:
-        self.done = True
-        try:
-            self.result = self.driver._interpret(event)
-        except (Revoked, BarrierFailure) as exc:
-            self.failure = exc
-            raise
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "done" if self.done else "in-flight"
-        return (
-            f"<QuadricsBarrierRequest group={self.driver.group.group_id}"
-            f" seq={self.seq} {status}>"
-        )
+        """One barrier: :meth:`ibarrier`, then wait for the tail's
+        completion word (returned)."""
+        request = yield from self.ibarrier(seq)
+        return (yield from request.wait())

@@ -37,7 +37,6 @@ from repro.collectives import (
     nic_allgather,
     nic_allreduce,
     nic_alltoall,
-    nic_barrier,
     nic_broadcast_recv,
     nic_broadcast_root,
     nic_ibarrier,
@@ -220,19 +219,19 @@ class _RankComm:
         self._seqs[collective] = seq + 1
         return seq
 
+    def barrier(self):
+        """MPI_Barrier: :meth:`ibarrier`, then wait on its request."""
+        request = yield from self.ibarrier()
+        yield from request.wait()
+
 
 class MyrinetRankComm(_RankComm):
     """One rank's communicator handle on a Myrinet cluster."""
 
-    def barrier(self):
-        """MPI_Barrier over the NIC-based collective protocol."""
-        seq = self._next_seq("barrier")
-        yield from nic_barrier(self._port, self._ctx.barrier_group, seq)
-
     def ibarrier(self):
-        """MPI_Ibarrier: post the barrier, return a
-        :class:`~repro.collectives.engine.CollectiveRequest` with
-        generator ``test()``/``wait()`` methods."""
+        """MPI_Ibarrier over the NIC-based collective protocol: post
+        the barrier, return a
+        :class:`~repro.collectives.messages.CollectiveRequest`."""
         seq = self._next_seq("barrier")
         return (yield from nic_ibarrier(self._port, self._ctx.barrier_group, seq))
 
@@ -286,14 +285,9 @@ class QuadricsRankComm(_RankComm):
     def _driver(self) -> QuadricsChainedBarrier:
         return self._ctx.drivers[self.node]
 
-    def barrier(self):
-        seq = self._next_seq("barrier")
-        yield from self._driver().barrier(seq)
-
     def ibarrier(self):
-        """MPI_Ibarrier: returns a
-        :class:`~repro.collectives.quadrics_barrier.QuadricsBarrierRequest`
-        with generator ``test()``/``wait()`` methods."""
+        """MPI_Ibarrier over the chained-RDMA barrier: returns a
+        :class:`~repro.collectives.messages.CollectiveRequest`."""
         seq = self._next_seq("barrier")
         return (yield from self._driver().ibarrier(seq))
 

@@ -28,7 +28,7 @@ Public pieces:
 """
 
 from repro.myrinet.params import GmParams
-from repro.myrinet.structures import RecvToken, SendRecord, SendToken
+from repro.myrinet.structures import SendRecord, SendToken
 from repro.myrinet.nic import LanaiNic
 from repro.myrinet.mcp import ControlProgram
 from repro.myrinet.gm_api import GmPort, GmRecvEvent
@@ -37,7 +37,6 @@ __all__ = [
     "GmParams",
     "SendToken",
     "SendRecord",
-    "RecvToken",
     "LanaiNic",
     "ControlProgram",
     "GmPort",

@@ -71,11 +71,3 @@ class SendRecord:
         if self.timer is not None:
             self.timer.cancel()
             self.timer = None
-
-
-@dataclass
-class RecvToken:
-    """A host-posted receive buffer registration."""
-
-    buffer_bytes: int = 4096
-    token_id: int = field(default_factory=lambda: next(_token_ids))

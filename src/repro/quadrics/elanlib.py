@@ -3,7 +3,9 @@
 Provides the pieces the paper compares against and builds on:
 
 - :class:`ElanPort` — per-process handle: tport (tagged message) send /
-  receive, host-triggered RDMA, and host-event waiting.
+  receive, host-triggered RDMA, and host-event waiting (``GmPort``'s
+  ``recv_matching`` / ``poll_matching`` / ``spin_matching``, so one
+  request handle serves both networks).
 - :func:`elan_gsync` — the tree-based gather-broadcast barrier (what
   ``elan_gsync()`` does when hardware broadcast is unavailable).  This
   is the "Elan-Barrier" series in Fig. 7.
@@ -87,15 +89,17 @@ class ElanPort:
     # ------------------------------------------------------------------
     # Host events (completion notifications from the NIC)
     # ------------------------------------------------------------------
-    def wait_host_event(self, matches: Callable[[Any], bool]):
+    def recv_matching(self, matches: Callable[[Any], bool]):
+        """Block until a host event satisfying ``matches`` arrives;
+        events nobody wants yet are buffered for later calls (see
+        :class:`~repro.host.demux.EventDemux`)."""
         return self._host_events.recv(matches)
 
-    def poll_host_event(self, matches: Callable[[Any], bool]):
-        """One non-blocking poll for a host event: the matching event or
-        ``None`` (the ``test`` half of a non-blocking chained barrier)."""
+    def poll_matching(self, matches: Callable[[Any], bool]):
+        """One non-blocking poll: the matching host event or ``None``."""
         return self._host_events.poll(matches)
 
-    def spin_host_event(self, matches: Callable[[Any], bool]):
+    def spin_matching(self, matches: Callable[[Any], bool]):
         """Poll until a matching host event arrives (see
         :meth:`~repro.host.demux.EventDemux.spin`)."""
         return self._host_events.spin(matches)
@@ -148,13 +152,13 @@ def elan_gsync(
     down_word = (f"{event_prefix}-down", seq)
     if children:
         nic.arm_host_notify(up_event, (seq + 1) * len(children), value=up_word)
-        yield from port.wait_host_event(lambda ev: ev == up_word)
+        yield from port.recv_matching(lambda ev: ev == up_word)
     if parent is not None:
         yield from port.trigger_rdma(
             RdmaDescriptor(dst=ranks[parent], remote_event=up_event)
         )
         nic.arm_host_notify(down_event, seq + 1, value=down_word)
-        yield from port.wait_host_event(lambda ev: ev == down_word)
+        yield from port.recv_matching(lambda ev: ev == down_word)
     for child in children:
         yield from port.trigger_rdma(
             RdmaDescriptor(dst=ranks[child], remote_event=down_event)
@@ -217,7 +221,7 @@ def elan_hw_broadcast(
             ),
             targets=ranks,
         )
-    yield from port.wait_host_event(lambda ev: ev == event_word)
+    yield from port.recv_matching(lambda ev: ev == event_word)
     return nic.rdma_mailbox.get(event_name)
 
 

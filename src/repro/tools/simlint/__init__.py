@@ -51,7 +51,6 @@ from repro.tools.simlint.quiescence import (
     QuiescenceReport,
     WaitEdge,
     check_quiescent,
-    run_and_check,
 )
 from repro.tools.simlint.runner import (
     EXIT_CLEAN,
@@ -64,7 +63,6 @@ from repro.tools.simlint.runner import (
 from repro.tools.simlint.static_rules import (
     analyze_file,
     analyze_source,
-    analyze_tree,
 )
 
 __all__ = [
@@ -88,7 +86,6 @@ __all__ = [
     "all_scheme_reports",
     "analyze_file",
     "analyze_source",
-    "analyze_tree",
     "check_archive_bound",
     "check_quiescent",
     "collect_static_findings",
@@ -98,7 +95,6 @@ __all__ = [
     "ir_grid",
     "model_check_schedule",
     "perturb_barrier_experiment",
-    "run_and_check",
     "run_ir_verify",
     "verify_schedule",
 ]

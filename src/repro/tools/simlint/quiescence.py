@@ -28,7 +28,7 @@ the deadlock scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.tools.simlint.findings import Finding
 
@@ -300,13 +300,3 @@ def check_quiescent(
         ))
     report.findings.sort(key=Finding.sort_key)
     return report
-
-
-def run_and_check(
-    cluster,
-    must_complete: Iterable[str] = (),
-    until: Optional[float] = None,
-) -> QuiescenceReport:
-    """Convenience: drive the cluster's simulator, then audit it."""
-    cluster.sim.run(until=until)
-    return check_quiescent(cluster, must_complete=must_complete)

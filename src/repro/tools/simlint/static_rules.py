@@ -633,11 +633,3 @@ def analyze_source(source: str, relpath: str) -> list[Finding]:
 def analyze_file(path: Path, root: Path) -> list[Finding]:
     relpath = path.relative_to(root).as_posix()
     return analyze_source(path.read_text(), relpath)
-
-
-def analyze_tree(root: Path) -> list[Finding]:
-    """Lint every ``*.py`` file under ``root`` (the ``repro`` package dir)."""
-    findings: list[Finding] = []
-    for path in sorted(root.rglob("*.py")):
-        findings.extend(analyze_file(path, root))
-    return findings

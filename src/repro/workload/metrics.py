@@ -10,7 +10,7 @@ suffering; 1/k = one of k jobs absorbs all the contention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
@@ -97,16 +97,6 @@ def attach_baseline(metrics: JobMetrics, silent: JobMetrics) -> None:
         metrics.slowdown = metrics.mean_us / silent.mean_us
     if silent.p99_us > 0:
         metrics.p99_ratio = metrics.p99_us / silent.p99_us
-
-
-@dataclass
-class WorkloadTables:
-    """Rendered per-job latency / slowdown tables."""
-
-    lines: list[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        return "\n".join(self.lines)
 
 
 def format_job_table(jobs: Sequence[JobMetrics], fairness: float) -> str:

@@ -103,10 +103,8 @@ class TestGiveUp:
         recv_matching) dangling forever."""
         import dataclasses
 
-        from repro.collectives.engine import (
-            RETRY_BUDGET_EXHAUSTED,
-            CollectiveFailure,
-        )
+        from repro.collectives.engine import RETRY_BUDGET_EXHAUSTED
+        from repro.collectives.messages import CollectiveFailure
         from tests.myrinet.conftest import TEST_GM
 
         gm = dataclasses.replace(TEST_GM, max_retries=3, nack_timeout_us=50.0)

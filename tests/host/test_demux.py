@@ -12,7 +12,7 @@ def _gm(cluster, node):
 
 def _elan_host_events(cluster, node):
     port = cluster.ports[node]
-    return port.nic.host_events, port.wait_host_event, port.poll_host_event
+    return port.nic.host_events, port.recv_matching, port.poll_matching
 
 
 PORTS = {

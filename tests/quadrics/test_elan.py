@@ -93,7 +93,7 @@ def test_arm_host_notify_delivers_to_host(qcluster):
         yield from qc.ports[0].trigger_rdma(RdmaDescriptor(dst=1, remote_event="done"))
 
     def waiter():
-        ev = yield from qc.ports[1].wait_host_event(lambda e: e == ("barrier", 7))
+        ev = yield from qc.ports[1].recv_matching(lambda e: e == ("barrier", 7))
         got.append((ev, qc.sim.now))
 
     run(qc, sender(), waiter())

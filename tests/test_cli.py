@@ -97,12 +97,15 @@ def test_trace_myrinet(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_trace_rejects_profile_network_mismatch(tmp_path):
-    code = main([
-        "trace", "--network", "myrinet", "--profile", "elan3_piii700",
-        "--out", str(tmp_path / "t.json"),
-    ])
-    assert code == 2
+def test_trace_rejects_profile_network_mismatch(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "trace", "--network", "myrinet", "--profile", "elan3_piii700",
+            "--out", str(tmp_path / "t.json"),
+        ])
+    assert exc.value.code == 2
+    assert "error: argument --profile" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_cache_stats_empty(capsys):
@@ -262,6 +265,17 @@ def test_jobs_must_be_positive(command, jobs, capsys):
     (["chaos", "-n", "5000"], "-n/--nodes"),
     (["chaos", "--fuzz", "-n", "1"], "-n/--nodes"),
     (["chaos", "--fuzz", "-n", "3"], "-n/--nodes"),
+    # A barrier scheme, or a profile, of the other network.
+    (["run", "--profile", "lanai_xp_xeon2400", "--barrier", "gsync",
+      "--nodes", "4", "--iterations", "2", "--warmup", "1"], "--barrier"),
+    (["run", "--profile", "elan3_piii700", "--barrier", "nic-collective",
+      "--nodes", "4"], "--barrier"),
+    (["trace", "--network", "myrinet", "--barrier", "gsync", "-n", "4"],
+     "--barrier"),
+    (["trace", "--network", "quadrics", "--barrier", "host", "-n", "4"],
+     "--barrier"),
+    (["trace", "--network", "myrinet", "--profile", "elan3_piii700"],
+     "--profile"),
 ])
 def test_bad_sizes_are_usage_errors(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
