@@ -31,7 +31,7 @@ NODES = 8
 
 
 def one_barrier(engine_cls, faults=None, nack_timeout=None):
-    tracer = Tracer(enabled=True, categories={"wire"})
+    tracer = Tracer(enabled=True)
     cluster = build_myrinet_cluster(
         "lanai_xp_xeon2400", nodes=NODES, tracer=tracer, faults=faults
     )

@@ -290,11 +290,6 @@ class Fabric:
             if decision.drop:
                 tracer.count("wire.dropped")
                 flow[2] += 1
-                if tracer.enabled:
-                    tracer.record(
-                        self.sim.now, "wire", f"nic{packet.src}", "DROPPED",
-                        pkt=packet.wire_id,
-                    )
                 return
             if decision.corrupt:
                 packet.corrupted = True
@@ -325,18 +320,6 @@ class Fabric:
         packet.delivered_at = self.sim.now
         self.delivered_count += 1
         if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "wire",
-                f"nic{packet.src}",
-                f"delivered {packet.kind} to nic{packet.dst}",
-                pkt=packet.wire_id,
-                kind=packet.kind,
-                src=packet.src,
-                dst=packet.dst,
-                sent_at=packet.sent_at,
-                size=packet.size_bytes,
-            )
             self.tracer.add_span(
                 packet.sent_at,
                 self.sim.now,

@@ -15,8 +15,8 @@ reproduction environment is offline.  It provides:
   :class:`~repro.sim.resources.PriorityStore` — synchronization
   primitives used to model NIC processors, DMA engines, buses, fabric
   links and queues.
-- :class:`~repro.sim.trace.Tracer` — structured trace records and packet
-  counters used by the experiment harnesses.
+- :class:`~repro.sim.trace.Tracer` — finished spans and packet counters
+  used by the experiment harnesses.
 
 Determinism: all same-timestamp events are processed in FIFO scheduling
 order (a monotonically increasing sequence number breaks ties), so a
@@ -31,7 +31,7 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process, Interrupt
 from repro.sim.resources import ArbitratedResource, Store, PriorityStore
-from repro.sim.trace import Span, StatAccumulator, Tracer, TraceRecord, TraceTruncated
+from repro.sim.trace import Span, Tracer, TraceTruncated
 from repro.sim.rng import DeterministicRng
 
 __all__ = [
@@ -46,9 +46,7 @@ __all__ = [
     "Store",
     "PriorityStore",
     "Span",
-    "StatAccumulator",
     "Tracer",
-    "TraceRecord",
     "TraceTruncated",
     "DeterministicRng",
 ]

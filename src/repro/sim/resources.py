@@ -160,7 +160,7 @@ class ArbitratedResource:
     __slots__ = (
         "sim", "capacity", "name", "_domain", "_key_fn", "_keys",
         "_hold_wait", "_in_use", "_pending", "_n",
-        "_pass_phase", "_express", "_spinner",
+        "_pass_phase", "_express", "_spinner", "_spin_end",
     )
 
     def __init__(
@@ -205,6 +205,9 @@ class ArbitratedResource:
         # The process parked in spin(), as (process, key, entry time,
         # quantum, store); None when nobody spins.
         self._spinner: Optional[tuple] = None
+        # The completion a post scheduled on the boundary it landed on,
+        # as (process, tasks); None once it ran.
+        self._spin_end: Optional[tuple] = None
 
     @property
     def in_use(self) -> int:
@@ -226,6 +229,10 @@ class ArbitratedResource:
     def _enqueue(self, waiter: Any, key: Any, cost, args) -> None:
         sim = self.sim
         birth = sim._phase
+        if self._spin_end is not None:
+            # A rival at the boundary a post woke the spinner on: the
+            # completion due here runs first, as a parked spin's does.
+            self._end_spin(self._spin_end)
         # A spin the rival finishes on the spot may park again.
         while self._spinner is not None:
             self._rival_claims(birth)
@@ -417,11 +424,13 @@ class ArbitratedResource:
         holds because a spin starts no earlier than ``quantum``.  A
         rival claim at phase 0 exactly on a boundary finishes the spin
         on the spot instead, as if the task ending there completed
-        first.  A rival at the entry instant and phase would have met
-        the first task as an express grant, so it turns the spin into
-        that grant, which it reverts if its key is lower.  A spinner
-        reports a ``<store>.post`` stand-in as ``waiting_on`` and cannot
-        be interrupted.
+        first; so does one that comes after a post on that boundary
+        woke the spin, before the completion it scheduled.  A rival at
+        the entry instant and phase would have met the first task as an
+        express grant, so it turns the spin into that grant, which it
+        reverts if its key is lower.  A spinner reports a
+        ``<store>.post`` stand-in as ``waiting_on`` and cannot be
+        interrupted.
         """
         sim = self.sim
         proc = sim.active_process
@@ -473,15 +482,24 @@ class ArbitratedResource:
                 f"{delay!r} (now {now!r})"
             )
         proc._waiting_on = None
-        if rival and not delay:
+        if delay:
+            sim.schedule_detached(delay, self._finish_spin, proc, tasks)
+        elif rival:
             # A phase-0 rival on a boundary: the task ending here
             # completes before the rival claims, one of the two orders
-            # the loop's completion and the claim may take.  A post
-            # stays scheduled: two posts on one boundary must both land
-            # before the sweep.
+            # the loop's completion and the claim may take.
             self._finish_spin(proc, tasks)
         else:
-            sim.schedule_detached(delay, self._finish_spin, proc, tasks)
+            # A post stays scheduled: two posts on one boundary must
+            # both land before the sweep.  A rival claiming first runs
+            # it on the spot (see ``_enqueue``).
+            self._spin_end = end = (proc, tasks)
+            sim.schedule_detached(0.0, self._end_spin, end)
+
+    def _end_spin(self, end: tuple) -> None:
+        if end is self._spin_end:  # else a rival already ran it
+            self._spin_end = None
+            self._finish_spin(*end)
 
     def _finish_spin(self, proc, tasks: int) -> None:
         self.release()

@@ -1,22 +1,28 @@
 """Wire-traffic inspection: message flows and sequence diagrams.
 
-Run any experiment with an enabled tracer
-(``Tracer(enabled=True, categories={"wire"})``), then render what the
-protocol actually did — e.g. watch one dissemination barrier's three
-rounds, or see a NACK retransmission recover a dropped hop::
+Run any experiment with an enabled tracer (``Tracer(enabled=True)``),
+then render what the protocol actually did — e.g. watch one
+dissemination barrier's three rounds, or see a NACK retransmission
+recover a dropped hop::
 
-    tracer = Tracer(enabled=True, categories={"wire"})
+    tracer = Tracer(enabled=True)
     cluster = build_myrinet_cluster(..., tracer=tracer)
     ... run one barrier ...
     print(wire_sequence_diagram(tracer, nodes=8))
+
+The delivered packets are the fabric's ``wire.n{src}-n{dst}`` spans;
+hardware broadcasts (``wire.n{src}-bcast``) are not shown.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import Tracer, TraceTruncated
+
+_WIRE_LANE = re.compile(r"^wire\.n(\d+)-n(\d+)$")
 
 _KIND_GLYPH = {
     "data": "D",
@@ -31,7 +37,7 @@ _KIND_GLYPH = {
 
 @dataclass(frozen=True)
 class WireEvent:
-    """One delivered packet, decoded from a trace record."""
+    """One delivered packet, read from its wire span."""
 
     time: float
     sent_at: float
@@ -45,36 +51,40 @@ class WireEvent:
         return self.time - self.sent_at
 
 
-def _decode(record: TraceRecord) -> Optional[WireEvent]:
-    fields = dict(record.fields)
-    if "kind" not in fields:
-        return None
-    return WireEvent(
-        time=record.time,
-        sent_at=fields.get("sent_at", record.time),
-        kind=fields["kind"],
-        src=fields["src"],
-        dst=fields["dst"],
-        size=fields.get("size", 0),
-    )
-
-
 def wire_events(
     tracer: Tracer,
     t0: Optional[float] = None,
     t1: Optional[float] = None,
 ) -> list[WireEvent]:
-    """All delivered packets in ``[t0, t1]``, in delivery order."""
+    """All delivered packets in ``[t0, t1]``, in delivery order.
+
+    Raises :class:`TraceTruncated` on a truncated trace: the packets
+    past ``max_records`` were never stored.
+    """
+    if tracer.truncated:
+        raise TraceTruncated(
+            "wire views over a truncated trace would leave packets out "
+            f"({tracer.dropped_spans} spans dropped); raise max_records"
+        )
     events = []
-    for record in tracer.by_category("wire"):
-        event = _decode(record)
-        if event is None:
+    for span in tracer.spans:
+        m = _WIRE_LANE.match(span.lane)
+        if m is None:
             continue
-        if t0 is not None and event.time < t0:
+        if t0 is not None and span.end < t0:
             continue
-        if t1 is not None and event.time > t1:
+        if t1 is not None and span.end > t1:
             continue
-        events.append(event)
+        events.append(
+            WireEvent(
+                time=span.end,
+                sent_at=span.start,
+                kind=span.name,
+                src=int(m.group(1)),
+                dst=int(m.group(2)),
+                size=dict(span.fields)["size"],
+            )
+        )
     return events
 
 
@@ -102,10 +112,13 @@ def wire_sequence_diagram(
 ) -> str:
     """An ASCII sequence diagram: one column per node, one row per
     delivered packet (glyph = packet kind at the destination, ``*`` at
-    the source)."""
-    events = wire_events(tracer, t0, t1)[:max_rows]
+    the source).  Past ``max_rows`` rows, a closing line counts the
+    packets not shown."""
+    events = wire_events(tracer, t0, t1)
     if not events:
         return "(no wire traffic in window)"
+    hidden = max(len(events) - max_rows, 0)
+    events = events[:max_rows]
     width = 4
     header = f"{'time(us)':>10} |" + "".join(f"{f'n{i}':>{width}}" for i in range(nodes))
     lines = [header, "-" * len(header)]
@@ -117,6 +130,8 @@ def wire_sequence_diagram(
         if 0 <= event.dst < nodes:
             cells[event.dst] = f"{glyph:>{width}}"
         lines.append(f"{event.time:>10.3f} |" + "".join(cells))
+    if hidden:
+        lines.append(f"(… {hidden} more packets not shown)")
     legend = "  ".join(f"{glyph}={kind}" for kind, glyph in _KIND_GLYPH.items())
     lines.append(f"(* = sender; {legend})")
     return "\n".join(lines)

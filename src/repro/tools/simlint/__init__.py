@@ -7,10 +7,11 @@ Two halves share one finding vocabulary (stable ``SLxxx`` codes):
   sources: yield discipline, determinism (wall clock, unseeded RNG,
   ``id()``, unordered iteration), tracer guards, timing-constant
   hygiene;
-- **runtime model checks** (SL101-SL106) — the tie-break perturbation
-  runner (same-timestamp event-order permutation must leave results
-  bit-identical) and the quiescence audit (deadlocks, packet-pool /
-  queue / bookkeeping / span leaks, rendered as a wait-for graph);
+- **runtime model checks** (SL101-SL105, SL107) — the tie-break
+  perturbation runner (same-timestamp event-order permutation must
+  leave results bit-identical) and the quiescence audit (deadlocks,
+  packet-pool / queue / bookkeeping leaks, unfired fault plans,
+  rendered as a wait-for graph);
 - **schedule-IR verification** (SL201-SL208) — static proofs over every
   compiled ``CollectiveSchedule`` in the tuner grid (wire matching,
   deadlock-freedom, reduction completeness, byte conservation, archive

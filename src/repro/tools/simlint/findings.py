@@ -45,8 +45,8 @@ STATIC_RULES: dict[str, str] = {
              "simulation logic",
     "SL005": "determinism: iteration over unordered collections on "
              "scheduling-adjacent paths",
-    "SL006": "tracer guard: record/begin_span/end_span/add_span must sit behind "
-             "the zero-cost `tracer.enabled` guard",
+    "SL006": "tracer guard: add_span must sit behind the zero-cost "
+             "`tracer.enabled` guard",
     "SL007": "timing-constant hygiene: latency/size literals belong in params / "
              "profile modules, not inline in protocol code",
 }
@@ -62,7 +62,6 @@ RUNTIME_RULES: dict[str, str] = {
     "SL104": "leak: non-empty queue at simulation end",
     "SL105": "leak: unmatched bookkeeping (send records / collective state / "
              "armed timers) at simulation end",
-    "SL106": "leak: tracer span opened but never closed",
     "SL107": "fault plan armed but never fired: the scenario ended before the "
              "targeted flow reached the plan's occurrence",
 }

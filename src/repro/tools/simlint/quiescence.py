@@ -4,17 +4,17 @@ When a barrier run drains the event heap, the model should be *quiescent
 by construction*: every send packet released back to its pool, every
 send record matched by an ACK (or abandoned with its resources freed),
 every per-destination queue empty, every collective state retired, every
-timer disarmed, every tracer span closed.  Anything still held is a leak
-that compounds across iterations (the exact class of bug the GM pool or
-a NACK timer makes easy to write), and any process still blocked on an
-event nobody can fire is a deadlock.
+timer disarmed.  Anything still held is a leak that compounds across
+iterations (the exact class of bug the GM pool or a NACK timer makes
+easy to write), and any process still blocked on an event nobody can
+fire is a deadlock.
 
 :func:`check_quiescent` walks a cluster after ``sim.run()`` returned and
-reports violations as SL102-SL106 findings, plus a wait-for graph of the
-still-blocked processes.  NIC service loops are *expected* to park in
-their work queue's ``take`` (reported as ``<queue>.get``) forever —
-they appear in the graph but are only findings when named in
-``must_complete``.  A host process parked
+reports violations as SL102-SL105 and SL107 findings, plus a wait-for
+graph of the still-blocked processes.  NIC service loops are
+*expected* to park in their work queue's ``take`` (reported as
+``<queue>.get``) forever — they appear in the graph but are only
+findings when named in ``must_complete``.  A host process parked
 in an express spin on a queue nothing posts to any more reports
 ``<queue>.post``: a poll loop whose completion never came, always a
 finding.
@@ -274,13 +274,12 @@ def _check_ports(cluster, report: QuiescenceReport) -> None:
 def check_quiescent(
     cluster,
     must_complete: Iterable[str] = (),
-    tracer=None,
 ) -> QuiescenceReport:
-    """Audit a drained cluster for deadlocks (SL102) and leaks (SL103-106).
+    """Audit a drained cluster for deadlocks (SL102), leaks
+    (SL103-SL105) and unfired fault plans (SL107).
 
     ``must_complete`` names processes that may not still be alive even
-    parked on a queue (e.g. ``bench@*`` workload drivers).  ``tracer``
-    defaults to the cluster's own tracer.
+    parked on a queue (e.g. ``bench@*`` workload drivers).
     """
     report = QuiescenceReport()
     _check_processes(cluster, must_complete, report)
@@ -291,12 +290,5 @@ def check_quiescent(
             _check_quadrics_nic(cluster, nic, report)
     _check_ports(cluster, report)
     _check_faults(cluster, report)
-    tracer = tracer if tracer is not None else getattr(cluster, "tracer", None)
-    if tracer is not None and getattr(tracer, "open_span_count", 0):
-        report.findings.append(Finding(
-            "SL106", _where(cluster, "tracer"), 0,
-            f"{tracer.open_span_count} tracer span(s) opened but never closed",
-            fixit="every begin_span needs an end_span on all exits",
-        ))
     report.findings.sort(key=Finding.sort_key)
     return report

@@ -11,10 +11,9 @@ on but cannot enforce at runtime for free:
   unseeded RNG draws, no ``id()`` in simulation logic, no iteration over
   unordered collections on scheduling-adjacent paths.  Each of these
   makes two runs of the "same" experiment silently diverge.
-- SL006 — *tracer guard*: ``record``/``begin_span``/``end_span``/
-  ``add_span`` must sit behind ``tracer.enabled`` so disabled tracing
-  stays zero-cost (``tracer.count`` is exempt by design: it is a
-  shadow no-op when counting is off).
+- SL006 — *tracer guard*: ``add_span`` must sit behind
+  ``tracer.enabled`` so disabled tracing stays zero-cost
+  (``tracer.count`` is exempt by design: counters are always on).
 - SL007 — *timing-constant hygiene*: latency and size literals belong in
   ``params``/``profiles`` modules where calibration can see them, never
   inline at protocol call sites.
@@ -67,7 +66,7 @@ RNG_DRAW_FNS = {
     "betavariate", "triangular", "lognormvariate", "vonmisesvariate",
     "paretovariate", "weibullvariate", "getrandbits", "randbytes", "seed",
 }
-TRACER_GUARDED_METHODS = {"record", "begin_span", "end_span", "add_span"}
+TRACER_GUARDED_METHODS = {"add_span"}
 #: Call receivers considered "a tracer" for SL006.
 _TRACER_NAME = "tracer"
 #: Methods whose literal arguments are timing/size constants (SL007).

@@ -75,24 +75,20 @@ def _lane_sort_key(lane: str) -> tuple:
 
 
 def _check_exportable(tracer: Tracer, force: bool) -> list[str]:
-    """Truncation/imbalance checks shared by the exporters.
+    """The truncation check shared by the exporters.
 
     Returns warning strings when ``force`` overrides a refusal.
     """
-    warnings = []
-    if tracer.truncated:
-        message = (
-            f"trace is truncated ({tracer.dropped_records} records, "
-            f"{tracer.dropped_spans} spans dropped at "
-            f"max_records={tracer.max_records}); conclusions drawn from "
-            "it would be silently wrong"
-        )
-        if not force:
-            raise TraceTruncated(message + " (pass force=True to export anyway)")
-        warnings.append(message)
-    if tracer.open_span_count:
-        warnings.append(f"{tracer.open_span_count} spans never ended; exported closed spans only")
-    return warnings
+    if not tracer.truncated:
+        return []
+    message = (
+        f"trace is truncated ({tracer.dropped_spans} spans dropped at "
+        f"max_records={tracer.max_records}); conclusions drawn from "
+        "it would be silently wrong"
+    )
+    if not force:
+        raise TraceTruncated(message + " (pass force=True to export anyway)")
+    return [message]
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +134,6 @@ def chrome_trace(tracer: Tracer, force: bool = False) -> dict:
              "args": {"name": pname}}
         )
     for span in tracer.spans:
-        if span.end is None:
-            continue
         pid, tid = tids[span.lane]
         event: dict[str, Any] = {
             "ph": "X",
@@ -181,7 +175,7 @@ def ascii_timeline(
     the right-hand columns give the lane's busy time and span count
     inside the window.
     """
-    spans = [s for s in tracer.closed_spans() if s.lane not in META_LANES]
+    spans = [s for s in tracer.spans if s.lane not in META_LANES]
     if t0 is not None:
         spans = [s for s in spans if s.end > t0]
     if t1 is not None:
@@ -328,7 +322,7 @@ def critical_path(
         )
     spans = [
         s
-        for s in tracer.closed_spans()
+        for s in tracer.spans
         if s.lane not in exclude_lanes and s.end > t0 and s.start < t1
     ]
     # Descending by (end, start, record order).  The frontier only

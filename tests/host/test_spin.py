@@ -9,7 +9,7 @@ popped.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.host import HostCpu, HostParams
@@ -174,6 +174,11 @@ _SCENARIO = dict(
 
 @settings(max_examples=300, deadline=None)
 @given(**_SCENARIO)
+@example(
+    actions=[("want", ("b", 3), 0, 0.0)] * 4
+    + [("rival", ("b", 2), 0, 0.0), ("want", ("b", 2), 0, 0.0)],
+    poll_us=0.25, slowdown=1.0, start=0.1, spinner_name="a.spin",
+)
 def test_spin_matches_the_poll_loop(actions, poll_us, slowdown, start, spinner_name):
     """Items mid-quantum, on a boundary and during a rival's hold;
     rivals at the entry instant at phase 0 and later phases, and later;

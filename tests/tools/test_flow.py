@@ -3,15 +3,13 @@
 import pytest
 
 from repro.collectives import NicCollectiveBarrierEngine, ProcessGroup, nic_barrier
-from repro.sim import Tracer
+from repro.sim import Tracer, TraceTruncated
 from repro.tools import message_flow, wire_sequence_diagram
 from repro.tools.flow import wire_events
 from tests.myrinet.conftest import MyrinetTestCluster
 
 
-@pytest.fixture
-def traced_barrier():
-    tracer = Tracer(enabled=True, categories={"wire"})
+def _barrier(tracer):
     cluster = MyrinetTestCluster(n=4, tracer=tracer)
     group = ProcessGroup([0, 1, 2, 3])
     for rank in range(4):
@@ -25,6 +23,11 @@ def traced_barrier():
     for proc in procs:
         assert proc.completion.processed
     return cluster, tracer
+
+
+@pytest.fixture
+def traced_barrier():
+    return _barrier(Tracer(enabled=True))
 
 
 def test_wire_events_decoded(traced_barrier):
@@ -63,6 +66,25 @@ def test_sequence_diagram(traced_barrier):
     assert "n0" in diagram and "n3" in diagram
     assert "B" in diagram  # barrier glyph
     assert "*" in diagram  # sender marker
+
+
+def test_sequence_diagram_counts_the_packets_it_cuts(traced_barrier):
+    _, tracer = traced_barrier
+    lines = wire_sequence_diagram(tracer, nodes=4, max_rows=5).splitlines()
+    # header, rule, 5 of the 8 packets, the cut line, the legend
+    assert len(lines) == 2 + 5 + 2
+    assert lines[-2] == "(… 3 more packets not shown)"
+
+
+def test_wire_views_refuse_a_truncated_trace():
+    _, tracer = _barrier(Tracer(enabled=True, max_records=5))
+    assert tracer.truncated
+    with pytest.raises(TraceTruncated, match="spans dropped"):
+        wire_events(tracer)
+    with pytest.raises(TraceTruncated):
+        wire_sequence_diagram(tracer, nodes=4)
+    with pytest.raises(TraceTruncated):
+        message_flow(tracer)
 
 
 def test_sequence_diagram_empty():

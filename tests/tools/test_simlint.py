@@ -214,7 +214,7 @@ class TestTracerGuard:
     def test_unguarded_record_flagged(self):
         found = lint("""
             def deliver(self, tracer, now):
-                tracer.record(now, "wire", "nic0", "delivered")
+                tracer.add_span(now, now, "wire.n0-n1", "delivered")
         """)
         assert [f.code for f in found] == ["SL006"]
         assert "enabled" in found[0].fixit
@@ -223,12 +223,12 @@ class TestTracerGuard:
         assert codes("""
             def deliver(self, tracer, now):
                 if tracer.enabled:
-                    tracer.record(now, "wire", "nic0", "delivered")
+                    tracer.add_span(now, now, "wire.n0-n1", "delivered")
         """) == []
 
     def test_and_guard_and_count_pass(self):
-        # `x and tracer.enabled and tracer.record(...)` guards; count()
-        # is a shadow no-op and needs no guard.
+        # `x and tracer.enabled and tracer.add_span(...)` guards; count()
+        # is always on and needs no guard.
         assert codes("""
             def deliver(self, tracer, ok):
                 ok and tracer.enabled and tracer.add_span(0, 1, "u", "k")
@@ -237,8 +237,8 @@ class TestTracerGuard:
 
     def test_tracer_definition_module_exempt(self):
         assert codes("""
-            def record(self, tracer):
-                tracer.record(0.0, "u", "n", "self-test")
+            def add_span(self, tracer):
+                tracer.add_span(0.0, 1.0, "u", "self-test")
         """, relpath="sim/trace.py") == []
 
 
