@@ -15,7 +15,6 @@ import hashlib
 import itertools
 from typing import Sequence
 
-from repro.collectives.algorithms import BarrierSchedule, make_schedule
 from repro.collectives.failures import ScheduleVerificationError
 from repro.collectives.schedule_ir import CollectiveSchedule, compile_schedule
 from repro.collectives.tuning import pick_algorithm
@@ -98,7 +97,6 @@ class ProcessGroup:
         #: group (if any) is linked via ``parent_group_id``.
         self.epoch = epoch
         self.parent_group_id: int | None = None
-        self.schedule: BarrierSchedule = make_schedule(algorithm, len(ids))
         self._rank_of = {node: rank for rank, node in enumerate(self.node_ids)}
         # Per-communicator compiled-schedule cache (libnbc's
         # NBC_CACHE_SCHEDULE): key -> CollectiveSchedule.

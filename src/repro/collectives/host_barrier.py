@@ -21,38 +21,29 @@ if TYPE_CHECKING:  # pragma: no cover
 def host_barrier(port: "GmPort", group: ProcessGroup, seq: int):
     """Execute one barrier at this node, entirely host-driven.
 
+    Replays the rank's ops in the group's compiled barrier schedule:
+    each ``send`` is one GM message, each ``recv`` waits for that
+    peer's message (``reduce``/``dma`` have no host-barrier work).
     Messages from future barriers or phases that arrive early are
     buffered by :meth:`GmPort.recv_matching`, so back-to-back barrier
     iterations are safe.
     """
     rank = group.rank_of(port.node_id)
+    gid = group.group_id
     yield from port.cpu.compute(port.cpu.params.barrier_call_us, "barrier_call")
-    phases = group.schedule.phases(rank)
-    for phase_idx, phase in enumerate(phases):
-        if phase.send_first:
-            yield from _do_sends(port, group, rank, seq, phase_idx, phase)
-            yield from _do_recvs(port, group, seq, phase)
-        else:
-            yield from _do_recvs(port, group, seq, phase)
-            yield from _do_sends(port, group, rank, seq, phase_idx, phase)
-
-
-def _do_sends(port: "GmPort", group: ProcessGroup, rank: int, seq: int, phase_idx: int, phase):
-    for dst in phase.sends:
-        yield from port.send(
-            group.node_of(dst),
-            # "all the information ... is an integer" (§3)
-            size_bytes=port.nic.params.barrier_payload_bytes,
-            payload=BarrierMsg(group.group_id, seq, rank, phase_idx),
-        )
-
-
-def _do_recvs(port: "GmPort", group: ProcessGroup, seq: int, phase):
-    for src in phase.recvs:
-        yield from port.recv_matching(
-            lambda ev, src=src: isinstance(ev, GmRecvEvent)
-            and isinstance(ev.payload, BarrierMsg)
-            and ev.payload.group_id == group.group_id
-            and ev.payload.seq == seq
-            and ev.payload.sender == src
-        )
+    for op in group.collective_schedule("barrier").ops(rank):
+        if op.kind == "send":
+            yield from port.send(
+                group.node_of(op.peer),
+                # "all the information ... is an integer" (§3)
+                size_bytes=port.nic.params.barrier_payload_bytes,
+                payload=BarrierMsg(gid, seq, rank, op.phase),
+            )
+        elif op.kind == "recv":
+            yield from port.recv_matching(
+                lambda ev, src=op.peer: isinstance(ev, GmRecvEvent)
+                and isinstance(ev.payload, BarrierMsg)
+                and ev.payload.group_id == gid
+                and ev.payload.seq == seq
+                and ev.payload.sender == src
+            )

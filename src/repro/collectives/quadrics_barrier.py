@@ -13,11 +13,15 @@ The paper's design choices, reproduced here:
 
 Chain construction
 ------------------
-Each rank's schedule is flattened into an alternating list of
-operations: ``send`` (one or more RDMA descriptors, issued in order)
-and ``wait`` (an Elan event that must collect that step's arrivals).
-The chain is strictly *sequential*: operation *t+1* is gated on an
-event fed by **both** operation *t*'s completion (the last descriptor's
+Each rank's chain is derived from its ops in the group's compiled
+barrier schedule (:meth:`ProcessGroup.collective_schedule`), the IR the
+Myrinet engines replay and SL201–SL208 prove: adjacent ``send`` ops
+merge into one ``send`` link (one or more RDMA descriptors, issued in
+order), the ``recv`` ops of one phase form one ``wait`` link (an Elan
+event that must collect that step's arrivals), and ``reduce``/``dma``
+ops have no chain link.
+The chain is strictly *sequential*: link *t+1* is gated on an
+event fed by **both** link *t*'s completion (the last descriptor's
 local completion event, or a chained set-event for wait → wait links)
 **and** its own arrivals.  This sequencing is what makes the barrier
 sound — a message sent at step *t* proves its sender finished steps
@@ -35,7 +39,8 @@ pre-increment the counters (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from repro.collectives.failures import FailureReason, Revoked
 from repro.collectives.group import ProcessGroup
@@ -44,67 +49,66 @@ from repro.quadrics.elan import RdmaDescriptor
 from repro.quadrics.elanlib import ElanPort
 
 
-@dataclass(frozen=True)
-class _Op:
-    """One link of the flattened chain: a send or a wait."""
+class _Link(NamedTuple):
+    """One link of a rank's chain: a send or a wait."""
 
     kind: str  # "send" | "wait"
     peers: tuple[int, ...]  # dst ranks (send) or src ranks (wait)
 
 
-def _flatten_ops(phases) -> list[_Op]:
-    """Flatten phases into the alternating send/wait operation list.
+def _chain_links(ops) -> list[_Link]:
+    """A rank's chain links, read from its compiled IR ops in order.
 
-    Adjacent sends merge (they just queue on the DMA engine); empty
-    phases disappear.  The final virtual "done" wait is added by the
-    driver, not here.
+    Adjacent sends merge (they just queue on the DMA engine); the
+    receives of one phase form one wait; ``reduce`` and ``dma`` ops have
+    no link.  The final virtual "done" wait is added by the driver, not
+    here.
     """
-    ops: list[_Op] = []
-
-    def _append(kind: str, peers: tuple[int, ...]) -> None:
-        if not peers:
-            return
-        if ops and ops[-1].kind == kind == "send":
-            ops[-1] = _Op("send", ops[-1].peers + peers)
+    links: list[_Link] = []
+    joins = None  # what the last link absorbs: "send", or a recv phase
+    for op in ops:
+        if op.kind == "send":
+            kind, key = "send", "send"
+        elif op.kind == "recv":
+            kind, key = "wait", op.phase
         else:
-            ops.append(_Op(kind, peers))
-
-    for phase in phases:
-        if phase.send_first:
-            _append("send", phase.sends)
-            _append("wait", phase.recvs)
+            continue
+        if key == joins:
+            links[-1] = _Link(kind, links[-1].peers + (op.peer,))
         else:
-            _append("wait", phase.recvs)
-            _append("send", phase.sends)
-    return ops
+            links.append(_Link(kind, (op.peer,)))
+            joins = key
+    return links
 
 
-def _group_chain_layout(group: ProcessGroup) -> tuple[list, list]:
-    """Every rank's flattened ops and wait-index map, computed **once**.
+def _group_chain_layout(group: ProcessGroup) -> list:
+    """Every rank's wait-link map, computed **once** per group.
 
-    Each of the N drivers needs the wait-op index its peers use for
-    messages from *it*.  Flattening every peer's schedule inside every
-    driver's constructor is O(N^2 log N) — the wall that capped sweeps at
-    1024 nodes (69 of 85 seconds at N=1024 went to driver setup).  One
-    shared pass flattens each rank exactly once and inverts the relation
-    into ``wait_maps[rank][src] -> op index``; drivers then look up only
-    their own O(log N) peers.  Cached on the group (immutable after
-    construction), so all N drivers share one layout.
+    Each of the N drivers needs the wait-link index its peers use for
+    messages from *it*.  Deriving every peer's chain inside every
+    driver's constructor is O(N^2 log N) — the wall that capped sweeps
+    at 1024 nodes (69 of 85 seconds at N=1024 went to driver setup).
+    One shared pass over the compiled schedule derives each rank's links
+    once and inverts the relation into ``wait_maps[rank][src] -> link
+    index``; drivers then look up only their own O(log N) peers.  Only
+    the maps are kept (on the group, immutable after construction), so
+    all N drivers share one layout and no second per-rank chain copy
+    stays alive.
     """
     cached = getattr(group, "_chained_layout", None)
     if cached is not None:
         return cached
-    rank_ops = [_flatten_ops(group.schedule.phases(r)) for r in range(group.size)]
+    schedule = group.collective_schedule("barrier")
     wait_maps: list[dict[int, int]] = []
-    for ops in rank_ops:
+    for rank in range(group.size):
         waits: dict[int, int] = {}
-        for t, op in enumerate(ops):
-            if op.kind == "wait":
-                for src in op.peers:
-                    waits[src] = t  # later wait wins, as in the per-driver scan
+        for t, link in enumerate(_chain_links(schedule.ops(rank))):
+            if link.kind == "wait":
+                for src in link.peers:
+                    waits[src] = t
         wait_maps.append(waits)
-    group._chained_layout = (rank_ops, wait_maps)
-    return group._chained_layout
+    group._chained_layout = wait_maps
+    return wait_maps
 
 
 def prearm_chained_group(drivers, total_iterations: int) -> bool:
@@ -116,8 +120,8 @@ def prearm_chained_group(drivers, total_iterations: int) -> bool:
     of N generator-resumed arm loops per barrier.
 
     Bit-identical only when no wait word's threshold can be crossed
-    before its per-iteration arm point.  Every wait op at index > 0
-    carries a chain link fed by the rank's *own* previous op — which
+    before its per-iteration arm point.  Every wait link at index > 0
+    carries a chain link fed by the rank's *own* previous link — which
     trails the host's arm-and-trigger — so its threshold is structurally
     unreachable early.  A chain *starting* with a wait (gather-broadcast
     root) has no such link and could fire at arm time under per-iteration
@@ -125,32 +129,13 @@ def prearm_chained_group(drivers, total_iterations: int) -> bool:
     back to per-iteration arming.  Returns whether prearming applied.
     """
     dset = list(drivers.values())
-    if not all(d.ops and d.ops[0].kind == "send" for d in dset):
+    if not all(d._head for d in dset):
         return False
     for driver in dset:
         for seq in range(driver._prearmed, total_iterations):
             driver._arm_chain(seq)
         driver._prearmed = max(driver._prearmed, total_iterations)
     return True
-
-
-class _RemoteWaitView:
-    """Lazy ``dst_rank -> wait-op index`` mapping for one sender.
-
-    Backed by the group-shared wait maps; materializing a per-driver
-    dict over all N destinations would reintroduce the O(N^2) setup the
-    shared layout removed, and a driver only ever looks up its own
-    O(log N) send peers.
-    """
-
-    __slots__ = ("_maps", "_rank")
-
-    def __init__(self, wait_maps: list, rank: int):
-        self._maps = wait_maps
-        self._rank = rank
-
-    def __getitem__(self, dst_rank: int) -> int:
-        return self._maps[dst_rank][self._rank]
 
 
 class QuadricsChainedBarrier:
@@ -167,91 +152,83 @@ class QuadricsChainedBarrier:
         self.port = port
         self.group = group
         self.rank = group.rank_of(port.node_id)
-        rank_ops, wait_maps = _group_chain_layout(group)
-        self.phases = group.schedule.phases(self.rank)
-        self.ops = rank_ops[self.rank]
-        # Which wait-op index at each destination rank expects *us*.
-        rank = self.rank
-        self.remote_wait_index = _RemoteWaitView(wait_maps, rank)
         self.barriers_completed = 0
         self._prearmed = 0  # chains armed through this seq (exclusive)
-        self._done_name = self._done_event()
-        self._plan, self._head = self._build_plan()
+        self._done_name = f"g{group.group_id}done"
+        self._plan, self._head = self._build_plan(
+            _chain_links(group.collective_schedule("barrier").ops(self.rank)),
+            _group_chain_layout(group),
+        )
         #: Started-but-not-yet-completed sequence numbers: what
         #: :meth:`revoke` must resolve with synthetic failure words so
         #: a waiter of a dead epoch unblocks instead of hanging.
         self._outstanding: set[int] = set()
         self.closed = False
 
-    # ------------------------------------------------------------------
-    # Event-word naming and cumulative thresholds
-    # ------------------------------------------------------------------
-    def _wait_event(self, op_index: int) -> str:
-        return f"g{self.group.group_id}w{op_index}"
-
-    def _done_event(self) -> str:
-        return f"g{self.group.group_id}done"
-
-    def _per_barrier(self, op_index: int) -> int:
-        """Set-events this wait op's word collects per barrier."""
-        arrivals = len(self.ops[op_index].peers)
-        link = 1 if op_index > 0 else 0  # the chain link from op t-1
-        return arrivals + link
+    def _wait_event(self, link_index: int) -> str:
+        return f"g{self.group.group_id}w{link_index}"
 
     # ------------------------------------------------------------------
     # Chain arming
     # ------------------------------------------------------------------
-    def _descriptors(self, op: _Op, next_gate: str) -> list[RdmaDescriptor]:
-        """Build a send op's descriptor list; the last descriptor's
-        local completion feeds the next chain link."""
+    def _descriptors(self, peers, next_gate: str, wait_maps) -> list[RdmaDescriptor]:
+        """Build a send link's descriptor list; the last descriptor's
+        local completion feeds the next chain link.  Each descriptor
+        fires the wait link that expects *us* at its destination."""
         descriptors = []
-        for k, dst in enumerate(op.peers):
+        for k, dst in enumerate(peers):
             descriptors.append(
                 RdmaDescriptor(
                     dst=self.group.node_of(dst),
-                    remote_event=self._wait_event(self.remote_wait_index[dst]),
+                    remote_event=self._wait_event(wait_maps[dst][self.rank]),
                     size_bytes=0,
-                    local_event=next_gate if k == len(op.peers) - 1 else None,
+                    local_event=next_gate if k == len(peers) - 1 else None,
                     group_id=self.group.group_id,
                 )
             )
         return descriptors
 
-    def _build_plan(self):
+    def _build_plan(self, links: list[_Link], wait_maps: list):
         """Precompute the seq-invariant part of the chain.
 
         Event words, descriptor contents and the armed actions are the
         same every iteration — only the (linear-in-seq) thresholds
         change.  Descriptors are deliberately shared across iterations:
         they are never mutated, and a packet snapshots nothing beyond a
-        reference to them.
+        reference to them.  ``links`` is dropped once the plan is built:
+        the plan and the head are all a driver keeps of its chain, and
+        ``wait_maps`` (the group's shared layout) is read only here.
         """
         nic = self.port.nic
-        ops = self.ops
+        last = len(links) - 1
+
+        def gate(t: int) -> str:
+            """The event link ``t``'s completion feeds."""
+            return self._wait_event(t + 1) if t < last else self._done_name
+
         head: list[RdmaDescriptor] = []
         plan: list[tuple] = []  # (ElanEvent, per-barrier count, actions)
-        for t, op in enumerate(ops):
-            next_gate = (
-                self._wait_event(t + 1) if t + 1 < len(ops) else self._done_name
-            )
-            if op.kind == "send":
+        for t, link in enumerate(links):
+            if link.kind == "send":
                 if t == 0:
-                    head = self._descriptors(op, next_gate)
-                # A send op at t > 0 is issued by op t-1's firing —
-                # which is always a wait op (adjacent sends merged), so
-                # it is armed as that wait's action below.
-            else:  # wait
-                event = nic.event(self._wait_event(t))
-                if t + 1 < len(ops) and ops[t + 1].kind == "send":
-                    follow = self._descriptors(ops[t + 1], self._gate_after(t + 1))
-                    actions = tuple(
-                        (lambda d=descriptor: nic.issue_rdma(d))
-                        for descriptor in follow
-                    )
-                else:
-                    # wait -> wait/done: a chained set-event (SRAM write).
-                    actions = (nic.event(next_gate).set_event,)
-                plan.append((event, self._per_barrier(t), actions))
+                    head = self._descriptors(link.peers, gate(t), wait_maps)
+                # A send link at t > 0 is issued by link t-1's firing —
+                # which is always a wait (adjacent sends merged), so it
+                # is armed as that wait's action below.
+                continue
+            event = nic.event(self._wait_event(t))
+            if t < last and links[t + 1].kind == "send":
+                follow = self._descriptors(
+                    links[t + 1].peers, gate(t + 1), wait_maps
+                )
+                actions = tuple(partial(nic.issue_rdma, d) for d in follow)
+            else:
+                # wait -> wait/done: a chained set-event (SRAM write).
+                actions = (nic.event(gate(t)).set_event,)
+            # Set-events the word collects per barrier: the link's
+            # arrivals, plus the chain link from link t-1.
+            per_barrier = len(link.peers) + (1 if t > 0 else 0)
+            plan.append((event, per_barrier, actions))
         return plan, head
 
     def _arm_chain(self, seq: int) -> list[RdmaDescriptor]:
@@ -269,12 +246,6 @@ class QuadricsChainedBarrier:
             value=BarrierDone(self.group.group_id, seq, completed_at=0.0),
         )
         return self._head
-
-    def _gate_after(self, send_op_index: int) -> str:
-        """The event a send op's completion feeds (the op after it)."""
-        if send_op_index + 1 < len(self.ops):
-            return self._wait_event(send_op_index + 1)
-        return self._done_event()
 
     # ------------------------------------------------------------------
     def _completed(self, done):
@@ -340,7 +311,7 @@ class QuadricsChainedBarrier:
         # iteration (the SRAM writes ride the same PIO burst).
         yield from port._command()
         request = CollectiveRequest(port, "barrier", self.group, seq, self._completed)
-        if not self.ops:
+        if not self._plan and not self._head:
             request._settle(None)
             return request
         self._outstanding.add(seq)

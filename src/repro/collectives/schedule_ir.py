@@ -22,12 +22,16 @@ collective's data movement:
   host (the engine's ``_finish`` hook sizes it when ``nbytes < 0``).
 
 Starting a collective is then "replay this op list", not "re-derive
-the dissemination pattern": :class:`~repro.collectives.engine
-.NicSequenceEngine` walks the ops with a single index per sequence.  Compiled schedules are cached in two layers — per
-communicator on the :class:`~repro.collectives.group.ProcessGroup`
-(the libnbc cache) and process-wide in
-:data:`repro.collectives.algorithms.SCHEDULE_CACHE` (shared with the
-barrier pattern builders, so the tuner's sweeps size one cache).
+the dissemination pattern".  The IR is the one schedule every driver
+replays: :class:`~repro.collectives.engine.NicSequenceEngine` walks the
+ops with a single index per sequence, the Quadrics chained-RDMA barrier
+derives its descriptor chain from them, and the host barrier sends and
+receives them in order — so what SL201–SL208 prove is what runs.
+Compiled schedules are cached in two layers — per communicator on the
+:class:`~repro.collectives.group.ProcessGroup` (the libnbc cache) and
+process-wide in :data:`repro.collectives.algorithms.SCHEDULE_CACHE`,
+which holds IR entries only (the message patterns are compile input and
+are not kept).
 """
 
 from __future__ import annotations
@@ -269,12 +273,13 @@ def _compile(
     base = make_schedule(algorithm, n)
     # The phase index at which ``src`` sends to ``dst``: receivers match
     # and NACK with the *sender's* tag.  Unique per (src, dst) pair —
-    # BarrierSchedule.validate() guarantees it.
-    send_phase: dict[tuple[int, int], int] = {}
+    # BarrierSchedule.validate() guarantees it.  Keyed ``src * n + dst``:
+    # an int key allocates nothing the garbage collector tracks.
+    send_phase: dict[int, int] = {}
     for rank in range(n):
         for m, phase in enumerate(base.phases(rank)):
             for dst in phase.sends:
-                send_phase[(rank, dst)] = m
+                send_phase[rank * n + dst] = m
 
     wire = _wire_nbytes(collective, n, payload_bytes)
     op = partial(tuple.__new__, ScheduleOp)  # skips the per-op __new__ frame
@@ -287,7 +292,7 @@ def _compile(
             if phase.send_first:
                 ops += sends
             for src in phase.recvs:
-                ops.append(op(("recv", m, src, send_phase[(src, rank)], -1)))
+                ops.append(op(("recv", m, src, send_phase[src * n + rank], -1)))
                 ops.append(op(("reduce", m, src, -1, -1)))
             if not phase.send_first:
                 ops += sends

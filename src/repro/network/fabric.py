@@ -28,6 +28,7 @@ at a switch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -115,6 +116,9 @@ class Fabric:
         # f"wire.{kind}" per packet shows up at millions of packets.
         self._kind_labels: dict[str, str] = {}
         self.delivered_count = 0
+        # Packet ``wire_id``s, numbered in transmit order per fabric, so
+        # two runs in one interpreter trace the same ids.
+        self._wire_ids = itertools.count()
         # Per-source transmit observers: the failure detector's
         # heartbeat loop suppresses beats to peers the NIC has recently
         # transmitted *anything* to, and the workload layer's per-flow
@@ -253,6 +257,7 @@ class Fabric:
         """
         if packet.dst not in self._handlers:
             raise ValueError(f"no NIC attached at port {packet.dst}")
+        packet.wire_id = next(self._wire_ids)
         packet.sent_at = self.sim.now
         if self._tx_observers:
             observers = self._tx_observers.get(packet.src)
@@ -299,6 +304,7 @@ class Fabric:
                 # protocol packet travels the same path independently.
                 tracer.count("wire.duplicated")
                 clone = packet.clone()
+                clone.wire_id = next(self._wire_ids)
                 self._inject(
                     canonical_packet_key(clone),
                     [clone, links, latency, 0, skip, self._finish],
@@ -347,6 +353,7 @@ class Fabric:
         if not self._fat_tree:
             raise TypeError("hardware broadcast requires a fat-tree topology")
         targets = tuple(targets)  # any iterable, read once
+        packet.wire_id = next(self._wire_ids)
         packet.sent_at = self.sim.now
         hops = self.topology.broadcast_hops()
         latency = self.params.head_latency(hops, hops + 1) + self.params.serialization(

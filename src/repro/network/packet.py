@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -32,8 +31,6 @@ class PacketKind:
     ALL = (DATA, ACK, NACK, BARRIER, RDMA, EVENT, BCAST, HEARTBEAT, XTRAFFIC)
 
 
-_wire_ids = itertools.count()
-
 
 @dataclass
 class Packet:
@@ -42,7 +39,9 @@ class Packet:
     ``size_bytes`` includes headers (set by the protocol layer).
     ``payload`` is protocol-defined (e.g. the barrier sequence integer —
     the paper notes "all the information a barrier message needs to
-    carry along is an integer").
+    carry along is an integer").  ``wire_id`` is numbered by the
+    :class:`~repro.network.fabric.Fabric` that transmits the packet
+    (``-1`` until then), so each fabric's ids start from zero.
     """
 
     src: int
@@ -51,7 +50,7 @@ class Packet:
     size_bytes: int
     payload: Any = None
     seq: Optional[int] = None
-    wire_id: int = field(default_factory=lambda: next(_wire_ids))
+    wire_id: int = -1
     sent_at: Optional[float] = None
     delivered_at: Optional[float] = None
     # Fault injection: a corrupted packet is delivered, but its CRC
@@ -65,9 +64,10 @@ class Packet:
             raise ValueError(f"negative packet size {self.size_bytes}")
 
     def clone(self) -> "Packet":
-        """A wire-level copy (fresh ``wire_id``) sharing every protocol
-        coordinate — how the fabric models duplicate delivery.  The two
-        copies are interchangeable under :func:`canonical_packet_key`."""
+        """A wire-level copy sharing every protocol coordinate — how the
+        fabric models duplicate delivery (and gives the copy its own
+        ``wire_id``).  The two copies are interchangeable under
+        :func:`canonical_packet_key`."""
         dup = Packet(
             self.src,
             self.dst,

@@ -16,8 +16,9 @@ Static rules, checked per compiled schedule:
   ``recv`` on the peer (no orphans in either direction, no duplicate
   (sender, receiver) pairs, no self-messages or out-of-range peers);
 - **SL202** — deadlock-freedom: the cross-rank happens-before DAG
-  (program order per rank — ``send_first`` is already baked into the op
-  order by the compiler — plus send→recv delivery edges) is acyclic;
+  (program order per rank — each phase's send/receive order is already
+  baked into the op order by the compiler — plus send→recv delivery
+  edges) is acyclic;
   on failure the minimal wait cycle is reported as the fix-it;
 - **SL203** — reduction completeness: symbolic execution of reducing
   collectives over contributor bitsets proves every merge is disjoint
@@ -328,7 +329,7 @@ def _check_deadlock(schedule: CollectiveSchedule):
         "wait cycle — the happens-before graph is cyclic",
         fixit="break the minimal wait cycle: at least one participant "
               "must issue its send before blocking on its recv "
-              "(send_first=True on the blocking phase, or reorder the "
+              "(send first on the blocking phase, or reorder the "
               "rank's ops so the cycle's send precedes its recv)",
     )
     return nodes, None, [finding]

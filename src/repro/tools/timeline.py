@@ -75,7 +75,8 @@ def _lane_sort_key(lane: str) -> tuple:
 
 
 def _check_exportable(tracer: Tracer, force: bool) -> list[str]:
-    """The truncation check shared by the exporters.
+    """The truncation check shared by the exporters and the ASCII
+    timeline (which always passes ``force=False``).
 
     Returns warning strings when ``force`` overrides a refusal.
     """
@@ -87,7 +88,10 @@ def _check_exportable(tracer: Tracer, force: bool) -> list[str]:
         "it would be silently wrong"
     )
     if not force:
-        raise TraceTruncated(message + " (pass force=True to export anyway)")
+        raise TraceTruncated(
+            message + " (raise max_records, or pass chrome_trace "
+            "force=True to export anyway)"
+        )
     return [message]
 
 
@@ -173,8 +177,10 @@ def ascii_timeline(
 
     ``#`` marks sim time where the lane had at least one span active;
     the right-hand columns give the lane's busy time and span count
-    inside the window.
+    inside the window.  Refuses a truncated trace
+    (:class:`TraceTruncated`), as the Chrome-trace exporter does.
     """
+    _check_exportable(tracer, force=False)
     spans = [s for s in tracer.spans if s.lane not in META_LANES]
     if t0 is not None:
         spans = [s for s in spans if s.end > t0]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collectives import (
+    BarrierSchedule,
     Phase,
     dissemination,
     gather_broadcast,
@@ -16,13 +17,26 @@ from repro.collectives import (
 
 
 class TestPhase:
+    """A phase carries no checks of its own: a repeated peer is caught
+    by :meth:`BarrierSchedule.validate`, which every built schedule
+    passes through."""
+
     def test_duplicate_sends_rejected(self):
-        with pytest.raises(ValueError):
-            Phase(sends=(1, 1))
+        schedule = BarrierSchedule("hand-built", 2, (
+            (Phase(sends=(1, 1)),),
+            (Phase(recvs=(0, 0)),),
+        ))
+        with pytest.raises(ValueError, match="more than once"):
+            schedule.validate()
 
     def test_duplicate_recvs_rejected(self):
-        with pytest.raises(ValueError):
-            Phase(recvs=(2, 2))
+        schedule = BarrierSchedule("hand-built", 3, (
+            (Phase(sends=(2,)),),
+            (),
+            (Phase(recvs=(0, 0)),),
+        ))
+        with pytest.raises(ValueError, match="do not match"):
+            schedule.validate()
 
     def test_empty(self):
         assert Phase().empty

@@ -11,6 +11,7 @@ post-repair epoch (SL102–SL107).
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.collectives.membership import (
     enable_failure_detector,
     wait_for_conviction,
 )
+from repro.collectives.quadrics_barrier import _chain_links
 from repro.mpi import create_communicators, repair_communicators
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
@@ -87,6 +89,57 @@ class TestShrink:
         schedule = shrunk.collective_schedule("barrier")
         assert schedule.size == 7
         assert schedule.members == shrunk.node_ids
+
+    @pytest.mark.parametrize(
+        "algorithm", ["dissemination", "pairwise-exchange", "gather-broadcast"]
+    )
+    def test_quadrics_repair_rebuilds_chains_from_the_verified_ir(
+        self, algorithm
+    ):
+        """After a Quadrics repair, every rebuilt chained-RDMA driver
+        runs the survivor group's compiled barrier schedule — the object
+        repair's SL201–SL208 verification proved: its wait events, their
+        per-barrier counts and its descriptors' peers and remote events
+        are the links derived from that schedule, in order."""
+        cluster = build_cluster(get_profile("elan3_piii700"), 13)
+        comms = create_communicators(cluster, algorithm=algorithm)
+        repair_communicators(comms, [5])
+        ctx = comms[0]._ctx
+        group = ctx.barrier_group
+        assert group.epoch == 1 and group.size == 12
+        schedule = group.collective_schedule("barrier")
+        gid = group.group_id
+        chains = [_chain_links(schedule.ops(r)) for r in range(group.size)]
+
+        def wait_index(rank, src):
+            (t,) = [
+                t for t, link in enumerate(chains[rank])
+                if link.kind == "wait" and src in link.peers
+            ]
+            return t
+
+        for node, driver in ctx.drivers.items():
+            rank = group.rank_of(node)
+            nic = cluster.nics[node]
+            links = chains[rank]
+            waits = [
+                (nic.event(f"g{gid}w{t}"), len(link.peers) + (t > 0))
+                for t, link in enumerate(links) if link.kind == "wait"
+            ]
+            assert [(e, n) for e, n, _ in driver._plan] == waits
+            descriptors = list(driver._head) + [
+                action.args[0]
+                for _, _, actions in driver._plan
+                for action in actions
+                if isinstance(action, partial)
+            ]
+            sends = [
+                p for link in links if link.kind == "send" for p in link.peers
+            ]
+            assert [group.rank_of(d.dst) for d in descriptors] == sends
+            assert [d.remote_event for d in descriptors] == [
+                f"g{gid}w{wait_index(dst, rank)}" for dst in sends
+            ]
 
     def test_verification_error_is_typed(self):
         err = ScheduleVerificationError("3 findings", findings=["a", "b", "c"])

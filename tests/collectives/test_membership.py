@@ -190,12 +190,12 @@ def test_shared_detector_convicts_and_never_probes_busy_links(profile_name):
         verdict = cluster.nics[s].membership.dead[victim]
         assert verdict.origin == "heartbeat-timeout"
         assert kill_at < verdict.detected_at <= kill_at + timeout + period
-    schedule = comms[0]._ctx.barrier_group.schedule
+    schedule = comms[0]._ctx.barrier_group.collective_schedule("barrier")
     busy = {
-        (survivors[rank], survivors[dst])
+        (survivors[rank], survivors[op.peer])
         for rank in range(len(survivors))
-        for phase in schedule.phases(rank)
-        for dst in phase.sends
+        for op in schedule.ops(rank)
+        if op.kind == "send"
     }
     probes = [(t, src, dst) for t, src, dst, kind in sent if kind == "heartbeat"]
     assert probes, "the detector never probed an idle link"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import Fabric, FaultInjector, Packet, PacketKind, WireParams
+from repro.network.faults import FaultDecision
 from repro.sim import Simulator
 from repro.sim.resources import ArbitratedResource, ArbitrationDomain
 from repro.topology import ClosTopology, QuaternaryFatTree
@@ -105,6 +106,36 @@ def test_counters():
     assert tracer.counters["wire.barrier"] == 1
     assert tracer.counters["wire.ack"] == 1
     assert fabric.delivered_count == 2
+
+
+class _DuplicateEverything:
+    """A fault injector stub: every packet gets a wire duplicate."""
+
+    def inspect(self, packet):
+        return FaultDecision(duplicate=True)
+
+
+def test_transmit_numbers_wire_ids_per_fabric():
+    """The fabric numbers ``wire_id``s at transmit: every transmitted
+    packet, duplicate and broadcast gets a distinct id, counted from
+    zero in each fabric, so a second run in one process traces the
+    same ids as the first."""
+    for _ in range(2):
+        sim, fabric, inboxes = make_fabric(
+            n=16, topo_cls=QuaternaryFatTree, faults=_DuplicateEverything()
+        )
+        a = Packet(0, 1, PacketKind.DATA, 64)
+        b = Packet(0, 1, PacketKind.DATA, 64)
+        bcast = Packet(0, 0, PacketKind.BCAST, 8)
+        assert a.wire_id == b.wire_id == -1  # unnumbered until sent
+        fabric.transmit(a)
+        fabric.transmit(b)
+        fabric.broadcast(bcast, targets=range(16))
+        sim.run()
+        assert (a.wire_id, b.wire_id, bcast.wire_id) == (0, 2, 4)
+        # Port 1 receives both packets, both duplicates and the
+        # broadcast: five distinct ids.
+        assert sorted(p.wire_id for p in inboxes[1]) == [0, 1, 2, 3, 4]
 
 
 def test_fat_tree_farther_nodes_take_longer():

@@ -12,12 +12,6 @@ def test_packet_fields():
     assert p.latency is None
 
 
-def test_wire_ids_unique():
-    a = Packet(0, 1, PacketKind.DATA, 64)
-    b = Packet(0, 1, PacketKind.DATA, 64)
-    assert a.wire_id != b.wire_id
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         Packet(0, 1, "mystery", 8)

@@ -68,24 +68,29 @@ def test_sl101_perturbation_clean_at_n128():
 
 
 def test_chained_driver_setup_flattens_each_rank_once(monkeypatch):
-    """Driver setup is O(N): one schedule flatten per rank, shared.
+    """Driver setup is O(N): each rank's chain links are derived from
+    the compiled schedule twice — once for the group's shared wait maps,
+    once by the rank's own driver — never once per peer.
 
     The pre-optimization constructors re-flattened every peer's schedule
     inside every driver — O(N^2 log N), 69 of 85 seconds at N=1024.
     """
     import repro.collectives.quadrics_barrier as qb
 
-    calls = []
-    real = qb._flatten_ops
+    real = qb._chain_links
+    counts = {}
+    for n in (16, 32):
+        calls = []
 
-    def counting(phases):
-        calls.append(1)
-        return real(phases)
+        def counting(ops, calls=calls):
+            calls.append(1)
+            return real(ops)
 
-    monkeypatch.setattr(qb, "_flatten_ops", counting)
-    cluster = build_cluster("elan3_piii700", 32)
-    run_barrier_experiment(cluster, "nic-chained", iterations=2, warmup=1, seed=0)
-    assert len(calls) == 32
+        monkeypatch.setattr(qb, "_chain_links", counting)
+        cluster = build_cluster("elan3_piii700", n)
+        run_barrier_experiment(cluster, "nic-chained", iterations=2, warmup=1, seed=0)
+        counts[n] = len(calls)
+    assert counts == {16: 2 * 16, 32: 2 * 32}
 
 
 def test_collective_states_share_one_layout():

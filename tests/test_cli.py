@@ -87,6 +87,19 @@ def test_trace_quadrics(tmp_path, capsys):
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
 
 
+def test_trace_twice_in_one_process_writes_equal_json(tmp_path, capsys):
+    """Packet ``wire_id``s appear in the Chrome trace and are numbered
+    per fabric, so a second in-process run writes the same file."""
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        assert main([
+            "trace", "--network", "quadrics", "-n", "8", "--no-cache",
+            "--out", str(out),
+        ]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_trace_myrinet(tmp_path, capsys):
     out = tmp_path / "trace.json"
     code = main([

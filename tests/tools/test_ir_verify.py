@@ -90,7 +90,7 @@ def test_sl202_wait_cycle():
     assert finding.path == "ir://barrier/fixture/n2/p0/root0"
     assert "wait cycle" in finding.message
     assert "rank 0" in finding.message and "rank 1" in finding.message
-    assert "send_first" in finding.fixit
+    assert "send first on the blocking phase" in finding.fixit
 
 
 def test_sl203_overlapping_merge():

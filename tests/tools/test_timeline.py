@@ -96,6 +96,16 @@ def test_ascii_timeline_empty():
     assert "no spans" in ascii_timeline(Tracer(enabled=True))
 
 
+def test_ascii_timeline_refuses_truncated():
+    from repro.sim.trace import TraceTruncated
+
+    tr = Tracer(enabled=True, max_records=1)
+    tr.add_span(0.0, 1.0, "host0", "a")
+    tr.add_span(1.0, 2.0, "host0", "b")
+    with pytest.raises(TraceTruncated, match="spans dropped"):
+        ascii_timeline(tr)
+
+
 # ----------------------------------------------------------------------
 # Critical path (unit)
 # ----------------------------------------------------------------------
