@@ -18,9 +18,10 @@ Run:  python examples/storm_job_launch.py
 """
 
 from repro.cluster import build_myrinet_cluster
-from repro.collectives import ProcessGroup
-from repro.collectives.host_collectives import host_allgather, host_broadcast
+from repro.collectives import ProcessGroup, host_barrier
+from repro.collectives.algorithms import binomial_children, binomial_parent
 from repro.mpi import create_communicators
+from repro.myrinet.gm_api import GmRecvEvent
 
 NODES = 8
 JOB_IMAGE_BYTES = 4096  # environment + launch descriptor
@@ -54,26 +55,45 @@ def nic_launcher():
     return launch_times
 
 
+def _recv_tagged(port, tag):
+    """Wait for the GM message carrying ``tag``; others stay queued."""
+    event = yield from port.recv_matching(
+        lambda ev: isinstance(ev, GmRecvEvent)
+        and isinstance(ev.payload, tuple)
+        and ev.payload[0] == tag
+    )
+    return event.payload[1]
+
+
 def host_launcher():
-    """The same management plane over host-driven GM messaging."""
+    """The same management plane over host-driven GM messaging: the
+    image goes down a binomial tree, one GM send per hop, and every
+    node sends its exit status to node 0."""
     cluster = build_myrinet_cluster("lanai_xp_xeon2400", nodes=NODES)
     group = ProcessGroup(list(range(NODES)))
     launch_times = []
 
     def node_manager(node):
-        from repro.collectives import host_barrier
-
+        port = cluster.ports[node]
         for job in range(JOBS):
             start = cluster.sim.now
-            yield from host_broadcast(
-                cluster.ports[node], group, job, JOB_IMAGE_BYTES,
-                value={"job": job} if node == 0 else None,
-            )
+            descriptor = {"job": job, "cmd": "ring_app"}
+            if binomial_parent(node, NODES) is not None:
+                descriptor = yield from _recv_tagged(port, ("image", job, node))
+            for child in binomial_children(node, NODES):
+                yield from port.send(
+                    child, JOB_IMAGE_BYTES,
+                    payload=(("image", job, child), descriptor),
+                )
             yield from cluster.cpus[node].compute(5.0)
-            yield from host_barrier(cluster.ports[node], group, job)
-            yield from host_allgather(cluster.ports[node], group, job, 0)
-            if node == 0:
-                launch_times.append(cluster.sim.now - start)
+            yield from host_barrier(port, group, job)
+            if node != 0:
+                yield from port.send(0, 4, payload=(("status", job), 0))
+                continue
+            for _ in range(NODES - 1):
+                status = yield from _recv_tagged(port, ("status", job))
+                assert status == 0
+            launch_times.append(cluster.sim.now - start)
 
     procs = [cluster.sim.process(node_manager(i)) for i in range(NODES)]
     cluster.sim.run()

@@ -127,7 +127,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         critical_path,
         write_chrome_trace,
     )
-    from repro.tools.runcache import point_request, resolve_cache
+    from functools import partial
+
+    from repro.experiments.common import sweep_point
+    from repro.tools.runcache import resolve_cache
 
     profile = _check_fits(
         args.profile or _TRACE_DEFAULT_PROFILE[args.network], args.nodes,
@@ -158,13 +161,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # a warm mismatch is a determinism regression, caught here.
     cache = resolve_cache("auto" if args.cache else None)
     if cache is not None:
-        request = point_request(
-            args.network, profile, barrier, "dissemination", args.nodes,
-            iterations=args.iterations, warmup=args.warmup, seed=args.seed,
+        point = partial(
+            sweep_point, args.network, profile.name, barrier, "dissemination",
+            args.nodes, iterations=args.iterations, warmup=args.warmup,
+            seed=args.seed,
         )
-        cached = cache.get(request)
+        cached = cache.get(point)
         if cached is None:
-            cache.put(request, result.mean_latency_us)
+            cache.put(point, result.mean_latency_us)
             print("run cache: cold (latency stored)", file=sys.stderr)
         elif cached != result.mean_latency_us:
             print(

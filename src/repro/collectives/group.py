@@ -223,12 +223,14 @@ class ProcessGroup:
 
         Compiled once per ``(collective, algorithm, payload, root)``
         and kept on the group; repeat starts replay the cached op
-        lists.  ``algorithm=None`` follows the group's choice — which,
-        for ``"auto"`` groups, asks the decision table *per collective*
-        (the tuned winner for allreduce need not match barrier's).
+        lists.  ``algorithm=None`` follows the group's choice: the
+        barrier runs ``self.algorithm``, fixed when the group was built,
+        and an ``"auto"`` group asks the decision table for each data
+        collective (the tuned winner for allreduce need not match
+        barrier's).
         """
         if algorithm is None:
-            if self.requested_algorithm == "auto":
+            if self.requested_algorithm == "auto" and collective != "barrier":
                 algorithm = pick_algorithm(collective, self.size, payload_bytes)
             else:
                 algorithm = self.algorithm

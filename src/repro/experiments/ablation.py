@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from repro.cluster import build_myrinet_cluster, get_profile, run_barrier_experiment
+from repro.cluster import build_myrinet_cluster, run_barrier_experiment
 from repro.experiments.common import ExperimentResult, Series, parallel_map
-from repro.tools.runcache import RunCache, run_request
+from repro.tools.runcache import RunCache
 
 PROFILE = "lanai91_piii700"
 NODES = 8
@@ -86,19 +86,13 @@ def run(
     cache: RunCache | None = None,
 ) -> ExperimentResult:
     iters = iterations or (30 if quick else 100)
-
-    def key_fn(barrier):
-        return run_request(
-            "ablation", params=get_profile(PROFILE), barrier=barrier,
-            nodes=NODES, iterations=iters, warmup=20,
-        )
-
     rows = parallel_map(
-        partial(measure, iterations=iters),
-        ("host", "nic-direct", "nic-collective"),
+        [
+            partial(measure, barrier, iterations=iters)
+            for barrier in ("host", "nic-direct", "nic-collective")
+        ],
         jobs=jobs,
         cache=cache,
-        key_fn=key_fn,
         decode=lambda payload: SchemeAccounting(**payload),
     )
     by = {r.barrier: r for r in rows}

@@ -18,7 +18,7 @@ from repro.cluster import (
     build_quadrics_cluster,
     run_barrier_experiment,
 )
-from repro.tools.runcache import RunCache, point_request
+from repro.tools.runcache import RunCache
 
 
 @dataclass
@@ -71,51 +71,51 @@ class ExperimentResult:
 # Sweeps
 # ----------------------------------------------------------------------
 def parallel_map(
-    fn: Callable,
-    items: Iterable,
+    calls: Iterable[Callable[[], Any]],
     jobs: int = 1,
     cache: Optional[RunCache] = None,
-    key_fn: Optional[Callable[[Any], dict]] = None,
-    encode: Optional[Callable[[Any], Any]] = None,
     decode: Optional[Callable[[Any], Any]] = None,
 ) -> list:
-    """Order-preserving map, fanned out over worker processes.
+    """Order-preserving ``[call() for call in calls]``, fanned out over
+    worker processes.
 
-    ``fn`` must be picklable (a module-level function or a
-    :func:`functools.partial` of one).  Each item must be an independent
-    computation — for figure points that holds by construction (fresh
-    simulator per point, deterministic seed), which makes the parallel
-    result bit-identical to the serial one.  ``jobs <= 1`` runs inline.
+    Each call is a module-level function or a :func:`functools.partial`
+    of one, so it pickles to the workers and keys the cache.  Each must
+    be an independent computation — for figure points that holds by
+    construction (fresh simulator per point, deterministic seed), which
+    makes the parallel result bit-identical to the serial one.
+    ``jobs <= 1`` runs inline.
 
-    With ``cache`` and ``key_fn`` set, each item's run request is probed
-    first and only the misses are shipped to the pool; hits merge back
-    in item order.  Workers never touch the cache — keys are computed
-    and entries written in the parent, so no cross-process locking is
-    needed.  ``encode``/``decode`` convert between ``fn``'s return value
-    and its JSON payload (identity for plain floats).
+    With ``cache`` set, each call's entry is probed first and only the
+    misses are shipped to the pool; hits merge back in call order.
+    Workers never touch the cache — keys are computed and entries
+    written in the parent, so no cross-process locking is needed.
+    ``decode`` rebuilds a hit's JSON payload into the call's value.
     """
-    items = list(items)
-    if cache is not None and key_fn is not None:
-        requests = [key_fn(item) for item in items]
-        results: list = [None] * len(items)
+    calls = list(calls)
+    if cache is not None:
+        results: list = []
         miss_slots = []
-        for slot, request in enumerate(requests):
-            payload = cache.get(request)
+        for slot, call in enumerate(calls):
+            payload = cache.get(call)
             if payload is None:
                 miss_slots.append(slot)
-            else:
-                results[slot] = decode(payload) if decode is not None else payload
-        computed = parallel_map(fn, [items[s] for s in miss_slots], jobs=jobs)
+            elif decode is not None:
+                payload = decode(payload)
+            results.append(payload)
+        computed = parallel_map([calls[s] for s in miss_slots], jobs=jobs)
         for slot, value in zip(miss_slots, computed):
-            cache.put(
-                requests[slot], encode(value) if encode is not None else value
-            )
+            cache.put(calls[slot], value)
             results[slot] = value
         return results
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    if jobs > 1 and len(calls) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
+            return list(pool.map(_invoke, calls))
+    return [call() for call in calls]
+
+
+def _invoke(call: Callable[[], Any]) -> Any:
+    return call()
 
 
 def sweep_point(
@@ -168,38 +168,15 @@ def sweep(
     measured points are served from disk and only the misses simulate.
     """
     ns = list(n_values)
-    point = partial(
-        sweep_point,
-        network,
-        profile,
-        barrier,
-        algorithm,
-        iterations=iterations,
-        warmup=warmup,
-        seed=seed,
-    )
-    key_fn = partial(
-        _sweep_request, network, profile, barrier, algorithm,
-        iterations=iterations, warmup=warmup, seed=seed,
-    )
-    lats = parallel_map(point, ns, jobs=jobs, cache=cache, key_fn=key_fn)
+    calls = [
+        partial(
+            sweep_point, network, profile, barrier, algorithm, n,
+            iterations=iterations, warmup=warmup, seed=seed,
+        )
+        for n in ns
+    ]
+    lats = parallel_map(calls, jobs=jobs, cache=cache)
     return Series(label or f"{barrier}-{algorithm}", ns, lats)
-
-
-def _sweep_request(
-    network: str,
-    profile: str,
-    barrier: str,
-    algorithm: str,
-    n: int,
-    iterations: int,
-    warmup: int,
-    seed: int,
-) -> dict:
-    return point_request(
-        network, profile, barrier, algorithm, n,
-        iterations=iterations, warmup=warmup, seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------

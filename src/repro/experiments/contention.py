@@ -38,8 +38,7 @@ def _measure(network: str, nodes: int, iterations: int, cache):
         "skewed", 2, nodes, seed=0, iterations=iterations, payload_bytes=64
     )
     return run_workload_cached(
-        network, nodes, jobs, seed=0, xtraffic=XTRAFFIC,
-        cache=cache if cache is not None else None,
+        network, nodes, jobs, seed=0, xtraffic=XTRAFFIC, cache=cache,
     )
 
 

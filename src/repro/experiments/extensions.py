@@ -26,20 +26,9 @@ from repro.experiments.common import (
     parallel_map,
     print_experiment,
 )
-from repro.tools.runcache import RunCache, run_request
+from repro.tools.runcache import RunCache
 
 PROFILE = "lanai_xp_xeon2400"
-
-
-def _ext_key_fn(kind: str, repeats: int, **extra):
-    from repro.cluster import get_profile
-
-    def build(n):
-        return run_request(
-            kind, params=get_profile(PROFILE), n=n, repeats=repeats, **extra
-        )
-
-    return build
 
 
 def _broadcast_point(n: int, size_bytes: int, repeats: int) -> float:
@@ -118,40 +107,16 @@ def run(
 ) -> ExperimentResult:
     repeats = iterations or (15 if quick else 40)
     n_values = [2, 4, 8] if quick else [2, 4, 8, 16, 32]
-    barrier = Series(
-        "barrier",
-        n_values,
-        parallel_map(partial(_barrier_point, repeats=repeats), n_values, jobs=jobs,
-                     cache=cache, key_fn=_ext_key_fn("ext-barrier", repeats)),
-    )
-    bcast_small = Series(
-        "bcast-64B", n_values,
-        parallel_map(
-            partial(_broadcast_point, size_bytes=64, repeats=repeats),
-            n_values, jobs=jobs,
-            cache=cache,
-            key_fn=_ext_key_fn("ext-broadcast", repeats, size_bytes=64),
-        ),
-    )
-    bcast_large = Series(
-        "bcast-4KB", n_values,
-        parallel_map(
-            partial(_broadcast_point, size_bytes=4096, repeats=repeats),
-            n_values, jobs=jobs,
-            cache=cache,
-            key_fn=_ext_key_fn("ext-broadcast", repeats, size_bytes=4096),
-        ),
-    )
-    allgather = Series(
-        "allgather-4B", n_values,
-        parallel_map(partial(_allgather_point, repeats=repeats), n_values, jobs=jobs,
-                     cache=cache, key_fn=_ext_key_fn("ext-allgather", repeats)),
-    )
-    alltoall = Series(
-        "alltoall-4B", n_values,
-        parallel_map(partial(_alltoall_point, repeats=repeats), n_values, jobs=jobs,
-                     cache=cache, key_fn=_ext_key_fn("ext-alltoall", repeats)),
-    )
+
+    def series(label, point, **kwargs):
+        calls = [partial(point, n, repeats=repeats, **kwargs) for n in n_values]
+        return Series(label, n_values, parallel_map(calls, jobs=jobs, cache=cache))
+
+    barrier = series("barrier", _barrier_point)
+    bcast_small = series("bcast-64B", _broadcast_point, size_bytes=64)
+    bcast_large = series("bcast-4KB", _broadcast_point, size_bytes=4096)
+    allgather = series("allgather-4B", _allgather_point)
+    alltoall = series("alltoall-4B", _alltoall_point)
     return ExperimentResult(
         exp_id="extensions",
         title="§9 extension collectives on the collective protocol (LANai-XP)",

@@ -28,7 +28,7 @@ from repro.experiments.common import (
     sweep_point,
 )
 from repro.model import PAPER_MYRINET_XP, PAPER_QUADRICS_ELAN3, fit_barrier_model
-from repro.tools.runcache import RunCache, point_request
+from repro.tools.runcache import RunCache
 
 MODEL_POINTS = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 PAPER_ANCHORS = {
@@ -54,32 +54,18 @@ def _point_schedule(n: int, iters: int) -> tuple[int, int]:
     return max(8, iters // 8), 4
 
 
-def _measure_point(network: str, profile: str, barrier: str, spec) -> float:
-    n, iterations, warmup = spec
-    return sweep_point(
-        network, profile, barrier, "dissemination", n,
-        iterations=iterations, warmup=warmup,
-    )
-
-
 def _measured_series(
     network: str, profile: str, barrier: str, ns, label: str,
     iters: int, jobs: int, cache: RunCache | None = None,
 ) -> Series:
-    specs = [(n, *_point_schedule(n, iters)) for n in ns]
-
-    def key_fn(spec):
-        n, iterations, warmup = spec
-        return point_request(
-            network, profile, barrier, "dissemination", n,
-            iterations=iterations, warmup=warmup, seed=0,
-        )
-
-    lats = parallel_map(
-        partial(_measure_point, network, profile, barrier), specs, jobs=jobs,
-        cache=cache, key_fn=key_fn,
-    )
-    return Series(label, list(ns), lats)
+    calls = []
+    for n in ns:
+        iterations, warmup = _point_schedule(n, iters)
+        calls.append(partial(
+            sweep_point, network, profile, barrier, "dissemination", n,
+            iterations=iterations, warmup=warmup,
+        ))
+    return Series(label, list(ns), parallel_map(calls, jobs=jobs, cache=cache))
 
 
 def run(

@@ -22,7 +22,7 @@ from repro.experiments.common import (
     sweep_point,
 )
 from repro.model import fit_barrier_model
-from repro.tools.runcache import RunCache, point_request
+from repro.tools.runcache import RunCache
 
 PAPER_ANCHORS = {
     "Quadrics NIC barrier @ 8 (us)": 5.60,
@@ -35,14 +35,6 @@ PAPER_ANCHORS = {
     "Quadrics model @ 1024 (us)": 22.13,
     "Myrinet model @ 1024 (us)": 38.94,
 }
-
-
-def _headline_point(iterations: int, spec) -> float:
-    network, profile, barrier, n = spec
-    return sweep_point(
-        network, profile, barrier, "dissemination", n,
-        iterations=iterations, warmup=20,
-    )
 
 
 QUAD_FIT_NS = (2, 4, 8, 16, 32)
@@ -70,17 +62,14 @@ def run(
     # regime; see fig8's notes).
     specs += [("quadrics", quad, "nic-chained", n) for n in QUAD_FIT_NS]
     specs += [("myrinet", xp, "nic-collective", n) for n in MYRI_FIT_NS]
-    def key_fn(spec):
-        network, profile, barrier, n = spec
-        return point_request(
-            network, profile, barrier, "dissemination", n,
-            iterations=iters, warmup=20, seed=0,
+    calls = [
+        partial(
+            sweep_point, network, profile, barrier, "dissemination", n,
+            iterations=iters, warmup=20,
         )
-
-    lats = parallel_map(
-        partial(_headline_point, iters), specs, jobs=jobs,
-        cache=cache, key_fn=key_fn,
-    )
+        for network, profile, barrier, n in specs
+    ]
+    lats = parallel_map(calls, jobs=jobs, cache=cache)
 
     quad_nic, quad_tree, xp_nic, xp_host, l91_nic, l91_host, l91_direct = lats[:7]
     quad_pts = list(zip(QUAD_FIT_NS, lats[7:7 + len(QUAD_FIT_NS)]))

@@ -39,20 +39,9 @@ from repro.experiments.common import (
     parallel_map,
     print_experiment,
 )
-from repro.tools.runcache import RunCache, run_request
+from repro.tools.runcache import RunCache
 
 PROFILE = "lanai_xp_xeon2400"
-
-
-def _overlap_key_fn(kind: str, repeats: int):
-    from repro.cluster import get_profile
-
-    def build(n):
-        return run_request(
-            kind, params=get_profile(PROFILE), n=n, repeats=repeats
-        )
-
-    return build
 
 
 def _build(n: int):
@@ -112,15 +101,13 @@ def run(
     n_values = [2, 4, 8] if quick else [2, 4, 8, 16, 32]
     blocking = Series(
         "blocking", n_values,
-        parallel_map(partial(_blocking_point, repeats=repeats), n_values,
-                     jobs=jobs, cache=cache,
-                     key_fn=_overlap_key_fn("overlap-blocking", repeats)),
+        parallel_map([partial(_blocking_point, n, repeats) for n in n_values],
+                     jobs=jobs, cache=cache),
     )
     overlapped = Series(
         "overlapped", n_values,
-        parallel_map(partial(_overlap_point, repeats=repeats), n_values,
-                     jobs=jobs, cache=cache,
-                     key_fn=_overlap_key_fn("overlap-nonblocking", repeats)),
+        parallel_map([partial(_overlap_point, n, repeats) for n in n_values],
+                     jobs=jobs, cache=cache),
     )
     hidings = [
         100.0 * (b - o) / b

@@ -11,6 +11,7 @@ import argparse
 import io
 import sys
 import time
+from functools import partial
 
 from repro.experiments import (
     ablation,
@@ -37,7 +38,6 @@ from repro.tools.runcache import (
     atomic_write_text,
     cached_call,
     resolve_cache,
-    run_request,
 )
 
 EXPERIMENTS = [
@@ -60,15 +60,7 @@ AUDIT_POINTS = [
 
 def run_counter_audits(points=AUDIT_POINTS, cache: RunCache | None = None):
     """The protocol counter audits reported alongside the figures."""
-    from repro.cluster import get_profile
     from repro.tools import CounterAudit, CounterCheck, run_counter_audit
-
-    def audit_request(barrier: str, nodes: int) -> dict:
-        profile = "elan3_piii700" if barrier == "nic-chained" else "lanai_xp_xeon2400"
-        return run_request(
-            "counter-audit", params=get_profile(profile), barrier=barrier,
-            nodes=nodes, iterations=10, warmup=3, seed=0,
-        )
 
     def decode(payload: dict) -> CounterAudit:
         checks = tuple(CounterCheck(**check) for check in payload.pop("checks"))
@@ -77,10 +69,7 @@ def run_counter_audits(points=AUDIT_POINTS, cache: RunCache | None = None):
     return [
         cached_call(
             cache,
-            audit_request(barrier, nodes),
-            lambda barrier=barrier, nodes=nodes: run_counter_audit(
-                barrier, nodes=nodes, iterations=10, warmup=3
-            ),
+            partial(run_counter_audit, barrier, nodes=nodes, iterations=10, warmup=3),
             decode=decode,
         )
         for barrier, nodes in points

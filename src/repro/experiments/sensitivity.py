@@ -35,7 +35,7 @@ from repro.experiments.common import (
 )
 from repro.network import FaultInjector
 from repro.sim import DeterministicRng
-from repro.tools.runcache import RunCache, run_request
+from repro.tools.runcache import RunCache
 
 BASE = "lanai91_piii700"
 NODES = 8
@@ -99,14 +99,8 @@ def nack_timeout_sweep(
 ) -> tuple[Series, Series, list[str]]:
     timeouts = [20.0, 50.0, 100.0, 500.0, 1500.0]
     points = parallel_map(
-        partial(_nack_point, iterations=iterations), timeouts, jobs=jobs,
-        cache=cache,
-        key_fn=lambda t: run_request(
-            "sens-nack",
-            params=_with_gm(get_profile(BASE), nack_timeout_us=t),
-            nodes=NODES, iterations=iterations,
-        ),
-        decode=lambda p: (p[0], p[1]),
+        [partial(_nack_point, t, iterations) for t in timeouts],
+        jobs=jobs, cache=cache,
     )
     latencies = [lat for lat, _ in points]
     spurious = [n for _, n in points]
@@ -125,14 +119,8 @@ def pool_size_sweep(
 ) -> tuple[Series, Series, list[str]]:
     sizes = [1, 2, 4, 8]
     points = parallel_map(
-        partial(_pool_point, iterations=iterations), sizes, jobs=jobs,
-        cache=cache,
-        key_fn=lambda s: run_request(
-            "sens-pool",
-            params=_with_gm(get_profile(BASE), send_packet_count=s),
-            nodes=NODES, iterations=iterations,
-        ),
-        decode=lambda p: (p[0], p[1]),
+        [partial(_pool_point, s, iterations) for s in sizes],
+        jobs=jobs, cache=cache,
     )
     direct = [d for d, _ in points]
     collective = [c for _, c in points]
@@ -153,14 +141,8 @@ def poll_interval_sweep(
 ) -> tuple[Series, Series, list[str]]:
     intervals = [0.2, 0.6, 1.2, 2.4, 4.8]
     points = parallel_map(
-        partial(_poll_point, iterations=iterations), intervals, jobs=jobs,
-        cache=cache,
-        key_fn=lambda i: run_request(
-            "sens-poll",
-            params=_with_host(get_profile(BASE), poll_interval_us=i),
-            nodes=NODES, iterations=iterations,
-        ),
-        decode=lambda p: (p[0], p[1]),
+        [partial(_poll_point, i, iterations) for i in intervals],
+        jobs=jobs, cache=cache,
     )
     host = [h for h, _ in points]
     nic = [n for _, n in points]
@@ -183,12 +165,8 @@ def loss_rate_sweep(
 ) -> tuple[Series, list[str]]:
     rates = [0.0, 0.005, 0.01, 0.02, 0.05]
     latencies = parallel_map(
-        partial(_loss_point, iterations=iterations), rates, jobs=jobs,
-        cache=cache,
-        key_fn=lambda r: run_request(
-            "sens-loss", params=get_profile(BASE), nodes=NODES,
-            iterations=iterations, rate=r, fault_seed=1,
-        ),
+        [partial(_loss_point, r, iterations) for r in rates],
+        jobs=jobs, cache=cache,
     )
     notes = [
         "all barriers complete under loss; each lost message costs about "

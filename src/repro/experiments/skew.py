@@ -24,10 +24,9 @@ from repro.experiments.common import (
     parallel_map,
     print_experiment,
 )
-from repro.cluster import get_profile
 from repro.quadrics import elan_hgsync
 from repro.sim import DeterministicRng
-from repro.tools.runcache import RunCache, run_request
+from repro.tools.runcache import RunCache
 
 NODES = 8
 PAPER_ANCHORS = {}  # qualitative claim; no numeric anchor in the paper
@@ -87,23 +86,13 @@ def run(
     iters = iterations or (20 if quick else 60)
     skews = [0.0, 2.0, 5.0, 10.0, 20.0, 40.0]
 
-    def key_fn(kind):
-        def build(skew_us):
-            return run_request(
-                kind, params=get_profile("elan3_piii700"), nodes=NODES,
-                skew_us=skew_us, iterations=iters, seed=0,
-            )
-
-        return build
-
     hw_points = parallel_map(
-        partial(_measure_hgsync, iterations=iters), skews, jobs=jobs,
-        cache=cache, key_fn=key_fn("skew-hgsync"),
-        decode=lambda p: (p[0], p[1]),
+        [partial(_measure_hgsync, skew, iters) for skew in skews],
+        jobs=jobs, cache=cache,
     )
     nic_costs = parallel_map(
-        partial(_measure_nic, iterations=iters), skews, jobs=jobs,
-        cache=cache, key_fn=key_fn("skew-nic"),
+        [partial(_measure_nic, skew, iters) for skew in skews],
+        jobs=jobs, cache=cache,
     )
     hw_costs = [cost for cost, _ in hw_points]
     hw_retries = [retries / iters for _, retries in hw_points]

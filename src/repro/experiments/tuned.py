@@ -15,6 +15,8 @@ keys), so after one ``repro tune`` this figure costs zero simulations
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.experiments.common import (
     ExperimentResult,
     Series,
@@ -22,11 +24,7 @@ from repro.experiments.common import (
     print_experiment,
 )
 from repro.tools.runcache import RunCache
-from repro.tools.tune import (
-    _point_key_fn,
-    candidate_points,
-    measure_point,
-)
+from repro.tools.tune import candidate_points, measure_point
 
 
 def run(
@@ -38,7 +36,7 @@ def run(
     payloads = [4, 1024] if quick else [4, 256, 4096]
     points = candidate_points(n_values, payloads, repeats)
     latencies = parallel_map(
-        measure_point, points, jobs=jobs, cache=cache, key_fn=_point_key_fn
+        [partial(measure_point, p) for p in points], jobs=jobs, cache=cache
     )
     by_point = dict(zip(points, latencies))
 

@@ -20,8 +20,9 @@ class ElanParams:
       (memory-mapped store; much cheaper than Myrinet's doorbell path).
     - ``t_host_event`` — Elan writes a host-memory event word (the
       host polls that word; Elan's host writes are cheap).
-    - ``t_thread_step`` — one Elan thread-processor dispatch, used by
-      the tport (tagged message) path that ``elan_gsync`` runs over.
+    - ``t_thread_step`` — one Elan thread-processor dispatch on the
+      tport (tagged message) send path.  ``elan_gsync`` does not use
+      tport: it combines over zero-byte RDMAs into Elan events.
     - ``t_tport_match`` — receive-side tag matching in the thread
       processor.
 

@@ -46,6 +46,7 @@ survives kills through revoke → shrink → resume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from repro.cluster.builder import build_cluster
@@ -73,7 +74,7 @@ from repro.collectives import (
 from repro.collectives.membership import enable_failure_detector, launch_kills
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
-from repro.tools.runcache import RunCache, cached_call, run_request
+from repro.tools.runcache import RunCache, cached_call
 from repro.tools.simlint.perturb import TieBreakSimulator
 from repro.tools.simlint.quiescence import check_quiescent
 
@@ -448,15 +449,10 @@ def run_plan(
     replays (``sim=TieBreakSimulator(...)``) exist to *re-execute* the
     schedule, so they always run live.
     """
-    profile = _profile(plan)
-    if cache is None or sim is not None:
-        return _execute(plan, profile, sim)
-    return cached_call(
-        cache,
-        run_request("chaos-run", plan=plan, params=profile),
-        lambda: _execute(plan, profile, None),
-        decode=lambda payload: _decode_result(plan, payload),
-    )
+    run = partial(_execute, plan, _profile(plan), sim)
+    if sim is not None:
+        return run()
+    return cached_call(cache, run, decode=partial(_decode_result, plan))
 
 
 #: The name the benchmark harness imports and profiles.

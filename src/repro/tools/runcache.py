@@ -1,21 +1,23 @@
 """Persistent content-addressed cache for deterministic simulation runs.
 
-Every figure point in this repo is a pure function of its run request:
-the hardware profile (all params-dataclass constants), the barrier
-scheme and algorithm, the node count, the iteration schedule, the seed,
-any fault scenario — and the simulator source itself.  The SL101
-perturbation runner (PR 3) enforces exactly that determinism property,
-which makes results safely memoizable, the way LogP-style models treat
-a point as a pure function of its parameters.
+Every figure point in this repo is a pure function of the call that
+computes it: a module-level function, its arguments (hardware profile,
+barrier scheme and algorithm, node count, iteration schedule, seed,
+fault scenario), the installed tuner decision table — and the simulator
+source itself.  The SL101 perturbation runner enforces exactly
+that determinism property, which makes results safely memoizable, the
+way LogP-style models treat a point as a pure function of its
+parameters.
 
 This module provides the shared machinery:
 
 - :func:`source_digest` — a SHA-256 over every ``.py`` file in the
-  ``repro`` package, so *any* code or timing-constant change invalidates
-  the whole cache by construction (no stale hits, ever);
-- :func:`run_request` / :func:`point_request` — canonical, fully
-  expanded request dictionaries (profiles are snapshotted field by
-  field, never by name alone);
+  ``repro`` package, so any code or timing-constant change invalidates
+  the whole cache;
+- :func:`run_request` — the one key builder: a cached point is a call
+  (a :func:`functools.partial` of a module-level function), and its
+  request is the function's name, its bound arguments with defaults
+  applied, the source digest and the installed decision table;
 - :class:`RunCache` — the on-disk store: one JSON file per entry under
   ``<root>/objects/<hh>/<digest>.json``, written atomically (tmp file +
   ``os.replace``), corrupted or truncated entries treated as misses and
@@ -39,11 +41,13 @@ The default root is ``.repro-cache/`` in the working directory
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import shutil
 import tempfile
 from dataclasses import asdict, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -93,8 +97,7 @@ def source_digest() -> str:
 
     Computed once per process.  Any change to simulator code, protocol
     engines, profiles, or timing constants yields a new digest, so every
-    cache key minted afterwards misses — stale hits are impossible by
-    construction of the key, not by convention.
+    cache key minted afterwards misses.
     """
     root = Path(__file__).resolve().parent.parent  # the repro package
     memo_key = str(root)
@@ -136,53 +139,52 @@ def jsonable(value: Any) -> Any:
     )
 
 
-def run_request(kind: str, **fields: Any) -> dict:
-    """A canonical run-request dict: ``kind`` + fields + source digest."""
-    request = {"kind": kind, "source_digest": source_digest()}
-    for name, value in fields.items():
-        request[name] = jsonable(value)
-    return request
+def run_request(call: Callable[[], Any]) -> dict:
+    """The request that identifies ``call``'s result.
 
-
-def point_request(
-    network: str,
-    profile: Any,
-    barrier: str,
-    algorithm: str,
-    n: int,
-    iterations: int,
-    warmup: int,
-    seed: int,
-) -> dict:
-    """The request for one barrier figure point.
-
-    The profile is snapshotted as its full params dataclass (wire, PCI,
-    host, GM/Elan constants), so a ``dataclasses.replace``-perturbed
-    profile or an edited timing constant keys differently from the
-    stock one even under the same name.
+    ``call`` is a module-level function or a :func:`functools.partial`
+    of one.  The request holds the function's ``module.qualname``, its
+    arguments bound to the signature with defaults applied (so
+    positional, keyword and defaulted spellings of one point share a
+    key), the source digest, and the installed tuner decision table
+    when there is one — ``"auto"`` groups take their algorithms from
+    it.  A profile passed as a params dataclass is expanded field by
+    field, so a ``dataclasses.replace``-perturbed profile keys
+    differently from the stock one.  A lambda or a closure is refused:
+    what it captures is not in its arguments.
     """
-    from repro.cluster.profiles import get_profile
+    from repro.collectives.tuning import current_decision_table
 
-    resolved = get_profile(profile) if isinstance(profile, str) else profile
-    return run_request(
-        "barrier_point",
-        network=network,
-        profile=resolved.name,
-        params=resolved,
-        barrier=barrier,
-        algorithm=algorithm,
-        n=n,
-        iterations=iterations,
-        warmup=warmup,
-        seed=seed,
-    )
+    func, args, kwargs = call, (), {}
+    if isinstance(call, partial):
+        func, args, kwargs = call.func, call.args, call.keywords
+    name = f"{getattr(func, '__module__', None)}.{getattr(func, '__qualname__', None)}"
+    if not inspect.isfunction(func) or "<" in name:
+        raise TypeError(
+            f"a cached call must be a module-level function or a partial "
+            f"of one, got {name}"
+        )
+    bound = inspect.signature(func).bind(*args, **kwargs)
+    bound.apply_defaults()
+    request = {
+        "call": name,
+        "args": jsonable(bound.arguments),
+        "source_digest": source_digest(),
+    }
+    table = current_decision_table()
+    if table is not None:
+        request["decision_table"] = jsonable(table.entries)
+    return request
 
 
 # ----------------------------------------------------------------------
 # The cache proper
 # ----------------------------------------------------------------------
 class RunCache:
-    """Content-addressed on-disk store of run-request -> result payload."""
+    """Content-addressed on-disk store of call -> result payload.
+
+    ``get``/``put``/``entry_path`` take the call itself; its address is
+    the digest of :func:`run_request`."""
 
     def __init__(self, root: Union[str, Path, None] = None):
         self.root = Path(root) if root is not None else default_root()
@@ -199,19 +201,22 @@ class RunCache:
         )
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def entry_path(self, request: dict) -> Path:
+    def entry_path(self, call: Callable[[], Any]) -> Path:
+        return self._path(run_request(call))
+
+    def _path(self, request: dict) -> Path:
         digest = self.key_digest(request)
         return self.root / "objects" / digest[:2] / f"{digest}.json"
 
     # -- get / put -----------------------------------------------------
-    def get(self, request: dict) -> Optional[Any]:
-        """The cached payload, or ``None`` on a miss.
+    def get(self, call: Callable[[], Any]) -> Optional[Any]:
+        """The cached payload of ``call``, or ``None`` on a miss.
 
         A corrupted or truncated entry (interrupted writer from a
         pre-atomic era, disk damage, schema change) counts as a miss,
         is pruned, and is recomputed by the caller.
         """
-        path = self.entry_path(request)
+        path = self.entry_path(call)
         try:
             raw = path.read_text()
         except OSError:
@@ -233,16 +238,17 @@ class RunCache:
         self.hits += 1
         return payload
 
-    def put(self, request: dict, payload: Any) -> None:
-        """Store ``payload`` for ``request`` atomically."""
+    def put(self, call: Callable[[], Any], payload: Any) -> None:
+        """Store ``payload`` for ``call`` atomically."""
         if payload is None:
             raise ValueError("cache payloads must not be None (None means miss)")
+        request = run_request(call)
         entry = {
             "schema": SCHEMA,
             "request": jsonable(request),
             "payload": jsonable(payload),
         }
-        atomic_write_text(self.entry_path(request), json.dumps(entry, indent=1))
+        atomic_write_text(self._path(request), json.dumps(entry, indent=1))
         self.stores += 1
 
     # -- maintenance ---------------------------------------------------
@@ -365,17 +371,18 @@ def resolve_cache(
 
 def cached_call(
     cache: Optional[RunCache],
-    request: dict,
-    compute: Callable[[], Any],
-    encode: Optional[Callable[[Any], Any]] = None,
+    call: Callable[[], Any],
     decode: Optional[Callable[[Any], Any]] = None,
 ):
-    """Memoize one computation through ``cache`` (or run it uncached)."""
+    """``call()``, memoized through ``cache`` (or run uncached).
+
+    ``decode`` rebuilds a cached JSON payload into the value ``call``
+    returns (identity when the payload already is that value)."""
     if cache is None:
-        return compute()
-    payload = cache.get(request)
+        return call()
+    payload = cache.get(call)
     if payload is not None:
         return decode(payload) if decode is not None else payload
-    value = compute()
-    cache.put(request, encode(value) if encode is not None else value)
+    value = call()
+    cache.put(call, value)
     return value

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.collectives.schedule_ir import reduce_safe
@@ -122,21 +123,6 @@ def measure_point(point: TunePoint) -> float:
     return max(finish) / point.repeats
 
 
-def _point_key_fn(point: TunePoint) -> dict:
-    from repro.cluster import get_profile
-    from repro.tools.runcache import run_request
-
-    return run_request(
-        "tune-point",
-        params=get_profile(PROFILE),
-        collective=point.collective,
-        algorithm=point.algorithm,
-        n=point.n,
-        payload_bytes=point.payload_bytes,
-        repeats=point.repeats,
-    )
-
-
 def run_tuner(
     quick: bool = False,
     jobs: int = 1,
@@ -173,7 +159,7 @@ def run_tuner(
             file=sys.stderr,
         )
     latencies = parallel_map(
-        measure_point, points, jobs=jobs, cache=cache, key_fn=_point_key_fn
+        [partial(measure_point, p) for p in points], jobs=jobs, cache=cache
     )
 
     # Ties (e.g. dissemination vs pairwise-exchange at powers of two)

@@ -23,6 +23,7 @@ contain the victim run to completion untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.cluster.builder import build_cluster
@@ -33,12 +34,7 @@ from repro.collectives.membership import enable_failure_detector, launch_kills
 from repro.mpi import create_communicators, repair_communicators
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
-from repro.tools.runcache import (
-    cached_call,
-    jsonable,
-    resolve_cache,
-    run_request,
-)
+from repro.tools.runcache import cached_call, jsonable, resolve_cache
 from repro.workload.crosstraffic import (
     CrossTrafficInjector,
     CrossTrafficSpec,
@@ -50,7 +46,7 @@ from repro.workload.metrics import (
     jain_fairness,
     summarize_job,
 )
-from repro.workload.trace import JobSpec, render_trace, validate_trace
+from repro.workload.trace import JobSpec, validate_trace
 
 DEFAULT_PROFILE = {
     "myrinet": "lanai_xp_xeon2400",
@@ -499,25 +495,13 @@ def run_workload_cached(
     cache="auto",
     profile: Optional[str] = None,
 ) -> dict:
-    """Cache-aware :func:`run_workload` (keyed on the full trace text,
-    cross-traffic config, and source digest)."""
-    request = run_request(
-        "workload",
-        network=network,
-        cluster_nodes=cluster_nodes,
-        seed=seed,
-        trace=render_trace(jobs),
-        xtraffic=xtraffic.to_json() if xtraffic is not None else None,
-        kill=kill.to_json() if kill is not None else None,
-        baseline=baseline,
-        profile=profile,
-    )
+    """Cache-aware :func:`run_workload` (keyed on every argument: job
+    specs, cross-traffic config, kill, profile)."""
     return cached_call(
         resolve_cache(cache),
-        request,
-        lambda: run_workload(
-            network, cluster_nodes, jobs, seed=seed, xtraffic=xtraffic,
-            kill=kill, baseline=baseline, profile=profile,
+        partial(
+            run_workload, network, cluster_nodes, jobs, seed=seed,
+            xtraffic=xtraffic, kill=kill, baseline=baseline, profile=profile,
         ),
     )
 

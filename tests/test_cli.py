@@ -128,25 +128,35 @@ def test_cache_stats_empty(capsys):
     assert "0" in out
 
 
+def _one(n):
+    return float(n)
+
+
 def test_cache_stats_counts_entries(tmp_path, capsys):
-    from repro.tools.runcache import RunCache, run_request
+    from functools import partial
+
+    from repro.tools.runcache import RunCache
 
     cache_dir = tmp_path / "cache"
-    RunCache(cache_dir).put(run_request("t", n=1), 1.0)
+    RunCache(cache_dir).put(partial(_one, 1), 1.0)
     assert main(["cache", "stats", "--dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
     assert "entries      : 1" in out
     assert str(cache_dir) in out
 
 
-def test_cache_gc_and_clear(tmp_path, capsys):
-    from repro.tools.runcache import RunCache, run_request
+def test_cache_gc_and_clear(tmp_path, capsys, monkeypatch):
+    from functools import partial
+
+    from repro.tools import runcache
 
     cache_dir = tmp_path / "cache"
-    cache = RunCache(cache_dir)
-    cache.put(run_request("t", n=1), 1.0)
-    stale = dict(run_request("t", n=2), source_digest="deadbeef")
-    cache.put(stale, 2.0)
+    cache = runcache.RunCache(cache_dir)
+    cache.put(partial(_one, 1), 1.0)
+    with monkeypatch.context() as patch:
+        # An entry minted by another source tree.
+        patch.setattr(runcache, "source_digest", lambda: "deadbeef")
+        cache.put(partial(_one, 2), 2.0)
 
     assert main(["cache", "gc", "--dir", str(cache_dir)]) == 0
     assert "removed 1" in capsys.readouterr().out

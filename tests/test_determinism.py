@@ -110,12 +110,14 @@ def test_parallel_sweep_bit_identical_to_serial(module_name):
 
 
 def test_parallel_map_preserves_order_and_serial_fallback():
+    from functools import partial
+
     from repro.experiments.common import parallel_map
 
-    items = list(range(12))
-    assert parallel_map(_square, items, jobs=1) == [i * i for i in items]
-    assert parallel_map(_square, items, jobs=3) == [i * i for i in items]
-    assert parallel_map(_square, [], jobs=3) == []
+    calls = [partial(_square, i) for i in range(12)]
+    assert parallel_map(calls, jobs=1) == [i * i for i in range(12)]
+    assert parallel_map(calls, jobs=3) == [i * i for i in range(12)]
+    assert parallel_map([], jobs=3) == []
 
 
 def _square(x):

@@ -1,27 +1,32 @@
-"""Tests for the content-addressed run cache (PR 5 tentpole).
+"""Tests for the content-addressed run cache.
 
-Covers the contract the sweeps rely on: hit after store, miss on any
-request-field change (params, seed, source digest), corrupted entries
-treated as misses, order-preserving merge in ``parallel_map``, and
-warm re-runs performing *zero* simulations with bit-identical output.
+Covers the contract the sweeps rely on: a cached point is a call keyed
+by its function, bound arguments, source digest and installed decision
+table; hit after store, miss on any input change (params, seed, source
+digest, decision table), corrupted entries treated as misses,
+order-preserving merge in ``parallel_map``, and warm re-runs performing
+*zero* simulations with bit-identical output.
 """
 
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 
 from repro.cluster import get_profile
-from repro.experiments import fig6
+from repro.collectives import tuning
+from repro.collectives.tuning import Decision, DecisionTable
+from repro.experiments import common, extensions, fig6, fig8, headline
 from repro.experiments import report as report_mod
-from repro.experiments.common import parallel_map, sweep
+from repro.experiments.common import parallel_map, sweep, sweep_point
+from repro.sim import Simulator
 from repro.tools import runcache
 from repro.tools.runcache import (
     RunCache,
     atomic_write_text,
     cached_call,
     jsonable,
-    point_request,
     resolve_cache,
     run_request,
     source_digest,
@@ -33,13 +38,40 @@ def cache(tmp_path):
     return RunCache(tmp_path / "cache")
 
 
-def stock_request(**overrides):
+def forbid_simulation(monkeypatch):
+    """Any simulator run from here on fails the test."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a warm run must not simulate")
+
+    monkeypatch.setattr(Simulator, "run", boom)
+
+
+def stock_point(**overrides):
     fields = dict(
         network="myrinet", profile="lanai_xp_xeon2400", barrier="nic-collective",
         algorithm="dissemination", n=8, iterations=5, warmup=2, seed=0,
     )
     fields.update(overrides)
-    return point_request(**fields)
+    return partial(sweep_point, **fields)
+
+
+EXECUTED = []
+
+
+def times_ten(item):
+    EXECUTED.append(item)
+    return item * 10
+
+
+def pair(item):
+    EXECUTED.append(item)
+    return (item, item + 0.5)
+
+
+@pytest.fixture(autouse=True)
+def fresh_executed():
+    EXECUTED.clear()
 
 
 class TestAtomicWrite:
@@ -92,18 +124,110 @@ class TestRequests:
         assert RunCache.key_digest(a) != RunCache.key_digest({**a, "n": 16})
 
     def test_request_embeds_source_digest(self):
-        request = run_request("x", n=8)
+        request = run_request(stock_point())
         assert request["source_digest"] == source_digest()
+        assert request["call"] == "repro.experiments.common.sweep_point"
 
     def test_point_request_snapshots_full_params(self):
-        request = stock_request()
-        assert request["params"]["name"] == "lanai_xp_xeon2400"
-        assert "wire" in request["params"]
+        request = run_request(stock_point(profile=get_profile("lanai_xp_xeon2400")))
+        assert request["args"]["profile"]["name"] == "lanai_xp_xeon2400"
+        assert "wire" in request["args"]["profile"]
+
+    def test_positional_keyword_and_default_bind_to_one_key(self):
+        spellings = [
+            partial(sweep_point, "myrinet", "lanai_xp_xeon2400",
+                    "nic-collective", "dissemination", 8),
+            partial(sweep_point, "myrinet", "lanai_xp_xeon2400",
+                    "nic-collective", "dissemination", 8, 100, 20, 0),
+            partial(sweep_point, "myrinet", "lanai_xp_xeon2400",
+                    "nic-collective", algorithm="dissemination", n=8,
+                    seed=0, warmup=20),
+            stock_point(iterations=100, warmup=20),
+        ]
+        keys = {RunCache.key_digest(run_request(call)) for call in spellings}
+        assert len(keys) == 1
+        assert run_request(spellings[0])["args"]["iterations"] == 100
+
+    def test_lambda_and_closure_are_refused(self):
+        def closure():
+            return 1.0
+
+        for call in (lambda: 1.0, closure, partial(closure)):
+            with pytest.raises(TypeError, match="module-level function"):
+                run_request(call)
+
+    def test_sweep_fig8_and_headline_give_a_point_one_key(self, monkeypatch):
+        """The Myrinet-XP nic-collective N=8 point at 40 iterations is
+        measured by a sweep, by fig8's series and by the headline
+        table; all three must build the same call key."""
+        keys = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(name):
+            def fake(calls, **kwargs):
+                for call in calls:
+                    request = run_request(call)
+                    args = request["args"]
+                    if (args["profile"], args["barrier"], args["n"]) == (
+                        "lanai_xp_xeon2400", "nic-collective", 8
+                    ):
+                        keys.setdefault(name, set()).add(
+                            RunCache.key_digest(request)
+                        )
+                raise Captured
+
+            return fake
+
+        monkeypatch.setattr(common, "parallel_map", capture("sweep"))
+        monkeypatch.setattr(fig8, "parallel_map", capture("fig8"))
+        monkeypatch.setattr(headline, "parallel_map", capture("headline"))
+        with pytest.raises(Captured):
+            sweep("myrinet", "lanai_xp_xeon2400", "nic-collective",
+                  "dissemination", [8], iterations=40, warmup=20)
+        with pytest.raises(Captured):
+            fig8.run(quick=True, iterations=40)
+        with pytest.raises(Captured):
+            headline.run(quick=True, iterations=40)
+        assert set(keys) == {"sweep", "fig8", "headline"}
+        assert len(set.union(*keys.values())) == 1
+
+
+class TestDecisionTableKey:
+    @pytest.fixture(autouse=True)
+    def no_table(self, monkeypatch):
+        monkeypatch.setattr(tuning, "_table", None)
+        monkeypatch.setattr(tuning, "_loaded", True)
+
+    def test_installed_table_enters_the_key(self):
+        call = stock_point()
+        assert "decision_table" not in run_request(call)
+        table = DecisionTable(
+            entries=(Decision("barrier", "any", 8, 0, "pairwise-exchange", 1.0),)
+        )
+        tuning.install_decision_table(table)
+        assert run_request(call)["decision_table"] == jsonable(table.entries)
+
+    def test_warm_cache_under_a_new_table_misses(self, cache):
+        """A point cached without a table must not be served once a
+        table changes the algorithm its ``"auto"`` groups run."""
+        call = partial(extensions._allgather_point, 8, repeats=3)
+        untuned = cached_call(cache, call)
+        tuning.install_decision_table(DecisionTable(entries=(
+            Decision("barrier", "any", 8, 0, "dissemination", 1.0),
+            Decision("allgather", "any", 8, 4, "gather-broadcast", 1.0),
+        )))
+        warm = cached_call(cache, call)
+        assert cache.stats()["hits"] == 0
+        assert cache.stats()["misses"] == 2
+        assert warm == call()
+        assert warm != untuned
 
 
 class TestHitMissInvalidation:
     def test_miss_then_hit(self, cache):
-        request = stock_request()
+        request = stock_point()
         assert cache.get(request) is None
         cache.put(request, 12.5)
         assert cache.get(request) == 12.5
@@ -111,33 +235,33 @@ class TestHitMissInvalidation:
 
     def test_none_payload_rejected(self, cache):
         with pytest.raises(ValueError, match="must not be None"):
-            cache.put(stock_request(), None)
+            cache.put(stock_point(), None)
 
     def test_param_change_misses(self, cache):
-        cache.put(stock_request(), 12.5)
+        cache.put(stock_point(), 12.5)
         perturbed = dataclasses.replace(
             get_profile("lanai_xp_xeon2400"),
             gm=dataclasses.replace(
                 get_profile("lanai_xp_xeon2400").gm, nack_timeout_us=999.0
             ),
         )
-        assert cache.get(stock_request(profile=perturbed)) is None
+        assert cache.get(stock_point(profile=perturbed)) is None
 
     def test_seed_change_misses(self, cache):
-        cache.put(stock_request(seed=0), 12.5)
-        assert cache.get(stock_request(seed=1)) is None
+        cache.put(stock_point(seed=0), 12.5)
+        assert cache.get(stock_point(seed=1)) is None
 
     def test_n_change_misses(self, cache):
-        cache.put(stock_request(n=8), 12.5)
-        assert cache.get(stock_request(n=16)) is None
+        cache.put(stock_point(n=8), 12.5)
+        assert cache.get(stock_point(n=16)) is None
 
     def test_source_digest_change_misses(self, cache, monkeypatch):
-        cache.put(stock_request(), 12.5)
+        cache.put(stock_point(), 12.5)
         monkeypatch.setattr(runcache, "source_digest", lambda: "deadbeef")
-        assert cache.get(stock_request()) is None
+        assert cache.get(stock_point()) is None
 
     def test_corrupted_entry_is_miss_and_pruned(self, cache):
-        request = stock_request()
+        request = stock_point()
         cache.put(request, 12.5)
         path = cache.entry_path(request)
         path.write_text('{"schema": "repro.runcache/1", "trunca')
@@ -146,7 +270,7 @@ class TestHitMissInvalidation:
         assert not path.exists()
 
     def test_unknown_schema_is_miss(self, cache):
-        request = stock_request()
+        request = stock_point()
         cache.put(request, 12.5)
         path = cache.entry_path(request)
         entry = json.loads(path.read_text())
@@ -155,8 +279,8 @@ class TestHitMissInvalidation:
         assert cache.get(request) is None
 
     def test_gc_drops_stale_digests(self, cache, monkeypatch):
-        cache.put(stock_request(n=8), 1.0)
-        cache.put(stock_request(n=16), 2.0)
+        cache.put(stock_point(n=8), 1.0)
+        cache.put(stock_point(n=16), 2.0)
         assert cache.gc() == (0, 2)
         # Entries minted under another digest are stale.
         monkeypatch.setattr(runcache, "source_digest", lambda: "deadbeef")
@@ -164,7 +288,7 @@ class TestHitMissInvalidation:
         assert cache.entry_count() == 0
 
     def test_clear_removes_everything(self, cache):
-        cache.put(stock_request(), 1.0)
+        cache.put(stock_point(), 1.0)
         cache.write_stats()
         assert cache.clear() == 1
         assert cache.entry_count() == 0
@@ -190,51 +314,37 @@ class TestResolve:
         assert resolved.root == tmp_path / "elsewhere"
 
     def test_cached_call_roundtrip(self, cache):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"v": 3}
-
-        request = run_request("t", n=1)
-        assert cached_call(cache, request, compute) == {"v": 3}
-        assert cached_call(cache, request, compute) == {"v": 3}
-        assert len(calls) == 1
+        call = partial(times_ten, 3)
+        assert cached_call(cache, call) == 30
+        assert cached_call(cache, call) == 30
+        assert EXECUTED == [3]
         # Uncached path always computes.
-        assert cached_call(None, request, compute) == {"v": 3}
-        assert len(calls) == 2
+        assert cached_call(None, call) == 30
+        assert EXECUTED == [3, 3]
 
 
 class TestParallelMapCaching:
     def test_only_misses_execute_and_order_is_preserved(self, cache):
-        executed = []
-
-        def fn(item):
-            executed.append(item)
-            return item * 10
-
-        def key_fn(item):
-            return run_request("pm-test", item=item)
-
-        cache.put(key_fn(2), 20)
-        cache.put(key_fn(4), 40)
-        out = parallel_map(fn, [1, 2, 3, 4, 5], cache=cache, key_fn=key_fn)
+        cache.put(partial(times_ten, 2), 20)
+        cache.put(partial(times_ten, 4), 40)
+        out = parallel_map(
+            [partial(times_ten, i) for i in [1, 2, 3, 4, 5]], cache=cache
+        )
         assert out == [10, 20, 30, 40, 50]
-        assert executed == [1, 3, 5]
+        assert EXECUTED == [1, 3, 5]
 
     def test_decode_encode_roundtrip(self, cache):
-        def key_fn(item):
-            return run_request("pm-pair", item=item)
-
-        out1 = parallel_map(
-            lambda i: (i, i + 0.5), [1, 2], cache=cache, key_fn=key_fn,
-            decode=lambda p: (p[0], p[1]),
-        )
-        out2 = parallel_map(
-            lambda i: (_ for _ in ()).throw(AssertionError("warm must not run")),
-            [1, 2], cache=cache, key_fn=key_fn, decode=lambda p: (p[0], p[1]),
-        )
+        calls = [partial(pair, 1), partial(pair, 2)]
+        out1 = parallel_map(calls, cache=cache, decode=tuple)
+        out2 = parallel_map(calls, cache=cache, decode=tuple)
         assert out1 == out2 == [(1, 1.5), (2, 2.5)]
+        assert EXECUTED == [1, 2]  # the warm pass ran nothing
+
+    def test_parallel_workers_fill_the_cache(self, cache):
+        calls = [partial(times_ten, i) for i in range(4)]
+        assert parallel_map(calls, jobs=2, cache=cache) == [0, 10, 20, 30]
+        assert parallel_map(calls, jobs=2, cache=cache) == [0, 10, 20, 30]
+        assert cache.stats()["hits"] == 4
 
 
 NS = [2, 4]
@@ -249,10 +359,7 @@ class TestSweepWarm:
         cold = sweep(**SWEEP_ARGS, cache=cache)
         assert cache.stats()["misses"] == len(NS)
 
-        def boom(*args, **kwargs):
-            raise AssertionError("warm sweep must not simulate")
-
-        monkeypatch.setattr("repro.experiments.common.sweep_point", boom)
+        forbid_simulation(monkeypatch)
         warm = sweep(**SWEEP_ARGS, cache=cache)
         assert warm == cold
         assert cache.stats()["hits"] == len(NS)
@@ -291,11 +398,7 @@ class TestReportWarm:
         assert report_mod.main(["--quick", "--out", str(cold_out)]) == 0
         capsys.readouterr()
 
-        def boom(*args, **kwargs):
-            raise AssertionError("warm report must not simulate")
-
-        monkeypatch.setattr("repro.experiments.common.sweep_point", boom)
-        monkeypatch.setattr("repro.tools.run_counter_audit", boom)
+        forbid_simulation(monkeypatch)
         # The process-wide cache instance survives across main() calls
         # (real CLI runs are separate processes); zero the counters so
         # the warm run's stats stand alone.

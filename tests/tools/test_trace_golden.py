@@ -6,9 +6,11 @@ Chrome-trace exporter print is pinned byte-for-byte: the stdout of
 ``repro trace`` (less its ``wrote …`` line, which names the output
 path) and the JSON file it writes.
 
-Each command runs in a fresh interpreter: packet ``wire_id``s come from
-a process-wide counter and appear in the Chrome trace, so the output is
-only reproducible from a clean start.
+Each command runs as a subprocess, the way a user runs it: the pins
+cover the real command line and its stdout, with no state carried over
+from the test process (an installed decision table, for one).  Packet
+``wire_id``s are numbered per fabric, so they do not depend on what
+ran before in the same process.
 """
 
 import hashlib

@@ -102,6 +102,19 @@ def test_auto_group_consults_installed_table():
     assert fixed.collective_schedule("allreduce").algorithm == "gather-broadcast"
 
 
+def test_auto_group_barrier_keeps_the_algorithm_it_was_built_with():
+    # The group fixes its barrier algorithm at construction; a table
+    # installed afterwards changes only the data collectives it asks
+    # about, never the barrier the group reports running.
+    group = ProcessGroup(list(range(8)))
+    install_decision_table(table_fixture())
+    assert table_fixture().pick("barrier", 8) == "pairwise-exchange"
+    assert group.algorithm == "dissemination"
+    assert group.collective_schedule("barrier").algorithm == "dissemination"
+    allreduce = group.collective_schedule("allreduce", payload_bytes=4096)
+    assert allreduce.algorithm == "gather-broadcast"
+
+
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
