@@ -183,7 +183,17 @@ def _heartbeat_loop(nic, peers, period_us, timeout_us, horizon_us, offset_us):
     """
     sim = nic.sim
     membership = nic.membership
+    # Every period reads these for every peer: bound once.  The view's
+    # dicts are read directly (``dead``, ``last_heard``, ``last_sent``
+    # are what ``is_dead``, ``silent_for`` and the send test read).
+    dead = membership.dead
+    last_heard = membership.last_heard
+    last_sent = membership.last_sent
+    transmit = nic.fabric.transmit
+    counters = nic.tracer.counters
     probe_cost = nic.heartbeat_probe_cost
+    node_id = nic.node_id
+    hb_bytes = nic.params.heartbeat_bytes
     dead_counter = f"{nic.counter_prefix}.peer_dead_hb"
     tx_counter = f"{nic.counter_prefix}.heartbeat_tx"
     start = sim.now
@@ -194,27 +204,25 @@ def _heartbeat_loop(nic, peers, period_us, timeout_us, horizon_us, offset_us):
             yield period_us
             continue
         for peer in peers:
-            if membership.is_dead(peer):
+            if peer in dead:
                 continue
-            silent = membership.silent_for(peer, sim.now, start)
+            now = sim.now
+            silent = now - last_heard.get(peer, start)
             if silent > timeout_us:
                 verdict = membership.declare_dead(
                     peer,
-                    sim.now,
+                    now,
                     "heartbeat-timeout",
                     detail=f"silent {silent:.1f}us > {timeout_us:.1f}us",
                 )
                 if verdict is not None:
-                    nic.tracer.count(dead_counter)
+                    counters[dead_counter] += 1
                 continue
-            if sim.now - membership.last_sent.get(peer, start) >= period_us:
+            if now - last_sent.get(peer, start) >= period_us:
                 if probe_cost is not None:
                     yield from probe_cost()
-                nic.fabric.transmit(Packet(
-                    src=nic.node_id, dst=peer, kind=PacketKind.HEARTBEAT,
-                    size_bytes=nic.params.heartbeat_bytes, payload=None,
-                ))
-                nic.tracer.count(tx_counter)
+                transmit(Packet(node_id, peer, PacketKind.HEARTBEAT, hb_bytes))
+                counters[tx_counter] += 1
         yield period_us
 
 

@@ -199,11 +199,17 @@ class LanaiNic:
         one source — e.g. an original and a NACKed retransmit for
         different phases — also order deterministically)."""
         payload = packet.payload
+        seq = packet.seq
+        if payload is None:  # a heartbeat, a bare ACK: no lookups
+            return (
+                self.sim.now, packet.src, packet.kind,
+                -1 if seq is None else seq, -1, -1, -1,
+            )
         return (
             self.sim.now,
             packet.src,
             packet.kind,
-            packet.seq if packet.seq is not None else -1,
+            seq if seq is not None else -1,
             getattr(payload, "seq", -1),
             getattr(payload, "phase", -1),
             getattr(payload, "requester", -1),

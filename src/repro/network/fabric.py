@@ -106,15 +106,21 @@ class Fabric:
         # level-l stage group's up-edge sees at most its 4**l sources
         # concurrently — exactly its parallel-link capacity.  Those
         # claims can never block, so each is replaced by its structural
-        # cost alone: one delta phase.  The proof needs every worm to
-        # hold one injection slot (duplication creates two worms per
-        # source; delay decouples the claim from the injection hold), so
-        # any fault injection disables the fast path, as does reference
-        # mode (the equivalence tests' unbatched baseline).
-        self._elide_up_edges = faults is None and not reference and self._fat_tree
+        # cost alone: one delta phase.  The proof needs only one worm
+        # per injection link at a time, and every fault keeps that: a
+        # duplicate's clone claims the injection link before any other
+        # link, a delayed worm claims it first too, just later, and a
+        # dropped packet claims no link.  Only reference mode (the
+        # equivalence tests' unbatched baseline) turns elision off.
+        self._elide_up_edges = not reference and self._fat_tree
         # Per-kind counter labels, interned once: building
         # f"wire.{kind}" per packet shows up at millions of packets.
         self._kind_labels: dict[str, str] = {}
+        # A packet with no payload (a heartbeat, a bare ACK) has its
+        # counter label and flow row fixed by its kind: kind ->
+        # (``wire.<kind>``, the ``kind:<kind>`` flow row), made by the
+        # first such packet of the kind.
+        self._bare_kinds: dict[str, tuple[str, list[int]]] = {}
         self.delivered_count = 0
         # Packet ``wire_id``s, numbered in transmit order per fabric, so
         # two runs in one interpreter trace the same ids.
@@ -178,6 +184,18 @@ class Fabric:
         if isinstance(flow, str):
             return f"flow:{flow}"
         return f"kind:{packet.kind}"
+
+    def _flow_row(self, label: str) -> list[int]:
+        row = self._flow_counters.get(label)
+        if row is None:
+            row = self._flow_counters[label] = [0, 0, 0]
+        return row
+
+    def _kind_label(self, kind: str) -> str:
+        label = self._kind_labels.get(kind)
+        if label is None:
+            label = self._kind_labels[kind] = f"wire.{kind}"
+        return label
 
     # ------------------------------------------------------------------
     def attach(self, port: int, handler: DeliveryHandler) -> None:
@@ -255,25 +273,38 @@ class Fabric:
         The caller (NIC model) accounts for its own processing time; this
         method only models the wire.
         """
-        if packet.dst not in self._handlers:
-            raise ValueError(f"no NIC attached at port {packet.dst}")
+        src = packet.src
+        dst = packet.dst
+        if dst not in self._handlers:
+            raise ValueError(f"no NIC attached at port {dst}")
+        now = self.sim.now
         packet.wire_id = next(self._wire_ids)
-        packet.sent_at = self.sim.now
+        packet.sent_at = now
         if self._tx_observers:
-            observers = self._tx_observers.get(packet.src)
+            observers = self._tx_observers.get(src)
             if observers:
                 for observer in observers:
-                    observer(packet.dst, self.sim.now)
-        tracer = self.tracer
-        label = self._kind_labels.get(packet.kind)
-        if label is None:
-            label = self._kind_labels.setdefault(packet.kind, f"wire.{packet.kind}")
-        tracer.count(label)
-        tracer.count("wire.packets")
-        flow_label = self._flow_label(packet)
-        flow = self._flow_counters.get(flow_label)
-        if flow is None:
-            flow = self._flow_counters[flow_label] = [0, 0, 0]
+                    observer(dst, now)
+        counters = self.tracer.counters
+        kind = packet.kind
+        if packet.payload is None:
+            # Label, flow row and canonical key follow from the kind
+            # (and seq) alone: ``canonical_packet_key``, inlined.
+            bare = self._bare_kinds.get(kind)
+            if bare is None:
+                bare = self._bare_kinds[kind] = (
+                    self._kind_label(kind), self._flow_row(f"kind:{kind}"),
+                )
+            label, flow = bare
+            seq = packet.seq
+            key = (src, dst, kind, -1 if seq is None else seq, -1, -1, -1)
+        else:
+            label = self._kind_labels.get(kind) or self._kind_label(kind)
+            flow_label = self._flow_label(packet)
+            flow = self._flow_counters.get(flow_label) or self._flow_row(flow_label)
+            key = canonical_packet_key(packet)
+        counters[label] += 1
+        counters["wire.packets"] += 1
         flow[0] += 1
         flow[1] += packet.size_bytes
         # Wormhole path: claim each directional link in order (the
@@ -287,36 +318,40 @@ class Fabric:
         # traversal state lives in one mutable record, ``[packet, links,
         # latency, next_idx, skip, fn]``, allocated once per packet; the
         # drain releases the links and runs ``fn(packet)``.
-        links, head, skip = self._route_entry(packet.src, packet.dst)
+        entry = self._route_cache.get((src, dst))
+        if entry is None:
+            entry = self._route_entry(src, dst)
+        links, head, skip = entry
         latency = head + packet.size_bytes / self._bandwidth
-        key = canonical_packet_key(packet)
-        if self.faults is not None:
-            decision = self.faults.inspect(packet)
+        faults = self.faults
+        if faults is not None:
+            decision = faults.inspect(packet)
             if decision.drop:
-                tracer.count("wire.dropped")
+                counters["wire.dropped"] += 1
                 flow[2] += 1
                 return
             if decision.corrupt:
                 packet.corrupted = True
-                tracer.count("wire.corrupted")
+                counters["wire.corrupted"] += 1
             if decision.duplicate:
                 # A switch-level duplicate: an extra copy of the same
                 # protocol packet travels the same path independently.
-                tracer.count("wire.duplicated")
+                # The copies are equal under the canonical key.
+                counters["wire.duplicated"] += 1
                 clone = packet.clone()
                 clone.wire_id = next(self._wire_ids)
-                self._inject(
-                    canonical_packet_key(clone),
-                    [clone, links, latency, 0, skip, self._finish],
-                )
+                self._inject(key, [clone, links, latency, 0, skip, self._finish])
             if decision.delay_us > 0.0:
-                tracer.count("wire.delayed")
+                counters["wire.delayed"] += 1
                 self.sim.schedule_detached(
                     decision.delay_us, self._inject, key,
                     [packet, links, latency, 0, skip, self._finish],
                 )
                 return
-        self._inject(key, [packet, links, latency, 0, skip, self._finish])
+        links[0]._push(
+            self.sim._phase, key, None, None,
+            [packet, links, latency, 0, skip, self._finish],
+        )
 
     def _inject(self, key: tuple, worm: list) -> None:
         worm[1][0]._push(self.sim._phase, key, None, None, worm)

@@ -192,10 +192,12 @@ class FaultInjector:
         self.delay_jitter_us = delay_jitter_us
         self.plans: list[DropPlan] = []
         self._blackholes: list[Blackhole] = []
-        # (fault class, flow) -> substream.  The drop class keeps its
-        # pre-existing "flow/..." stream names so seeded drop patterns
-        # survive the addition of the other classes.
-        self._flow_rngs: dict[tuple, DeterministicRng] = {}
+        # (src, dst, kind) -> the flow's substream per fault class, in
+        # draw order (drop, corrupt, duplicate, delay), None where the
+        # class is off.  The drop class keeps its pre-existing
+        # "flow/..." stream names so seeded drop patterns survive the
+        # addition of the other classes.
+        self._flow_streams: dict[tuple, tuple] = {}
         self._flow_drops: dict[tuple, int] = {}
         self.dropped: int = 0
         self.corrupted: int = 0
@@ -203,15 +205,18 @@ class FaultInjector:
         self.delayed: int = 0
         self.inspected: int = 0
 
-    def _flow_rng(self, cls: str, packet: Packet) -> DeterministicRng:
-        key = (cls, packet.src, packet.dst, packet.kind)
-        stream = self._flow_rngs.get(key)
-        if stream is None:
-            stream = self.rng.substream(
-                f"{cls}/{packet.src}->{packet.dst}/{packet.kind}"
+    def _streams(self, flow: tuple) -> tuple:
+        """A flow's ``(drop, corrupt, duplicate, delay)`` substreams."""
+        src, dst, kind = flow
+        return tuple(
+            self.rng.substream(f"{cls}/{src}->{dst}/{kind}") if p else None
+            for cls, p in (
+                ("flow", self.drop_probability),
+                ("corrupt", self.corrupt_probability),
+                ("dup", self.duplicate_probability),
+                ("delay", self.delay_probability),
             )
-            self._flow_rngs[key] = stream
-        return stream
+        )
 
     # -- scripted faults -------------------------------------------------
     def add_plan(self, plan: DropPlan) -> DropPlan:
@@ -301,27 +306,29 @@ class FaultInjector:
         # scripted faults: the per-flow stream position then advances
         # once per inspected packet of that flow, unconditionally, so
         # the k-th packet's fate never depends on blackhole/plan state.
-        p_drop = bool(
-            self.drop_probability
-            and self._flow_rng("flow", packet).bernoulli(self.drop_probability)
+        # (Probabilities are checked in range at construction, so each
+        # bernoulli is a bare ``random() < p``.)
+        flow = (packet.src, packet.dst, packet.kind)
+        streams = self._flow_streams.get(flow)
+        if streams is None:
+            streams = self._flow_streams[flow] = self._streams(flow)
+        drop_s, corrupt_s, dup_s, delay_s = streams
+        p_drop = drop_s is not None and drop_s.random() < self.drop_probability
+        corrupt = (
+            corrupt_s is not None
+            and corrupt_s.random() < self.corrupt_probability
         )
-        corrupt = bool(
-            self.corrupt_probability
-            and self._flow_rng("corrupt", packet).bernoulli(self.corrupt_probability)
-        )
-        duplicate = bool(
-            self.duplicate_probability
-            and self._flow_rng("dup", packet).bernoulli(self.duplicate_probability)
+        duplicate = (
+            dup_s is not None and dup_s.random() < self.duplicate_probability
         )
         delay_us = 0.0
-        if self.delay_probability:
-            stream = self._flow_rng("delay", packet)
-            if stream.bernoulli(self.delay_probability):
-                delay_us = stream.uniform(0.0, self.delay_jitter_us)
-            else:
-                # Keep the draw count per packet constant within the
-                # class stream whatever the bernoulli said.
-                stream.uniform(0.0, self.delay_jitter_us)
+        if delay_s is not None:
+            # Two draws per packet whatever the bernoulli says, so the
+            # draw count within the class stream stays constant.
+            delayed = delay_s.random() < self.delay_probability
+            jitter = delay_s.uniform(0.0, self.delay_jitter_us)
+            if delayed:
+                delay_us = jitter
 
         now = packet.sent_at if packet.sent_at is not None else 0.0
         dropped = False
@@ -341,7 +348,6 @@ class FaultInjector:
                     break
         if dropped or p_drop:
             self.dropped += 1
-            flow = (packet.src, packet.dst, packet.kind)
             self._flow_drops[flow] = self._flow_drops.get(flow, 0) + 1
             return _DROP
         if not (corrupt or duplicate or delay_us):

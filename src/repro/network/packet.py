@@ -32,7 +32,7 @@ class PacketKind:
 
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network packet.
 
@@ -42,6 +42,7 @@ class Packet:
     carry along is an integer").  ``wire_id`` is numbered by the
     :class:`~repro.network.fabric.Fabric` that transmits the packet
     (``-1`` until then), so each fabric's ids start from zero.
+    Slotted: every packet is built, read and numbered on the hot path.
     """
 
     src: int

@@ -137,7 +137,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        # Current simulation time in microseconds: a plain attribute,
+        # read on every hot path; only the kernel advances it.
+        self.now: float = 0.0
         # Calendar queue: distinct future timestamps (min-heap), their
         # buckets, and the key-ordered heap for the active timestamp.
         # Entries: (key, ScheduledCall, None) | (key, fn, args) with
@@ -162,11 +164,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in microseconds."""
-        return self._now
-
     @property
     def events_scheduled(self) -> int:
         """Total calls scheduled so far.
@@ -203,7 +200,7 @@ class Simulator:
         bucket — born sorted, because only phase-0 keys ever reach a
         future bucket and ``seq`` increases monotonically.
         """
-        if time == self._now:
+        if time == self.now:
             heappush(self._current, entry)
         else:
             bucket = self._buckets.get(time)
@@ -223,7 +220,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        time = self._now + delay
+        time = self.now + delay
         call = ScheduledCall(time, seq, fn, args, self)
         self._enqueue(time, (seq, call, None))
         if self._cancelled >= _COMPACT_MIN_CANCELLED:
@@ -241,7 +238,20 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        self._enqueue(self._now + delay, (seq, fn, args))
+        # ``_enqueue``, inlined: this is the kernel's own traffic.
+        entry = (seq, fn, args)
+        now = self.now
+        time = now + delay
+        if time == now:
+            heappush(self._current, entry)
+        else:
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                self._buckets[time] = [entry]
+                heappush(self._times, time)
+            else:
+                bucket.append(entry)
+        self._pending += 1
 
     def schedule_now(self, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current timestamp, detached.
@@ -307,7 +317,7 @@ class Simulator:
                 bucket = self._reap(bucket)
                 if not bucket:
                     continue
-            self._now = time
+            self.now = time
             self._current = bucket  # sorted == valid heap
             return True
         return False
@@ -400,7 +410,7 @@ class Simulator:
                 self._cancelled -= 1
                 self._pending -= 1
                 continue
-            return self._now
+            return self.now
         times = self._times
         buckets = self._buckets
         while times:
@@ -480,8 +490,8 @@ class Simulator:
         - both: stop at whichever bound wins; if the time bound wins,
           ``now`` still advances to exactly ``t``.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise ValueError(f"until={until} is in the past (now={self.now})")
         if until_event is not None:
             while not until_event.processed:
                 if until is not None and self.peek() > until:
@@ -489,14 +499,14 @@ class Simulator:
                 if not self.step():
                     break
             if until is not None and not until_event.processed:
-                self._now = max(self._now, until)
+                self.now = max(self.now, until)
             return
         if until is None:
             self._run_to_exhaustion()
             return
         while self.peek() <= until:
             self.step()
-        self._now = max(self._now, until)
+        self.now = max(self.now, until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self._now:.3f}us pending={self._pending}>"
+        return f"<Simulator now={self.now:.3f}us pending={self._pending}>"

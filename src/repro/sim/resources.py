@@ -240,7 +240,7 @@ class ArbitratedResource:
         if (
             express is not None
             and not birth
-            and sim._now == express[0]
+            and sim.now == express[0]
             and key < express[1]
         ):
             self._revert(express)
@@ -330,7 +330,7 @@ class ArbitratedResource:
             and self.capacity == 1
         ):
             self._in_use = 1
-            self._express = express = (sim._now, key, proc, cost, None)
+            self._express = express = (sim.now, key, proc, cost, None)
             sim.schedule_detached(cost, self._finish_express, express)
         else:
             proc._waiting_on = self._queued_stand_in()
@@ -352,7 +352,7 @@ class ArbitratedResource:
             and self.capacity == 1
         ):
             self._in_use = 1
-            self._express = express = (sim._now, key, fn, cost, args)
+            self._express = express = (sim.now, key, fn, cost, args)
             sim.schedule_detached(cost, self._finish_express, express)
             return
         if cost < 0:
@@ -615,18 +615,29 @@ class Store:
     def _do_get(self) -> Any:
         return self._items.popleft()
 
+    @staticmethod
+    def _bare(item: Any) -> Any:
+        """What a take returns for the posted ``item``."""
+        return item
+
     # -- operations ------------------------------------------------------
     def post(self, item: Any) -> None:
-        """Store ``item`` without an event; hand it to a parked taker."""
-        self._do_put(item)
+        """Store ``item`` without an event; hand it to a parked taker.
+
+        A parked taker means an empty store, so the item goes to it
+        straight, never through the storage.
+        """
         taker = self._taker
-        if taker is not None:
+        if taker is None:
+            self._do_put(item)
+        else:
             self._taker = None
             taker._waiting_on = None
-            if self.sim.current_phase:
-                self.sim.schedule_now(self._resume_taker, taker, self._do_get())
+            sim = self.sim
+            if sim._phase:
+                sim.schedule_now(self._resume_taker, taker, self._bare(item))
             else:
-                self._resume_taker(taker, self._do_get())
+                self._resume_taker(taker, self._bare(item))
         watcher = self._watcher
         if watcher is not None:
             self._watcher = None
@@ -711,6 +722,10 @@ class PriorityStore(Store):
 
     def _do_get(self) -> Any:
         return heappop(self._heap)[2]
+
+    @staticmethod
+    def _bare(pair: Any) -> Any:
+        return pair[1]
 
     @property
     def items(self) -> tuple:

@@ -54,21 +54,22 @@ class TieBreakSimulator(Simulator):
     The stock kernel is a bucketed calendar queue whose future buckets
     rely on being born sorted; random tie-break keys would break that
     invariant, so this subclass replaces the storage wholesale with the
-    classic single ``(time, key, ...)`` tuple heap (speed is irrelevant
-    in the lint harness) and overrides every method that touches it.
+    classic single ``(time, key, ...)`` tuple heap and overrides every
+    method that touches it.  The chaos-fuzz replays run on it, so its
+    drain loop is inlined as the stock kernel's is.
     """
 
     def __init__(self, rng: DeterministicRng):
         super().__init__()
-        self._tiebreak = rng
+        self._draw = rng.random
         self._tb_heap: list[tuple] = []
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCall:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        key = (0, self._tiebreak.random(), seq)
-        call = ScheduledCall(self._now + delay, key, fn, args, self)
+        key = (0, self._draw(), seq)
+        call = ScheduledCall(self.now + delay, key, fn, args, self)
         heappush(self._tb_heap, (call.time, key, call, None))
         if self._cancelled >= _COMPACT_MIN_CANCELLED:
             self._maybe_compact()
@@ -78,22 +79,22 @@ class TieBreakSimulator(Simulator):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._seq = seq = self._seq + 1
-        key = (0, self._tiebreak.random(), seq)
-        heappush(self._tb_heap, (self._now + delay, key, fn, args))
+        key = (0, self._draw(), seq)
+        heappush(self._tb_heap, (self.now + delay, key, fn, args))
 
     def schedule_now(self, fn: Callable, *args: Any) -> None:
         self._seq = seq = self._seq + 1
-        key = (0, self._tiebreak.random(), seq)
-        heappush(self._tb_heap, (self._now, key, fn, args))
+        key = (0, self._draw(), seq)
+        heappush(self._tb_heap, (self.now, key, fn, args))
 
     def schedule_phase(self, phase: int, fn: Callable, *args: Any) -> None:
-        if phase <= self.current_phase:
+        if phase <= self._phase:
             raise ValueError(
-                f"phase {phase} not after current phase {self.current_phase}"
+                f"phase {phase} not after current phase {self._phase}"
             )
         self._seq = seq = self._seq + 1
-        key = (phase, self._tiebreak.random(), seq)
-        heappush(self._tb_heap, (self._now, key, fn, args))
+        key = (phase, self._draw(), seq)
+        heappush(self._tb_heap, (self.now, key, fn, args))
 
     def _maybe_compact(self) -> None:
         heap = self._tb_heap
@@ -126,7 +127,7 @@ class TieBreakSimulator(Simulator):
                     self._cancelled -= 1
                     continue
                 fn, args = fn.fn, fn.args
-            self._now = time
+            self.now = time
             self._phase = key[0]
             fn(*args)
             if self._unhandled:
@@ -137,8 +138,25 @@ class TieBreakSimulator(Simulator):
         return False
 
     def _run_to_exhaustion(self) -> None:
-        while self.step():
-            pass
+        """:meth:`step` inlined into one loop, as the stock kernel's."""
+        heap = self._tb_heap
+        unhandled = self._unhandled
+        pop = heappop
+        while heap:
+            time, key, fn, args = pop(heap)
+            if args is None:
+                fn.executed = True
+                if fn.cancelled:
+                    self._cancelled -= 1
+                    continue
+                fn, args = fn.fn, fn.args
+            self.now = time
+            self._phase = key[0]
+            fn(*args)
+            if unhandled:
+                exc = unhandled[0]
+                unhandled.clear()
+                raise exc
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +385,9 @@ def all_scheme_reports(
     """The full perturbation matrix: every scheme on both networks, plus
     one seeded faulted run per fault class on the scheme with the most
     reliability state (so the recovery machinery itself is checked for
-    schedule races, not just the clean path)."""
+    schedule races, not just the clean path), and the delay class on
+    the Quadrics chained barrier (the faulted fat tree, where up-edge
+    elision stays on)."""
     reports = [
         perturb_barrier_experiment(
             myrinet_profile, barrier, nodes=nodes, rounds=rounds,
@@ -396,4 +416,8 @@ def all_scheme_reports(
             )
             for case in fault_cases
         )
+        reports.append(perturb_barrier_experiment(
+            quadrics_profile, "nic-chained", nodes=nodes, rounds=rounds,
+            iterations=iterations, warmup=warmup, seed=seed, **fault_cases[-1],
+        ))
     return reports

@@ -247,3 +247,52 @@ def test_fired_one_shot_plans_are_pruned():
     assert injector.should_drop(_pkt(dst=1)) is False
     assert injector.should_drop(_pkt(dst=2)) is True
     assert injector.plans == []
+
+
+# The decision stream of ``inspect``, pinned as a digest: enabled fault
+# classes, a fixed interleaving of flows (kinds included) and one
+# blackhole window.  A change to the per-flow substream names, to the
+# draw order inside one packet, or to the number of draws per packet
+# moves the digest.
+_STREAM_CASES = {
+    "all-classes": (
+        dict(drop_probability=0.1, corrupt_probability=0.15,
+             duplicate_probability=0.2, delay_probability=0.25,
+             delay_jitter_us=5.0),
+        "c0ec46ca214a04e7",
+    ),
+    "corrupt-and-delay": (
+        dict(corrupt_probability=0.3, delay_probability=0.4,
+             delay_jitter_us=2.0),
+        "ff89022f8532379a",
+    ),
+    "duplicate-only": (
+        dict(duplicate_probability=0.35),
+        "00f014e2156bc607",
+    ),
+}
+
+
+def _decision_stream_digest(classes):
+    import hashlib
+
+    fi = FaultInjector(rng=DeterministicRng(2024), **classes)
+    fi.blackhole_window(lambda p: p.src == 3, 40.0, 80.0, label="flap")
+    flows = [
+        (0, 1, PacketKind.BARRIER), (1, 0, PacketKind.HEARTBEAT),
+        (3, 2, PacketKind.DATA), (0, 1, PacketKind.HEARTBEAT),
+        (2, 3, PacketKind.ACK), (3, 0, PacketKind.HEARTBEAT),
+    ]
+    lines = []
+    for i in range(600):
+        src, dst, kind = flows[(i * 7 + i // 5) % len(flows)]
+        d = fi.inspect(_pkt(src=src, dst=dst, kind=kind, sent_at=i * 0.5))
+        lines.append(f"{d.drop}{d.corrupt}{d.duplicate}{d.delay_us!r}")
+    lines.append(repr(sorted(fi.stats().items())))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+def test_inspect_decision_stream_is_pinned(case):
+    classes, digest = _STREAM_CASES[case]
+    assert _decision_stream_digest(classes) == digest

@@ -318,6 +318,72 @@ class TestStoreHandOff:
         sim.run()
         assert seen == [("late-phase", 1.0, 0), ("phase-0", 2.0, 0)]
 
+    def test_post_item_to_a_parked_taker_bypasses_the_heap(self):
+        puts = []
+
+        class CountingStore(PriorityStore):
+            def _do_put(self, pair):
+                puts.append(pair)
+                super()._do_put(pair)
+
+        sim = Simulator()
+        ps = CountingStore(sim, name="rx")
+        got = []
+
+        def taker():
+            got.append((yield from ps.take()))
+
+        sim.process(taker(), name="t")
+        sim.run()
+        ps.post_item("pkt", priority=(1.0, 3))
+        assert got == ["pkt"]  # the bare item, not its (priority, item) pair
+        assert puts == [] and ps._heap == [] and len(ps) == 0
+        ps.post_item("queued", priority=0)  # nobody parked: it is stored
+        assert puts == [(0, "queued")] and ps.items == ("queued",)
+
+    @pytest.mark.parametrize("store_cls", [Store, PriorityStore])
+    def test_hand_off_from_a_later_phase_goes_through_schedule_now(self, store_cls):
+        class NowLog(Simulator):
+            def __init__(self):
+                super().__init__()
+                self.now_calls = []
+
+            def schedule_now(self, fn, *args):
+                self.now_calls.append((fn.__name__, args[1:]))
+                super().schedule_now(fn, *args)
+
+        sim = NowLog()
+        store = store_cls(sim)
+        seen = []
+
+        def taker():
+            seen.append(((yield from store.take()), sim.current_phase))
+
+        item = "x" if store_cls is Store else (5, "x")
+        sim.process(taker(), name="t")
+        sim.schedule(1.0, sim.schedule_phase, 3, store.post, item)
+        sim.run()
+        # The resume, then the taker's completion.
+        assert sim.now_calls[0] == ("_resume_taker", ("x",))
+        assert seen == [("x", 0)] and len(store) == 0
+
+    def test_armed_watch_fires_after_the_hand_off(self):
+        sim = Simulator()
+        store = Store(sim, name="q")
+        order = []
+
+        def taker():
+            order.append(("took", (yield from store.take())))
+
+        sim.process(taker(), name="t")
+        sim.run()
+        store.watch(lambda: order.append(("watched", len(store))))
+        store.post("item")
+        assert order == [("took", "item"), ("watched", 0)]
+        store.post("next")  # one-shot: the watcher is gone
+        assert order == [("took", "item"), ("watched", 0)]
+        assert store.idle is False and store.items == ("next",)
+
 
 class TestArbitratedResource:
     def test_capacity_validation(self):

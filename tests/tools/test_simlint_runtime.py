@@ -336,8 +336,9 @@ def test_perturbation_labels_name_the_fault_case():
         str(r).split(":")[0]
         for r in all_scheme_reports(nodes=4, rounds=0, iterations=1, warmup=1)
     ]
-    assert len(set(labels)) == len(labels) == 10
+    assert len(set(labels)) == len(labels) == 11
     assert "lanai_xp_xeon2400/nic-collective[corrupt=0.02] N=4" in labels
+    assert "elan3_piii700/nic-chained[delay=0.2,jitter_us=5] N=4" in labels
 
 
 def test_fault_injection_rejected_on_quadrics():
