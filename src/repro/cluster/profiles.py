@@ -181,8 +181,6 @@ _ELAN3 = ElanParams(
     t_rdma_issue=0.50,
     t_pio_command=0.12,
     t_host_event=0.20,
-    t_thread_step=0.55,
-    t_tport_match=0.65,
     t_hw_flag_check=0.45,
     hw_retry_backoff_us=4.0,
 )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.network import Packet, PacketKind
 
@@ -74,16 +74,15 @@ class MembershipView:
 
     Cheap and always-on: ``observe_alive`` is a dict write on the
     receive path.  Verdicts are idempotent — the first ``declare_dead``
-    for a node wins and fires callbacks; later ones are ignored so
-    redundant evidence (heartbeat timeout racing retry exhaustion) does
-    not produce duplicate repair work.
+    for a node wins; later ones are ignored so redundant evidence
+    (heartbeat timeout racing retry exhaustion) does not produce
+    duplicate repair work.
     """
 
     node_id: int
     last_heard: dict[int, float] = field(default_factory=dict)
     last_sent: dict[int, float] = field(default_factory=dict)
     dead: dict[int, PeerDead] = field(default_factory=dict)
-    _callbacks: list[Callable[[PeerDead], None]] = field(default_factory=list)
 
     def observe_alive(self, node: int, now: float) -> None:
         if node == self.node_id or node in self.dead:
@@ -115,13 +114,7 @@ class MembershipView:
                            detail=detail)
         self.dead[node] = verdict
         self.last_heard.pop(node, None)
-        for callback in list(self._callbacks):
-            callback(verdict)
         return verdict
-
-    def on_death(self, callback: Callable[[PeerDead], None]) -> None:
-        """Subscribe to future verdicts (repair controllers hook here)."""
-        self._callbacks.append(callback)
 
     def is_dead(self, node: int) -> bool:
         return node in self.dead

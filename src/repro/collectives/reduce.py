@@ -9,8 +9,9 @@ acknowledgement the receiver-driven NACK protocol needs, so a Reduce
 quiesces exactly like an Allreduce and non-root hosts return promptly
 instead of guessing when the root is done.
 
-The root is fixed per engine (chosen when the engines are installed);
-the host-side :func:`nic_reduce` must name the same root.
+The root is fixed per engine (chosen when the engines are installed,
+``root=`` on :class:`NicReduceEngine`); the host calls take no root and
+return whatever their engine delivered.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ def nic_ireduce(
     seq: int,
     value: Any,
     op: str = "sum",
-    root: int = 0,
 ):
-    """Post a rooted reduce; the root's result is the reduced value,
-    every other rank's is ``None``."""
+    """Post a rooted reduce; the engines' root's result is the reduced
+    value, every other rank's is ``None``."""
     return (yield from post_data_collective(
         port, "reduce", group, seq, (value, op), BYTES_PER_VALUE
     ))
@@ -59,10 +59,8 @@ def nic_reduce(
     seq: int,
     value: Any,
     op: str = "sum",
-    root: int = 0,
 ):
-    """Host side: contribute ``value``; the root's call returns the
-    reduced result, every other rank's returns ``None``."""
-    request = yield from nic_ireduce(port, group, seq, value, op, root)
-    result = yield from request.wait()
-    return result if group.rank_of(port.node_id) == root else None
+    """Host side: contribute ``value``; the engines' root's call returns
+    the reduced result, every other rank's returns ``None``."""
+    request = yield from nic_ireduce(port, group, seq, value, op)
+    return (yield from request.wait())

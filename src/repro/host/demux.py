@@ -1,9 +1,9 @@
 """The poller-seat event demux both host libraries use.
 
-A NIC posts host-visible items (GM receive events, Elan tport messages
-and host-event words) into a store the host polls.  Several host
-processes may wait on one store at once — two jobs sharing a node each
-park a collective wait there — and each must get its own item.
+A NIC posts host-visible items (GM receive events, Elan host-event
+words) into a store the host polls.  Several host processes may wait
+on one store at once — two jobs sharing a node each park a collective
+wait there — and each must get its own item.
 """
 
 from __future__ import annotations

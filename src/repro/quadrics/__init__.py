@@ -12,7 +12,7 @@ The pieces the paper uses (§4.1, §7):
   user level, each triggered by the arrival of a remote event — no Elan
   thread needed.
 - **Elanlib barriers** — ``elan_gsync()`` (tree gather-broadcast over
-  tagged message ports) and ``elan_hgsync()`` (hardware
+  zero-byte RDMAs into Elan events) and ``elan_hgsync()`` (hardware
   broadcast/test-and-set barrier, fast but requiring well-synchronized
   callers, falling back to the tree otherwise).
 

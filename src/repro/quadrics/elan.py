@@ -1,17 +1,17 @@
-"""The Elan3 NIC: event unit, DMA engine, thread processor.
+"""The Elan3 NIC: event unit and DMA engine.
 
 Unlike the LANai (one processor doing everything), Elan3 has dedicated
 functional units, modeled as separate capacity-1 arbitrated resources:
 
 - the **event unit** processes arriving set-events and fires chained
   actions;
-- the **DMA engine** processes RDMA descriptors and injects packets;
-- the **thread processor** runs Elanlib's tport (tagged messaging) code.
+- the **DMA engine** processes RDMA descriptors and injects packets.
 
-A barrier built from chained RDMA descriptors (§7) touches only the
-event unit and DMA engine — the paper deliberately avoids the thread
-processor ("an extra thread does increase the processing load to the
-Elan NIC").
+Every barrier modeled here — the chained-RDMA barrier (§7), ``elan_gsync``
+and ``elan_hgsync`` — runs on these two units and the Elite switches.
+The paper deliberately avoids the Elan thread processor ("an extra
+thread does increase the processing load to the Elan NIC"), so the
+model has none.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ class RdmaDescriptor:
             raise ValueError("negative RDMA size")
 
 
-@dataclass(frozen=True)
-class TportMessage:
-    """A tagged message delivered to the host by the tport path."""
-
-    src: int
-    tag: Any
-    payload: Any
-
-
 class Elan3Nic:
     """One Elan3 NIC and its SRAM-resident event/descriptor state."""
 
@@ -93,14 +84,12 @@ class Elan3Nic:
         # spans within a lane never overlap).
         self._event_lane = f"{self.name}.event"
         self._dma_lane = f"{self.name}.dma"
-        self._thread_lane = f"{self.name}.thread"
 
         # Same-instant clients of a unit are served in key order: a
         # process by its name, a callback chain by the key it names
         # below (the receive machine shares its slow path's key).
         self.event_unit = ArbitratedResource(sim, 1, name=f"{self.name}.events")
         self.dma_engine = ArbitratedResource(sim, 1, name=f"{self.name}.dma")
-        self.thread_cpu = ArbitratedResource(sim, 1, name=f"{self.name}.thread")
         self._notify_key = f"{self.name}.notify"
         self._rdma_key = f"{self.name}.rdma"
         self._rx_key = f"{self.name}.rx"
@@ -116,8 +105,6 @@ class Elan3Nic:
         self._rx_busy = False
         # Host-visible notifications (host memory words the host polls).
         self.host_events = Store(sim, name=f"{self.name}.host_events")
-        # Tport receive queue (messages already matched by the thread).
-        self.tport_queue = Store(sim, name=f"{self.name}.tport")
 
         # Failure detection: every clean received packet refreshes the
         # sender's liveness; the heartbeat loop is opt-in via
@@ -265,7 +252,7 @@ class Elan3Nic:
 
     def _rx_start(self, packet: Packet) -> None:
         descriptor = packet.payload
-        if type(descriptor) is RdmaDescriptor and descriptor.size_bytes == 0:
+        if descriptor.size_bytes == 0:
             # The barrier's notification RDMA: only the event unit is
             # involved, so the whole receive is a callback chain.
             self.event_unit.call(
@@ -295,33 +282,20 @@ class Elan3Nic:
             self._rx_busy = False
 
     def _rx_slow(self, packet: Packet):
-        p = self.params
+        """An RDMA that carries data: deposit it into host memory (true
+        RDMA), then fire the remote event."""
         descriptor = packet.payload
-        if isinstance(descriptor, RdmaDescriptor):
-            if descriptor.size_bytes > 0:
-                # Deposit the data into host memory (true RDMA).
-                yield from self.pci.dma(
-                    descriptor.size_bytes, DmaDirection.NIC_TO_HOST
-                )
-            yield from self._unit_task(
-                self.event_unit, p.t_event_fire, self._event_lane, "event_fire"
-            )
-            self.tracer.count("elan.event_fired")
-            if descriptor.payload is not None:
-                self.rdma_mailbox[descriptor.remote_event] = descriptor.payload
-            self.event(descriptor.remote_event).set_event()
-        else:
-            # Tport message: matched by the thread processor, then
-            # handed to the host.  Payload and completion word ride
-            # one DMA burst (Elan3 writes host memory directly).
-            yield from self._unit_task(
-                self.thread_cpu, p.t_tport_match, self._thread_lane, "tport_match"
-            )
-            yield from self._unit_task(
-                self.event_unit, p.t_host_event, self._event_lane, "host_notify"
-            )
-            yield from self.pci.dma(packet.size_bytes, DmaDirection.NIC_TO_HOST)
-            self.tport_queue.post(packet.payload)
+        yield from self.pci.dma(descriptor.size_bytes, DmaDirection.NIC_TO_HOST)
+        cost = self.params.t_event_fire
+        yield from self.event_unit.hold(cost)
+        tracer = self.tracer
+        if tracer.enabled:
+            now = self.sim.now
+            tracer.add_span(now - cost, now, self._event_lane, "event_fire")
+        tracer.count("elan.event_fired")
+        if descriptor.payload is not None:
+            self.rdma_mailbox[descriptor.remote_event] = descriptor.payload
+        self.event(descriptor.remote_event).set_event()
         self._rx_next()
 
     # ------------------------------------------------------------------
@@ -340,49 +314,6 @@ class Elan3Nic:
         if disarmed:
             self.tracer.count("elan.events_disarmed", disarmed)
         return disarmed
-
-    # ------------------------------------------------------------------
-    # Thread processor (tport send side)
-    # ------------------------------------------------------------------
-    def tport_inject(self, dst: int, message: TportMessage, size_bytes: int):
-        """Thread-processor half of a tagged send (host already paid
-        its library overhead and the PIO)."""
-        p = self.params
-        yield from self._unit_task(
-            self.thread_cpu, p.t_thread_step, self._thread_lane, "thread_step"
-        )
-        yield self.dma_engine.request()
-        start = self.sim.now
-        yield p.t_rdma_issue
-        if size_bytes > 0:
-            yield from self.pci.dma(size_bytes, DmaDirection.HOST_TO_NIC)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.add_span(start, self.sim.now, self._dma_lane, "tport_inject", dst=dst)
-        self.fabric.transmit(
-            Packet(
-                src=self.node_id,
-                dst=dst,
-                kind=PacketKind.DATA,
-                size_bytes=p.tport_packet_bytes + size_bytes,
-                payload=message,
-            )
-        )
-        self.dma_engine.release()
-
-    # ------------------------------------------------------------------
-    def _unit_task(
-        self,
-        unit: ArbitratedResource,
-        cost: float,
-        lane: Optional[str] = None,
-        name: str = "task",
-    ):
-        yield from unit.hold(cost)
-        tracer = self.tracer
-        if tracer.enabled and lane is not None:
-            now = self.sim.now
-            tracer.add_span(now - cost, now, lane, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Elan3Nic {self.name} events={len(self._events)}>"

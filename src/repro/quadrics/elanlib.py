@@ -2,29 +2,31 @@
 
 Provides the pieces the paper compares against and builds on:
 
-- :class:`ElanPort` — per-process handle: tport (tagged message) send /
-  receive, host-triggered RDMA, and host-event waiting (``GmPort``'s
-  ``recv_matching`` / ``poll_matching`` / ``spin_matching``, so one
-  request handle serves both networks).
+- :class:`ElanPort` — per-process handle: host-triggered RDMA and
+  host-event waiting (``GmPort``'s ``recv_matching`` /
+  ``poll_matching`` / ``spin_matching``, so one request handle serves
+  both networks).
 - :func:`elan_gsync` — the tree-based gather-broadcast barrier (what
   ``elan_gsync()`` does when hardware broadcast is unavailable).  This
   is the "Elan-Barrier" series in Fig. 7.
 - :func:`elan_hgsync` — the hardware-broadcast barrier ("Elan-HW-
-  Barrier" in Fig. 7), falling back to the tree when hardware broadcast
-  is disabled.
+  Barrier" in Fig. 7), falling back to the tree when the Elite
+  controller gives up on a barrier.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.host import HostCpu
 from repro.host.demux import EventDemux
 from repro.pci import PciBus
-from repro.quadrics.elan import Elan3Nic, RdmaDescriptor, TportMessage
+from repro.quadrics.elan import Elan3Nic, RdmaDescriptor
 from repro.quadrics.elite import HardwareBarrier
 from repro.sim import Simulator
 
+#: Fan-out of Elanlib's gather-broadcast tree.
+GSYNC_DEGREE = 4
 
 
 class ElanPort:
@@ -43,9 +45,6 @@ class ElanPort:
         self.nic = nic
         self.cpu = cpu
         self.pci = pci
-        self._tport = EventDemux(
-            sim, cpu, nic.tport_queue, f"elan{node_id}.tport.seat"
-        )
         self._host_events = EventDemux(
             sim, cpu, nic.host_events, f"elan{node_id}.hostev.seat"
         )
@@ -64,27 +63,6 @@ class ElanPort:
         to initiate a barrier operation")."""
         yield from self._command()
         self.nic.issue_rdma(descriptor)
-
-    def set_local_event(self, name: str):
-        """Host sets one of its own NIC's events (cheap SRAM write)."""
-        yield from self._command()
-        self.nic.event(name).set_event()
-
-    # ------------------------------------------------------------------
-    # Tagged message ports (tports)
-    # ------------------------------------------------------------------
-    def tport_send(self, dst: int, tag: Any, payload: Any = None, size_bytes: int = 0):
-        yield from self.cpu.compute(self.cpu.params.send_overhead_us, "send_overhead")
-        yield from self.pci.pio_write()
-        message = TportMessage(src=self.node_id, tag=tag, payload=payload)
-        yield from self.nic.tport_inject(dst, message, size_bytes)
-
-    def tport_recv(self, matches: Callable[[TportMessage], bool]):
-        """Blocking tagged receive with out-of-order buffering."""
-        return self._tport.recv(matches)
-
-    def tport_recv_tag(self, tag: Any):
-        return self.tport_recv(lambda m: m.tag == tag)
 
     # ------------------------------------------------------------------
     # Host events (completion notifications from the NIC)
@@ -108,30 +86,21 @@ class ElanPort:
 # ----------------------------------------------------------------------
 # Elanlib barriers
 # ----------------------------------------------------------------------
-def _tree_children(index: int, size: int, degree: int) -> list[int]:
-    return [c for c in range(index * degree + 1, index * degree + degree + 1) if c < size]
-
-
-def _tree_parent(index: int, degree: int) -> Optional[int]:
-    return None if index == 0 else (index - 1) // degree
-
-
 def elan_gsync(
     port: ElanPort,
     ranks: Sequence[int],
     seq: int,
-    degree: int = 4,
     event_prefix: str = "gsync",
 ):
     """Tree-based gather-broadcast barrier (host-driven per level).
 
     Combining uses zero-byte RDMAs into per-node Elan *events*: a
     parent's "up" event word accumulates one set-event per child, so the
-    parent polls a single host word instead of matching ``degree``
-    messages.  The release fans back down the same way.  The host still
-    drives every tree level — that host → NIC → wire → NIC → host
-    turnaround per level is what the chained-RDMA barrier eliminates
-    and beats by 2.48x (§8.2).
+    parent polls a single host word instead of matching one message per
+    child (up to :data:`GSYNC_DEGREE`).  The release fans back down the
+    same way.  The host still drives every tree level — that host → NIC
+    → wire → NIC → host turnaround per level is what the chained-RDMA
+    barrier eliminates and beats by 2.48x (§8.2).
 
     Event words are cumulative, so back-to-back barriers with the same
     ``ranks`` reuse them with growing thresholds; ``event_prefix``
@@ -143,8 +112,9 @@ def elan_gsync(
     ranks = list(ranks)
     index = ranks.index(port.node_id)
     size = len(ranks)
-    children = _tree_children(index, size, degree)
-    parent = _tree_parent(index, degree)
+    first_child = index * GSYNC_DEGREE + 1
+    children = range(first_child, min(first_child + GSYNC_DEGREE, size))
+    parent = None if index == 0 else (index - 1) // GSYNC_DEGREE
     nic = port.nic
     up_event = f"{event_prefix}_up"
     down_event = f"{event_prefix}_down"
@@ -227,17 +197,15 @@ def elan_hw_broadcast(
 
 def elan_hgsync(
     port: ElanPort,
-    hw_barrier: Optional[HardwareBarrier],
+    hw_barrier: HardwareBarrier,
     ranks: Sequence[int],
     seq: int,
-    hw_enabled: bool = True,
-    degree: int = 4,
     fallback: bool = True,
 ):
-    """The hardware barrier; falls back to the tree when disabled.
+    """The hardware barrier, with the software tree as its fallback.
 
-    With hardware broadcast available, entry is a PIO that sets the
-    NIC's arrived flag, and the Elite test-and-set does the rest.
+    Entry is a PIO that sets the NIC's arrived flag; the Elite
+    test-and-set does the rest.
 
     Graceful degradation: when the Elite controller exhausts its probe
     budget (``ElanParams.hw_max_rounds``) it publishes a failure word
@@ -246,9 +214,6 @@ def elan_hgsync(
     but correct — counting ``elan.hw_fallback``; with ``fallback=False``
     the failure surfaces as :class:`~repro.collectives.BarrierFailure`.
     """
-    if not hw_enabled or hw_barrier is None:
-        yield from elan_gsync(port, ranks, seq, degree=degree)
-        return
     yield from port.cpu.compute(port.cpu.params.barrier_call_us, "barrier_call")
     yield from port.pci.pio_write()
     yield port.nic.params.t_hw_flag_check  # NIC commits the arrived flag
@@ -286,9 +251,5 @@ def elan_hgsync(
     # by the caller's seq: the cumulative gsync event thresholds must
     # advance by exactly one per tree barrier actually run.
     yield from elan_gsync(
-        port,
-        ranks,
-        hw_barrier.fallback_ordinal(seq),
-        degree=degree,
-        event_prefix="hwfb",
+        port, ranks, hw_barrier.fallback_ordinal(seq), event_prefix="hwfb"
     )

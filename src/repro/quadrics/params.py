@@ -20,11 +20,6 @@ class ElanParams:
       (memory-mapped store; much cheaper than Myrinet's doorbell path).
     - ``t_host_event`` — Elan writes a host-memory event word (the
       host polls that word; Elan's host writes are cheap).
-    - ``t_thread_step`` — one Elan thread-processor dispatch on the
-      tport (tagged message) send path.  ``elan_gsync`` does not use
-      tport: it combines over zero-byte RDMAs into Elan events.
-    - ``t_tport_match`` — receive-side tag matching in the thread
-      processor.
 
     Hardware barrier (``elan_hgsync``):
 
@@ -52,12 +47,9 @@ class ElanParams:
     t_rdma_issue: float
     t_pio_command: float
     t_host_event: float
-    t_thread_step: float
-    t_tport_match: float
     t_hw_flag_check: float
     hw_retry_backoff_us: float
     rdma_packet_bytes: int = 32
-    tport_packet_bytes: int = 64
     host_event_bytes: int = 8
     hw_max_rounds: int = 10000
     hw_backoff_factor: float = 1.0
@@ -76,11 +68,7 @@ class ElanParams:
             if f.name.startswith(("t_", "hw_")):
                 if getattr(self, f.name) < 0:
                     raise ValueError(f"{f.name} must be non-negative")
-        if (
-            self.rdma_packet_bytes < 1
-            or self.tport_packet_bytes < 1
-            or self.host_event_bytes < 1
-        ):
+        if self.rdma_packet_bytes < 1 or self.host_event_bytes < 1:
             raise ValueError("packet sizes must be positive")
         if self.hw_max_rounds < 1:
             raise ValueError("need at least one hardware-barrier round")

@@ -215,9 +215,7 @@ def _check_quadrics_nic(cluster, nic, report: QuiescenceReport) -> None:
     unit = nic.name
     _check_resource(cluster, unit, nic.event_unit, "event unit", report)
     _check_resource(cluster, unit, nic.dma_engine, "DMA engine", report)
-    _check_resource(cluster, unit, nic.thread_cpu, "thread processor", report)
-    for store in (nic.host_events, nic.tport_queue):
-        _check_store(cluster, unit, store, report)
+    _check_store(cluster, unit, nic.host_events, report)
     if nic._rx_busy or nic._rx_backlog:
         report.findings.append(Finding(
             "SL104", _where(cluster, unit), 0,
@@ -257,7 +255,6 @@ def _check_ports(cluster, report: QuiescenceReport) -> None:
         unit = f"port{port.node_id}"
         for attr, what in (
             ("_events", "unmatched GM receive events"),
-            ("_tport", "unmatched tport messages"),
             ("_host_events", "unconsumed host event words"),
         ):
             demux = getattr(port, attr, None)

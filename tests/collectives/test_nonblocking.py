@@ -13,8 +13,6 @@ Covers the MPI-3-style ``i``-collective layer on both networks:
 - the Quadrics chained-barrier request handles.
 """
 
-import pytest
-
 from repro.collectives import (
     NicAllreduceEngine,
     NicBroadcastEngine,
@@ -28,6 +26,7 @@ from repro.collectives import (
     nic_ibarrier,
     nic_ibcast,
     nic_ireduce,
+    nic_reduce,
 )
 from repro.collectives.allgather import NicAllgatherEngine
 from repro.collectives.reduce import NicReduceEngine
@@ -231,6 +230,20 @@ def test_ireduce_result_lands_at_root_only():
     run_all(cluster, [prog(i) for i in range(4)])
     assert got[0] == 1 * 2 * 3 * 4
     assert all(got[i] is None for i in range(1, 4))
+
+
+def test_reduce_result_lands_at_the_engines_root():
+    # The root is fixed when the engines are installed; the host call
+    # returns whatever its engine delivered.
+    cluster = MyrinetTestCluster(n=4)
+    group, _ = install(cluster, NicReduceEngine, root=2)
+    got = {}
+
+    def prog(node):
+        got[node] = yield from nic_reduce(cluster.ports[node], group, 0, node + 1)
+
+    run_all(cluster, [prog(i) for i in range(4)])
+    assert got == {0: None, 1: None, 2: 1 + 2 + 3 + 4, 3: None}
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,6 @@ TEST_ELAN = ElanParams(
     t_rdma_issue=0.5,
     t_pio_command=0.2,
     t_host_event=0.3,
-    t_thread_step=0.8,
-    t_tport_match=0.8,
     t_hw_flag_check=0.2,
     hw_retry_backoff_us=5.0,
 )

@@ -67,7 +67,7 @@ def test_hgsync_with_hardware_completes(qcluster):
     done = {}
 
     def prog(rank):
-        yield from elan_hgsync(qc.ports[rank], hw, ranks, 0, hw_enabled=True)
+        yield from elan_hgsync(qc.ports[rank], hw, ranks, 0)
         done[rank] = qc.sim.now
 
     run(qc, *(prog(r) for r in ranks))
@@ -108,19 +108,6 @@ def test_hgsync_stragglers_force_retries(qcluster):
 
     run(qc, *(prog(r) for r in ranks))
     assert hw.retries > 0
-
-
-def test_hgsync_disabled_falls_back_to_tree(qcluster):
-    qc = qcluster
-    ranks = list(range(4))
-    done = {}
-
-    def prog(rank):
-        yield from elan_hgsync(qc.ports[rank], None, ranks, 0, hw_enabled=False)
-        done[rank] = qc.sim.now
-
-    run(qc, *(prog(r) for r in ranks))
-    assert set(done) == set(ranks)
 
 
 def test_hardware_barrier_validation(qcluster):

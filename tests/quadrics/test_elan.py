@@ -1,4 +1,4 @@
-"""Integration tests for the Elan3 NIC: RDMA, chaining, tports."""
+"""Integration tests for the Elan3 NIC: RDMA, chaining, host events."""
 
 
 from repro.quadrics import RdmaDescriptor
@@ -98,49 +98,6 @@ def test_arm_host_notify_delivers_to_host(qcluster):
 
     run(qc, sender(), waiter())
     assert got and got[0][0] == ("barrier", 7)
-
-
-def test_set_local_event(qcluster):
-    qc = qcluster
-
-    def prog():
-        yield from qc.ports[0].set_local_event("mine")
-
-    run(qc, prog())
-    assert qc.nics[0].event("mine").count == 1
-
-
-def test_tport_send_recv(qcluster):
-    qc = qcluster
-    got = []
-
-    def sender():
-        yield from qc.ports[0].tport_send(1, tag=("hello", 0), payload="world")
-
-    def receiver():
-        msg = yield from qc.ports[1].tport_recv_tag(("hello", 0))
-        got.append(msg)
-
-    run(qc, sender(), receiver())
-    assert got[0].payload == "world"
-    assert got[0].src == 0
-
-
-def test_tport_out_of_order_buffering(qcluster):
-    qc = qcluster
-    order = []
-
-    def sender():
-        yield from qc.ports[0].tport_send(1, tag="b", payload=2)
-        yield from qc.ports[0].tport_send(1, tag="a", payload=1)
-
-    def receiver():
-        first = yield from qc.ports[1].tport_recv_tag("a")
-        second = yield from qc.ports[1].tport_recv_tag("b")
-        order.append((first.payload, second.payload))
-
-    run(qc, sender(), receiver())
-    assert order == [(1, 2)]
 
 
 def test_rdma_packets_counted_on_wire(qcluster):

@@ -262,6 +262,39 @@ def test_quiescence_names_the_exhausted_cpu_behind_a_starved_task():
     assert "SL103" in [f.code for f in report.findings]
 
 
+@pytest.mark.parametrize(
+    "profile,demux,what",
+    [
+        ("lanai_xp_xeon2400", "_events", "unmatched GM receive events"),
+        ("elan3_piii700", "_host_events", "unconsumed host event words"),
+    ],
+)
+def test_quiescence_reports_an_item_left_in_a_port_demux(profile, demux, what):
+    # The NIC posts two host-visible words; the host waits only for the
+    # second, so the first stays buffered in the port's demux.
+    from repro.cluster import build_cluster
+
+    sim = Simulator()
+    sim.track_processes()
+    cluster = build_cluster(profile, 2, sim=sim)
+    port = cluster.ports[1]
+    queue = getattr(port, demux).queue
+
+    def program():
+        queue.post(("word", "stray"))
+        queue.post(("word", "wanted"))
+        yield from port.recv_matching(lambda ev: ev == ("word", "wanted"))
+
+    proc = sim.process(program(), name="waiter")
+    sim.run()
+    assert proc.completion.processed
+    assert getattr(port, demux).pending == [("word", "stray")]
+    report = check_quiescent(cluster)
+    assert [(f.code, f.path, f.message) for f in report.findings] == [
+        ("SL105", f"{profile}/port1", f"1 {what} buffered at quiescence")
+    ]
+
+
 def test_retry_exhaustion_releases_pool_and_records():
     # Regression for the fault-path leak: a black-holed peer must not
     # retain pool units, send records, or armed timers once the retry
