@@ -115,11 +115,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 _TRACE_DEFAULT_BARRIER = {"quadrics": "nic-chained", "myrinet": "nic-collective"}
-_TRACE_DEFAULT_PROFILE = {"quadrics": "elan3_piii700", "myrinet": "lanai_xp_xeon2400"}
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.cluster import build_cluster, run_barrier_experiment
+    from repro.cluster.profiles import DEFAULT_PROFILE
     from repro.sim import Tracer
     from repro.tools import (
         ascii_timeline,
@@ -133,7 +133,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.tools.runcache import resolve_cache
 
     profile = _check_fits(
-        args.profile or _TRACE_DEFAULT_PROFILE[args.network], args.nodes,
+        args.profile or DEFAULT_PROFILE[args.network], args.nodes,
         "-n/--nodes",
     )
     if profile.network != args.network:
@@ -327,7 +327,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         run_workload_cached,
         verify_workload_determinism,
     )
-    from repro.workload.driver import DEFAULT_PROFILE
+    from repro.cluster.profiles import DEFAULT_PROFILE
 
     networks = (
         ("myrinet", "quadrics") if args.network == "both" else (args.network,)

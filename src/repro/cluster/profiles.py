@@ -229,6 +229,10 @@ PROFILES: dict[str, HardwareProfile] = {
 }
 
 
+#: The profile a command runs on when it names only the network.
+DEFAULT_PROFILE = {"myrinet": "lanai_xp_xeon2400", "quadrics": "elan3_piii700"}
+
+
 def get_profile(name: str) -> HardwareProfile:
     """Look up a hardware profile by name.
 

@@ -6,6 +6,11 @@ average over the timed iterations.  Node order is randomly permuted by
 default ("to avoid any possible impact from the network topology and
 the allocation of nodes, our tests were performed with random
 permutation of the nodes").
+
+It also holds the one op table every driver runs its ops from: the
+barrier runner, the chaos runner, the workload driver and the tuner
+(:func:`scheme_step` for a scheme's engines, :func:`comm_op` for a
+communicator handle).
 """
 
 from __future__ import annotations
@@ -15,12 +20,22 @@ from typing import Optional
 
 from repro.cluster.builder import MyrinetCluster, QuadricsCluster
 from repro.collectives import (
+    NicAllgatherEngine,
+    NicAllreduceEngine,
+    NicAlltoallEngine,
+    NicBroadcastEngine,
     NicCollectiveBarrierEngine,
     NicDirectBarrierEngine,
     ProcessGroup,
     QuadricsChainedBarrier,
     host_barrier,
+    nic_allgather,
+    nic_allreduce,
+    nic_alltoall,
     nic_barrier,
+    nic_broadcast_recv,
+    nic_broadcast_root,
+    nic_ibarrier,
     prearm_chained_group,
 )
 from repro.quadrics import elan_gsync, elan_hgsync
@@ -28,6 +43,17 @@ from repro.sim import DeterministicRng
 
 MYRINET_BARRIERS = ("host", "nic-direct", "nic-collective")
 QUADRICS_BARRIERS = ("gsync", "hgsync", "nic-chained")
+#: BarrierResult fields that must be bit-identical under perturbation.
+_COMPARED_FIELDS = (
+    "mean_latency_us",
+    "min_iteration_us",
+    "max_iteration_us",
+    "total_us",
+    "timed_start_us",
+    "iteration_ends_us",
+    "node_permutation",
+    "counters",
+)
 
 
 @dataclass
@@ -61,6 +87,11 @@ class BarrierResult:
             raise ValueError("no timed iterations recorded")
         index = range(len(self.iteration_ends_us))[index]  # normalize
         return ends[index], ends[index + 1]
+
+    def comparable(self) -> dict:
+        """The observables that must be bit-identical under tie-break
+        perturbation of the event schedule, by field name."""
+        return {name: getattr(self, name) for name in _COMPARED_FIELDS}
 
     def __str__(self) -> str:
         return (
@@ -116,53 +147,212 @@ class LastRankOut:
         return [end - start for start, end in zip([self.anchor_us, *ends], ends)]
 
 
-def _barrier_step(
+# ----------------------------------------------------------------------
+# The op table.  A step is a generator that runs one op at one node and
+# returns its verdict, ``ok:<op>`` or ``wrong:<op>:<value>``; a typed
+# failure raises.  Data ops verify the value they compute, so a fault
+# that double-applies a contribution shows up as a wrong result.
+# ----------------------------------------------------------------------
+def _verdict(op: str, expected, result) -> str:
+    return f"ok:{op}" if result == expected else f"wrong:{op}:{result!r}"
+
+
+def _barrier(call):
+    """The step that runs the barrier ``call(node, seq)``."""
+
+    def step(node: int, seq: int):
+        yield from call(node, seq)
+        return "ok:barrier"
+
+    return step
+
+
+def _port_barrier(barrier):
+    """Setup of a scheme whose node call is ``barrier(port, group, seq)``."""
+
+    def setup(cluster, group, prearm, hw_fallback):
+        ports = cluster.ports
+        return _barrier(lambda node, seq: barrier(ports[node], group, seq))
+
+    return setup
+
+
+def _gsync(cluster, group, prearm, hw_fallback):
+    ports, ranks = cluster.ports, group.node_ids
+    return _barrier(lambda node, seq: elan_gsync(ports[node], ranks, seq))
+
+
+def _hgsync(cluster, group, prearm, hw_fallback):
+    ports, ranks = cluster.ports, group.node_ids
+    hw = cluster.hardware_barrier(ranks)
+    return _barrier(lambda node, seq: elan_hgsync(
+        ports[node], hw, ranks, seq, fallback=hw_fallback
+    ))
+
+
+def _chained(cluster, group, prearm, hw_fallback):
+    drivers = {
+        node: QuadricsChainedBarrier(cluster.ports[node], group)
+        for node in group.node_ids
+    }
+    if prearm and not getattr(cluster, "reference", False):
+        # Homogeneous-phase batching: arm every iteration's chain for
+        # all ranks in one setup pass (bit-identical whenever it
+        # applies; see prearm_chained_group).  Reference clusters keep
+        # the per-iteration arm loop for the equivalence tests.
+        prearm_chained_group(drivers, prearm)
+    return _barrier(lambda node, seq: drivers[node].barrier(seq))
+
+
+def _ibarrier(cluster, group, prearm, hw_fallback):
+    ports = cluster.ports
+
+    def step(node: int, seq: int):
+        request = yield from nic_ibarrier(ports[node], group, seq)
+        # A few non-blocking polls first (the overlap pattern the API
+        # exists for), then the blocking wait.
+        for _ in range(3):
+            if (yield from request.test()):
+                return "ok:ibarrier"
+        yield from request.wait()
+        return "ok:ibarrier"
+
+    return step
+
+
+def _allreduce(cluster, group, prearm, hw_fallback):
+    ports = cluster.ports
+    expected = sum(node + 1 for node in group.node_ids)
+
+    def step(node: int, seq: int):
+        result = yield from nic_allreduce(ports[node], group, seq, node + 1, "sum")
+        return _verdict("allreduce", expected, result)
+
+    return step
+
+
+def _allgather(cluster, group, prearm, hw_fallback):
+    ports = cluster.ports
+    expected = dict(enumerate(group.node_ids))
+
+    def step(node: int, seq: int):
+        result = yield from nic_allgather(ports[node], group, seq, node)
+        return _verdict("allgather", expected, result)
+
+    return step
+
+
+def _alltoall(cluster, group, prearm, hw_fallback):
+    ports, nodes = cluster.ports, group.node_ids
+
+    def step(node: int, seq: int):
+        result = yield from nic_alltoall(
+            ports[node], group, seq, {dst: (node, peer) for dst, peer in enumerate(nodes)}
+        )
+        expected = {src: (peer, node) for src, peer in enumerate(nodes)}
+        return _verdict("alltoall", expected, result)
+
+    return step
+
+
+def _bcast(cluster, group, prearm, hw_fallback):
+    ports = cluster.ports
+    root = group.node_ids[0]
+
+    def step(node: int, seq: int):
+        if node == root:
+            done = yield from nic_broadcast_root(
+                ports[node], group, seq, 64, payload=("blob", seq)
+            )
+        else:
+            done = yield from nic_broadcast_recv(ports[node], group, seq)
+        return _verdict("bcast", ("blob", seq), done.payload)
+
+    return step
+
+
+#: ``(scheme, op) -> (NIC engine built per rank or None, setup)``.
+#: ``setup(cluster, group, prearm, hw_fallback)`` builds the rest of the
+#: scheme's machinery and returns the step.
+SCHEME_OPS = {
+    ("host", "barrier"): (None, _port_barrier(host_barrier)),
+    ("nic-direct", "barrier"): (NicDirectBarrierEngine, _port_barrier(nic_barrier)),
+    ("nic-collective", "barrier"): (NicCollectiveBarrierEngine, _port_barrier(nic_barrier)),
+    ("nic-collective", "ibarrier"): (NicCollectiveBarrierEngine, _ibarrier),
+    ("nic-collective", "allreduce"): (NicAllreduceEngine, _allreduce),
+    ("nic-collective", "allgather"): (NicAllgatherEngine, _allgather),
+    ("nic-collective", "alltoall"): (NicAlltoallEngine, _alltoall),
+    ("nic-collective", "bcast"): (NicBroadcastEngine, _bcast),
+    ("gsync", "barrier"): (None, _gsync),
+    ("hgsync", "barrier"): (None, _hgsync),
+    ("nic-chained", "barrier"): (None, _chained),
+}
+
+
+def scheme_step(
     cluster,
-    kind: str,
+    scheme: str,
     group: ProcessGroup,
-    drivers,
-    hw,
-    node: int,
-    seq: int,
+    op: str = "barrier",
+    prearm: int = 0,
+    bytes_per_value: Optional[int] = None,
     hw_fallback: bool = True,
 ):
-    """One barrier call at one node, by experiment kind."""
-    if kind == "host":
-        yield from host_barrier(cluster.ports[node], group, seq)
-    elif kind in ("nic-direct", "nic-collective"):
-        yield from nic_barrier(cluster.ports[node], group, seq)
-    elif kind == "gsync":
-        yield from elan_gsync(cluster.ports[node], group.node_ids, seq)
-    elif kind == "hgsync":
-        yield from elan_hgsync(
-            cluster.ports[node], hw, group.node_ids, seq, fallback=hw_fallback
+    """Build ``scheme``'s machinery for ``op`` on ``group`` and return
+    its step, ``step(node, seq)``.
+
+    ``prearm`` batch-arms that many chained-barrier iterations up front,
+    ``bytes_per_value`` sizes a data engine's values, and
+    ``hw_fallback=False`` makes an exhausted ``hgsync`` probe budget fail
+    instead of falling back to the software tree.
+    """
+    engine, setup = SCHEME_OPS[scheme, op]
+    if engine is not None:
+        sized = {} if bytes_per_value is None else {"bytes_per_value": bytes_per_value}
+        for rank, node in enumerate(group.node_ids):
+            engine(cluster.nics[node], group, rank, **sized)
+    return setup(cluster, group, prearm, hw_fallback)
+
+
+def comm_op(comm, op: str, size_bytes: int, tag):
+    """Run one op on a communicator rank handle and return its verdict.
+
+    Expected values are derived from node ids (``comm.rank`` is stale
+    until the collective call itself resyncs the epoch) with no yield
+    between derivation and call, so they always describe the epoch the
+    op actually runs on.  A broadcast sends ``(tag, epoch)`` as a
+    ``size_bytes`` message from the epoch's first node.
+    """
+    ctx = comm._ctx
+    nodes, me = ctx.nodes, comm.node
+    if op == "barrier":
+        yield from comm.barrier()
+        return "ok:barrier"
+    if op == "ibarrier":
+        # Request-handle form, polled until it resolves (spin() is the
+        # test() loop with its empty polls fast-forwarded).
+        request = yield from comm.ibarrier()
+        yield from request.spin()
+        return "ok:ibarrier"
+    if op == "bcast":
+        expected = (tag, ctx.epoch)
+        result = yield from comm.bcast(
+            expected if me == nodes[0] else None, size_bytes
         )
-    elif kind == "nic-chained":
-        yield from drivers[node].barrier(seq)
-    else:  # pragma: no cover - guarded earlier
-        raise ValueError(kind)
-
-
-def _setup_scheme(cluster, barrier: str, group: ProcessGroup):
-    """Instantiate the per-scheme machinery (engines / drivers / HW
-    barrier) for one experiment; returns ``(drivers, hw)`` for
-    :func:`_barrier_step`."""
-    drivers = None
-    hw = None
-    if barrier == "nic-collective":
-        for rank, node in enumerate(group.node_ids):
-            NicCollectiveBarrierEngine(cluster.nics[node], group, rank)
-    elif barrier == "nic-direct":
-        for rank, node in enumerate(group.node_ids):
-            NicDirectBarrierEngine(cluster.nics[node], group, rank)
-    elif barrier == "nic-chained":
-        drivers = {
-            node: QuadricsChainedBarrier(cluster.ports[node], group)
-            for node in group.node_ids
-        }
-    elif barrier == "hgsync":
-        hw = cluster.hardware_barrier(group.node_ids)
-    return drivers, hw
+    elif op == "allreduce":
+        expected = sum(node + 1 for node in nodes)
+        result = yield from comm.allreduce(me + 1)
+    elif op == "allgather":
+        expected = dict(enumerate(nodes))
+        result = yield from comm.allgather(me)
+    elif op == "alltoall":
+        expected = {src: (node, me) for src, node in enumerate(nodes)}
+        result = yield from comm.alltoall(
+            {dst: (me, node) for dst, node in enumerate(nodes)}
+        )
+    else:
+        raise ValueError(f"unsupported collective {op!r}")
+    return _verdict(op, expected, result)
 
 
 def run_barrier_experiment(
@@ -207,22 +397,15 @@ def run_barrier_experiment(
         id_allocator=getattr(cluster, "group_ids", None),
     )
 
-    drivers, hw = _setup_scheme(cluster, barrier, group)
-
     total = warmup + iterations
-    if drivers is not None and not getattr(cluster, "reference", False):
-        # Homogeneous-phase batching: arm every iteration's chain for
-        # all ranks in one setup pass (bit-identical whenever it
-        # applies; see prearm_chained_group).  Reference clusters keep
-        # the per-iteration arm loop for the equivalence tests.
-        prearm_chained_group(drivers, total)
+    step = scheme_step(cluster, barrier, group, prearm=total)
     tracer = cluster.tracer
     counter_base = tracer.counters.copy()
     tracker = LastRankOut(cluster.sim, n, total)
 
     def program(node: int):
         for seq in range(total):
-            yield from _barrier_step(cluster, barrier, group, drivers, hw, node, seq)
+            yield from step(node, seq)
             if tracker.rank_done(seq) and tracer.enabled:
                 start = tracker.end[seq - 1] if seq > 0 else 0.0
                 tracer.add_span(

@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.collectives.failures import FailureReason, Revoked
+from repro.collectives.failures import FailureReason
 from repro.collectives.group import ProcessGroup
 from repro.collectives.messages import (
     BarrierDone,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import get_profile
+from repro.cluster.profiles import DEFAULT_PROFILE, get_profile
 from repro.cluster.runner import MYRINET_BARRIERS, QUADRICS_BARRIERS
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng
@@ -31,8 +31,6 @@ from repro.sim import DeterministicRng
 LOSS_RATES = (0.0, 0.01, 0.02, 0.05)
 JITTER_PROBABILITY = 0.2
 JITTER_US = 5.0
-
-_PROFILES = {"myrinet": "lanai_xp_xeon2400", "quadrics": "elan3_piii700"}
 
 
 def _faulted_latency(
@@ -59,7 +57,7 @@ def _faulted_latency(
             delay_probability=delay_probability,
             delay_jitter_us=delay_jitter_us,
         )
-    cluster = build_cluster(get_profile(_PROFILES[network]), nodes, faults=faults)
+    cluster = build_cluster(get_profile(DEFAULT_PROFILE[network]), nodes, faults=faults)
     result = run_barrier_experiment(
         cluster, barrier, iterations=iterations, warmup=warmup, seed=seed
     )

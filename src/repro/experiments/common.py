@@ -18,6 +18,8 @@ from repro.cluster import (
     build_quadrics_cluster,
     run_barrier_experiment,
 )
+from repro.cluster.runner import scheme_step
+from repro.collectives import ProcessGroup
 from repro.tools.runcache import RunCache
 
 
@@ -144,6 +146,28 @@ def sweep_point(
         seed=seed,
     )
     return result.mean_latency_us
+
+
+def op_latency(
+    cluster, group: ProcessGroup, op: str, repeats: int,
+    bytes_per_value: Optional[int] = None,
+) -> float:
+    """Mean latency (µs) of ``repeats`` back-to-back ``op``s on the NIC
+    collective engines: the last rank's finish time over ``repeats``."""
+    step = scheme_step(
+        cluster, "nic-collective", group, op, bytes_per_value=bytes_per_value
+    )
+    finish = []
+
+    def program(node: int):
+        for seq in range(repeats):
+            yield from step(node, seq)
+        finish.append(cluster.sim.now)
+
+    for node in group.node_ids:
+        cluster.sim.process(program(node))
+    cluster.sim.run()
+    return max(finish) / repeats
 
 
 def sweep(

@@ -9,6 +9,8 @@ N*ceil(log2 N) per allgather, zero ACKs everywhere.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.cluster import build_myrinet_cluster, run_barrier_experiment
 from repro.collectives import (
     NicBroadcastEngine,
@@ -16,13 +18,10 @@ from repro.collectives import (
     nic_broadcast_recv,
     nic_broadcast_root,
 )
-from functools import partial
-
-from repro.collectives.allgather import NicAllgatherEngine, nic_allgather
-from repro.collectives.alltoall import NicAlltoallEngine, nic_alltoall
 from repro.experiments.common import (
     ExperimentResult,
     Series,
+    op_latency,
     parallel_map,
     print_experiment,
 )
@@ -57,39 +56,12 @@ def _broadcast_point(n: int, size_bytes: int, repeats: int) -> float:
 
 def _allgather_point(n: int, repeats: int) -> float:
     cluster = build_myrinet_cluster(PROFILE, nodes=n)
-    group = ProcessGroup(list(range(n)))
-    for rank in range(n):
-        NicAllgatherEngine(cluster.nics[rank], group, rank)
-    finish = []
-
-    def prog(node):
-        for seq in range(repeats):
-            yield from nic_allgather(cluster.ports[node], group, seq, node)
-        finish.append(cluster.sim.now)
-
-    for node in range(n):
-        cluster.sim.process(prog(node))
-    cluster.sim.run()
-    return max(finish) / repeats
+    return op_latency(cluster, ProcessGroup(list(range(n))), "allgather", repeats)
 
 
 def _alltoall_point(n: int, repeats: int) -> float:
     cluster = build_myrinet_cluster(PROFILE, nodes=n)
-    group = ProcessGroup(list(range(n)))
-    for rank in range(n):
-        NicAlltoallEngine(cluster.nics[rank], group, rank)
-    finish = []
-
-    def prog(node):
-        for seq in range(repeats):
-            blocks = {dst: node for dst in range(n)}
-            yield from nic_alltoall(cluster.ports[node], group, seq, blocks)
-        finish.append(cluster.sim.now)
-
-    for node in range(n):
-        cluster.sim.process(prog(node))
-    cluster.sim.run()
-    return max(finish) / repeats
+    return op_latency(cluster, ProcessGroup(list(range(n))), "alltoall", repeats)
 
 
 def _barrier_point(n: int, repeats: int) -> float:

@@ -39,6 +39,10 @@ class GmPort:
     ``yield from`` inside a host process.
     """
 
+    #: ``(attribute, what it buffers)`` of every :class:`EventDemux` the
+    #: port holds; the quiescence audit reads each one.
+    DEMUXES = (("_events", "unmatched GM receive events"),)
+
     def __init__(
         self,
         sim: Simulator,

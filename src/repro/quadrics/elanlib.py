@@ -32,6 +32,10 @@ GSYNC_DEGREE = 4
 class ElanPort:
     """One host process's window onto its Elan3 NIC."""
 
+    #: ``(attribute, what it buffers)`` of every :class:`EventDemux` the
+    #: port holds; the quiescence audit reads each one.
+    DEMUXES = (("_host_events", "unconsumed host event words"),)
+
     def __init__(
         self,
         sim: Simulator,

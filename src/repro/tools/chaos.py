@@ -32,15 +32,18 @@ per run:
 6. **quiescence** — the simlint auditor finds no leaked packets,
    records, engine states, timers or blocked processes (SL102-SL107).
 
-:func:`run_block` adds determinism: each plan is replayed under
-tie-break permutations of the event schedule and must reproduce the
-baseline observables bit-identically (SL101 for chaos).
+:func:`run_block` adds determinism: each plan is one call to the
+tie-break replay loop (:func:`~repro.tools.simlint.perturb.compare_runs`)
+and must reproduce its baseline observables bit-identically (SL101 for
+chaos).
 
-A plan that names a barrier ``scheme`` drives that scheme's engines
-directly (one rank per node, identity group: scenario node indices are
-literal, so a random permutation would re-aim every fault per seed).
-A plan without one drives the MPI-style communicator, which is what
-survives kills through revoke → shrink → resume.
+Ops come from the one op table in :mod:`repro.cluster.runner`.  A plan
+that names a barrier ``scheme`` drives that scheme's step
+(:func:`~repro.cluster.runner.scheme_step`; one rank per node, identity
+group: scenario node indices are literal, so a random permutation would
+re-aim every fault per seed).  A plan without one drives the MPI-style
+communicator through :func:`~repro.cluster.runner.comm_op`, which is
+what survives kills through revoke → shrink → resume.
 """
 
 from __future__ import annotations
@@ -50,35 +53,28 @@ from functools import partial
 from typing import Optional
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import RECOVERY_GM, get_profile
+from repro.cluster.profiles import DEFAULT_PROFILE, RECOVERY_GM, get_profile
 from repro.cluster.runner import (
     MYRINET_BARRIERS,
     QUADRICS_BARRIERS,
+    SCHEME_OPS,
     LastRankOut,
-    _barrier_step,
-    _setup_scheme,
+    comm_op,
+    scheme_step,
 )
 from repro.collectives import (
     BarrierFailure,
-    NicAllreduceEngine,
-    NicBroadcastEngine,
-    NicCollectiveBarrierEngine,
     ProcessGroup,
     Revoked,
     classify_reason,
-    nic_allreduce,
-    nic_broadcast_recv,
-    nic_broadcast_root,
-    nic_ibarrier,
 )
 from repro.collectives.membership import enable_failure_detector, launch_kills
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
 from repro.tools.runcache import RunCache, cached_call
-from repro.tools.simlint.perturb import TieBreakSimulator
+from repro.tools.simlint.perturb import compare_runs
 from repro.tools.simlint.quiescence import check_quiescent
 
-_DEFAULT_PROFILE = {"myrinet": "lanai_xp_xeon2400", "quadrics": "elan3_piii700"}
 _SCHEMES = {"myrinet": MYRINET_BARRIERS, "quadrics": QUADRICS_BARRIERS}
 #: Ops a plan may run per network.  Myrinet exercises the full
 #: collective-protocol engine family; Quadrics the chained-RDMA barrier
@@ -87,12 +83,6 @@ _SCHEMES = {"myrinet": MYRINET_BARRIERS, "quadrics": QUADRICS_BARRIERS}
 _OPS = {
     "myrinet": ("barrier", "allreduce", "bcast", "ibarrier"),
     "quadrics": ("barrier", "ibarrier"),
-}
-#: NIC engines behind the non-barrier ops of a scheme-driven plan.
-_ENGINES = {
-    "allreduce": NicAllreduceEngine,
-    "bcast": NicBroadcastEngine,
-    "ibarrier": NicCollectiveBarrierEngine,
 }
 _POLL_US = 5.0
 
@@ -154,7 +144,7 @@ class ChaosPlan:
     horizon_us: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.network not in _DEFAULT_PROFILE:
+        if self.network not in DEFAULT_PROFILE:
             raise ValueError(f"unknown network {self.network!r}")
         if self.expect not in ("recover", "fail", "degrade"):
             raise ValueError(f"unknown expectation {self.expect!r}")
@@ -174,7 +164,7 @@ class ChaosPlan:
                 f"plan {self.key} names node {self.min_nodes - 1}, so it "
                 f"needs at least {self.min_nodes} nodes, got {self.nodes}"
             )
-        max_nodes = get_profile(_DEFAULT_PROFILE[self.network]).max_nodes
+        max_nodes = get_profile(DEFAULT_PROFILE[self.network]).max_nodes
         if self.nodes > max_nodes:
             raise ValueError(
                 f"{self.network} plans run on at most {max_nodes} nodes, "
@@ -189,11 +179,8 @@ class ChaosPlan:
                 raise ValueError("only communicator plans can repair kills")
             if len(ops) != 1:
                 raise ValueError("a scheme-driven plan runs one op kind")
-            if ops != {"barrier"} and self.scheme != "nic-collective":
-                raise ValueError(
-                    f"{sorted(ops)} runs on the Myrinet collective-protocol "
-                    "engines only (scheme 'nic-collective')"
-                )
+            if (self.scheme, *ops) not in SCHEME_OPS:
+                raise ValueError(f"scheme {self.scheme!r} cannot run {sorted(ops)}")
 
     @property
     def min_nodes(self) -> int:
@@ -315,7 +302,7 @@ def audit_fault_counters(counters: dict, stats: dict) -> list[str]:
 
 
 def _profile(plan: ChaosPlan):
-    profile = get_profile(_DEFAULT_PROFILE[plan.network])
+    profile = get_profile(DEFAULT_PROFILE[plan.network])
     if plan.gm_overrides:
         profile = replace(profile, gm=replace(profile.gm, **dict(plan.gm_overrides)))
     if plan.elan_overrides:
@@ -343,91 +330,6 @@ def _arrange_faults(plan: ChaosPlan, cluster, faults: FaultInjector) -> None:
         cluster.cpus[node].slowdown = factor
 
 
-def _scheme_step(cluster, plan: ChaosPlan):
-    """The per-op step of a scheme-driven plan: the barrier through
-    :func:`_barrier_step`, the data collectives and the non-blocking
-    barrier through the NIC engine entry points.  Data collectives
-    verify the *value* they compute — a fault that double-applies a
-    contribution shows up as a wrong reduction, not just a counter."""
-    group = ProcessGroup(range(plan.nodes))
-    ports = cluster.ports
-    drivers = hw = None
-    if plan.segments[0][0] == "barrier":
-        drivers, hw = _setup_scheme(cluster, plan.scheme, group)
-    else:
-        engine_cls = _ENGINES[plan.segments[0][0]]
-        for rank, node in enumerate(group.node_ids):
-            engine_cls(cluster.nics[node], group, rank)
-    expected_sum = sum(r + 1 for r in range(group.size))
-
-    def step(node: int, seq: int, op: str):
-        if op == "barrier":
-            yield from _barrier_step(
-                cluster, plan.scheme, group, drivers, hw, node, seq,
-                hw_fallback=plan.hw_fallback,
-            )
-            return "ok:barrier"
-        if op == "allreduce":
-            result = yield from nic_allreduce(
-                ports[node], group, seq, node + 1, "sum"
-            )
-            if result != expected_sum:
-                return f"wrong:allreduce:{result!r}"
-            return "ok:allreduce"
-        if op == "bcast":
-            if node == 0:
-                done = yield from nic_broadcast_root(
-                    ports[node], group, seq, 64, payload=("blob", seq)
-                )
-            else:
-                done = yield from nic_broadcast_recv(ports[node], group, seq)
-            if done.payload != ("blob", seq):
-                return f"wrong:bcast:{done.payload!r}"
-            return "ok:bcast"
-        request = yield from nic_ibarrier(ports[node], group, seq)
-        # A few non-blocking polls first (the overlap pattern the API
-        # exists for), then the blocking wait.
-        for _ in range(3):
-            if (yield from request.test()):
-                return "ok:ibarrier"
-        yield from request.wait()
-        return "ok:ibarrier"
-
-    return step
-
-
-def _comm_op(comm, op):
-    """Run one op on a rank handle, verifying data results.
-
-    Expected values are derived from node ids (``comm.rank`` is stale
-    until the collective call itself resyncs the epoch) with no yield
-    between derivation and call, so they always describe the epoch the
-    op actually runs on.
-    """
-    ctx = comm._ctx
-    if op == "barrier":
-        yield from comm.barrier()
-        return "ok:barrier"
-    if op == "allreduce":
-        expected = sum(n + 1 for n in ctx.nodes)
-        result = yield from comm.allreduce(comm.node + 1, "sum")
-        if result != expected:
-            return f"wrong:allreduce:{result!r}"
-        return "ok:allreduce"
-    if op == "bcast":
-        token = ("fz", ctx.epoch)
-        value = token if comm.node == ctx.nodes[0] else None
-        result = yield from comm.bcast(value=value, size_bytes=64)
-        if result != token:
-            return f"wrong:bcast:{result!r}"
-        return "ok:bcast"
-    # ibarrier: request-handle form, polled until it resolves (spin()
-    # is the test() loop with its empty polls fast-forwarded).
-    request = yield from comm.ibarrier()
-    yield from request.spin()
-    return "ok:ibarrier"
-
-
 def _scheduled_faults(plan: ChaosPlan):
     """``(label, opens_at_us)`` of every fault that opens mid-run."""
     for a, b, start, _until in plan.flaps:
@@ -445,9 +347,9 @@ def run_plan(
 ) -> ChaosResult:
     """Execute one plan and audit it (see the module docstring).
 
-    Only stock-simulator runs consult ``cache`` — tie-break-perturbed
-    replays (``sim=TieBreakSimulator(...)``) exist to *re-execute* the
-    schedule, so they always run live.
+    Only stock-simulator runs (``sim=None``) consult ``cache`` — the
+    tie-break-perturbed replays :func:`run_block` asks for exist to
+    *re-execute* the schedule, so they always run live.
     """
     run = partial(_execute, plan, _profile(plan), sim)
     if sim is not None:
@@ -495,12 +397,18 @@ def _execute(plan: ChaosPlan, profile, sim: Optional[Simulator]) -> ChaosResult:
             )
 
     if plan.scheme:
-        step = _scheme_step(cluster, plan)
+        scheme = scheme_step(
+            cluster, plan.scheme, ProcessGroup(range(plan.nodes)),
+            plan.segments[0][0], hw_fallback=plan.hw_fallback,
+        )
+
+        def step(node: int, seq: int, op: str):
+            return scheme(node, seq)
     else:
         comms = create_communicators(cluster)
 
         def step(node: int, seq: int, op: str):
-            return _comm_op(comms[node], op)
+            return comm_op(comms[node], op, 64, "fz")
 
     segments = plan.segments
     final = len(segments) - 1
@@ -688,27 +596,24 @@ class ChaosReport:
 def run_block(
     plans, rounds: int, header: str, cache: Optional[RunCache] = None
 ) -> ChaosReport:
-    """Run every plan, then replay each under ``rounds`` tie-break
-    permutations that must reproduce its baseline observables
+    """Run every plan through the tie-break replay loop
+    (:func:`~repro.tools.simlint.perturb.compare_runs`): ``rounds``
+    permutations must reproduce its baseline's ``comparable()``
     bit-identically (the SL101 discipline, applied to whole faulted
     campaigns).
 
     ``cache`` serves only the baselines; every permutation replay runs
-    live (they are the determinism check) and is compared against the
-    possibly-cached baseline observables.
+    live (they are the determinism check).
     """
     report = ChaosReport(header)
     for plan in plans:
-        baseline = run_plan(plan, cache=cache)
-        report.results.append(baseline)
-        diverged = tuple(
-            round_idx for round_idx in range(rounds)
-            if run_plan(plan, sim=TieBreakSimulator(DeterministicRng(
-                plan.seed, f"chaos/tiebreak/{plan.key}/{round_idx}"
-            ))).comparable() != baseline.comparable()
+        replay = compare_runs(
+            partial(run_plan, plan, cache=cache), rounds, plan.seed,
+            f"chaos/tiebreak/{plan.key}", plan.key,
         )
-        if diverged:
-            report.diverged[plan.key] = diverged
+        report.results.append(replay.baseline)
+        if replay.diverged_rounds:
+            report.diverged[plan.key] = replay.diverged_rounds
     return report
 
 

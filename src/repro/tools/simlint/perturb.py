@@ -6,11 +6,14 @@ packets injected at the same microsecond by different NICs have no
 causal order, so any permutation of their processing is a legal
 schedule.  :class:`TieBreakSimulator` replaces the integer tie-break
 with ``(random(), seq)`` — every run executes *some* legal permutation
-of each same-timestamp group — and :func:`perturb_barrier_experiment`
-asserts that the observable results (latencies, counters, per-iteration
-end times) are **bit-identical** across many permutations.  A divergence
-is a schedule race (SL101): somewhere the protocol read state whose
-value depends on tie-break order.
+of each same-timestamp group — and :func:`compare_runs`, the one replay
+loop, asserts that a run's declared observable (``comparable()``:
+latencies, counters, per-iteration end times, chaos outcomes) is
+**bit-identical** across many permutations.  The barrier matrix
+(:func:`perturb_barrier_experiment`), the chaos runner's ``run_block``
+and the workload determinism check are each one call to it.  A
+divergence is a schedule race (SL101): somewhere the protocol read
+state whose value depends on tie-break order.
 
 Causality is preserved: a permuted entry never runs before an entry at
 an earlier timestamp, and the trailing ``seq`` keeps the comparison from
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import get_profile
+from repro.cluster.profiles import DEFAULT_PROFILE, get_profile
 from repro.cluster.runner import (
     MYRINET_BARRIERS,
     QUADRICS_BARRIERS,
@@ -160,78 +163,64 @@ class TieBreakSimulator(Simulator):
 
 
 # ----------------------------------------------------------------------
-# Result comparison
+# The replay loop
 # ----------------------------------------------------------------------
-#: BarrierResult fields that must be bit-identical under perturbation.
-_COMPARED_FIELDS = (
-    "mean_latency_us",
-    "min_iteration_us",
-    "max_iteration_us",
-    "total_us",
-    "timed_start_us",
-    "iteration_ends_us",
-    "node_permutation",
-    "counters",
-)
-
-
 def _abbreviate(value: Any, limit: int = 80) -> str:
     text = repr(value)
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def diff_results(baseline: BarrierResult, other: BarrierResult) -> list[str]:
-    """Human-readable field-level differences (empty = bit-identical)."""
+def _observable(result: Any) -> Any:
+    """What a run promises to keep bit-identical: its declared
+    ``comparable()``, or the result itself."""
+    comparable = getattr(result, "comparable", None)
+    return comparable() if comparable is not None else result
+
+
+def diff_results(baseline: Any, other: Any) -> list[str]:
+    """Human-readable differences between two runs' observables (empty =
+    bit-identical).  A dict observable is diffed field by field."""
+    a, b = _observable(baseline), _observable(other)
+    if a == b:
+        return []
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [f"{_abbreviate(a)} != {_abbreviate(b)}"]
     diffs: list[str] = []
-    for name in _COMPARED_FIELDS:
-        a = getattr(baseline, name)
-        b = getattr(other, name)
-        if a == b:
+    for name in [*a, *(k for k in b if k not in a)]:
+        x, y = a.get(name), b.get(name)
+        if x == y:
             continue
-        if name == "iteration_ends_us":
-            for i, (x, y) in enumerate(zip(a, b)):
-                if x != y:
-                    diffs.append(
-                        f"iteration_ends_us[{i}]: {x!r} != {y!r} "
-                        f"(first divergent iteration)"
-                    )
-                    break
-            else:
-                diffs.append(f"iteration_ends_us length: {len(a)} != {len(b)}")
-        elif name == "counters":
-            keys = sorted(set(a) | set(b))
-            changed = [k for k in keys if a.get(k, 0) != b.get(k, 0)]
+        if isinstance(x, dict) and isinstance(y, dict):
+            keys = sorted(x.keys() | y.keys(), key=str)
+            changed = [k for k in keys if x.get(k, 0) != y.get(k, 0)]
             diffs.append(
-                "counters differ: "
+                f"{name} differ: "
                 + ", ".join(
-                    f"{k}: {a.get(k, 0)} != {b.get(k, 0)}" for k in changed[:5]
+                    f"{k}: {x.get(k, 0)} != {y.get(k, 0)}" for k in changed[:5]
                 )
                 + ("" if len(changed) <= 5 else f" (+{len(changed) - 5} more)")
             )
+        elif isinstance(x, (list, tuple)) and isinstance(y, (list, tuple)) \
+                and len(x) == len(y):
+            first = next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+            diffs.append(
+                f"{name}[{first}]: {x[first]!r} != {y[first]!r} "
+                "(first divergent entry)"
+            )
         else:
-            diffs.append(f"{name}: {_abbreviate(a)} != {_abbreviate(b)}")
+            diffs.append(f"{name}: {_abbreviate(x)} != {_abbreviate(y)}")
     return diffs
-
-
-def _label(profile: str, barrier: str, faults: str, nodes: int) -> str:
-    """``profile/barrier[faults] N=nodes``: one run of the matrix."""
-    case = f"[{faults}]" if faults else ""
-    return f"{profile}/{barrier}{case} N={nodes}"
 
 
 @dataclass
 class PerturbationReport:
-    """Outcome of one perturbation sweep over one barrier scheme."""
+    """Outcome of one tie-break replay (:func:`compare_runs`)."""
 
-    profile: str
-    barrier: str
-    nodes: int
+    where: str
     rounds: int
-    baseline: BarrierResult
+    baseline: Any
     findings: list[Finding] = field(default_factory=list)
     diverged_rounds: tuple[int, ...] = ()
-    #: The injected fault case, e.g. ``"corrupt=0.02"``; empty when clean.
-    faults: str = ""
 
     @property
     def ok(self) -> bool:
@@ -243,8 +232,46 @@ class PerturbationReport:
             if self.ok
             else f"DIVERGED in rounds {list(self.diverged_rounds)}"
         )
-        label = _label(self.profile, self.barrier, self.faults, self.nodes)
-        return f"{label}: {self.rounds} permutations {verdict}"
+        return f"{self.where}: {self.rounds} permutations {verdict}"
+
+
+def compare_runs(
+    call: Callable[[Optional[Simulator]], Any],
+    rounds: int = 10,
+    seed: int = 0,
+    stream: str = "simlint/tiebreak",
+    where: str = "model",
+) -> PerturbationReport:
+    """The one tie-break replay loop.
+
+    ``call(sim)`` builds a model on ``sim``, runs it and returns its
+    result.  It runs once with ``sim=None`` (the stock kernel, so a
+    cached baseline may serve it), then once per round on a
+    :class:`TieBreakSimulator` seeded from ``(seed, f"{stream}/{round}")``.
+    Every replay's observable (its ``comparable()``, or the result
+    itself) must equal the baseline's; each round that differs is one
+    SL101 finding at ``where``.
+    """
+    baseline = call(None)
+    expected = _observable(baseline)
+    findings: list[Finding] = []
+    diverged: list[int] = []
+    for round_idx in range(rounds):
+        rng = DeterministicRng(seed, f"{stream}/{round_idx}")
+        result = call(TieBreakSimulator(rng))
+        if _observable(result) == expected:
+            continue
+        diverged.append(round_idx)
+        findings.append(Finding(
+            "SL101", where, 0,
+            f"results diverged under tie-break permutation "
+            f"(round {round_idx}): " + "; ".join(diff_results(baseline, result)),
+            fixit="some protocol state depends on same-timestamp event "
+                  "order; look for iteration over unordered collections, "
+                  "shared mutable state read before all same-time events "
+                  "settle, or RNG draws consumed in schedule order",
+        ))
+    return PerturbationReport(where, rounds, baseline, findings, tuple(diverged))
 
 
 def perturb_barrier_experiment(
@@ -262,11 +289,10 @@ def perturb_barrier_experiment(
     delay_jitter_us: float = 0.0,
     algorithm: str = "dissemination",
 ) -> PerturbationReport:
-    """Run one barrier experiment under ``rounds`` tie-break permutations.
+    """Run one barrier experiment under ``rounds`` tie-break permutations
+    (:func:`compare_runs`); the report's label is
+    ``profile/barrier[faults] N=nodes``.
 
-    The baseline runs on the stock FIFO kernel; every round rebuilds the
-    cluster from scratch on a :class:`TieBreakSimulator` seeded from
-    ``(seed, round)`` and must reproduce the baseline's results exactly.
     With fault probabilities set, each run gets a fault injector built
     from the *same* seed, so the fault pattern itself is
     schedule-independent (per-flow, per-class substreams) and results
@@ -301,9 +327,6 @@ def perturb_barrier_experiment(
             seed=seed,
         )
 
-    baseline = one_run(None)
-    findings: list[Finding] = []
-    diverged: list[int] = []
     faults = ",".join(
         f"{name}={value:g}"
         for name, value in (
@@ -315,61 +338,9 @@ def perturb_barrier_experiment(
         )
         if value
     )
-    where = _label(resolved.name, barrier, faults, nodes)
-    for round_idx in range(rounds):
-        rng = DeterministicRng(seed, f"simlint/tiebreak/{round_idx}")
-        result = one_run(TieBreakSimulator(rng))
-        diffs = diff_results(baseline, result)
-        if diffs:
-            diverged.append(round_idx)
-            findings.append(Finding(
-                "SL101", where, 0,
-                f"results diverged under tie-break permutation "
-                f"(round {round_idx}): " + "; ".join(diffs),
-                fixit="some protocol state depends on same-timestamp event "
-                      "order; look for iteration over unordered collections, "
-                      "shared mutable state read before all same-time events "
-                      "settle, or RNG draws consumed in schedule order",
-            ))
-    return PerturbationReport(
-        profile=resolved.name,
-        barrier=barrier,
-        nodes=nodes,
-        rounds=rounds,
-        baseline=baseline,
-        findings=findings,
-        diverged_rounds=tuple(diverged),
-        faults=faults,
-    )
-
-
-def compare_runs(
-    build_and_run: Callable[[Simulator], Any],
-    rounds: int = 10,
-    seed: int = 0,
-    where: str = "model",
-) -> list[Finding]:
-    """Generic perturbation harness for arbitrary models.
-
-    ``build_and_run`` receives a fresh simulator (stock for the
-    baseline, tie-break-perturbed afterwards), builds its model on it,
-    runs it, and returns any ``==``-comparable observable.  Returns one
-    SL101 finding per diverging round.
-    """
-    baseline = build_and_run(Simulator())
-    findings: list[Finding] = []
-    for round_idx in range(rounds):
-        rng = DeterministicRng(seed, f"simlint/tiebreak/{round_idx}")
-        result = build_and_run(TieBreakSimulator(rng))
-        if result != baseline:
-            findings.append(Finding(
-                "SL101", where, 0,
-                f"observable diverged under tie-break permutation "
-                f"(round {round_idx}): {_abbreviate(baseline)} != "
-                f"{_abbreviate(result)}",
-                fixit="remove the dependence on same-timestamp event order",
-            ))
-    return findings
+    case = f"[{faults}]" if faults else ""
+    where = f"{resolved.name}/{barrier}{case} N={nodes}"
+    return compare_runs(one_run, rounds, seed, "simlint/tiebreak", where)
 
 
 def all_scheme_reports(
@@ -379,8 +350,8 @@ def all_scheme_reports(
     warmup: int = 2,
     seed: int = 0,
     fault_drop_probability: float = 0.02,
-    myrinet_profile: str = "lanai_xp_xeon2400",
-    quadrics_profile: str = "elan3_piii700",
+    myrinet_profile: str = DEFAULT_PROFILE["myrinet"],
+    quadrics_profile: str = DEFAULT_PROFILE["quadrics"],
 ) -> list[PerturbationReport]:
     """The full perturbation matrix: every scheme on both networks, plus
     one seeded faulted run per fault class on the scheme with the most
@@ -388,36 +359,22 @@ def all_scheme_reports(
     schedule races, not just the clean path), and the delay class on
     the Quadrics chained barrier (the faulted fat tree, where up-edge
     elision stays on)."""
-    reports = [
-        perturb_barrier_experiment(
-            myrinet_profile, barrier, nodes=nodes, rounds=rounds,
-            iterations=iterations, warmup=warmup, seed=seed,
-        )
-        for barrier in MYRINET_BARRIERS
-    ]
-    reports.extend(
-        perturb_barrier_experiment(
-            quadrics_profile, barrier, nodes=nodes, rounds=rounds,
-            iterations=iterations, warmup=warmup, seed=seed,
-        )
-        for barrier in QUADRICS_BARRIERS
-    )
+    cases = [(myrinet_profile, barrier, {}) for barrier in MYRINET_BARRIERS]
+    cases += [(quadrics_profile, barrier, {}) for barrier in QUADRICS_BARRIERS]
     if fault_drop_probability:
-        fault_cases = (
-            {"drop_probability": fault_drop_probability},
-            {"corrupt_probability": fault_drop_probability},
-            {"duplicate_probability": fault_drop_probability},
-            {"delay_probability": 0.2, "delay_jitter_us": 5.0},
+        delay = {"delay_probability": 0.2, "delay_jitter_us": 5.0}
+        cases += [
+            (myrinet_profile, "nic-collective", {f"{cls}_probability": fault_drop_probability})
+            for cls in ("drop", "corrupt", "duplicate")
+        ]
+        cases += [
+            (myrinet_profile, "nic-collective", delay),
+            (quadrics_profile, "nic-chained", delay),
+        ]
+    return [
+        perturb_barrier_experiment(
+            profile, barrier, nodes=nodes, rounds=rounds,
+            iterations=iterations, warmup=warmup, seed=seed, **faults,
         )
-        reports.extend(
-            perturb_barrier_experiment(
-                myrinet_profile, "nic-collective", nodes=nodes, rounds=rounds,
-                iterations=iterations, warmup=warmup, seed=seed, **case,
-            )
-            for case in fault_cases
-        )
-        reports.append(perturb_barrier_experiment(
-            quadrics_profile, "nic-chained", nodes=nodes, rounds=rounds,
-            iterations=iterations, warmup=warmup, seed=seed, **fault_cases[-1],
-        ))
-    return reports
+        for profile, barrier, faults in cases
+    ]

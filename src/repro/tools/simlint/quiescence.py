@@ -253,12 +253,8 @@ def _check_faults(cluster, report: QuiescenceReport) -> None:
 def _check_ports(cluster, report: QuiescenceReport) -> None:
     for port in getattr(cluster, "ports", ()):
         unit = f"port{port.node_id}"
-        for attr, what in (
-            ("_events", "unmatched GM receive events"),
-            ("_host_events", "unconsumed host event words"),
-        ):
-            demux = getattr(port, attr, None)
-            pending = demux.pending if demux is not None else None
+        for attr, what in port.DEMUXES:
+            pending = getattr(port, attr).pending
             if pending:
                 report.findings.append(Finding(
                     "SL105", _where(cluster, unit), 0,

@@ -94,33 +94,13 @@ def measure_point(point: TunePoint) -> float:
         ).mean_latency_us
 
     from repro.collectives import ProcessGroup
-    from repro.collectives.allgather import NicAllgatherEngine, nic_allgather
-    from repro.collectives.allreduce import NicAllreduceEngine, nic_allreduce
+    from repro.experiments.common import op_latency
 
-    cluster = build_myrinet_cluster(PROFILE, nodes=point.n)
-    group = ProcessGroup(list(range(point.n)), algorithm=point.algorithm)
-    engine_cls = {
-        "allgather": NicAllgatherEngine,
-        "allreduce": NicAllreduceEngine,
-    }[point.collective]
-    for rank in range(point.n):
-        engine_cls(
-            cluster.nics[rank], group, rank, bytes_per_value=point.payload_bytes
-        )
-    finish = []
-
-    def prog(node):
-        for seq in range(point.repeats):
-            if point.collective == "allgather":
-                yield from nic_allgather(cluster.ports[node], group, seq, node)
-            else:
-                yield from nic_allreduce(cluster.ports[node], group, seq, node)
-        finish.append(cluster.sim.now)
-
-    for node in range(point.n):
-        cluster.sim.process(prog(node))
-    cluster.sim.run()
-    return max(finish) / point.repeats
+    return op_latency(
+        build_myrinet_cluster(PROFILE, nodes=point.n),
+        ProcessGroup(list(range(point.n)), algorithm=point.algorithm),
+        point.collective, point.repeats, bytes_per_value=point.payload_bytes,
+    )
 
 
 def run_tuner(

@@ -5,13 +5,17 @@ trace its own communicator (many concurrent process groups on the
 shared NICs), launches the cross-traffic injector, runs everything to
 quiescence, and rolls per-job iteration latencies into tail metrics
 (p50/p99/p999, slowdown vs. a silent-machine baseline, Jain fairness).
+Every op runs through :func:`~repro.cluster.runner.comm_op`, the op
+function the chaos runner uses too; a wrong data result is a violation.
 
 Determinism: every stochastic input — the trace, the per-iteration
 collective choices, the cross-traffic schedule — is pre-drawn at setup
 from seeded substreams; nothing draws randomness in simulation event
 order.  The whole result dict is the SL101 observable: it must be
-bit-identical under tie-break permutation (see
-:func:`verify_workload_determinism`) and on warm cache re-runs.
+bit-identical under tie-break permutation
+(:func:`verify_workload_determinism` is one call to the replay loop,
+:func:`~repro.tools.simlint.perturb.compare_runs`) and on warm cache
+re-runs.
 
 Chaos composition: a :class:`KillSpec` kills one node mid-workload.
 Jobs whose allocation contains the victim are revoked, repaired onto
@@ -27,8 +31,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.cluster.builder import build_cluster
-from repro.cluster.profiles import get_profile, recovery_profile
-from repro.cluster.runner import LastRankOut
+from repro.cluster.profiles import DEFAULT_PROFILE, get_profile, recovery_profile
+from repro.cluster.runner import LastRankOut, comm_op
 from repro.collectives import BarrierFailure
 from repro.collectives.membership import enable_failure_detector, launch_kills
 from repro.mpi import create_communicators, repair_communicators
@@ -47,11 +51,6 @@ from repro.workload.metrics import (
     summarize_job,
 )
 from repro.workload.trace import JobSpec, validate_trace
-
-DEFAULT_PROFILE = {
-    "myrinet": "lanai_xp_xeon2400",
-    "quadrics": "elan3_piii700",
-}
 
 _POLL_US = 25.0
 
@@ -94,29 +93,6 @@ def _draw_ops(job: JobSpec, seed: int) -> tuple[str, ...]:
     return tuple(ops)
 
 
-def _run_op(comm, op: str, payload_bytes: int, token):
-    """One collective on a rank handle; returns ``(op, result)`` for a
-    result-bearing collective, ``None`` for a barrier."""
-    if op == "barrier":
-        yield from comm.barrier()
-        return None
-    if op == "bcast":
-        value = token if comm.rank == 0 else None
-        result = yield from comm.bcast(
-            value=value, size_bytes=max(4, payload_bytes)
-        )
-    elif op == "allreduce":
-        result = yield from comm.allreduce(comm.rank + 1)
-    elif op == "allgather":
-        result = yield from comm.allgather(comm.rank)
-    elif op == "alltoall":
-        blocks = {dst: (comm.rank, dst) for dst in range(comm.size)}
-        result = yield from comm.alltoall(blocks)
-    else:
-        raise ValueError(f"unsupported collective {op!r}")
-    return (op, result)
-
-
 class _JobRun:
     """Everything one job needs at run time."""
 
@@ -132,7 +108,6 @@ class _JobRun:
         )
         self.gate = {"repaired": False}
         self.violations: list[str] = []
-        self.tail_ok = 0
         self.status = "completed"
         self.comms = create_communicators(cluster, nodes=list(job.nodes))
         self.ctx = self.comms[0]._ctx
@@ -176,7 +151,7 @@ class _JobRun:
         if job.arrival_us > 0:
             yield job.arrival_us
         node = job.nodes[rank]
-        token = f"{job.name}/tok"
+        size_bytes = max(4, job.payload_bytes)
         abandoned_at: Optional[int] = None
         for it, op in enumerate(self.ops):
             if self.gate["repaired"]:
@@ -187,14 +162,14 @@ class _JobRun:
                 self.status = "repaired"
                 return
             try:
-                result = yield from _run_op(
-                    self.comms[rank], op, job.payload_bytes, token
+                verdict = yield from comm_op(
+                    self.comms[rank], op, size_bytes, job.name
                 )
             except BarrierFailure:  # Revoked and CollectiveFailure too
                 abandoned_at = it
                 break
-            if result is not None:
-                self._check(rank, op, result, token)
+            if verdict.startswith("wrong:"):
+                self.violations.append(f"{job.name} rank {rank}: {verdict}")
             self.tracker.rank_done(it)
         if abandoned_at is None:
             return
@@ -210,24 +185,6 @@ class _JobRun:
         tail = kill.tail_iterations if kill is not None else 0
         for _ in range(tail):
             yield from self.comms[rank].barrier()
-        self.tail_ok += 1
-
-    def _check(self, rank: int, op: str, result, token) -> None:
-        kind, value = result
-        size = len(self.job.nodes)
-        ok = True
-        if kind == "bcast":
-            ok = value == token
-        elif kind == "allreduce":
-            ok = value == size * (size + 1) // 2
-        elif kind == "allgather":
-            ok = value == {r: r for r in range(size)}
-        elif kind == "alltoall":
-            ok = value == {src: (src, rank) for src in range(size)}
-        if not ok:
-            self.violations.append(
-                f"{self.job.name} rank {rank}: wrong {op} result {value!r}"
-            )
 
 
 def _launch_chaos(cluster, runs, kill: KillSpec, rng):
@@ -523,13 +480,10 @@ def verify_workload_determinism(
     """
     from repro.tools.simlint import compare_runs
 
-    def build_and_run(sim):
+    def call(sim):
         return run_workload(
             network, cluster_nodes, jobs, seed=seed, xtraffic=xtraffic,
             baseline=True, sim=sim,
         )
 
-    return compare_runs(
-        build_and_run, rounds=rounds, seed=seed,
-        where=f"workload/{network}",
-    )
+    return compare_runs(call, rounds, seed, where=f"workload/{network}").findings

@@ -94,7 +94,9 @@ def test_myrinet_stress_bit_identical_under_perturbation():
         cluster, results = run_myrinet_stress(sim=sim)
         return results, cluster.sim.now
 
-    findings = compare_runs(build_and_run, rounds=3, where="myrinet/stress16")
+    findings = compare_runs(
+        build_and_run, rounds=3, where="myrinet/stress16"
+    ).findings
     assert not findings, [f.message for f in findings]
 
 
@@ -154,7 +156,9 @@ def test_quadrics_stress_bit_identical_under_perturbation():
         cluster, completions = run_quadrics_stress(sim=sim)
         return completions, cluster.sim.now
 
-    findings = compare_runs(build_and_run, rounds=3, where="quadrics/stress16")
+    findings = compare_runs(
+        build_and_run, rounds=3, where="quadrics/stress16"
+    ).findings
     assert not findings, [f.message for f in findings]
 
 

@@ -94,13 +94,14 @@ def test_phase_resets_when_time_advances():
 # ----------------------------------------------------------------------
 def test_compare_runs_catches_order_dependent_callback():
     def build_and_run(sim):
+        sim = sim or Simulator()
         order = []
         for tag in ("a", "b", "c"):
             sim.schedule(1.0, order.append, tag)
         sim.run()
         return tuple(order)  # observable leaks the same-time pop order
 
-    findings = compare_runs(build_and_run, rounds=8, seed=0, where="fixture")
+    findings = compare_runs(build_and_run, rounds=8, seed=0, where="fixture").findings
     assert findings
     assert {f.code for f in findings} == {"SL101"}
     assert all(f.path == "fixture" for f in findings)
@@ -108,13 +109,14 @@ def test_compare_runs_catches_order_dependent_callback():
 
 def test_compare_runs_passes_order_independent_model():
     def build_and_run(sim):
+        sim = sim or Simulator()
         order = []
         for tag in ("a", "b", "c"):
             sim.schedule(1.0, order.append, tag)
         sim.run()
         return tuple(sorted(order))  # commutative observable
 
-    assert compare_runs(build_and_run, rounds=8, seed=0) == []
+    assert compare_runs(build_and_run, rounds=8, seed=0).findings == []
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +295,22 @@ def test_quiescence_reports_an_item_left_in_a_port_demux(profile, demux, what):
     assert [(f.code, f.path, f.message) for f in report.findings] == [
         ("SL105", f"{profile}/port1", f"1 {what} buffered at quiescence")
     ]
+
+
+@pytest.mark.parametrize("profile", ["lanai_xp_xeon2400", "elan3_piii700"])
+def test_every_port_demux_is_listed_for_the_audit(profile):
+    # The audit reads only the demuxes a port lists; one it holds but
+    # omits would buffer leaked items without a word.
+    from repro.cluster import build_cluster
+    from repro.host.demux import EventDemux
+
+    port = build_cluster(profile, 2).ports[0]
+    held = sorted(
+        name for name, value in vars(port).items()
+        if isinstance(value, EventDemux)
+    )
+    assert held
+    assert held == sorted(attr for attr, _what in type(port).DEMUXES)
 
 
 def test_retry_exhaustion_releases_pool_and_records():
