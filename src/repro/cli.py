@@ -366,15 +366,26 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         if args.write_trace:
             dump_trace(jobs, args.write_trace)
             print(f"trace written to {args.write_trace}")
-        result = run_workload_cached(
-            network,
-            args.nodes,
-            jobs,
-            seed=args.seed,
-            xtraffic=xtraffic,
-            kill=kill,
-            cache="auto" if args.cache else None,
-        )
+        report = None
+        if args.check > 0:
+            report = verify_workload_determinism(
+                network, args.nodes, jobs, seed=args.seed,
+                xtraffic=xtraffic, rounds=args.check,
+            )
+        if report is not None and kill is None:
+            # The check replays the kill-free workload, so without a
+            # kill its stock run is this workload's run.
+            result = report.baseline
+        else:
+            result = run_workload_cached(
+                network,
+                args.nodes,
+                jobs,
+                seed=args.seed,
+                xtraffic=xtraffic,
+                kill=kill,
+                cache="auto" if args.cache else None,
+            )
         metrics = [JobMetrics(**job) for job in result["jobs"]]
         print(f"\n=== workload: {network} ({result['profile']}) "
               f"N={args.nodes}, {len(jobs)} jobs, seed={args.seed} ===")
@@ -398,14 +409,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             failed = True
             for finding in result["quiescence"]:
                 print(f"  QUIESCENCE: {finding}")
-        if args.check > 0:
-            findings = verify_workload_determinism(
-                network, args.nodes, jobs, seed=args.seed,
-                xtraffic=xtraffic, rounds=args.check,
-            )
-            if findings:
+        if report is not None:
+            if report.findings:
                 failed = True
-                for finding in findings:
+                for finding in report.findings:
                     print(f"  DETERMINISM: {finding.render()}")
             else:
                 print(f"  determinism: bit-identical across {args.check} "

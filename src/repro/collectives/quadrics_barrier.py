@@ -34,12 +34,16 @@ Event words are cumulative counters, so consecutive barriers reuse the
 same per-step events with thresholds that grow by the step's expected
 count each iteration — early messages from barrier *k+1* simply
 pre-increment the counters (see
-:class:`repro.quadrics.events.ElanEvent`).
+:class:`repro.quadrics.events.ElanEvent`).  That growth is one stride:
+each (event, action) pair is armed as one stride entry that fires once
+per barrier, for as many barriers as are armed at once — all of them
+when :func:`prearm_chained_group` arms the experiment at setup, one at
+a time otherwise.  The done word's single action posts each barrier's
+completion word in turn.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 from repro.collectives.failures import FailureReason, Revoked
@@ -81,43 +85,66 @@ def _chain_links(ops) -> list[_Link]:
     return links
 
 
-def _group_chain_layout(group: ProcessGroup) -> list:
-    """Every rank's wait-link map, computed **once** per group.
+class _ChainLayout:
+    """A group's chain layout, derived **once** and shared by its drivers.
 
-    Each of the N drivers needs the wait-link index its peers use for
-    messages from *it*.  Deriving every peer's chain inside every
-    driver's constructor is O(N^2 log N) — the wall that capped sweeps
-    at 1024 nodes (69 of 85 seconds at N=1024 went to driver setup).
-    One shared pass over the compiled schedule derives each rank's links
-    once and inverts the relation into ``wait_maps[rank][src] -> link
-    index``; drivers then look up only their own O(log N) peers.  Only
-    the maps are kept (on the group, immutable after construction), so
-    all N drivers share one layout and no second per-rank chain copy
-    stays alive.
+    Each of the N drivers needs its own chain links, plus the wait-link
+    index its peers use for messages from *it*.  Deriving every peer's
+    chain inside every driver's constructor is O(N^2 log N) — the wall
+    that capped sweeps at 1024 nodes (69 of 85 seconds at N=1024 went to
+    driver setup).  One pass over the compiled schedule derives each
+    rank's links once and inverts the relation into
+    ``wait_maps[rank][src] -> link index``; drivers then look up only
+    their own O(log N) peers.
+
+    ``names`` holds the group's event-word names (wait link ``t`` is
+    ``names[t]``, the done word is ``names[-1]``), so every descriptor
+    and every NIC's event table share one string per name.  A driver
+    takes its rank's links and the layout drops them; once every rank
+    has taken its links the group drops the layout, so no per-rank chain
+    copy outlives setup.
     """
-    cached = getattr(group, "_chained_layout", None)
-    if cached is not None:
-        return cached
-    schedule = group.collective_schedule("barrier")
-    wait_maps: list[dict[int, int]] = []
-    for rank in range(group.size):
-        waits: dict[int, int] = {}
-        for t, link in enumerate(_chain_links(schedule.ops(rank))):
-            if link.kind == "wait":
-                for src in link.peers:
-                    waits[src] = t
-        wait_maps.append(waits)
-    group._chained_layout = wait_maps
-    return wait_maps
+
+    __slots__ = ("links", "wait_maps", "names", "untaken")
+
+    def __init__(self, group: ProcessGroup):
+        schedule = group.collective_schedule("barrier")
+        self.links = [_chain_links(schedule.ops(rank)) for rank in range(group.size)]
+        self.wait_maps: list[dict[int, int]] = []
+        for links in self.links:
+            waits: dict[int, int] = {}
+            for t, link in enumerate(links):
+                if link.kind == "wait":
+                    for src in link.peers:
+                        waits[src] = t
+            self.wait_maps.append(waits)
+        gid = group.group_id
+        longest = max(map(len, self.links), default=0)
+        self.names = tuple(f"g{gid}w{t}" for t in range(longest)) + (f"g{gid}done",)
+        self.untaken = group.size
+
+
+def _take_chain(group: ProcessGroup, rank: int):
+    """``rank``'s chain links and its group's shared layout."""
+    layout = getattr(group, "_chained_layout", None)
+    if layout is None or layout.links[rank] is None:
+        layout = group._chained_layout = _ChainLayout(group)
+    links, layout.links[rank] = layout.links[rank], None
+    layout.untaken -= 1
+    if not layout.untaken:
+        del group._chained_layout
+    return links, layout
 
 
 def prearm_chained_group(drivers, total_iterations: int) -> bool:
-    """Batch-arm every driver's chain for the whole experiment.
+    """Arm every driver's chain for the whole experiment at setup.
 
     Homogeneous-phase batching: all N ranks run the same chain shape, so
     the per-iteration bookkeeping (threshold arming, done-word notify
-    values) collapses into one setup pass over ranks x iterations instead
-    of N generator-resumed arm loops per barrier.
+    values) collapses into one setup pass.  Each (event, action) pair is
+    armed once as a stride entry that fires once per iteration (see
+    :class:`~repro.quadrics.events.ElanEvent`), so the armed state is
+    O(links), whatever the iteration count.
 
     Bit-identical only when no wait word's threshold can be crossed
     before its per-iteration arm point.  Every wait link at index > 0
@@ -132,10 +159,25 @@ def prearm_chained_group(drivers, total_iterations: int) -> bool:
     if not all(d._head for d in dset):
         return False
     for driver in dset:
-        for seq in range(driver._prearmed, total_iterations):
-            driver._arm_chain(seq)
-        driver._prearmed = max(driver._prearmed, total_iterations)
+        if total_iterations > driver._prearmed:
+            driver._arm_chain(driver._prearmed, total_iterations - driver._prearmed)
+            driver._prearmed = total_iterations
     return True
+
+
+class _IssueLink:
+    """The armed action of a wait link that a send link follows: queue
+    the send link's descriptors on the DMA engine, in order."""
+
+    __slots__ = ("nic", "descriptors")
+
+    def __init__(self, nic, descriptors: tuple):
+        self.nic = nic
+        self.descriptors = descriptors
+
+    def __call__(self) -> None:
+        for descriptor in self.descriptors:
+            self.nic.issue_rdma(descriptor)
 
 
 class QuadricsChainedBarrier:
@@ -154,98 +196,95 @@ class QuadricsChainedBarrier:
         self.rank = group.rank_of(port.node_id)
         self.barriers_completed = 0
         self._prearmed = 0  # chains armed through this seq (exclusive)
-        self._done_name = f"g{group.group_id}done"
-        self._plan, self._head = self._build_plan(
-            _chain_links(group.collective_schedule("barrier").ops(self.rank)),
-            _group_chain_layout(group),
-        )
+        self._notified = 0  # done words posted so far: the next one's seq
+        self._plan, self._head = self._build_plan(*_take_chain(group, self.rank))
         #: Started-but-not-yet-completed sequence numbers: what
         #: :meth:`revoke` must resolve with synthetic failure words so
         #: a waiter of a dead epoch unblocks instead of hanging.
         self._outstanding: set[int] = set()
         self.closed = False
 
-    def _wait_event(self, link_index: int) -> str:
-        return f"g{self.group.group_id}w{link_index}"
-
     # ------------------------------------------------------------------
     # Chain arming
     # ------------------------------------------------------------------
-    def _descriptors(self, peers, next_gate: str, wait_maps) -> list[RdmaDescriptor]:
-        """Build a send link's descriptor list; the last descriptor's
-        local completion feeds the next chain link.  Each descriptor
-        fires the wait link that expects *us* at its destination."""
-        descriptors = []
-        for k, dst in enumerate(peers):
-            descriptors.append(
-                RdmaDescriptor(
-                    dst=self.group.node_of(dst),
-                    remote_event=self._wait_event(wait_maps[dst][self.rank]),
-                    size_bytes=0,
-                    local_event=next_gate if k == len(peers) - 1 else None,
-                    group_id=self.group.group_id,
-                )
+    def _descriptors(self, peers, next_gate: str, layout: _ChainLayout) -> tuple:
+        """Build a send link's descriptors; the last descriptor's local
+        completion feeds the next chain link.  Each descriptor fires the
+        wait link that expects *us* at its destination."""
+        last = len(peers) - 1
+        return tuple(
+            RdmaDescriptor(
+                dst=self.group.node_of(dst),
+                remote_event=layout.names[layout.wait_maps[dst][self.rank]],
+                size_bytes=0,
+                local_event=next_gate if k == last else None,
+                group_id=self.group.group_id,
             )
-        return descriptors
+            for k, dst in enumerate(peers)
+        )
 
-    def _build_plan(self, links: list[_Link], wait_maps: list):
+    def _build_plan(self, links: list[_Link], layout: _ChainLayout):
         """Precompute the seq-invariant part of the chain.
 
         Event words, descriptor contents and the armed actions are the
         same every iteration — only the (linear-in-seq) thresholds
         change.  Descriptors are deliberately shared across iterations:
         they are never mutated, and a packet snapshots nothing beyond a
-        reference to them.  ``links`` is dropped once the plan is built:
-        the plan and the head are all a driver keeps of its chain, and
-        ``wait_maps`` (the group's shared layout) is read only here.
+        reference to them.  The plan and the head are all a driver keeps
+        of its chain; ``links`` and the layout are read only here.  The
+        plan's last entry is the done word, whose one action posts each
+        barrier's completion word in turn.
         """
+        if not links:
+            return [], ()
         nic = self.port.nic
+        names = layout.names
         last = len(links) - 1
 
         def gate(t: int) -> str:
             """The event link ``t``'s completion feeds."""
-            return self._wait_event(t + 1) if t < last else self._done_name
+            return names[t + 1] if t < last else names[-1]
 
-        head: list[RdmaDescriptor] = []
-        plan: list[tuple] = []  # (ElanEvent, per-barrier count, actions)
+        head: tuple = ()
+        plan: list[tuple] = []  # (ElanEvent, set-events per barrier, action)
         for t, link in enumerate(links):
             if link.kind == "send":
                 if t == 0:
-                    head = self._descriptors(link.peers, gate(t), wait_maps)
+                    head = self._descriptors(link.peers, gate(t), layout)
                 # A send link at t > 0 is issued by link t-1's firing —
                 # which is always a wait (adjacent sends merged), so it
                 # is armed as that wait's action below.
                 continue
-            event = nic.event(self._wait_event(t))
             if t < last and links[t + 1].kind == "send":
-                follow = self._descriptors(
-                    links[t + 1].peers, gate(t + 1), wait_maps
+                action = _IssueLink(
+                    nic, self._descriptors(links[t + 1].peers, gate(t + 1), layout)
                 )
-                actions = tuple(partial(nic.issue_rdma, d) for d in follow)
             else:
                 # wait -> wait/done: a chained set-event (SRAM write).
-                actions = (nic.event(gate(t)).set_event,)
+                action = nic.event(gate(t)).set_event
             # Set-events the word collects per barrier: the link's
             # arrivals, plus the chain link from link t-1.
             per_barrier = len(link.peers) + (1 if t > 0 else 0)
-            plan.append((event, per_barrier, actions))
+            plan.append((nic.event(names[t]), per_barrier, action))
+        # The done word collects exactly one set per barrier.
+        plan.append((nic.event(names[-1]), 1, self._post_done))
         return plan, head
 
-    def _arm_chain(self, seq: int) -> list[RdmaDescriptor]:
-        """Arm every link of this barrier's chain; return the head
-        descriptors the host must trigger itself (if the chain starts
-        with a send)."""
+    def _arm_chain(self, seq: int, count: int) -> None:
+        """Arm every link of barriers ``seq .. seq + count - 1``: one
+        stride entry per (event, action), firing once per barrier."""
         s1 = seq + 1
-        for event, per_barrier, actions in self._plan:
-            threshold = s1 * per_barrier
-            for action in actions:
-                event.arm(threshold, action)
-        self.port.nic.arm_host_notify(
-            self._done_name,
-            s1,  # the done word collects exactly one set per barrier
-            value=BarrierDone(self.group.group_id, seq, completed_at=0.0),
+        for event, per_barrier, action in self._plan:
+            event.arm(s1 * per_barrier, action, count, per_barrier)
+
+    def _post_done(self) -> None:
+        """The done word's action: post the next barrier's completion
+        word (the done word fires once per barrier, in order)."""
+        seq = self._notified
+        self._notified = seq + 1
+        self.port.nic.notify_host(
+            BarrierDone(self.group.group_id, seq, completed_at=0.0)
         )
-        return self._head
 
     # ------------------------------------------------------------------
     def _completed(self, done):
@@ -311,22 +350,18 @@ class QuadricsChainedBarrier:
         # iteration (the SRAM writes ride the same PIO burst).
         yield from port._command()
         request = CollectiveRequest(port, "barrier", self.group, seq, self._completed)
-        if not self._plan and not self._head:
+        if not self._plan:
             request._settle(None)
             return request
         self._outstanding.add(seq)
-        # Prearmed chains (see prearm_chained_group) skip the arm loop:
+        # Prearmed chains (see prearm_chained_group) skip the arming:
         # the thresholds are already in SRAM, only the head trigger and
         # the completion wait remain per iteration.
-        if seq >= self._prearmed:
-            head = None
-            for s in range(self._prearmed, seq + 1):
-                head = self._arm_chain(s)
-            self._prearmed = seq + 1
-        else:
-            head = self._head
+        for s in range(self._prearmed, seq + 1):
+            self._arm_chain(s, 1)
+        self._prearmed = max(self._prearmed, seq + 1)
         # "The very first RDMA operation ... the host process triggers."
-        for descriptor in head:
+        for descriptor in self._head:
             nic.issue_rdma(descriptor)
         return request
 

@@ -27,7 +27,7 @@ from repro.quadrics.params import ElanParams
 from repro.sim import ArbitratedResource, Simulator, Store, Tracer
 
 
-@dataclass
+@dataclass(slots=True)
 class RdmaDescriptor:
     """One RDMA descriptor in Elan SRAM.
 
@@ -124,8 +124,9 @@ class Elan3Nic:
     def event(self, name: str) -> ElanEvent:
         ev = self._events.get(name)
         if ev is None:
-            ev = ElanEvent(name=f"{self.name}.{name}")
-            self._events[name] = ev
+            # The event shares its table key (a group's event names are
+            # one string each, whatever the node count).
+            ev = self._events[name] = ElanEvent(name)
         return ev
 
     def chain(self, trigger: str, threshold: int, descriptor: RdmaDescriptor) -> None:
@@ -139,9 +140,11 @@ class Elan3Nic:
 
     def arm_host_notify(self, trigger: str, threshold: int, value: Any = None) -> None:
         """When ``trigger`` reaches ``threshold``, notify the host."""
-        self.event(trigger).arm(threshold, lambda: self._notify_host(value))
+        self.event(trigger).arm(threshold, lambda: self.notify_host(value))
 
-    def _notify_host(self, value: Any) -> None:
+    def notify_host(self, value: Any) -> None:
+        """Post ``value`` to the host's event queue, as a fired event's
+        action does: the event unit's cost, then a DMA to host memory."""
         # Callback chain (event unit -> PCI DMA -> host word): no
         # generator process per notification.
         self.event_unit.call(

@@ -11,24 +11,30 @@ B is still finishing barrier *k*).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable
 
 
 class ElanEvent:
     """One event word in Elan SRAM.
 
-    ``arm(threshold, action)`` registers ``action`` (a zero-argument
-    callable) to run as soon as ``count >= threshold``; if that is
-    already true it runs immediately (synchronously — the caller is the
-    event unit, which has already paid its processing cost).
+    ``arm(threshold, action, repeat, stride)`` registers ``action`` (a
+    zero-argument callable) to run as soon as ``count >= threshold``,
+    then again at ``threshold + stride``, and so on, ``repeat`` times in
+    all.  A firing whose threshold is already reached runs immediately
+    (synchronously — the caller is the event unit, which has already
+    paid its processing cost).
 
-    Waiters sit in a min-heap keyed by threshold (ties fire in arm
-    order).  The pre-armed chained barrier parks one waiter per future
-    iteration on the head event, so a linear scan per set-event — fine
-    when at most one waiter existed — became an O(iterations) cost on
-    every arriving message; the heap makes the common no-fire set-event
-    a single head comparison.
+    One stride entry behaves exactly like ``repeat`` single arms made
+    back to back: waiters sit in a min-heap keyed by (threshold, arm
+    number), and an entry that fires re-enters the heap at its next
+    threshold under its *original* arm number, inside the same pop
+    loop.  So each firing ranks where its expanded copy would have
+    ranked (ties fire in arm order), and a set-event that crosses
+    several strides fires the entry several times, in threshold order
+    among the other waiters.  A repeating barrier chain therefore holds
+    one entry per (event, action), whatever the iteration count, and
+    the common no-fire set-event is a single head comparison.
     """
 
     __slots__ = ("name", "count", "_armed", "_n")
@@ -36,7 +42,8 @@ class ElanEvent:
     def __init__(self, name: str = "event"):
         self.name = name
         self.count = 0
-        self._armed: list[tuple[int, int, Callable[[], None]]] = []
+        # (threshold, arm number, action, firings left, stride)
+        self._armed: list[tuple[int, int, Callable[[], None], int, int]] = []
         self._n = 0
 
     def set_event(self, n: int = 1) -> None:
@@ -48,24 +55,46 @@ class ElanEvent:
         if armed and armed[0][0] <= self.count:
             self._fire_ready()
 
-    def arm(self, threshold: int, action: Callable[[], None]) -> None:
+    def arm(
+        self,
+        threshold: int,
+        action: Callable[[], None],
+        repeat: int = 1,
+        stride: int = 0,
+    ) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
+        if repeat < 1 or stride < 0:
+            raise ValueError(f"need repeat >= 1 and stride >= 0, got {repeat}, {stride}")
+        # Firings already reached run now, one by one, as separate arms
+        # would: every set-event drains its ready waiters, so nothing
+        # else is ready, and each firing sees what the previous one did.
+        while threshold <= self.count:
+            action()
+            repeat -= 1
+            if not repeat:
+                return
+            threshold += stride
         self._n += 1
-        heappush(self._armed, (threshold, self._n, action))
-        if threshold <= self.count:
-            self._fire_ready()
+        heappush(self._armed, (threshold, self._n, action, repeat, stride))
 
     def _fire_ready(self) -> None:
         # Snapshot the ready set before running any action (an action
         # may set this same event or arm new waiters; those must see the
-        # post-drain state, exactly as with the old list snapshot).
+        # post-drain state).  A repeating entry steps to its next
+        # threshold here, so a count that crossed several strides pops
+        # it again, in heap order.
         armed = self._armed
         count = self.count
         ready = []
         while armed and armed[0][0] <= count:
-            ready.append(heappop(armed))
-        for _, _, action in ready:
+            threshold, n, action, left, stride = armed[0]
+            ready.append(action)
+            if left > 1:
+                heapreplace(armed, (threshold + stride, n, action, left - 1, stride))
+            else:
+                heappop(armed)
+        for action in ready:
             action()
 
     def disarm_all(self) -> int:
@@ -75,15 +104,17 @@ class ElanEvent:
         never fire a straggler's RDMA chain or a stale done notification
         after the survivors moved to a new epoch.  The counter itself is
         left alone — late set-events still accumulate harmlessly.
-        Returns the number of waiters dropped.
+        Returns the number of firings dropped (a stride entry counts
+        every firing it had left).
         """
-        dropped = len(self._armed)
+        dropped = self.armed_count
         self._armed.clear()
         return dropped
 
     @property
     def armed_count(self) -> int:
-        return len(self._armed)
+        """Firings still armed (a stride entry counts each one left)."""
+        return sum(entry[3] for entry in self._armed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ElanEvent {self.name} count={self.count} armed={len(self._armed)}>"
+        return f"<ElanEvent {self.name} count={self.count} armed={self.armed_count}>"

@@ -14,8 +14,9 @@ from seeded substreams; nothing draws randomness in simulation event
 order.  The whole result dict is the SL101 observable: it must be
 bit-identical under tie-break permutation
 (:func:`verify_workload_determinism` is one call to the replay loop,
-:func:`~repro.tools.simlint.perturb.compare_runs`) and on warm cache
-re-runs.
+:func:`~repro.tools.simlint.perturb.compare_runs`, which replays only
+the contended run: the silent baselines run once per check) and on warm
+cache re-runs.
 
 Chaos composition: a :class:`KillSpec` kills one node mid-workload.
 Jobs whose allocation contains the victim are revoked, repaired onto
@@ -338,6 +339,25 @@ def run_workload(
     The dict is the canonical observable: bit-identical across
     tie-break permutations and warm cache re-runs.
     """
+    return _contended_call(
+        network, cluster_nodes, jobs, seed, xtraffic, kill, baseline, profile
+    )(sim)
+
+
+def _contended_call(
+    network: str,
+    cluster_nodes: int,
+    jobs: Sequence[JobSpec],
+    seed: int,
+    xtraffic: Optional[CrossTrafficSpec],
+    kill: Optional[KillSpec],
+    baseline: bool,
+    profile: Optional[str],
+):
+    """Do the part of a workload run no tie-break permutation can touch
+    — validation, the silent baselines, the cross-traffic schedule —
+    and return ``call(sim)``, which runs the contended phase on ``sim``
+    (``None``: a stock kernel) and returns the result dict."""
     if network not in DEFAULT_PROFILE:
         raise ValueError(f"unknown network {network!r}")
     validate_trace(jobs, network, cluster_nodes)
@@ -363,7 +383,16 @@ def run_workload(
             xtraffic, cluster_nodes, horizon,
             DeterministicRng(seed, f"workload/xtraffic/{network}"),
         )
+    return partial(
+        _run_contended, network, cluster_nodes, jobs, seed, xtraffic, kill,
+        profile, baselines, horizon, schedule,
+    )
 
+
+def _run_contended(
+    network, cluster_nodes, jobs, seed, xtraffic, kill, profile,
+    baselines, horizon, schedule, sim,
+) -> dict:
     runs, diag = _execute(
         network, cluster_nodes, jobs, seed,
         xtraffic_schedule=schedule,
@@ -472,18 +501,19 @@ def verify_workload_determinism(
     rounds: int = 5,
 ):
     """SL101 harness: the full result dict must be bit-identical under
-    tie-break permutation.  Returns the findings list (empty = clean).
+    tie-break permutation.  Returns the
+    :class:`~repro.tools.simlint.perturb.PerturbationReport`: its
+    ``findings`` (empty = clean) and, as ``baseline``, the stock run's
+    result dict.
 
-    The baseline phase runs once on stock kernels (its metrics feed the
-    horizon and slowdown fields deterministically); only the contended
-    run itself is re-executed under each permuted simulator.
+    The silent baselines run once, on stock kernels (their metrics feed
+    the horizon and slowdown fields deterministically); only the
+    contended run is executed again, once stock and once under each
+    permuted simulator.
     """
     from repro.tools.simlint import compare_runs
 
-    def call(sim):
-        return run_workload(
-            network, cluster_nodes, jobs, seed=seed, xtraffic=xtraffic,
-            baseline=True, sim=sim,
-        )
-
-    return compare_runs(call, rounds, seed, where=f"workload/{network}").findings
+    call = _contended_call(
+        network, cluster_nodes, jobs, seed, xtraffic, None, True, None
+    )
+    return compare_runs(call, rounds, seed, where=f"workload/{network}")

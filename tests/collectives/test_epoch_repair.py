@@ -11,7 +11,6 @@ post-repair epoch (SL102–SL107).
 from __future__ import annotations
 
 import warnings
-from functools import partial
 
 import pytest
 
@@ -24,7 +23,7 @@ from repro.collectives.membership import (
     enable_failure_detector,
     wait_for_conviction,
 )
-from repro.collectives.quadrics_barrier import _chain_links
+from repro.collectives.quadrics_barrier import _chain_links, _IssueLink
 from repro.mpi import create_communicators, repair_communicators
 from repro.network.faults import FaultInjector
 from repro.sim import DeterministicRng, Simulator
@@ -126,12 +125,14 @@ class TestShrink:
                 (nic.event(f"g{gid}w{t}"), len(link.peers) + (t > 0))
                 for t, link in enumerate(links) if link.kind == "wait"
             ]
-            assert [(e, n) for e, n, _ in driver._plan] == waits
+            *wait_plan, done = driver._plan
+            assert [(e, n) for e, n, _ in wait_plan] == waits
+            assert done[:2] == (nic.event(f"g{gid}done"), 1)
             descriptors = list(driver._head) + [
-                action.args[0]
-                for _, _, actions in driver._plan
-                for action in actions
-                if isinstance(action, partial)
+                d
+                for _, _, action in wait_plan
+                if isinstance(action, _IssueLink)
+                for d in action.descriptors
             ]
             sends = [
                 p for link in links if link.kind == "send" for p in link.peers

@@ -134,3 +134,30 @@ def test_permuted_nodes(qcluster8):
 
     run_all(qc, [prog(i) for i in range(8)])
     assert sorted(done) == list(range(8))
+
+
+def test_prearmed_chain_state_does_not_grow_with_iterations():
+    """Prearming arms one stride entry per (event, action): the armed
+    heap entries over every NIC event are the same for 3 and for 30
+    iterations, while the firings they hold scale with the count."""
+    from repro.cluster import build_cluster
+    from repro.collectives import prearm_chained_group
+
+    def armed(iterations):
+        cluster = build_cluster("elan3_piii700", 64)
+        group = ProcessGroup(range(64), algorithm="dissemination")
+        drivers = {
+            node: QuadricsChainedBarrier(cluster.ports[node], group)
+            for node in range(64)
+        }
+        assert prearm_chained_group(drivers, iterations)
+        events = [ev for nic in cluster.nics for ev in nic._events.values()]
+        return (
+            sum(len(ev._armed) for ev in events),
+            sum(ev.armed_count for ev in events),
+        )
+
+    entries3, firings3 = armed(3)
+    entries30, firings30 = armed(30)
+    assert entries3 == entries30 == 64 * 7  # six wait links + the done word
+    assert firings30 == 10 * firings3

@@ -69,8 +69,8 @@ def test_sl101_perturbation_clean_at_n128():
 
 def test_chained_driver_setup_flattens_each_rank_once(monkeypatch):
     """Driver setup is O(N): each rank's chain links are derived from
-    the compiled schedule twice — once for the group's shared wait maps,
-    once by the rank's own driver — never once per peer.
+    the compiled schedule once, in the group's shared layout pass, and
+    handed to the rank's own driver — never once per peer.
 
     The pre-optimization constructors re-flattened every peer's schedule
     inside every driver — O(N^2 log N), 69 of 85 seconds at N=1024.
@@ -90,7 +90,7 @@ def test_chained_driver_setup_flattens_each_rank_once(monkeypatch):
         cluster = build_cluster("elan3_piii700", n)
         run_barrier_experiment(cluster, "nic-chained", iterations=2, warmup=1, seed=0)
         counts[n] = len(calls)
-    assert counts == {16: 2 * 16, 32: 2 * 32}
+    assert counts == {16: 16, 32: 32}
 
 
 def test_collective_states_share_one_layout():

@@ -60,8 +60,39 @@ def test_overlapping_jobs_complete_clean(network):
 def test_overlapping_jobs_bit_identical_across_20_permutations(network):
     findings = verify_workload_determinism(
         network, 16, OVERLAP_JOBS, seed=1, xtraffic=XT, rounds=20
-    )
+    ).findings
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_determinism_check_runs_each_silent_baseline_once(monkeypatch):
+    """A 3-round check of a 2-job trace runs each job's silent baseline
+    once, the contended run once stock and once per round — and the
+    CLI prints the check's stock run instead of running it again."""
+    import repro.workload.driver as driver
+    from repro.cli import main
+
+    calls = []
+    real = driver._execute
+
+    def counting(network, cluster_nodes, jobs, *args, **kwargs):
+        calls.append(len(jobs))
+        return real(network, cluster_nodes, jobs, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "_execute", counting)
+    report = verify_workload_determinism(
+        "quadrics", 16, OVERLAP_JOBS, seed=1, xtraffic=XT, rounds=3
+    )
+    assert report.findings == []
+    assert calls == [1, 1, 2, 2, 2, 2]  # 2 silent, 1 stock, 3 replays
+    assert report.baseline == run_workload(
+        "quadrics", 16, OVERLAP_JOBS, seed=1, xtraffic=XT
+    )
+
+    calls.clear()
+    argv = ["workload", "--network", "quadrics", "-n", "16", "--jobs", "2",
+            "--iterations", "3", "--check", "3", "--no-cache"]
+    assert main(argv) == 0
+    assert calls == [1, 1, 2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("network", ["myrinet", "quadrics"])
