@@ -370,11 +370,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         if args.check > 0:
             report = verify_workload_determinism(
                 network, args.nodes, jobs, seed=args.seed,
-                xtraffic=xtraffic, rounds=args.check,
+                xtraffic=xtraffic, rounds=args.check, kill=kill,
             )
-        if report is not None and kill is None:
-            # The check replays the kill-free workload, so without a
-            # kill its stock run is this workload's run.
+            # The check's stock run is this workload's run.
             result = report.baseline
         else:
             result = run_workload_cached(

@@ -301,7 +301,7 @@ class QuadricsChainedBarrier:
     def revoke(self):
         """Tear down this driver's epoch after a membership change.
 
-        Disarms every armed action on the group's chain events (a stale
+        Disarms every armed action on this driver's chain events (a stale
         chain link firing after repair would DMA a ghost done-word into
         the new epoch's host queue) and resolves every outstanding
         sequence with a synthetic revocation word, so blocked waiters
@@ -312,9 +312,10 @@ class QuadricsChainedBarrier:
             return
         self.closed = True
         nic = self.port.nic
-        disarmed = nic.disarm_events(f"g{self.group.group_id}")
+        disarmed = sum(event.disarm_all() for event, _, _ in self._plan)
         nic.tracer.count("elan.barrier_revoked")
         if disarmed:
+            nic.tracer.count("elan.events_disarmed", disarmed)
             nic.tracer.count("elan.barrier_revoke_disarmed", disarmed)
         for seq in sorted(self._outstanding):
             nic.host_events.post(

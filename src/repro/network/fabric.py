@@ -91,16 +91,15 @@ class Fabric:
         self._bandwidth = params.bandwidth_bytes_per_us
         self._domain = ArbitrationDomain(sim)
         self._links: dict[tuple[str, str], ArbitratedResource] = {}
-        # Topologies are immutable for the lifetime of a simulation, so
-        # the route, its arbitrated link resources, the size-independent
-        # head latency, and the elided delta-phase count are memoized
-        # per (src, dst) pair.
-        self._route_cache: dict[tuple[int, int], tuple] = {}
         # Fat tree: each port's (climb, descent) link chains, built on
-        # first use; a route is a slice of its source's climb and its
-        # destination's descent, cut at the lca level.
+        # first use.  Each worm cuts its route from its source's climb
+        # and its destination's descent at the lca level, so fabric
+        # state stays O(ports) however many pairs a run touches (a
+        # per-pair memo is about N log N entries).  Clos (and loopback)
+        # routes are memoized per (src, dst) pair.
         self._fat_tree = isinstance(topology, QuaternaryFatTree)
         self._chains: dict[int, tuple[list, list]] = {}
+        self._route_cache: dict[tuple[int, int], tuple] = {}
         # Contention-free up-edge elision (fat tree only): a worm holds
         # its capacity-1 injection link for its whole lifetime, so a
         # level-l stage group's up-edge sees at most its 4**l sources
@@ -112,7 +111,15 @@ class Fabric:
         # link, a delayed worm claims it first too, just later, and a
         # dropped packet claims no link.  Only reference mode (the
         # equivalence tests' unbatched baseline) turns elision off.
-        self._elide_up_edges = not reference and self._fat_tree
+        # ``_levels[top]`` is ``(head latency, elided up-edges)`` of a
+        # fat-tree route meeting at level ``top``: both depend on the
+        # lca level alone.
+        if self._fat_tree:
+            self._levels = [
+                (params.head_latency(2 * top - 1, 2 * top),
+                 0 if reference else max(top - 1, 0))
+                for top in range(topology.dimension + 1)
+            ]
         # Per-kind counter labels, interned once: building
         # f"wire.{kind}" per packet shows up at millions of packets.
         self._kind_labels: dict[str, str] = {}
@@ -221,8 +228,9 @@ class Fabric:
         """A fat-tree port's ``(climb, descent)`` links, level by level.
 
         ``climb[l]`` leaves level ``l`` upward (``climb[0]`` is the
-        injection link) and ``descent[l]`` enters level ``l`` from above
-        (``descent[0]`` is the ejection link).
+        injection link).  ``descent`` is kept top-down, so the last
+        ``top`` links descend from level ``top`` (``descent[-1]`` is the
+        ejection link).
         """
         chains = self._chains.get(port)
         if chains is None:
@@ -230,40 +238,21 @@ class Fabric:
             pairs = list(zip(nodes, nodes[1:]))
             chains = self._chains[port] = (
                 [self._link(a, b) for a, b in pairs],
-                [self._link(b, a) for a, b in pairs],
+                [self._link(b, a) for a, b in reversed(pairs)],
             )
         return chains
 
     def _route_entry(self, src: int, dst: int) -> tuple:
-        """Memoized ``(arbitrated links, head latency, elided phases)``.
-
-        With up-edge elision on, the links between the ascent's switch
-        stages (the fat-tree route climbs ``top`` stages before
-        descending) are dropped from the arbitrated list: they can never
-        block, and their delta-phase cost is re-added wholesale as
-        ``skip`` so every surviving link sees the packet at exactly the
-        phase it would have without elision.  The injection link is
-        always arbitrated — holding it is what makes the proof go
-        through — as are the descent and ejection links, which genuinely
-        contend.
-        """
-        entry = self._route_cache.get((src, dst))
-        if entry is None:
-            if self._fat_tree and src != dst:
-                top = self.topology.lca_level(src, dst)
-                climb = self._port_chains(src)[0]
-                descent = self._port_chains(dst)[1]
-                head = self.params.head_latency(2 * top - 1, 2 * top)
-                skip = top - 1 if self._elide_up_edges else 0
-                links = [*climb[: top - skip], *descent[top - 1 :: -1]]
-            else:
-                route = self.topology.route(src, dst)
-                nodes = [f"nic{src}", *route.hops, f"nic{dst}"]
-                links = [self._link(a, b) for a, b in zip(nodes, nodes[1:])]
-                head = self.params.head_latency(route.switch_count, route.link_count)
-                skip = 0
-            entry = (links, head, skip)
-            self._route_cache[(src, dst)] = entry
+        """Memoized ``(arbitrated links, head latency, 0)`` of a route
+        the fat tree's per-port chains do not cover: a Clos route, or a
+        loopback."""
+        route = self.topology.route(src, dst)
+        nodes = [f"nic{src}", *route.hops, f"nic{dst}"]
+        entry = self._route_cache[(src, dst)] = (
+            [self._link(a, b) for a, b in zip(nodes, nodes[1:])],
+            self.params.head_latency(route.switch_count, route.link_count),
+            0,
+        )
         return entry
 
     # ------------------------------------------------------------------
@@ -318,10 +307,26 @@ class Fabric:
         # traversal state lives in one mutable record, ``[packet, links,
         # latency, next_idx, skip, fn]``, allocated once per packet; the
         # drain releases the links and runs ``fn(packet)``.
-        entry = self._route_cache.get((src, dst))
-        if entry is None:
-            entry = self._route_entry(src, dst)
-        links, head, skip = entry
+        #
+        # A fat-tree worm climbs ``top`` levels and descends them.  With
+        # up-edge elision on (every mode but reference), the climb's
+        # links between switch stages are dropped: they can never
+        # block, and their delta-phase cost is re-added wholesale as
+        # ``skip`` so every surviving link sees the worm at exactly the
+        # phase it would have without elision.  The injection link is
+        # always claimed — holding it is what makes the proof go
+        # through — as are the descent links, which genuinely contend.
+        if self._fat_tree and src != dst:
+            top = ((src ^ dst).bit_length() + 1) // 2
+            head, skip = self._levels[top]
+            chains = self._chains
+            climb = (chains.get(src) or self._port_chains(src))[0]
+            descent = (chains.get(dst) or self._port_chains(dst))[1]
+            links = [*climb[: top - skip], *descent[-top:]]
+        else:
+            links, head, skip = (
+                self._route_cache.get((src, dst)) or self._route_entry(src, dst)
+            )
         latency = head + packet.size_bytes / self._bandwidth
         faults = self.faults
         if faults is not None:

@@ -301,22 +301,5 @@ class Elan3Nic:
         self.event(descriptor.remote_event).set_event()
         self._rx_next()
 
-    # ------------------------------------------------------------------
-    # Epoch repair support
-    # ------------------------------------------------------------------
-    def disarm_events(self, prefix: str) -> int:
-        """Disarm every armed action on events whose name starts with
-        ``prefix`` (group revocation: a revoked chained-barrier group's
-        events must never fire a straggler's RDMA chain or a stale done
-        notification into the new epoch).  Returns the count disarmed.
-        """
-        disarmed = 0
-        for name in sorted(self._events):
-            if name.startswith(prefix):
-                disarmed += self._events[name].disarm_all()
-        if disarmed:
-            self.tracer.count("elan.events_disarmed", disarmed)
-        return disarmed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Elan3Nic {self.name} events={len(self._events)}>"

@@ -499,12 +499,14 @@ def verify_workload_determinism(
     seed: int = 0,
     xtraffic: Optional[CrossTrafficSpec] = None,
     rounds: int = 5,
+    kill: Optional[KillSpec] = None,
 ):
     """SL101 harness: the full result dict must be bit-identical under
     tie-break permutation.  Returns the
     :class:`~repro.tools.simlint.perturb.PerturbationReport`: its
     ``findings`` (empty = clean) and, as ``baseline``, the stock run's
-    result dict.
+    result dict.  A ``kill`` is part of the run checked, as in
+    :func:`run_workload`.
 
     The silent baselines run once, on stock kernels (their metrics feed
     the horizon and slowdown fields deterministically); only the
@@ -514,6 +516,6 @@ def verify_workload_determinism(
     from repro.tools.simlint import compare_runs
 
     call = _contended_call(
-        network, cluster_nodes, jobs, seed, xtraffic, None, True, None
+        network, cluster_nodes, jobs, seed, xtraffic, kill, True, None
     )
     return compare_runs(call, rounds, seed, where=f"workload/{network}")

@@ -161,3 +161,36 @@ def test_prearmed_chain_state_does_not_grow_with_iterations():
     entries30, firings30 = armed(30)
     assert entries3 == entries30 == 64 * 7  # six wait links + the done word
     assert firings30 == 10 * firings3
+
+
+def test_revoke_disarms_only_its_own_groups_events():
+    """Revoking group 1 on node 0 leaves group 10's armed firings there:
+    the driver disarms the events of its own chain, not every event
+    whose name starts with ``g1``."""
+    from repro.cluster import build_cluster
+    from repro.collectives import prearm_chained_group
+
+    cluster = build_cluster("elan3_piii700", 8)
+    drivers = {}
+    for gid in range(1, 14):
+        group = ProcessGroup(range(8), algorithm="dissemination", group_id=gid)
+        drivers[gid] = {
+            node: QuadricsChainedBarrier(cluster.ports[node], group)
+            for node in range(8)
+        }
+    for gid in (1, 10):
+        assert prearm_chained_group(drivers[gid], 3)
+    nic = cluster.nics[0]
+
+    def firings(gid):
+        return sum(
+            event.armed_count for name, event in nic._events.items()
+            if name.startswith(f"g{gid}w") or name == f"g{gid}done"
+        )
+
+    assert firings(1) == firings(10) == 12  # 3 wait links + done, 3 barriers
+    drivers[1][0].revoke()
+    assert (firings(1), firings(10)) == (0, 12)
+    counters = nic.tracer.counters
+    assert counters["elan.events_disarmed"] == 12
+    assert counters["elan.barrier_revoke_disarmed"] == 12

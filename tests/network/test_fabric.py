@@ -1,10 +1,13 @@
 """Unit tests for the wormhole fabric."""
 
+import random
+
 import pytest
 
 from repro.network import Fabric, FaultInjector, Packet, PacketKind, WireParams
 from repro.network.faults import FaultDecision
 from repro.sim import Simulator
+from repro.sim import resources
 from repro.sim.resources import ArbitratedResource, ArbitrationDomain
 from repro.topology import ClosTopology, QuaternaryFatTree
 
@@ -413,20 +416,90 @@ def test_cross_instant_births_compare_as_bare_phases():
     assert link._pending[0][:2] == (5, ("a",))
 
 
+def _record_worms(monkeypatch):
+    """Log every worm's claims (link by link, in order) and, at its
+    drain, the links it releases with its latency and skip, keyed by
+    the packet's wire id."""
+    claims, drains = {}, {}
+    push, drain = ArbitratedResource._push, resources._drain_worm
+
+    def logged_push(self, birth, key, waiter, cost, args):
+        if waiter is None:
+            claims.setdefault(args[0].wire_id, []).append(self)
+        push(self, birth, key, waiter, cost, args)
+
+    def logged_drain(worm):
+        drains[worm[0].wire_id] = (list(worm[1]), worm[2], worm[4])
+        drain(worm)
+
+    monkeypatch.setattr(ArbitratedResource, "_push", logged_push)
+    monkeypatch.setattr(resources, "_drain_worm", logged_drain)
+    return claims, drains
+
+
 @pytest.mark.parametrize("reference", [True, False])
-def test_fat_tree_route_entries_follow_the_topology_route(reference):
-    """Routes sliced from the per-port link chains are the topology's
-    switch route, link for link; elision drops exactly the up-edges
-    between switch stages and re-adds one delta phase per edge."""
-    topo = QuaternaryFatTree(64)
-    fabric = Fabric(Simulator(), topo, PARAMS, reference=reference)
-    for src in range(64):
-        for dst in range(64):
+def test_fat_tree_route_entries_follow_the_topology_route(reference, monkeypatch):
+    """A worm's route, cut per packet from the per-port link chains, is
+    the topology's switch route, link for link: every pair at N=64 and
+    a seeded sample at N=1024 and N=4096.  Elision drops exactly the
+    up-edges between switch stages and re-adds one delta phase per
+    edge; the head latency is the route's."""
+    claims, drains = _record_worms(monkeypatch)
+    rng = random.Random(33)
+    for n in (64, 1024, 4096):
+        topo = QuaternaryFatTree(n)
+        sim = Simulator()
+        fabric = Fabric(sim, topo, PARAMS, reference=reference)
+        for port in range(n):
+            fabric.attach(port, lambda p: None)
+        if n == 64:
+            pairs = [(s, d) for s in range(n) for d in range(n)]
+        else:
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+        packets = [Packet(s, d, PacketKind.RDMA, 0) for s, d in pairs]
+        claims.clear()
+        drains.clear()
+        for packet in packets:
+            fabric.transmit(packet)
+        sim.run()
+        for packet in packets:
+            src, dst = packet.src, packet.dst
             route = topo.route(src, dst)
             nodes = [f"nic{src}", *route.hops, f"nic{dst}"]
             want = [fabric._link(a, b) for a, b in zip(nodes, nodes[1:])]
-            links, head, skip = fabric._route_entry(src, dst)
-            top = topo.lca_level(src, dst)
-            assert skip == (0 if reference else max(top - 1, 0))
+            skip = 0 if reference else max(topo.lca_level(src, dst) - 1, 0)
+            links, head, worm_skip = drains[packet.wire_id]
+            assert worm_skip == skip
+            assert claims[packet.wire_id] == [want[0], *want[1 + skip:]]
             assert links == [want[0], *want[1 + skip:]]
             assert head == PARAMS.head_latency(route.switch_count, route.link_count)
+
+
+def test_fat_tree_fabric_state_does_not_grow_with_distinct_pairs():
+    """Fat-tree routes are not memoized per pair: once a barrier's
+    traffic (dissemination, 256 ports) has touched every port, worms
+    between a thousand new pairs leave every fabric container the same
+    size, and the Clos-only route memo stays empty."""
+    n = 256
+    sim, fabric, inboxes = make_fabric(n=n, topo_cls=QuaternaryFatTree)
+    for step in range(8):
+        for src in range(n):
+            fabric.transmit(Packet(src, (src + (1 << step)) % n, PacketKind.RDMA, 0))
+        sim.run()
+
+    def sizes():
+        return {
+            name: len(value) for name, value in vars(fabric).items()
+            if isinstance(value, (dict, list))
+        }
+
+    before = sizes()
+    rng = random.Random(33)
+    for _ in range(1000):
+        src = rng.randrange(n)
+        dst = (src + rng.randrange(1, n)) % n
+        fabric.transmit(Packet(src, dst, PacketKind.RDMA, 0))
+    sim.run()
+    assert sum(map(len, inboxes.values())) == 8 * n + 1000
+    assert sizes() == before
+    assert before["_route_cache"] == 0

@@ -37,6 +37,28 @@ OVERLAP_JOBS = [
 
 XT = CrossTrafficSpec(rate_per_ms=100.0, size_bytes=256)
 
+#: A victim and a bystander job; node 2 belongs to the victim only, and
+#: the jobs still share nodes 6..9.
+KILL_JOBS = [
+    JobSpec(
+        name="victim",
+        arrival_us=0.0,
+        nodes=tuple(range(0, 10)),
+        mix=(("barrier", 1),),
+        iterations=40,
+        warmup=1,
+    ),
+    JobSpec(
+        name="bystander",
+        arrival_us=3.0,
+        nodes=tuple(range(6, 16)),
+        mix=(("barrier", 1),),
+        iterations=40,
+        warmup=1,
+    ),
+]
+KILL = KillSpec(node=2, at_us=60.0)
+
 
 @pytest.mark.parametrize("network", ["myrinet", "quadrics"])
 def test_overlapping_jobs_complete_clean(network):
@@ -95,6 +117,35 @@ def test_determinism_check_runs_each_silent_baseline_once(monkeypatch):
     assert calls == [1, 1, 2, 2, 2, 2]
 
 
+def test_determinism_check_with_a_kill_checks_the_kill_run(monkeypatch):
+    """``--check N --kill-node K`` replays the run with the kill and
+    prints that run: no separate, unchecked run follows the check."""
+    import repro.workload.driver as driver
+    from repro.cli import main
+
+    report = verify_workload_determinism(
+        "quadrics", 16, KILL_JOBS, seed=2, rounds=2, kill=KILL
+    )
+    assert report.findings == []
+    assert report.baseline["kill"] == KILL.to_json()
+    assert report.baseline == run_workload("quadrics", 16, KILL_JOBS, seed=2, kill=KILL)
+
+    calls = []
+    real = driver._execute
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["kill"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "_execute", counting)
+    argv = ["workload", "--network", "quadrics", "-n", "16", "--jobs", "2",
+            "--iterations", "8", "--kill-node", "0", "--kill-at", "30",
+            "--check", "2", "--no-cache"]
+    assert main(argv) == 0
+    kill = KillSpec(node=0, at_us=30.0)
+    assert calls == [None, None, kill, kill, kill]  # 2 silent, stock, 2 replays
+
+
 @pytest.mark.parametrize("network", ["myrinet", "quadrics"])
 def test_warm_cache_rerun_is_bit_identical(network, tmp_path):
     cache = RunCache(tmp_path)
@@ -120,26 +171,8 @@ def test_contention_shows_up_in_the_tail():
 
 @pytest.mark.parametrize("network", ["myrinet", "quadrics"])
 def test_node_kill_repairs_victim_and_spares_bystander(network):
-    # Node 2 belongs to the victim only; the jobs still share nodes 6..9.
-    victim = JobSpec(
-        name="victim",
-        arrival_us=0.0,
-        nodes=tuple(range(0, 10)),
-        mix=(("barrier", 1),),
-        iterations=40,
-        warmup=1,
-    )
-    bystander = JobSpec(
-        name="bystander",
-        arrival_us=3.0,
-        nodes=tuple(range(6, 16)),
-        mix=(("barrier", 1),),
-        iterations=40,
-        warmup=1,
-    )
-    kill = KillSpec(node=2, at_us=60.0)
     result = run_workload(
-        network, 16, [victim, bystander], seed=2, kill=kill, baseline=False
+        network, 16, KILL_JOBS, seed=2, kill=KILL, baseline=False
     )
     status = {j["name"]: j["status"] for j in result["jobs"]}
     assert status["victim"] == "repaired"
@@ -149,4 +182,4 @@ def test_node_kill_repairs_victim_and_spares_bystander(network):
     assert 0 < done["victim"] < 40
     assert result["violations"] == []
     assert result["quiescence"] == []
-    assert result["kill"] == kill.to_json()
+    assert result["kill"] == KILL.to_json()
