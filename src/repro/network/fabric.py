@@ -91,15 +91,17 @@ class Fabric:
         self._bandwidth = params.bandwidth_bytes_per_us
         self._domain = ArbitrationDomain(sim)
         self._links: dict[tuple[str, str], ArbitratedResource] = {}
-        # Fat tree: each port's (climb, descent) link chains, built on
-        # first use.  Each worm cuts its route from its source's climb
-        # and its destination's descent at the lca level, so fabric
-        # state stays O(ports) however many pairs a run touches (a
-        # per-pair memo is about N log N entries).  Clos (and loopback)
-        # routes are memoized per (src, dst) pair.
+        # Routes are assembled per worm from link tables filled on first
+        # use (so links are still created lazily), and nothing is kept
+        # per (src, dst) pair: fabric state stays O(links) however many
+        # pairs a run touches (a per-pair memo is about N log N entries).
+        # Fat tree: each port's (climb, descent) link chains; a worm
+        # cuts its route from its source's climb and its destination's
+        # descent at the lca level.
         self._fat_tree = isinstance(topology, QuaternaryFatTree)
         self._chains: dict[int, tuple[list, list]] = {}
-        self._route_cache: dict[tuple[int, int], tuple] = {}
+        # Loopback: each port's one-link route to itself.
+        self._loops: list = [None] * topology.n_nodes
         # Contention-free up-edge elision (fat tree only): a worm holds
         # its capacity-1 injection link for its whole lifetime, so a
         # level-l stage group's up-edge sees at most its 4**l sources
@@ -111,15 +113,36 @@ class Fabric:
         # link, a delayed worm claims it first too, just later, and a
         # dropped packet claims no link.  Only reference mode (the
         # equivalence tests' unbatched baseline) turns elision off.
-        # ``_levels[top]`` is ``(head latency, elided up-edges)`` of a
-        # fat-tree route meeting at level ``top``: both depend on the
-        # lca level alone.
-        if self._fat_tree:
-            self._levels = [
-                (params.head_latency(2 * top - 1, 2 * top),
-                 0 if reference else max(top - 1, 0))
-                for top in range(topology.dimension + 1)
-            ]
+        # ``_levels[l]`` is ``(head latency, elided up-edges)`` of a
+        # route turning at switch stage ``l`` (0: a loopback): on both
+        # networks it crosses ``2*l - 1`` switches on ``2*l`` links.
+        depth = topology.dimension if self._fat_tree else topology.levels
+        self._levels = [(params.head_latency(0, 0), 0)] + [
+            (params.head_latency(2 * level - 1, 2 * level),
+             level - 1 if self._fat_tree and not reference else 0)
+            for level in range(1, depth + 1)
+        ]
+        if not self._fat_tree:
+            # Clos: a route turning at stage ``l`` climbs ``l`` links
+            # (injection, leaf→spine/mid, mid→top, top→apex), descends
+            # ``l - 1`` switch links and ends on its destination's
+            # ejection link.  ``_up[src * _stride + l]`` is ``(climb,
+            # turning switch's down table)``.  A stage-``s`` switch's
+            # down table holds ``(link, child's down table)`` per child,
+            # the child over ``dst`` being ``dst // group_sizes[s-2] %
+            # half``; ``_blocks[l]`` lists the divisors of a descent
+            # from stage ``l``.  Every slot is filled from
+            # ``topology.route`` on first use, so the routing rule lives
+            # in the topology alone.
+            self._route_level = topology.route_level
+            self._stride = depth + 1
+            self._up: list = [None] * (topology.n_nodes * self._stride)
+            self._eject: list = [None] * topology.n_nodes
+            self._half = topology.radix // 2
+            sizes = topology.group_sizes
+            self._blocks = [tuple(sizes[s - 2] for s in range(level, 1, -1))
+                            for level in range(depth + 1)]
+            self._down_tables: dict[str, list] = {}
         # Per-kind counter labels, interned once: building
         # f"wire.{kind}" per packet shows up at millions of packets.
         self._kind_labels: dict[str, str] = {}
@@ -242,18 +265,63 @@ class Fabric:
             )
         return chains
 
-    def _route_entry(self, src: int, dst: int) -> tuple:
-        """Memoized ``(arbitrated links, head latency, 0)`` of a route
-        the fat tree's per-port chains do not cover: a Clos route, or a
-        loopback."""
-        route = self.topology.route(src, dst)
-        nodes = [f"nic{src}", *route.hops, f"nic{dst}"]
-        entry = self._route_cache[(src, dst)] = (
-            [self._link(a, b) for a, b in zip(nodes, nodes[1:])],
-            self.params.head_latency(route.switch_count, route.link_count),
-            0,
-        )
-        return entry
+    def _loopback(self, port: int) -> list:
+        """``port``'s one-link route to itself."""
+        loop = self._loops[port]
+        if loop is None:
+            name = f"nic{port}"
+            loop = self._loops[port] = [self._link(name, name)]
+        return loop
+
+    def _clos_route(self, src: int, dst: int) -> tuple[list, int]:
+        """A Clos worm's links, assembled from the link tables, and the
+        stage its route turns at."""
+        level = self._route_level(src, dst)
+        entry = self._up[src * self._stride + level]
+        if entry is not None:
+            climb, table = entry
+            links = [*climb]
+            half = self._half
+            for block in self._blocks[level]:
+                hop = table[dst // block % half]
+                if hop is None:
+                    break
+                link, table = hop
+                links.append(link)
+            else:
+                eject = self._eject[dst]
+                if eject is not None:
+                    links.append(eject)
+                    return links, level
+        self._fill_clos_tables(src, dst, level)
+        return self._clos_route(src, dst)
+
+    def _fill_clos_tables(self, src: int, dst: int, level: int) -> None:
+        """Fill every empty table slot on the Clos route ``src -> dst``
+        (turning at stage ``level``) from the topology's route."""
+        hops = self.topology.route(src, dst).hops
+        nodes = [f"nic{src}", *hops, f"nic{dst}"]
+        links = [self._link(a, b) for a, b in zip(nodes, nodes[1:])]
+        # Leaves need no down table: their down links are ejections.
+        inner = [self._down_table(name) for name in hops[1:-1]]
+        tables = [None, *inner, None] if inner else [None]
+        index = src * self._stride + level
+        if self._up[index] is None:
+            self._up[index] = (tuple(links[:level]), tables[level - 1])
+        # Down link k leaves the stage-(level - k) switch hops[level-1+k].
+        for k, block in enumerate(self._blocks[level]):
+            table = tables[level - 1 + k]
+            slot = dst // block % self._half
+            if table[slot] is None:
+                table[slot] = (links[level + k], tables[level + k])
+        if self._eject[dst] is None:
+            self._eject[dst] = links[-1]
+
+    def _down_table(self, switch: str) -> list:
+        table = self._down_tables.get(switch)
+        if table is None:
+            table = self._down_tables[switch] = [None] * self._half
+        return table
 
     # ------------------------------------------------------------------
     def transmit(self, packet: Packet) -> None:
@@ -316,7 +384,10 @@ class Fabric:
         # phase it would have without elision.  The injection link is
         # always claimed — holding it is what makes the proof go
         # through — as are the descent links, which genuinely contend.
-        if self._fat_tree and src != dst:
+        if src == dst:
+            links = self._loops[src] or self._loopback(src)
+            head, skip = self._levels[0]
+        elif self._fat_tree:
             top = ((src ^ dst).bit_length() + 1) // 2
             head, skip = self._levels[top]
             chains = self._chains
@@ -324,9 +395,8 @@ class Fabric:
             descent = (chains.get(dst) or self._port_chains(dst))[1]
             links = [*climb[: top - skip], *descent[-top:]]
         else:
-            links, head, skip = (
-                self._route_cache.get((src, dst)) or self._route_entry(src, dst)
-            )
+            links, level = self._clos_route(src, dst)
+            head, skip = self._levels[level]
         latency = head + packet.size_bytes / self._bandwidth
         faults = self.faults
         if faults is not None:

@@ -38,6 +38,7 @@ expected to pin down the flow they target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.network.packet import Packet
@@ -107,11 +108,15 @@ class Blackhole:
     windowed blackhole that "heals" when the window closes; a permanent
     link death has no window and can be ended early with :meth:`heal`.
     The handle counts its own drops for the chaos report.
+
+    ``ports``, when given, are the only ports whose packets (as source
+    or destination) the rule can match; the injector then consults it
+    only for those packets.  Without them it sees every packet.
     """
 
     __slots__ = (
         "matches", "start_us", "until_us", "label", "dropped", "healed",
-        "healed_at",
+        "healed_at", "ports", "order",
     )
 
     def __init__(
@@ -120,11 +125,14 @@ class Blackhole:
         start_us: Optional[float] = None,
         until_us: Optional[float] = None,
         label: str = "",
+        ports: Optional[tuple[int, ...]] = None,
     ):
         self.matches = matches
         self.start_us = start_us
         self.until_us = until_us
         self.label = label
+        self.ports = ports
+        self.order = 0  # registration index, set by the injector
         self.dropped = 0
         self.healed = False
         self.healed_at: Optional[float] = None
@@ -191,7 +199,12 @@ class FaultInjector:
         self.delay_probability = delay_probability
         self.delay_jitter_us = delay_jitter_us
         self.plans: list[DropPlan] = []
+        # Every hole in registration order (the first active match
+        # wins), and the same holes indexed: by each port they name, or
+        # in ``_open_holes`` when any packet may match.
         self._blackholes: list[Blackhole] = []
+        self._port_holes: dict[int, list[Blackhole]] = {}
+        self._open_holes: list[Blackhole] = []
         # (src, dst, kind) -> the flow's substream per fault class, in
         # draw order (drop, corrupt, duplicate, delay), None where the
         # class is off.  The drop class keeps its pre-existing
@@ -219,6 +232,16 @@ class FaultInjector:
         )
 
     # -- scripted faults -------------------------------------------------
+    def _add_hole(self, hole: Blackhole) -> Blackhole:
+        hole.order = len(self._blackholes)
+        self._blackholes.append(hole)
+        if hole.ports is None:
+            self._open_holes.append(hole)
+        else:
+            for port in sorted(set(hole.ports)):
+                self._port_holes.setdefault(port, []).append(hole)
+        return hole
+
     def add_plan(self, plan: DropPlan) -> DropPlan:
         self.plans.append(plan)
         return plan
@@ -238,9 +261,7 @@ class FaultInjector:
         """Black-hole every packet matching ``matches`` (a dead link /
         dead peer scenario).  Returns the handle: call ``heal()`` to
         bring the link back, read ``dropped`` for its toll."""
-        hole = Blackhole(matches, label=label)
-        self._blackholes.append(hole)
-        return hole
+        return self._add_hole(Blackhole(matches, label=label))
 
     def blackhole_window(
         self,
@@ -248,13 +269,15 @@ class FaultInjector:
         start_us: float,
         until_us: float,
         label: str = "",
+        ports: Optional[tuple[int, ...]] = None,
     ) -> Blackhole:
         """Black-hole matching packets only inside a sim-time window."""
         if until_us <= start_us:
             raise ValueError(f"empty blackhole window [{start_us}, {until_us})")
-        hole = Blackhole(matches, start_us=start_us, until_us=until_us, label=label)
-        self._blackholes.append(hole)
-        return hole
+        return self._add_hole(Blackhole(
+            matches, start_us=start_us, until_us=until_us, label=label,
+            ports=ports,
+        ))
 
     def flap_link(
         self, a: int, b: int, start_us: float, until_us: float
@@ -265,7 +288,17 @@ class FaultInjector:
             start_us,
             until_us,
             label=f"flap:{a}<->{b}",
+            ports=(a, b),
         )
+
+    def kill_link(self, a: int, b: int) -> Blackhole:
+        """Permanent a<->b link death: the pair black-holes until
+        healed."""
+        return self._add_hole(Blackhole(
+            lambda p: p.src in (a, b) and p.dst in (a, b),
+            label=f"dead:{a}<->{b}",
+            ports=(a, b),
+        ))
 
     def kill_node(self, node: int, at_us: Optional[float] = None) -> Blackhole:
         """Permanent fail-stop node death: from ``at_us`` on (or
@@ -273,13 +306,12 @@ class FaultInjector:
         never heals on its own.  The NIC-side half of the kill (the
         ``crashed`` flag that silences its heartbeat loop) is the
         caller's job."""
-        hole = Blackhole(
+        return self._add_hole(Blackhole(
             lambda p: p.src == node or p.dst == node,
             start_us=at_us,
             label=f"kill:n{node}",
-        )
-        self._blackholes.append(hole)
-        return hole
+            ports=(node,),
+        ))
 
     def crash_window(self, node: int, start_us: float, until_us: float) -> Blackhole:
         """The wire-side half of a NIC crash: while down, the node
@@ -290,6 +322,7 @@ class FaultInjector:
             start_us,
             until_us,
             label=f"crash:nic{node}",
+            ports=(node,),
         )
 
     def unfired_plans(self) -> tuple[DropPlan, ...]:
@@ -332,7 +365,18 @@ class FaultInjector:
 
         now = packet.sent_at if packet.sent_at is not None else 0.0
         dropped = False
-        for hole in self._blackholes:
+        holes = self._open_holes
+        if self._port_holes:
+            at_src = self._port_holes.get(packet.src)
+            at_dst = self._port_holes.get(packet.dst)
+            if at_src or at_dst:
+                # The holes naming either end, with the open ones, in
+                # registration order.
+                holes = sorted(
+                    {*holes, *(at_src or ()), *(at_dst or ())},
+                    key=attrgetter("order"),
+                )
+        for hole in holes:
             if hole.active(now) and hole.matches(packet):
                 hole.dropped += 1
                 dropped = True

@@ -42,8 +42,10 @@ off the payload.  Two structural facts make the queue cheap:
 Quiescence fast-forward
 -----------------------
 Cancellation stays O(1) and lazy, but reaping is *wholesale*: when a
-bucket is activated its cancelled entries are filtered out in one pass,
-and a bucket left with nothing live is dropped **without the clock ever
+bucket that holds a cancelled entry is activated, its cancelled entries
+are filtered out in one pass (a per-timestamp count of cancellations
+says which buckets hold one; the rest are activated as they are), and a
+bucket left with nothing live is dropped **without the clock ever
 materializing its timestamp** — the kernel analytically fast-forwards
 over quiescent intervals (e.g. the hundreds of armed-then-cancelled
 ACK/NACK retransmission timers between barrier rounds) in O(bucket)
@@ -115,7 +117,7 @@ class ScheduledCall:
         self.args = ()
         sim = self._sim
         if sim is not None:
-            sim._cancelled += 1
+            sim._note_cancel(self.time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -150,6 +152,10 @@ class Simulator:
         self._seq: int = 0
         self._phase: int = 0
         self._cancelled: int = 0
+        # Cancelled entries per future bucket (timestamp -> count): only
+        # those buckets need a reap when activated.  Entries of the
+        # active timestamp are skipped one by one as they pop.
+        self._cancelled_at: dict[float, int] = {}
         self._pending: int = 0  # entries (live + cancelled) across the queue
         self._unhandled: list[BaseException] = []
         # The process whose generator is currently executing (set by
@@ -281,6 +287,13 @@ class Simulator:
         heappush(self._current, ((phase << _PHASE_SHIFT) + seq, fn, args))
         self._pending += 1
 
+    def _note_cancel(self, time: float) -> None:
+        """Count a cancelled entry scheduled for ``time``."""
+        self._cancelled += 1
+        if time != self.now:  # in a future bucket, not the active heap
+            at = self._cancelled_at
+            at[time] = at.get(time, 0) + 1
+
     def _reap(self, bucket: list) -> list:
         """One wholesale pass dropping a bucket's cancelled entries.
 
@@ -303,17 +316,19 @@ class Simulator:
     def _activate_next_bucket(self) -> bool:
         """Advance the clock to the next timestamp with live work.
 
-        Buckets holding only cancelled entries are dropped whole — the
+        Only a bucket holding a cancelled entry is reaped.  Buckets
+        holding only cancelled entries are dropped whole — the
         quiescence fast-forward: the clock jumps straight over them
         without per-entry heap churn, never materializing their
         timestamps.
         """
         times = self._times
         buckets = self._buckets
+        cancelled_at = self._cancelled_at
         while times:
             time = heappop(times)
             bucket = buckets.pop(time)
-            if self._cancelled:
+            if cancelled_at and cancelled_at.pop(time, 0):
                 bucket = self._reap(bucket)
                 if not bucket:
                     continue
@@ -327,9 +342,10 @@ class Simulator:
 
         In place (``list[:] = ...``): the run loop holds a local
         reference to the active heap, so rebinding ``self._current``
-        here would strand it draining a stale copy.  Future buckets are
-        filtered in place too (order — hence sortedness — preserved);
-        emptied buckets are dropped and the time heap rebuilt.
+        here would strand it draining a stale copy.  The future buckets
+        that hold a cancelled entry are filtered in place too (order —
+        hence sortedness — preserved); emptied buckets are dropped and
+        the time heap rebuilt.
         """
         if self._cancelled * 2 <= self._pending:
             return
@@ -337,14 +353,18 @@ class Simulator:
         current[:] = self._reap(current)
         heapify(current)  # reaping a heap-ordered list can break it
         buckets = self._buckets
-        for time in list(buckets):
+        emptied = False
+        for time in self._cancelled_at:
             bucket = buckets[time]
             bucket[:] = self._reap(bucket)
             if not bucket:
                 del buckets[time]
-        times = self._times
-        times[:] = list(buckets)
-        heapify(times)
+                emptied = True
+        self._cancelled_at.clear()
+        if emptied:
+            times = self._times
+            times[:] = list(buckets)
+            heapify(times)
 
     def process(self, generator, name: Optional[str] = None):
         """Start a generator as a simulation process.
@@ -413,10 +433,11 @@ class Simulator:
             return self.now
         times = self._times
         buckets = self._buckets
+        cancelled_at = self._cancelled_at
         while times:
             time = times[0]
             bucket = buckets[time]
-            if self._cancelled:
+            if cancelled_at and cancelled_at.pop(time, 0):
                 live = self._reap(bucket)
                 if not live:
                     heappop(times)

@@ -316,11 +316,7 @@ def _arrange_faults(plan: ChaosPlan, cluster, faults: FaultInjector) -> None:
     for a, b, start, until in plan.flaps:
         faults.flap_link(a, b, start, until)
     if plan.dead_link is not None:
-        a, b = plan.dead_link
-        faults.drop_all_matching(
-            lambda p: p.src in (a, b) and p.dst in (a, b),
-            label=f"dead:{a}<->{b}",
-        )
+        faults.kill_link(*plan.dead_link)
     if plan.crash is not None:
         node, at_us, restart_delay = plan.crash
         faults.crash_window(node, at_us, at_us + restart_delay)

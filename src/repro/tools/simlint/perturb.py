@@ -99,6 +99,10 @@ class TieBreakSimulator(Simulator):
         key = (phase, self._draw(), seq)
         heappush(self._tb_heap, (self.now, key, fn, args))
 
+    def _note_cancel(self, time: float) -> None:
+        # One heap, no buckets: nothing to count per timestamp.
+        self._cancelled += 1
+
     def _maybe_compact(self) -> None:
         heap = self._tb_heap
         if self._cancelled * 2 <= len(heap):

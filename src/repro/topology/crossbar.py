@@ -9,8 +9,9 @@ joined by a top stage — the layout of the era's 256+ host Myrinet
 machines, and what lets fig8's measured series reach 512 nodes.
 
 Routing is deterministic source routing (as in real Myrinet): the
-intermediate switches for a (src, dst) pair are chosen by a static hash
-so a given pair always takes the same path.
+intermediate switches for a (src, dst) pair follow from one static
+per-source rule (:meth:`ClosTopology.up_switch`), so a given pair
+always takes the same path.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ class ClosTopology(Topology):
         self._hosts_per_leaf = n_nodes if self.levels == 1 else half
         self._hosts_per_pod = half * half
         self._hosts_per_superpod = half * half * half
+        # Hosts under one leaf, pod and superpod: a route turns at the
+        # lowest stage whose group holds both ends (route_level).
+        self.group_sizes = (
+            self._hosts_per_leaf, self._hosts_per_pod, self._hosts_per_superpod,
+        )
 
     # ------------------------------------------------------------------
     def leaf_of(self, port: int) -> int:
@@ -122,96 +128,66 @@ class ClosTopology(Topology):
         apexes = [f"apex{a}" for a in range(self.n_apex)]
         return leaves + mids + tops + apexes
 
-    def _spine_for(self, src: int, dst: int) -> int:
-        # Static deterministic spine selection (source-routed networks
-        # pick the path at the sender; Myrinet's mapper computes the
-        # dispersive route set).  Per-source spreading keeps the flows
-        # of a shifted-permutation collective (dst = src + 2^m) on
-        # distinct spines — each source owns one spine, so no two flows
-        # from one leaf share an uplink and no two flows into one leaf
-        # share a downlink.
-        return src % self.n_spines
+    def route_level(self, src: int, dst: int) -> int:
+        """Switch stage a route turns at: 0 for a loopback, 1 at the
+        shared leaf (or the single crossbar), 2 at a spine or pod mid,
+        3 at a top, 4 at an apex.  A level-``l`` route crosses
+        ``2*l - 1`` switches on ``2*l`` links."""
+        if src == dst:
+            return 0
+        if src // self._hosts_per_leaf == dst // self._hosts_per_leaf:
+            return 1
+        if src // self._hosts_per_pod == dst // self._hosts_per_pod:
+            return 2
+        if src // self._hosts_per_superpod == dst // self._hosts_per_superpod:
+            return 3
+        return 4
+
+    def up_switch(self, src: int, level: int) -> int:
+        """Column of the switch a level-``level`` route from ``src``
+        turns at (``level >= 2``): its index among the spines, the
+        pod's mids, the superpod's tops or the apexes.
+
+        This is the whole routing rule.  Static deterministic selection:
+        source-routed networks pick the path at the sender, and
+        Myrinet's mapper computes the dispersive route set.  Each source
+        owns one switch per level (``src % half**(level-1)`` is unique
+        within the group the route climbs out of), which keeps the flows
+        of a shifted-permutation collective (dst = src + 2^m) on
+        distinct switches.  The switches below the turn follow from the
+        wiring: column ``c`` reaches column ``c // half`` one stage down
+        in every group, so the climb and the descent cross the same
+        columns on both sides.  Below a level-3 or level-4 turn that
+        wiring gives a leaf's consecutive hosts one shared mid column,
+        so their inter-pod traffic shares one uplink.
+        """
+        return src % self._half ** (level - 1)
+
+    def _switch(self, level: int, port: int, column: int) -> str:
+        """The level-``level`` switch with ``column`` in ``port``'s group."""
+        if level == 1:
+            return "xbar0" if self.levels == 1 else f"leaf{port // self._hosts_per_leaf}"
+        if level == 2:
+            if self.levels == 2:
+                return f"spine{column}"
+            return f"mid{port // self._hosts_per_pod}_{column}"
+        if level == 3:
+            if self.levels == 3:
+                return f"top{column}"
+            return f"top{port // self._hosts_per_superpod}_{column}"
+        return f"apex{column}"
 
     def route(self, src: int, dst: int) -> Route:
         self._check_port(src)
         self._check_port(dst)
-        if src == dst:
+        level = self.route_level(src, dst)
+        if level == 0:
             return Route(src, dst, ())
-        if self.levels == 1:
-            return Route(src, dst, ("xbar0",))
-        src_leaf, dst_leaf = self.leaf_of(src), self.leaf_of(dst)
-        if src_leaf == dst_leaf:
-            return Route(src, dst, (f"leaf{src_leaf}",))
-        if self.levels == 2:
-            spine = self._spine_for(src, dst)
-            return Route(
-                src,
-                dst,
-                (f"leaf{src_leaf}", f"spine{spine}", f"leaf{dst_leaf}"),
-            )
-        src_pod, dst_pod = self.pod_of(src), self.pod_of(dst)
-        if src_pod == dst_pod:
-            # Intra-pod: the pod's mid stage acts as the spine; the
-            # same per-source ownership keeps one leaf's flows on
-            # distinct mids.
-            mid = src % self._half
-            return Route(
-                src,
-                dst,
-                (f"leaf{src_leaf}", f"mid{src_pod}_{mid}", f"leaf{dst_leaf}"),
-            )
-        if self.levels == 3:
-            # Inter-pod: each source owns one top switch (src % half**2
-            # is unique within a pod), which fixes the mid in both pods
-            # — the three-level analogue of _spine_for's dispersive
-            # routing.
-            top = src % self.n_tops
-            mid = top // self._half
-            return Route(
-                src,
-                dst,
-                (
-                    f"leaf{src_leaf}",
-                    f"mid{src_pod}_{mid}",
-                    f"top{top}",
-                    f"mid{dst_pod}_{mid}",
-                    f"leaf{dst_leaf}",
-                ),
-            )
-        src_sp, dst_sp = self.superpod_of(src), self.superpod_of(dst)
-        if src_sp == dst_sp:
-            # Intra-superpod inter-pod: the superpod's own top stage
-            # joins its pods, exactly the three-level inter-pod shape.
-            top = src % self.n_tops
-            mid = top // self._half
-            return Route(
-                src,
-                dst,
-                (
-                    f"leaf{src_leaf}",
-                    f"mid{src_pod}_{mid}",
-                    f"top{src_sp}_{top}",
-                    f"mid{dst_pod}_{mid}",
-                    f"leaf{dst_leaf}",
-                ),
-            )
-        # Inter-superpod: each source owns one apex switch (src %
-        # half**3 is unique within a superpod), which fixes the top in
-        # both superpods and the mid in both pods — one more turn of
-        # the dispersive-routing recursion.
-        apex = src % self.n_apex
-        top = apex // self._half
-        mid = top // self._half
-        return Route(
-            src,
-            dst,
-            (
-                f"leaf{src_leaf}",
-                f"mid{src_pod}_{mid}",
-                f"top{src_sp}_{top}",
-                f"apex{apex}",
-                f"top{dst_sp}_{top}",
-                f"mid{dst_pod}_{mid}",
-                f"leaf{dst_leaf}",
-            ),
-        )
+        column = self.up_switch(src, level) if level > 1 else 0
+        turn = self._switch(level, src, column)
+        up, down = [], []
+        for stage in range(level - 1, 0, -1):
+            column //= self._half
+            up.append(self._switch(stage, src, column))
+            down.append(self._switch(stage, dst, column))
+        return Route(src, dst, (*reversed(up), turn, *down))

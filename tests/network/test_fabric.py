@@ -475,16 +475,23 @@ def test_fat_tree_route_entries_follow_the_topology_route(reference, monkeypatch
             assert head == PARAMS.head_latency(route.switch_count, route.link_count)
 
 
-def test_fat_tree_fabric_state_does_not_grow_with_distinct_pairs():
-    """Fat-tree routes are not memoized per pair: once a barrier's
-    traffic (dissemination, 256 ports) has touched every port, worms
-    between a thousand new pairs leave every fabric container the same
-    size, and the Clos-only route memo stays empty."""
-    n = 256
-    sim, fabric, inboxes = make_fabric(n=n, topo_cls=QuaternaryFatTree)
-    for step in range(8):
+def _assert_state_does_not_grow_with_distinct_pairs(topo):
+    """After a dissemination barrier's traffic, new pairs (a thousand,
+    or half of all pairs on a small fabric) whose links all exist
+    already leave every dict and list on the fabric the same size, and
+    every worm arrives."""
+    n = topo.n_nodes
+    sim = Simulator()
+    fabric = Fabric(sim, topo, PARAMS)
+    delivered = []
+    for port in range(n):
+        fabric.attach(port, delivered.append)
+    seen = set()
+    for step in range((n - 1).bit_length()):
         for src in range(n):
-            fabric.transmit(Packet(src, (src + (1 << step)) % n, PacketKind.RDMA, 0))
+            dst = (src + (1 << step)) % n
+            seen.add((src, dst))
+            fabric.transmit(Packet(src, dst, PacketKind.RDMA, 0))
         sim.run()
 
     def sizes():
@@ -493,13 +500,109 @@ def test_fat_tree_fabric_state_does_not_grow_with_distinct_pairs():
             if isinstance(value, (dict, list))
         }
 
+    def links_exist(src, dst):
+        nodes = [f"nic{src}", *topo.route(src, dst).hops, f"nic{dst}"]
+        return all(edge in fabric._links for edge in zip(nodes, nodes[1:]))
+
     before = sizes()
     rng = random.Random(33)
-    for _ in range(1000):
+    pairs = []
+    count = min(1000, n * (n - 1) // 2)
+    while len(pairs) < count:
         src = rng.randrange(n)
         dst = (src + rng.randrange(1, n)) % n
+        if (src, dst) not in seen and links_exist(src, dst):
+            seen.add((src, dst))
+            pairs.append((src, dst))
+    sent = len(delivered)
+    for src, dst in pairs:
         fabric.transmit(Packet(src, dst, PacketKind.RDMA, 0))
     sim.run()
-    assert sum(map(len, inboxes.values())) == 8 * n + 1000
+    assert len(delivered) == sent + count
     assert sizes() == before
-    assert before["_route_cache"] == 0
+
+
+def test_fat_tree_fabric_state_does_not_grow_with_distinct_pairs():
+    """Fat-tree routes are not memoized per pair: they are cut per worm
+    from per-port link chains."""
+    _assert_state_does_not_grow_with_distinct_pairs(QuaternaryFatTree(256))
+
+
+@pytest.mark.parametrize("n", [16, 64, 512, 1024])
+def test_clos_fabric_state_does_not_grow_with_distinct_pairs(n):
+    """Clos routes are not memoized per pair either: a worm assembles
+    its route from per-port and per-switch link tables, at each Clos
+    depth (one crossbar, two, three and four stages)."""
+    topo = ClosTopology(n)
+    assert topo.levels == {16: 1, 64: 2, 512: 3, 1024: 4}[n]
+    _assert_state_does_not_grow_with_distinct_pairs(topo)
+
+
+def _clos_pairs():
+    """Every pair at N in {8, 16, 64, 65, 200, 512}, and 20,000 seeded
+    pairs spread over N=513..4096 (three- and four-stage Closes)."""
+    for n in (8, 16, 64, 65, 200, 512):
+        yield n, [(s, d) for s in range(n) for d in range(n)]
+    rng = random.Random(34)
+    for n in (513, 777, 1024, 2048, 3000, 4096):
+        yield n, [(rng.randrange(n), rng.randrange(n)) for _ in range(3400)]
+
+
+def test_clos_link_tables_assemble_the_topology_route():
+    """A Clos worm's links, assembled from the link tables, are the
+    topology's route link for link, and its head latency is the
+    route's, in reference and default mode.  Tables are shared between
+    pairs, so a route read back from slots another pair filled is
+    checked against its own route."""
+    covered, wrong = 0, []
+    for n, pairs in _clos_pairs():
+        topo = ClosTopology(n)
+        fabrics = {
+            reference: Fabric(Simulator(), topo, PARAMS, reference=reference)
+            for reference in (True, False)
+        }
+        for src, dst in pairs:
+            if src == dst:
+                continue
+            route = topo.route(src, dst)
+            edges = list(zip([f"nic{src}", *route.hops], [*route.hops, f"nic{dst}"]))
+            head = PARAMS.head_latency(route.switch_count, route.link_count)
+            for reference, fabric in fabrics.items():
+                links, level = fabric._clos_route(src, dst)
+                # Assembly created every link on the route, by name.
+                if (links != list(map(fabric._links.get, edges))
+                        or fabric._levels[level] != (head, 0)):
+                    wrong.append((n, src, dst, reference))
+            covered += n > 512
+    assert wrong == []
+    assert covered >= 20_000
+
+
+def test_clos_worms_claim_the_assembled_route(monkeypatch):
+    """Through ``transmit``: each worm claims and releases exactly its
+    route's links, loopbacks included, with the route's head latency."""
+    claims, drains = _record_worms(monkeypatch)
+    rng = random.Random(35)
+    for n in (65, 1024):
+        topo = ClosTopology(n)
+        sim = Simulator()
+        fabric = Fabric(sim, topo, PARAMS)
+        for port in range(n):
+            fabric.attach(port, lambda p: None)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+        packets = [Packet(s, d, PacketKind.RDMA, 0) for s, d in pairs + [(3, 3)]]
+        claims.clear()
+        drains.clear()
+        for packet in packets:
+            fabric.transmit(packet)
+        sim.run()
+        for packet in packets:
+            src, dst = packet.src, packet.dst
+            route = topo.route(src, dst)
+            nodes = [f"nic{src}", *route.hops, f"nic{dst}"]
+            want = [fabric._link(a, b) for a, b in zip(nodes, nodes[1:])]
+            links, head, skip = drains[packet.wire_id]
+            assert claims[packet.wire_id] == links == want
+            assert (head, skip) == (
+                PARAMS.head_latency(route.switch_count, route.link_count), 0,
+            )

@@ -186,6 +186,38 @@ class TestBlackhole:
         assert fi.should_drop(_pkt(src=0, dst=5, sent_at=15.0)) is True
         assert fi.should_drop(_pkt(src=0, dst=1, sent_at=15.0)) is False
 
+    def test_port_holes_see_only_packets_of_their_ports(self):
+        """Kill, crash, flap and dead-link holes are consulted only for
+        packets to or from a port they name; a predicate hole still sees
+        every packet, and the first active match in registration order
+        takes the drop."""
+        consulted = []
+
+        def spy(hole):
+            matches = hole.matches
+            hole.matches = lambda p: consulted.append(hole.label) or matches(p)
+            return hole
+
+        fi = FaultInjector()
+        spy(fi.kill_node(4, at_us=0.0))
+        spy(fi.crash_window(5, 0.0, 50.0))
+        spy(fi.flap_link(6, 7, 0.0, 50.0))
+        spy(fi.kill_link(2, 3))
+        spy(fi.drop_all_matching(lambda p: p.kind == PacketKind.ACK, label="any"))
+        spy(fi.kill_node(5, at_us=0.0))
+        assert fi.should_drop(_pkt(src=0, dst=1, sent_at=1.0)) is False
+        assert consulted == ["any"]
+        consulted.clear()
+        assert fi.should_drop(_pkt(src=5, dst=4, sent_at=1.0)) is True
+        assert consulted == ["kill:n4"]  # registered first: it takes the drop
+        consulted.clear()
+        assert fi.should_drop(_pkt(src=6, dst=3, sent_at=1.0)) is False
+        assert consulted == ["flap:6<->7", "dead:2<->3", "any"]
+        consulted.clear()
+        assert fi.should_drop(_pkt(src=5, dst=1, sent_at=60.0)) is True
+        assert consulted == ["any", "kill:n5"]  # the crash window has closed
+        assert [h["dropped"] for h in fi.stats()["blackholes"]] == [1, 0, 0, 0, 0, 1]
+
     def test_blackhole_does_not_shift_probabilistic_streams(self):
         # Stream positions advance once per inspected packet whatever
         # the scripted faults decide: the post-window fate sequence is

@@ -338,6 +338,70 @@ class TestQuiescenceFastForward:
         assert seen == ["killer", "after"]
 
 
+class TestReapOnlyCancelledBuckets:
+    """A bucket is reaped at activation only if a cancelled entry was
+    counted against its timestamp; the others are activated as they
+    are, and the per-timestamp counts never outlive their buckets."""
+
+    @staticmethod
+    def _count_reaps(sim, monkeypatch):
+        reaped = []
+        reap = Simulator._reap
+
+        def counting(self, bucket):
+            reaped.append(self.now)
+            return reap(self, bucket)
+
+        monkeypatch.setattr(Simulator, "_reap", counting)
+        return reaped
+
+    def test_only_the_bucket_with_a_cancelled_entry_is_reaped(self, monkeypatch):
+        sim = Simulator()
+        reaped = self._count_reaps(sim, monkeypatch)
+        seen = []
+        for t in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule(t, seen.append, t)
+        doomed = sim.schedule(3.0, seen.append, "doomed")
+        dead = [sim.schedule(3.5, seen.append, "dead") for _ in range(2)]
+        doomed.cancel()
+        for call in dead:
+            call.cancel()
+        assert sim._cancelled_at == {3.0: 1, 3.5: 2}
+        observed = []
+        while sim.step():
+            observed.append(sim.now)
+        assert seen == [1.0, 2.0, 3.0, 4.0]
+        # Bucket 3.0 is reaped; the all-cancelled 3.5 is reaped and
+        # skipped whole, so the clock never lands on it.
+        assert len(reaped) == 2
+        assert 3.5 not in observed
+        assert sim._cancelled_at == {} and sim._cancelled == 0
+
+    def test_cancel_in_the_active_bucket_is_not_counted_per_time(self):
+        sim = Simulator()
+        seen = []
+        handles = {}
+        sim.schedule(2.0, lambda: handles["late"].cancel())
+        handles["late"] = sim.schedule(2.0, seen.append, "late")
+        sim.run(until=1.0)
+        handles["now"] = sim.schedule(0.0, seen.append, "now")
+        handles["now"].cancel()
+        assert sim._cancelled_at == {}  # the active heap, not a bucket
+        sim.run()
+        assert seen == [] and sim._cancelled_at == {} and sim._cancelled == 0
+
+    def test_compaction_drops_the_counts_with_the_entries(self):
+        sim = Simulator()
+        calls = [sim.schedule(float(t), lambda: None) for t in range(1, 1101)]
+        for call in calls[:1050]:
+            call.cancel()
+        sim.schedule(2000.0, lambda: None)  # the scheduling that compacts
+        assert sim._cancelled == 0 and sim._cancelled_at == {}
+        assert sim._pending == 51 and len(sim._times) == 51
+        sim.run()
+        assert sim.now == 2000.0
+
+
 class TestLateCancel:
     """Regression: cancelling a handle whose call already ran used to
     increment the compaction counter, desynchronizing it from the heap

@@ -122,6 +122,32 @@ class TestStore:
         assert store.try_get() is None
         sim.run()
 
+    def test_fifo_items_try_get_and_hand_off_on_the_list_store(self):
+        """The list-backed FIFO: order, ``items`` snapshots and
+        ``try_get`` over more items than any model store holds, then a
+        post straight into a parked taker that never touches storage."""
+        sim = Simulator()
+        store = Store(sim, name="q")
+        assert not hasattr(store, "__dict__")  # slotted: no per-store dict
+        assert store.idle and store.try_get() is None
+        for i in range(12):
+            store.post(i)
+        assert store.items == tuple(range(12)) and len(store) == 12
+        assert [store.try_get() for _ in range(3)] == [0, 1, 2]
+        store.post("late")
+        assert store.items == (*range(3, 12), "late")
+        got = []
+
+        def taker():
+            while True:
+                got.append((yield from store.take()))
+
+        sim.process(taker(), name="t")
+        sim.run()
+        assert got == [*range(3, 12), "late"] and store.items == ()
+        store.post("handed")  # the taker is parked: a direct hand-off
+        assert got[-1] == "handed" and store._items == [] and not store.idle
+
     def test_len_and_items(self):
         sim = Simulator()
         store = Store(sim)
@@ -337,7 +363,7 @@ class TestStoreHandOff:
         sim.run()
         ps.post_item("pkt", priority=(1.0, 3))
         assert got == ["pkt"]  # the bare item, not its (priority, item) pair
-        assert puts == [] and ps._heap == [] and len(ps) == 0
+        assert puts == [] and ps._items == [] and len(ps) == 0
         ps.post_item("queued", priority=0)  # nobody parked: it is stored
         assert puts == [(0, "queued")] and ps.items == ("queued",)
 
